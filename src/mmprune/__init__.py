@@ -13,8 +13,9 @@ from .evaluation import (EvalMetrics, attention_by_modality, reconstruction_repo
                          run_comparison, sparsity_report)
 from .model import (ActivationTrace, CaptureFlags, LinearLayer, ModalityId, Span,
                     TokenSequence, ToyModel, forward, init_synthetic)
-from .pruner import (AmiaParams, InputActivation, PruneConfig, PruneReport, block_prune,
-                     block_importances_das, block_importances_shortgpt, importance_magnitude,
-                     importance_wanda, input_activation, make_mask, prune_model)
+from .pruner import (AmiaParams, Calibration, CalibrationParams, InputActivation, PruneConfig,
+                     PruneReport, block_importances_das, block_importances_shortgpt, block_prune,
+                     importance_magnitude, importance_wanda, input_activation, make_mask, prune_model)
 from .selection import (NeighborGraph, SelectionResult, build_knn, forward_update, mmd,
-                        reverse_select, select_amia, select_variant, token_contributions)
+                        reverse_select, select_amia, select_tokens, select_variant,
+                        token_contributions)

@@ -23,13 +23,12 @@ from .allocation import SparsityPlan
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (default_modality_specs, generate_sequences, load_sequences,
                    make_noisy_modality_scenario, write_sequences)
-from .errors import MMPruneError, UsageError
+from .errors import FormatError, MMPruneError, UsageError
 from .evaluation import attention_by_modality, run_comparison, sparsity_report
-from .model import CaptureFlags, ToyModel, forward, init_synthetic
-from .pruner import (PRUNE_METHODS, PruneConfig, block_importances_das,
-                     block_importances_shortgpt, block_prune, blocks_to_remove,
-                     collect_selection_records, compute_diversity_stats, prune_model)
-from .selection import AmiaParams
+from .model import CaptureFlags, init_synthetic
+from .pruner import (PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
+                     block_importances_shortgpt, block_prune, blocks_to_remove, prune_model)
+from .selection import SELECTION_KINDS, AmiaParams
 
 GROUP_FLAGS = {"row": "per_output_row", "layer": "per_layer"}
 
@@ -85,6 +84,7 @@ def _write_run_record(out_dir: Path, command: str, config: dict) -> None:
 
 
 def _prune_config(config: dict) -> PruneConfig:
+    """Resolve a run config; keys it does not know, as in older run records, are ignored."""
     return PruneConfig(
         method=config.get("method", "tamp"),
         sparsity=config.get("sparsity", 0.5),
@@ -102,7 +102,6 @@ def _prune_config(config: dict) -> PruneConfig:
         random_count=config.get("random_count", 100),
         max_pairs=config.get("max_pairs"),
         seed=config.get("seed", 0),
-        threads=config.get("threads", 1),
         sequential=config.get("sequential", False),
     )
 
@@ -144,12 +143,11 @@ def cmd_prune(config: dict) -> None:
 
     if config.get("structural"):
         ratio = config["sparsity"]
+        calibration = Calibration(model, calib, prune_cfg.calibration_params())
         if config["structural"] == "shortgpt":
-            importances = block_importances_shortgpt(model, calib, threads=config["threads"])
+            importances = block_importances_shortgpt(calibration)
         else:
-            stats = compute_diversity_stats(model, calib, max_pairs=config.get("max_pairs"),
-                                            seed=config["seed"], threads=config["threads"])
-            importances = block_importances_das(stats)
+            importances = block_importances_das(calibration.diversity)
         removed = blocks_to_remove(importances, ratio)
         reduced = block_prune(model, importances, ratio)
         save_checkpoint(reduced, out_dir)
@@ -175,14 +173,6 @@ def cmd_prune(config: dict) -> None:
     print(f"pruned checkpoint written to {out_dir}")
 
 
-def _collect_traces(model: ToyModel, seqs, capture: CaptureFlags):
-    traces = []
-    for seq in seqs:
-        _, trace = forward(model, seq, capture)
-        traces.append(trace)
-    return traces
-
-
 def cmd_analyze(config: dict) -> None:
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,11 +183,10 @@ def cmd_analyze(config: dict) -> None:
     unknown = set(reports) - known
     if unknown:
         raise UsageError(f"unknown analyze reports: {sorted(unknown)}")
-    prune_cfg = _prune_config(config)
+    calibration = Calibration(model, calib, _prune_config(config).calibration_params())
 
     if "diversity" in reports:
-        stats = compute_diversity_stats(model, calib, max_pairs=config.get("max_pairs"),
-                                        seed=config["seed"], threads=config["threads"])
+        stats = calibration.diversity
         intra_names = sorted({name for st in stats.values() for name in st.intra})
         inter_pairs = sorted({pair for st in stats.values() for pair in st.inter})
         header = (["block", "kind"] + [f"s_{n}" for n in intra_names]
@@ -212,16 +201,14 @@ def cmd_analyze(config: dict) -> None:
         _write_csv(out_dir / "diversity.csv", header, rows)
 
     if "attention" in reports:
-        traces = _collect_traces(model, calib, CaptureFlags(attention=True))
-        masses = attention_by_modality(traces)
+        masses = attention_by_modality(list(calibration.traces(CaptureFlags(attention=True))))
         names = sorted({name for entry in masses.values() for name in entry})
         rows = [[block] + [masses[block].get(name, 0.0) for name in names]
                 for block in sorted(masses)]
         _write_csv(out_dir / "attention.csv", ["block"] + [f"mass_{n}" for n in names], rows)
 
     if "selection" in reports:
-        sel_cfg = _prune_config({**config, "selection": config.get("selection") or "amia"})
-        records = collect_selection_records(model, calib, sel_cfg)
+        records = calibration.selection_records(config.get("selection") or "amia")
         names = sorted({name for r in records for name in r["by_modality"]})
         header = (["sample", "block", "kind", "n_tokens", "n_selected"]
                   + [f"sel_{n}" for n in names]
@@ -288,11 +275,17 @@ COMMANDS = {
 
 
 def cmd_rerun(config: dict) -> None:
-    with open(config["run_file"], encoding="utf-8") as f:
-        record = json.load(f)
+    path = config["run_file"]
+    try:
+        with open(path, encoding="utf-8") as f:
+            record = json.load(f)
+    except (OSError, ValueError) as err:  # missing, unreadable, or not JSON
+        raise FormatError(f"{path}: cannot read run record: {err}") from err
+    if not isinstance(record, dict) or not isinstance(record.get("config"), dict):
+        raise FormatError(f"{path}: run record has no \"config\" object")
     command = record.get("command")
     if command not in COMMANDS:
-        raise MMPruneError(f"run record has unknown command {command!r}")
+        raise MMPruneError(f"{path}: run record has unknown command {command!r}")
     COMMANDS[command](record["config"])
 
 
@@ -302,7 +295,7 @@ def _add_common_prune_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--owl-m", dest="owl_m", type=_positive_float, default=5.0)
     parser.add_argument("--owl-lambda", dest="owl_lam", type=float, default=0.08)
     parser.add_argument("--group", choices=sorted(GROUP_FLAGS), default="row")
-    parser.add_argument("--selection", choices=["full", "random", "attention", "amia"], default=None)
+    parser.add_argument("--selection", choices=SELECTION_KINDS, default=None)
     parser.add_argument("--k", type=_positive_int, default=3, help="nearest neighbors")
     parser.add_argument("--gamma-forward", dest="gamma_forward", type=_positive_float, default=1.0)
     parser.add_argument("--gamma-reverse", dest="gamma_reverse", type=_positive_float, default=0.2)
@@ -311,7 +304,6 @@ def _add_common_prune_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-pairs", dest="max_pairs", type=_positive_int, default=None,
                         help="subsample diversity pairs (default: exhaustive)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

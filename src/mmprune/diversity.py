@@ -101,11 +101,12 @@ def all_token_diversity(z: np.ndarray, max_pairs: int | None = None,
     return _pair_mean(_unit_rows(z), np.arange(z.shape[0]), max_pairs, rng)
 
 
-def layer_importance(intra: dict[str, float], inter: dict[tuple[str, str], float]) -> float:
+def layer_importance(intra: dict[str, float], inter: dict[tuple[str, str], float],
+                     layer: str = "this layer") -> float:
     """Unweighted mean of every present intra and inter diversity term."""
     terms = list(intra.values()) + list(inter.values())
     if not terms:
-        raise DegenerateInputError("no diversity terms present for this layer")
+        raise DegenerateInputError(f"no diversity terms present for {layer}")
     return float(np.mean(terms))
 
 
@@ -201,7 +202,7 @@ class DiversityAccumulator:
             stats = DiversityStats(
                 intra=intra,
                 inter=inter,
-                importance=layer_importance(intra, inter),
+                importance=layer_importance(intra, inter, layer=f"layer {key[0]}:{key[1]}"),
                 all_token=(all_sum / all_count) if all_count else float("nan"),
             )
             out[key] = stats

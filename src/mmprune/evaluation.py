@@ -17,7 +17,7 @@ from .allocation import SparsityPlan
 from .errors import ConfigError
 from .model import (PROJECTION_KINDS, ActivationTrace, CaptureFlags, TokenSequence,
                     ToyModel, forward)
-from .pruner import PruneConfig, prune_model
+from .pruner import Calibration, PruneConfig, prune_model
 
 
 @dataclass
@@ -203,15 +203,18 @@ def sparsity_report(source: SparsityPlan | ToyModel) -> dict:
     }
 
 
-def run_comparison(dense: ToyModel, calib: list[TokenSequence], eval_seqs: list[TokenSequence],
-                   methods: list[str], sparsities: list[float],
+def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
+                   eval_seqs: list[TokenSequence], methods: list[str], sparsities: list[float],
                    base_config: PruneConfig) -> list[dict]:
     """Prune on a method x sparsity grid and score each cell on eval data.
 
+    All cells share one Calibration, so each distinct pass runs once.
     Task scores are the end-to-end per-token cosine similarities (overall
     and per modality); references come from an explicit dense-vs-dense run,
     so the relative average of the unpruned model is exactly 100.
     """
+    if not isinstance(calib, Calibration):
+        calib = Calibration(dense, calib, base_config.calibration_params())
     reference = reconstruction_report(dense, dense, eval_seqs).task_scores()
     rows = []
     for sparsity in sparsities:

@@ -2,16 +2,16 @@
 
 Unstructured pruning composes: calibration pass (activation capture) ->
 token selection -> per-channel input activation norms -> importance
-(|W| or norms * |W|) -> per-group mask at the planned ratio. Masks are
-computed for every layer first, then committed, so a failure never
-leaves a half-masked model. Structural pruning removes whole blocks by
-importance.
+(|W| or norms * |W|) -> per-group mask at the planned ratio. Calibration
+passes run in one memoizing engine, `Calibration`. Masks are computed for
+every layer first, then committed, so a failure never leaves a
+half-masked model. Structural pruning removes whole blocks by importance.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +20,8 @@ from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, InsufficientTokensError, ShapeError
 from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, forward
-from .selection import AmiaParams, select_amia, select_variant, token_contributions
+from .selection import SELECTION_KINDS, AmiaParams, select_tokens, token_contributions
 
-PRUNE_METHODS = ("magnitude", "wanda", "owl", "das", "das_alltoken", "das_blockwise", "amia", "tamp")
 MASK_GROUPS = ("per_output_row", "per_layer")
 
 
@@ -43,6 +42,7 @@ METHOD_SPECS = {
     "amia": MethodSpec("uniform", "wanda", "amia"),
     "tamp": MethodSpec("das", "wanda", "amia"),
 }
+PRUNE_METHODS = tuple(METHOD_SPECS)
 
 
 @dataclass
@@ -105,7 +105,17 @@ def make_mask(importance: np.ndarray, ratio: float, group: str = "per_output_row
 
 
 # ---------------------------------------------------------------------------
-# calibration passes
+# calibration engine
+
+
+@dataclass(frozen=True)
+class CalibrationParams:
+    """Every setting that changes a calibration result."""
+
+    amia: AmiaParams = AmiaParams()
+    seed: int = 0
+    random_count: int = 100
+    max_pairs: int | None = None
 
 
 @dataclass
@@ -121,11 +131,13 @@ class PruneConfig:
     random_count: int = 100
     max_pairs: int | None = None
     seed: int = 0
-    threads: int = 1
     sequential: bool = False
 
     def resolved_selection(self) -> str:
         return self.selection or METHOD_SPECS[self.method].selection
+
+    def calibration_params(self) -> CalibrationParams:
+        return CalibrationParams(self.amia, self.seed, self.random_count, self.max_pairs)
 
 
 @dataclass
@@ -142,109 +154,143 @@ class LayerSelectionStats:
         return self.final_mmd_sum / self.samples if self.samples else None
 
 
-def _map_samples(fn, seqs, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(fn, range(len(seqs)), seqs)
-    else:
-        for i, seq in enumerate(seqs):
-            yield fn(i, seq)
+def _add_modality_counts(counts: dict[str, int], indices: np.ndarray, spans) -> dict[str, int]:
+    """Adds how many of `indices` fall in each modality's spans to `counts`."""
+    for span in spans:
+        count = int(((indices >= span.start) & (indices < span.stop)).sum())
+        counts[span.modality.name] = counts.get(span.modality.name, 0) + count
+    return counts
 
 
-def compute_diversity_stats(model: ToyModel, seqs: list[TokenSequence], *,
-                            max_pairs: int | None = None, seed: int = 0,
-                            threads: int = 1) -> dict[tuple[int, str], DiversityStats]:
-    """One streaming calibration pass accumulating per-layer diversity terms."""
-    acc = DiversityAccumulator(max_pairs=max_pairs, seed=seed)
-    capture = CaptureFlags(outputs=True)
+class Calibration:
+    """Calibration results of one model on one sequence set, computed lazily.
 
-    def run(index: int, seq: TokenSequence):
-        _, trace = forward(model, seq, capture)
-        return trace
+    Each result is computed on first request and cached on the instance, so
+    a method x sparsity grid sharing one Calibration pays each distinct pass
+    once, and a single prune computes only what it uses. The cache holds
+    per-layer aggregates and per-sample selection records, never traces.
+    """
 
-    for trace in _map_samples(run, seqs, threads):
-        acc.begin_sample()
-        for key, z in trace.layer_outputs.items():
-            acc.add_layer_sample(key, z, trace.spans)
-    return acc.finalize()
+    def __init__(self, model: ToyModel, seqs: list[TokenSequence],
+                 params: CalibrationParams = CalibrationParams()):
+        self.model = model
+        self.seqs = list(seqs)
+        self.params = params
+        self._cache: dict = {}
 
+    def _memo(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
-def _select_for_layer(key: tuple[int, str], trace, kind: str, config: PruneConfig,
-                      sample_index: int, thresholds: dict | None):
-    """Returns (indices, SelectionResult | None) for one layer of one sample."""
-    block, layer_kind = key
-    x = trace.layer_inputs[key]  # any N-row matrix works for the non-amia kinds
-    n = x.shape[0]
-    if kind == "full":
-        return np.arange(n), None
-    if kind == "random":
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [config.seed, 7701, sample_index, block, PROJECTION_KINDS.index(layer_kind)]))
-        return select_variant("random", None, x, rng=rng, random_count=config.random_count), None
-    a = token_contributions(trace.attention[block])
-    if kind == "attention":
-        return select_variant("attention", a, x), None
-    if kind == "amia":
-        if n <= config.amia.k:
-            return np.arange(n), None  # too few tokens for a kNN graph
-        z = trace.layer_outputs[key]
-        threshold = thresholds[key]
-        result = select_amia(a, z, threshold, config.amia)
-        return result.selected, result
-    raise ConfigError(f"unknown selection kind {kind!r}")
+    def traces(self, capture: CaptureFlags, model: ToyModel | None = None):
+        """The sample loop: one forward of `model` (default: the calibrated one) per sequence."""
+        for seq in self.seqs:
+            yield forward(self.model if model is None else model, seq, capture)[1]
 
+    @cached_property
+    def diversity(self) -> dict[tuple[int, str], DiversityStats]:
+        """Per-layer diversity terms of the output tokens."""
+        acc = DiversityAccumulator(max_pairs=self.params.max_pairs, seed=self.params.seed)
+        for trace in self.traces(CaptureFlags(outputs=True)):
+            acc.begin_sample()
+            for key, z in trace.layer_outputs.items():
+                acc.add_layer_sample(key, z, trace.spans)
+        return acc.finalize()
 
-def collect_activations(model: ToyModel, seqs: list[TokenSequence], kind: str,
-                        config: PruneConfig, thresholds: dict | None = None,
-                        blocks: frozenset[int] | None = None):
-    """Streaming pass: select tokens per (layer, sample) and accumulate
-    per-channel squared sums. Returns (activations, selection stats)."""
-    capture = CaptureFlags(
-        inputs=True,
-        outputs=(kind == "amia"),
-        attention=kind in ("attention", "amia"),
-        blocks=blocks,
-    )
+    @cached_property
+    def thresholds(self) -> dict[tuple[int, str], float]:
+        """AMIA's per-layer MMD stopping thresholds, scaled by layer diversity."""
+        coefficient = self.params.amia.mmd_coefficient
+        return {key: coefficient * float(np.sqrt(st.importance)) for key, st in self.diversity.items()}
 
-    def run(index: int, seq: TokenSequence):
-        _, trace = forward(model, seq, capture)
-        partial = {}
-        for key in trace.layer_inputs:
-            indices, result = _select_for_layer(key, trace, kind, config, index, thresholds)
-            x = trace.layer_inputs[key][indices].astype(np.float64)
-            by_mod = {}
-            for span in trace.spans:
-                count = int(((indices >= span.start) & (indices < span.stop)).sum())
-                by_mod[span.modality.name] = by_mod.get(span.modality.name, 0) + count
-            partial[key] = (np.square(x).sum(axis=0), len(indices), len(seq), by_mod, result)
-        return partial
+    def _selections(self, model: ToyModel, kind: str, blocks: frozenset[int] | None = None):
+        """Yields (trace, {layer: (indices, SelectionResult | None)}) per sample.
 
-    sq_sums: dict[tuple[int, str], np.ndarray] = {}
-    stats: dict[tuple[int, str], LayerSelectionStats] = {}
-    counts: dict[tuple[int, str], int] = {}
-    for partial in _map_samples(run, seqs, config.threads):
-        for key, (sq, n_sel, n_tok, by_mod, result) in partial.items():
-            if key not in sq_sums:
-                sq_sums[key] = np.zeros_like(sq)
-                stats[key] = LayerSelectionStats(
-                    threshold=thresholds.get(key) if thresholds else None)
-                counts[key] = 0
-            sq_sums[key] += sq
-            counts[key] += n_sel
-            entry = stats[key]
-            entry.token_total += n_tok
-            entry.selected_total += n_sel
-            for name, c in by_mod.items():
-                entry.by_modality[name] = entry.by_modality.get(name, 0) + c
-            if result is not None:
-                entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
-                entry.final_mmd_sum += result.mmd_trace[-1]
-                entry.samples += 1
+        Callers drop both before the next sample: with two traces alive, AMIA's
+        N x N temporaries land in fresh pages and noisy `tamp` runs ~5% slower.
+        """
+        capture = CaptureFlags(inputs=True, outputs=(kind == "amia"),
+                               attention=kind in ("attention", "amia"), blocks=blocks)
+        thresholds = self.thresholds if kind == "amia" else {}
+        p = self.params
+        for index, trace in enumerate(self.traces(capture, model)):
+            contributions = {b: token_contributions(attn) for b, attn in trace.attention.items()}
+            selected = {}
+            for key, x in trace.layer_inputs.items():
+                block, layer_kind = key
+                rng = None
+                if kind == "random":
+                    rng = np.random.default_rng(np.random.SeedSequence(
+                        [p.seed, 7701, index, block, PROJECTION_KINDS.index(layer_kind)]))
+                selected[key] = select_tokens(
+                    kind, contributions.get(block), trace.layer_outputs.get(key, x), rng=rng,
+                    threshold=thresholds.get(key, 0.0), params=p.amia, random_count=p.random_count)
+            yield trace, selected
+            del trace, selected, contributions
 
-    activations = {
-        key: InputActivation(np.sqrt(sq), counts[key], kind) for key, sq in sq_sums.items()
-    }
-    return activations, stats
+    def activations(self, kind: str):
+        """(InputActivation, LayerSelectionStats) per layer over the tokens `kind` selects."""
+        return self._memo(("activations", kind), lambda: self.activations_on(self.model, kind))
+
+    def activations_on(self, model: ToyModel, kind: str, blocks: frozenset[int] | None = None):
+        """Uncached activation pass over `model`, e.g. a progressively masked copy."""
+        thresholds = self.thresholds if kind == "amia" else {}
+        sq_sums: dict[tuple[int, str], np.ndarray] = {}
+        stats: dict[tuple[int, str], LayerSelectionStats] = {}
+        for trace, selected in self._selections(model, kind, blocks):
+            for key, (indices, result) in selected.items():
+                x = trace.layer_inputs[key]
+                sq = np.square(x[indices].astype(np.float64)).sum(axis=0)
+                if key not in sq_sums:
+                    sq_sums[key] = np.zeros_like(sq)
+                    stats[key] = LayerSelectionStats(threshold=thresholds.get(key))
+                sq_sums[key] += sq
+                entry = stats[key]
+                entry.token_total += len(x)
+                entry.selected_total += len(indices)
+                _add_modality_counts(entry.by_modality, indices, trace.spans)
+                if result is not None:
+                    entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
+                    entry.final_mmd_sum += result.mmd_trace[-1]
+                    entry.samples += 1
+            del trace, selected
+        activations = {key: InputActivation(np.sqrt(sq), stats[key].selected_total, kind)
+                       for key, sq in sq_sums.items()}
+        return activations, stats
+
+    def selection_records(self, kind: str) -> list[dict]:
+        """Per (sample, layer) selection details backing the analysis CSV."""
+        return self._memo(("records", kind), lambda: [
+            self._record(index, key, trace, *selected[key])
+            for index, (trace, selected) in enumerate(self._selections(self.model, kind))
+            for key in sorted(selected)])
+
+    @staticmethod
+    def _record(index: int, key: tuple[int, str], trace, indices: np.ndarray, result) -> dict:
+        record = {
+            "sample": index,
+            "block": key[0],
+            "kind": key[1],
+            "n_tokens": len(trace.layer_inputs[key]),
+            "n_selected": int(len(indices)),
+            "by_modality": _add_modality_counts({}, indices, trace.spans),
+        }
+        if result is not None:
+            record["stopped_by"] = result.stopped_by
+            record["threshold"] = result.threshold
+            record["mmd_trace"] = [float(v) for v in result.mmd_trace]
+        return record
+
+    @cached_property
+    def block_similarity(self) -> dict[int, float]:
+        """Mean per-token cosine similarity between each block's input and output rows."""
+        n_blocks = self.model.n_blocks
+        sums = np.zeros(n_blocks)
+        for trace in self.traces(CaptureFlags(hiddens=True)):
+            sums += np.asarray([block_input_output_similarity(trace.hiddens[b], trace.hiddens[b + 1])
+                                for b in range(n_blocks)])
+        return {b: float(sums[b] / len(self.seqs)) for b in range(n_blocks)}
 
 
 # ---------------------------------------------------------------------------
@@ -326,31 +372,31 @@ def _build_plan(model: ToyModel, config: PruneConfig, stats, norms) -> tuple[Spa
     raise ConfigError(f"unknown allocator {allocator!r}")
 
 
-def prune_model(model: ToyModel, seqs: list[TokenSequence], config: PruneConfig,
+def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], config: PruneConfig,
                 plan: SparsityPlan | None = None) -> tuple[ToyModel, PruneReport]:
-    """Run the full unstructured pipeline; returns (masked copy, report)."""
+    """Run the full unstructured pipeline; returns (masked copy, report).
+
+    `calib` is the calibration sequences, or a Calibration of `model` with
+    `config.calibration_params()` that several prunes share.
+    """
     if config.method not in METHOD_SPECS:
         raise ConfigError(f"unknown method {config.method!r}")
-    if not seqs:
+    selection = config.resolved_selection()
+    if selection not in SELECTION_KINDS:
+        raise ConfigError(f"unknown selection kind {selection!r}")
+    if not isinstance(calib, Calibration):
+        calib = Calibration(model, calib, config.calibration_params())
+    elif calib.model is not model or calib.params != config.calibration_params():
+        raise ConfigError("calibration was built for another model or other calibration settings")
+    if not calib.seqs:
         raise ConfigError("pruning requires at least one calibration sequence")
     spec = METHOD_SPECS[config.method]
-    selection = config.resolved_selection()
 
-    needs_diversity = spec.allocator.startswith("das") or selection == "amia"
-    stats = None
-    thresholds = None
-    if needs_diversity:
-        stats = compute_diversity_stats(model, seqs, max_pairs=config.max_pairs,
-                                        seed=config.seed, threads=config.threads)
-        if selection == "amia":
-            thresholds = {key: config.amia.mmd_coefficient * float(np.sqrt(st.importance))
-                          for key, st in stats.items()}
-
+    stats = calib.diversity if spec.allocator.startswith("das") or selection == "amia" else None
     needs_norms = spec.importance == "wanda" or spec.allocator == "owl"
-    norms = None
-    sel_stats = None
+    norms = sel_stats = None
     if needs_norms and (spec.allocator == "owl" or not config.sequential):
-        norms, sel_stats = collect_activations(model, seqs, selection, config, thresholds)
+        norms, sel_stats = calib.activations(selection)
 
     if plan is None:
         plan, owl_ratios = _build_plan(model, config, stats, norms)
@@ -364,40 +410,32 @@ def prune_model(model: ToyModel, seqs: list[TokenSequence], config: PruneConfig,
     pruned = model.copy()
     achieved: dict[tuple[int, str], float] = {}
 
-    if config.sequential and spec.importance == "wanda":
-        # Recompute activations on the progressively masked prefix, block by block.
-        sel_stats = {}
-        for block in pruned.blocks:
-            block_norms, block_stats = collect_activations(
-                pruned, seqs, selection, config, thresholds, blocks=frozenset({block.index}))
-            sel_stats.update(block_stats)
-            masks = {}
-            for kind in PROJECTION_KINDS:
-                layer = block.layers[kind]
-                key = (block.index, kind)
-                score = importance_wanda(layer.weight, block_norms[key])
-                masks[key] = make_mask(score, plan_ratios[key], config.group)
-            for kind in PROJECTION_KINDS:
-                key = (block.index, kind)
-                layer = block.layers[kind]
-                layer.mask = masks[key].keep
-                layer.apply_mask()
-                achieved[key] = masks[key].achieved_ratio
-    else:
+    def mask_layers(layers, norms) -> None:
+        # commit only after every mask is built
         masks = {}
-        for layer in pruned.iter_layers():
+        for layer in layers:
             key = (layer.block_index, layer.kind)
             if spec.importance == "magnitude":
                 score = importance_magnitude(layer.weight)
             else:
                 score = importance_wanda(layer.weight, norms[key])
             masks[key] = make_mask(score, plan_ratios[key], config.group)
-        # commit only after every mask is built
-        for layer in pruned.iter_layers():
+        for layer in layers:
             key = (layer.block_index, layer.kind)
             layer.mask = masks[key].keep
             layer.apply_mask()
             achieved[key] = masks[key].achieved_ratio
+
+    if config.sequential and spec.importance == "wanda":
+        # Recompute activations on the progressively masked prefix, block by block.
+        sel_stats = {}
+        for block in pruned.blocks:
+            block_norms, block_stats = calib.activations_on(
+                pruned, selection, blocks=frozenset({block.index}))
+            sel_stats.update(block_stats)
+            mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], block_norms)
+    else:
+        mask_layers(list(pruned.iter_layers()), norms)
 
     total = sum(model.param_counts().values())
     global_achieved = sum(achieved[key] * count for key, count in model.param_counts().items()) / total
@@ -414,40 +452,6 @@ def prune_model(model: ToyModel, seqs: list[TokenSequence], config: PruneConfig,
         owl_ratios=owl_ratios,
     )
     return pruned, report
-
-
-def collect_selection_records(model: ToyModel, seqs: list[TokenSequence],
-                              config: PruneConfig) -> list[dict]:
-    """Per (sample, layer) selection details backing the analysis CSV."""
-    selection = config.resolved_selection()
-    stats = compute_diversity_stats(model, seqs, max_pairs=config.max_pairs,
-                                    seed=config.seed, threads=config.threads)
-    thresholds = {key: config.amia.mmd_coefficient * float(np.sqrt(st.importance))
-                  for key, st in stats.items()}
-    capture = CaptureFlags(inputs=True, outputs=True, attention=True)
-    records = []
-    for index, seq in enumerate(seqs):
-        _, trace = forward(model, seq, capture)
-        for key in sorted(trace.layer_outputs):
-            indices, result = _select_for_layer(key, trace, selection, config, index, thresholds)
-            by_mod = {
-                span.modality.name: int(((indices >= span.start) & (indices < span.stop)).sum())
-                for span in trace.spans
-            }
-            record = {
-                "sample": index,
-                "block": key[0],
-                "kind": key[1],
-                "n_tokens": len(seq),
-                "n_selected": int(len(indices)),
-                "by_modality": by_mod,
-            }
-            if result is not None:
-                record["stopped_by"] = result.stopped_by
-                record["threshold"] = result.threshold
-                record["mmd_trace"] = [float(v) for v in result.mmd_trace]
-            records.append(record)
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -480,22 +484,9 @@ def block_prune(model: ToyModel, importances: dict[int, float], ratio: float) ->
     return ToyModel(survivors, model.n_heads, model.d_model, model.d_ff, model.seed)
 
 
-def block_importances_shortgpt(model: ToyModel, seqs: list[TokenSequence],
-                               threads: int = 1) -> dict[int, float]:
+def block_importances_shortgpt(calib: Calibration) -> dict[int, float]:
     """1 - mean cosine similarity between each block's input and output rows."""
-    capture = CaptureFlags(hiddens=True)
-
-    def run(index: int, seq: TokenSequence):
-        _, trace = forward(model, seq, capture)
-        return [block_input_output_similarity(trace.hiddens[b], trace.hiddens[b + 1])
-                for b in range(model.n_blocks)]
-
-    sums = np.zeros(model.n_blocks)
-    count = 0
-    for sims in _map_samples(run, seqs, threads):
-        sums += np.asarray(sims)
-        count += 1
-    return {b: float(1.0 - sums[b] / count) for b in range(model.n_blocks)}
+    return {b: 1.0 - sim for b, sim in calib.block_similarity.items()}
 
 
 def block_importances_das(stats: dict[tuple[int, str], DiversityStats]) -> dict[int, float]:

@@ -185,24 +185,33 @@ def select_amia(a: np.ndarray, z: np.ndarray, threshold: float,
                           min_count=params.min_count, max_count=params.max_count)
 
 
-def select_variant(kind: str, a: np.ndarray, z: np.ndarray, *,
-                   rng: np.random.Generator | None = None,
-                   threshold: float = 0.0,
-                   params: AmiaParams = AmiaParams(),
-                   random_count: int = 100) -> np.ndarray:
-    """Dispatch over the selection strategies; returns selected token indices."""
+def select_tokens(kind: str, a: np.ndarray | None, z: np.ndarray, *,
+                  rng: np.random.Generator | None = None,
+                  threshold: float = 0.0,
+                  params: AmiaParams = AmiaParams(),
+                  random_count: int = 100) -> tuple[np.ndarray, SelectionResult | None]:
+    """Dispatch over SELECTION_KINDS; returns (indices, SelectionResult or None).
+
+    `a` holds token contributions; outside amia only the row count of `z` matters.
+    """
     n = np.asarray(z).shape[0]
-    if kind == "full":
-        return np.arange(n)
+    if kind == "full" or (kind == "amia" and n <= params.k):
+        return np.arange(n), None  # amia: too few tokens for a kNN graph
     if kind == "random":
         if rng is None:
             raise ValueError("random selection requires an rng")
-        return np.sort(rng.choice(n, size=min(random_count, n), replace=False))
+        return np.sort(rng.choice(n, size=min(random_count, n), replace=False)), None
     if kind == "attention":
         a = np.asarray(a, dtype=np.float64)
         chosen = np.where(a > a.mean())[0]
         # uniform contributions leave nothing above the mean; fall back to all tokens
-        return chosen if len(chosen) else np.arange(n)
+        return (chosen if len(chosen) else np.arange(n)), None
     if kind == "amia":
-        return select_amia(a, z, threshold, params).selected
+        result = select_amia(a, z, threshold, params)
+        return result.selected, result
     raise ValueError(f"unknown selection kind {kind!r}")
+
+
+def select_variant(kind: str, a: np.ndarray | None, z: np.ndarray, **options) -> np.ndarray:
+    """Selected token indices only; see `select_tokens` for the options."""
+    return select_tokens(kind, a, z, **options)[0]

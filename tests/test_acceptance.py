@@ -16,9 +16,9 @@ from mmprune.data import make_diversity_probe, make_noisy_modality_scenario
 from mmprune.errors import InfeasibleBudgetError
 from mmprune.evaluation import reconstruction_report, rel_avg
 from mmprune.model import forward, init_synthetic
-from mmprune.pruner import (PruneConfig, block_importances_shortgpt, block_prune,
-                            blocks_to_remove, compute_diversity_stats, importance_wanda,
-                            input_activation, make_mask, prune_model)
+from mmprune.pruner import (Calibration, PruneConfig, block_importances_shortgpt, block_prune,
+                            blocks_to_remove, importance_wanda, input_activation, make_mask,
+                            prune_model)
 from mmprune.selection import AmiaParams, select_amia
 from tests.test_diversity import oracle_intra
 from tests.test_model import rng_seq
@@ -169,7 +169,7 @@ def test_criterion_5_das_directionality():
     """Engineered low-diversity layer gets strictly higher sparsity at
     p=0.5, lambda=0.1."""
     model, seqs, low_key, high_key = make_diversity_probe(0)
-    stats = compute_diversity_stats(model, seqs)
+    stats = Calibration(model, seqs).diversity
     importances = {key: st.importance for key, st in stats.items()}
     assert importances[low_key] < importances[high_key]
     plan = allocate_das(importances, model.param_counts(), 0.5, 0.1)
@@ -209,7 +209,7 @@ def test_criterion_7_structural_sanity():
         layer = model.blocks[1].layers[kind]
         layer.weight = np.zeros_like(layer.weight)
     seqs = [rng_seq(16, 32, seed=s) for s in range(4)]
-    importances = block_importances_shortgpt(model, seqs)
+    importances = block_importances_shortgpt(Calibration(model, seqs))
     assert blocks_to_remove(importances, 0.25) == [1]
     reduced = block_prune(model, importances, 0.25)
     assert reduced.n_blocks == 3

@@ -119,6 +119,36 @@ def test_analyze_emits_diversity_rows(workspace, tmp_path):
     assert {"stopped_by", "final_mmd", "sel_visual"} <= set(sel_rows[0])
 
 
+def test_analyze_runs_the_diversity_pass_once(workspace, tmp_path, monkeypatch):
+    from mmprune.diversity import DiversityAccumulator
+    passes = []
+    real_finalize = DiversityAccumulator.finalize
+
+    def counting_finalize(self):
+        passes.append(1)
+        return real_finalize(self)
+
+    monkeypatch.setattr(DiversityAccumulator, "finalize", counting_finalize)
+    assert main(["analyze", "--model", str(workspace / "model"), "--calib",
+                 str(workspace / "calib.jsonl"), "--out", str(tmp_path / "analysis"),
+                 "--reports", "diversity,selection"]) == 0
+    assert len(passes) == 1
+
+
+def test_degenerate_calibration_error_names_the_layer(tmp_path, capsys):
+    ws = tmp_path / "tiny"
+    assert main(["gen-synth", "--out", str(ws), "--d-model", "16", "--n-heads", "2",
+                 "--d-ff", "24", "--n-blocks", "1", "--n-calib", "2", "--n-eval", "1",
+                 "--modalities", "1", "--tokens-per-modality", "1"]) == 0
+    capsys.readouterr()
+    code = main(["prune", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"),
+                 "--method", "das", "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == "DegenerateInputError"
+    assert "layer 0:q" in err["message"]
+
+
 def test_analyze_sparsity_report_from_masked_model(workspace, tmp_path):
     pruned_dir = tmp_path / "pruned"
     main(["prune", "--model", str(workspace / "model"), "--calib",
@@ -183,6 +213,41 @@ def test_rerun_reproduces_outputs(workspace, tmp_path):
             p.unlink()
     assert main(["rerun", str(run_file)]) == 0
     assert snapshot(out) == original
+    # records written while --threads existed still replay
+    record = json.loads(run_file.read_text())
+    record["config"]["threads"] = 2
+    run_file.write_text(json.dumps(record))
+    for p in list(out.rglob("*")):
+        if p.is_file():
+            p.unlink()
+    assert main(["rerun", str(run_file)]) == 0
+    replayed = snapshot(out)
+    assert set(replayed) == set(original)
+    assert all(replayed[name] == original[name] for name in original if name != "run.json")
+
+
+def rerun_error(path, capsys):
+    code = main(["rerun", str(path)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == "FormatError"
+    assert str(path) in err["message"]
+
+
+def test_rerun_missing_file_is_format_error(tmp_path, capsys):
+    rerun_error(tmp_path / "absent_run.json", capsys)
+
+
+def test_rerun_non_json_file_is_format_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text("not json {")
+    rerun_error(path, capsys)
+
+
+def test_rerun_record_without_config_is_format_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": "prune"}))
+    rerun_error(path, capsys)
 
 
 def test_lambda_flag_alias(workspace, tmp_path):

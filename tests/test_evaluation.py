@@ -12,9 +12,10 @@ from mmprune.evaluation import (attention_by_modality, reconstruction_report, re
                                 run_comparison, sparsity_report)
 from mmprune.model import (ActivationTrace, Block, LinearLayer, ModalityId, Span,
                            TokenSequence, ToyModel, forward)
-from mmprune.pruner import PruneConfig, make_mask, prune_model
+from mmprune.pruner import METHOD_SPECS, Calibration, PruneConfig, make_mask, prune_model
 from mmprune.model import init_synthetic
 from tests.test_model import _oracle_matvec, _oracle_rms, rng_seq
+from tests.test_pruner import count_calibration_forwards
 
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
@@ -260,3 +261,52 @@ def test_run_comparison_rows_and_relavg():
     dense_scores = reconstruction_report(model, model.copy(), eval_seqs).task_scores()
     assert all(v == 1.0 for v in dense_scores.values())
     assert rel_avg({t: (v, v) for t, v in dense_scores.items()}) == 100.0
+
+
+def _oracle_row(dense, calib, eval_seqs, config):
+    """One comparison row from an independent prune and evaluation."""
+    reference = reconstruction_report(dense, dense, eval_seqs).task_scores()
+    pruned, report = prune_model(dense, calib, config)
+    metrics = reconstruction_report(dense, pruned, eval_seqs)
+    scores = metrics.task_scores()
+    row = {
+        "method": config.method,
+        "sparsity": config.sparsity,
+        "global_achieved": report.global_achieved,
+        "end_rel_error": metrics.end_rel_error,
+        "mean_layer_rel_error": metrics.to_dict()["mean_layer_rel_error"],
+    }
+    row.update(scores)
+    row["rel_avg"] = rel_avg({task: (scores[task], reference[task]) for task in scores})
+    return row
+
+
+def test_shared_calibration_grid_matches_independent_cells():
+    model, seqs = eval_setup(seed=21)
+    eval_seqs = generate_sequences(2, 8, [ModalitySpec("visual", 5), ModalitySpec("language", 4)],
+                                   seed=98, domain=1)
+    methods = list(METHOD_SPECS)
+    sparsities = [0.4, 0.6]
+    base = PruneConfig(seed=4, random_count=5)
+    shared = Calibration(model, seqs, base.calibration_params())
+    for selection in (None, "random", "attention"):
+        config = PruneConfig(seed=4, random_count=5, selection=selection)
+        rows = run_comparison(model, shared, eval_seqs, methods, sparsities, config)
+        expected = [_oracle_row(model, seqs, eval_seqs,
+                                PruneConfig(method=m, sparsity=p, seed=4, random_count=5,
+                                            selection=selection))
+                    for p in sparsities for m in methods]
+        assert rows == expected, selection
+
+
+def test_comparison_grid_runs_each_calibration_pass_once(monkeypatch):
+    model, seqs = eval_setup(seed=23)
+    eval_seqs = generate_sequences(2, 8, [ModalitySpec("visual", 5), ModalitySpec("language", 4)],
+                                   seed=97, domain=1)
+    calls = count_calibration_forwards(monkeypatch)
+    rows = run_comparison(model, seqs, eval_seqs,
+                          ["magnitude", "wanda", "owl", "das", "amia", "tamp"], [0.4, 0.5, 0.6],
+                          PruneConfig())
+    assert len(rows) == 18
+    # one diversity pass, one full-token pass, one adaptive-selection pass
+    assert len(calls) <= 3 * len(seqs)
