@@ -105,9 +105,15 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
     except json.JSONDecodeError as err:
         raise FormatError(f"corrupt {manifest_path}: {err}") from err
 
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: manifest must be a JSON object")
     for key in ("d_model", "n_heads", "d_ff", "n_blocks", "seed", "layers", "norm_scales"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing field {key!r}")
+    for key in ("d_model", "n_heads", "d_ff"):
+        value = manifest[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+            raise FormatError(f"{manifest_path}: {key!r} must be a positive integer, got {value!r}")
 
     blobs: dict[str, np.ndarray] = {}
     raw_blobs: dict[str, bytes] = {}

@@ -100,7 +100,6 @@ def _prune_config(config: dict) -> PruneConfig:
             mmd_coefficient=config.get("mmd_coefficient", 0.1),
         ),
         random_count=config.get("random_count", 100),
-        max_pairs=config.get("max_pairs"),
         seed=config.get("seed", 0),
         sequential=config.get("sequential", False),
     )
@@ -301,8 +300,6 @@ def _add_common_prune_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma-reverse", dest="gamma_reverse", type=_positive_float, default=0.2)
     parser.add_argument("--mmd-coefficient", dest="mmd_coefficient", type=_positive_float, default=0.1)
     parser.add_argument("--random-count", dest="random_count", type=_positive_int, default=100)
-    parser.add_argument("--max-pairs", dest="max_pairs", type=_positive_int, default=None,
-                        help="subsample diversity pairs (default: exhaustive)")
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -51,6 +51,30 @@ def write_sequences(seqs: list[TokenSequence], directory: str | Path, prefix: st
     return jsonl_path
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_record(record, where: str) -> None:
+    """Raises FormatError, prefixed with `where`, unless `record` fits the schema above."""
+    if not isinstance(record, dict):
+        raise FormatError(f"{where}: record must be a JSON object")
+    for key in ("spans", "embeddings_file", "row_offset"):
+        if key not in record:
+            raise FormatError(f"{where}: missing field {key!r}")
+    spans = record["spans"]
+    if not isinstance(spans, list) or not all(
+            isinstance(s, dict) and isinstance(s.get("modality"), str) and _is_count(s.get("len"))
+            for s in spans):
+        raise FormatError(f"{where}: 'spans' must be a list of {{'modality': str, 'len': int >= 0}}")
+    if not isinstance(record["embeddings_file"], str):
+        raise FormatError(f"{where}: 'embeddings_file' must be a string")
+    if not _is_count(record["row_offset"]):
+        raise FormatError(f"{where}: 'row_offset' must be a non-negative integer, got {record['row_offset']!r}")
+    if record.get("dim") is not None and not _is_count(record["dim"]):
+        raise FormatError(f"{where}: 'dim' must be a non-negative integer, got {record['dim']!r}")
+
+
 def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
     jsonl_path = Path(jsonl_path)
     if not jsonl_path.is_file():
@@ -87,9 +111,7 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise FormatError(f"{jsonl_path}:{line_no}: bad JSON: {err}") from err
-            for key in ("spans", "embeddings_file", "row_offset"):
-                if key not in record:
-                    raise FormatError(f"{jsonl_path}:{line_no}: missing field {key!r}")
+            _check_record(record, f"{jsonl_path}:{line_no}")
             records.append((line_no, record))
 
     # records may omit "dim"; infer it from total rows referenced per blob

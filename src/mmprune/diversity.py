@@ -5,6 +5,15 @@ tokens: within one modality (intra), across two modalities (inter), or
 over all tokens (the all-token ablation). A layer's importance is the
 unweighted mean of all intra and pairwise inter terms, which for two
 modalities reduces to (s_v + s_l + s_vl) / 3.
+
+Pair means are exact and O(N * C), in closed form over unit rows u_i:
+
+    intra(n rows) = 1 - (||sum u||^2 - sum ||u_i||^2) / (n (n - 1))
+    inter(a, b)   = 1 - (sum_a u . sum_b u) / (n_a n_b)
+
+clipped to [0, 2]. A zero row has a zero unit row (`_unit_rows` floors
+its norm), so it sits at distance 1 from every other row; subtracting
+sum ||u_i||^2 rather than n keeps that.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InsufficientTokensError, ShapeError
-from .model import PROJECTION_KINDS, Span
+from .model import Span
 
 NORM_FLOOR = 1e-12
 
@@ -42,63 +51,44 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(0.5 * np.square(u / nu - v / nv).sum(), 0.0, 2.0))
 
 
-def _pair_mean(unit: np.ndarray, idx: np.ndarray, max_pairs: int | None,
-               rng: np.random.Generator | None) -> float:
-    """Mean cosine distance over unordered pairs i != j within idx."""
-    n = len(idx)
+def _row_sums(unit: np.ndarray, idx: np.ndarray | slice) -> tuple[np.ndarray, float, int]:
+    """(sum of the rows, sum of their squared norms, row count) over unit[idx]."""
     rows = unit[idx]
-    n_pairs = n * (n - 1) // 2
-    if max_pairs is None or max_pairs >= n_pairs:
-        gram = rows @ rows.T
-        iu = np.triu_indices(n, k=1)
-        return float(np.clip(1.0 - gram[iu], 0.0, 2.0).mean())
-    if rng is None:
-        raise ValueError("pair subsampling requires an rng")
-    i = rng.integers(0, n, size=max_pairs)
-    j = rng.integers(0, n - 1, size=max_pairs)
-    j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs i != j
-    d = 1.0 - np.einsum("ij,ij->i", rows[i], rows[j])
-    return float(np.clip(d, 0.0, 2.0).mean())
+    return rows.sum(axis=0), float(np.vdot(rows, rows)), len(rows)
 
 
-def intra_diversity(z: np.ndarray, indices: np.ndarray, max_pairs: int | None = None,
-                    rng: np.random.Generator | None = None) -> float:
+def _pair_mean(sums: tuple[np.ndarray, float, int]) -> float:
+    """Mean cosine distance over unordered pairs i != j of one row set, from its `_row_sums`."""
+    total, sq_norms, n = sums
+    return min(max(1.0 - float(total @ total - sq_norms) / (n * (n - 1)), 0.0), 2.0)
+
+
+def _cross_mean(sums_a: tuple[np.ndarray, float, int], sums_b: tuple[np.ndarray, float, int]) -> float:
+    """Mean cosine distance over the full cross product of two row sets, from their `_row_sums`."""
+    return min(max(1.0 - float(sums_a[0] @ sums_b[0]) / (sums_a[2] * sums_b[2]), 0.0), 2.0)
+
+
+def intra_diversity(z: np.ndarray, indices: np.ndarray) -> float:
     indices = np.asarray(indices, dtype=int)
     if len(indices) < 2:
         raise InsufficientTokensError(f"intra diversity needs >= 2 tokens, got {len(indices)}")
-    return _pair_mean(_unit_rows(z), indices, max_pairs, rng)
+    return _pair_mean(_row_sums(_unit_rows(z), indices))
 
 
-def _cross_mean(unit: np.ndarray, indices_a: np.ndarray, indices_b: np.ndarray,
-                max_pairs: int | None, rng: np.random.Generator | None) -> float:
-    """Mean cosine distance over the full cross product of two index sets."""
-    n_pairs = len(indices_a) * len(indices_b)
-    if max_pairs is None or max_pairs >= n_pairs:
-        gram = unit[indices_a] @ unit[indices_b].T
-        return float(np.clip(1.0 - gram, 0.0, 2.0).mean())
-    if rng is None:
-        raise ValueError("pair subsampling requires an rng")
-    i = rng.integers(0, len(indices_a), size=max_pairs)
-    j = rng.integers(0, len(indices_b), size=max_pairs)
-    d = 1.0 - np.einsum("ij,ij->i", unit[indices_a[i]], unit[indices_b[j]])
-    return float(np.clip(d, 0.0, 2.0).mean())
-
-
-def inter_diversity(z: np.ndarray, indices_a: np.ndarray, indices_b: np.ndarray,
-                    max_pairs: int | None = None, rng: np.random.Generator | None = None) -> float:
+def inter_diversity(z: np.ndarray, indices_a: np.ndarray, indices_b: np.ndarray) -> float:
     indices_a = np.asarray(indices_a, dtype=int)
     indices_b = np.asarray(indices_b, dtype=int)
     if len(indices_a) == 0 or len(indices_b) == 0:
         raise InsufficientTokensError("inter diversity needs both spans non-empty")
-    return _cross_mean(_unit_rows(z), indices_a, indices_b, max_pairs, rng)
+    unit = _unit_rows(z)
+    return _cross_mean(_row_sums(unit, indices_a), _row_sums(unit, indices_b))
 
 
-def all_token_diversity(z: np.ndarray, max_pairs: int | None = None,
-                        rng: np.random.Generator | None = None) -> float:
+def all_token_diversity(z: np.ndarray) -> float:
     z = np.asarray(z)
     if z.shape[0] < 2:
         raise InsufficientTokensError(f"all-token diversity needs >= 2 tokens, got {z.shape[0]}")
-    return _pair_mean(_unit_rows(z), np.arange(z.shape[0]), max_pairs, rng)
+    return _pair_mean(_row_sums(_unit_rows(z), np.arange(z.shape[0])))
 
 
 def layer_importance(intra: dict[str, float], inter: dict[tuple[str, str], float],
@@ -143,53 +133,35 @@ class DiversityAccumulator:
     terms, are skipped for that sample).
     """
 
-    def __init__(self, max_pairs: int | None = None, seed: int = 0):
+    def __init__(self):
         self._sums: dict[tuple[int, str], dict] = {}
-        self.max_pairs = max_pairs
-        self._seed = seed
-        self._sample_counter = 0
-
-    def begin_sample(self) -> None:
-        self._sample_counter += 1
 
     def add_layer_sample(self, key: tuple[int, str], z: np.ndarray, spans: list[Span]) -> None:
         entry = self._sums.setdefault(key, {"intra": {}, "inter": {}, "all": [0.0, 0]})
-        rng = None
-        if self.max_pairs is not None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self._seed, self._sample_counter, key[0], _kind_code(key[1])]))
         unit = _unit_rows(z)
 
-        by_mod: dict[str, list[np.ndarray]] = {}
-        order: list[str] = []
         ids: dict[str, int] = {}
+        sums: dict[str, tuple[np.ndarray, float, int]] = {}
         for span in spans:
             name = span.modality.name
-            if name not in by_mod:
-                by_mod[name] = []
-                order.append(name)
-                ids[name] = span.modality.id
-            if span.length:
-                by_mod[name].append(span.indices())
-        indices = {name: (np.concatenate(parts) if parts else np.empty(0, dtype=int))
-                   for name, parts in by_mod.items()}
-        order.sort(key=lambda name: ids[name])
+            ids.setdefault(name, span.modality.id)
+            part = _row_sums(unit, slice(span.start, span.stop))
+            sums[name] = tuple(a + b for a, b in zip(sums[name], part)) if name in sums else part
+        order = sorted(ids, key=ids.get)
 
         for name in order:
-            idx = indices[name]
-            if len(idx) >= 2:
-                value = _pair_mean(unit, idx, self.max_pairs, rng)
+            if sums[name][2] >= 2:
+                value = _pair_mean(sums[name])
                 s, c = entry["intra"].get(name, (0.0, 0))
                 entry["intra"][name] = (s + value, c + 1)
         for i, name_a in enumerate(order):
             for name_b in order[i + 1:]:
-                ia, ib = indices[name_a], indices[name_b]
-                if len(ia) and len(ib):
-                    value = _cross_mean(unit, ia, ib, self.max_pairs, rng)
+                if sums[name_a][2] and sums[name_b][2]:
+                    value = _cross_mean(sums[name_a], sums[name_b])
                     s, c = entry["inter"].get((name_a, name_b), (0.0, 0))
                     entry["inter"][(name_a, name_b)] = (s + value, c + 1)
         if z.shape[0] >= 2:
-            value = _pair_mean(unit, np.arange(z.shape[0]), self.max_pairs, rng)
+            value = _pair_mean(_row_sums(unit, slice(None)))
             entry["all"][0] += value
             entry["all"][1] += 1
 
@@ -207,7 +179,3 @@ class DiversityAccumulator:
             )
             out[key] = stats
         return out
-
-
-def _kind_code(kind: str) -> int:
-    return PROJECTION_KINDS.index(kind)

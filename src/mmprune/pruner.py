@@ -115,7 +115,6 @@ class CalibrationParams:
     amia: AmiaParams = AmiaParams()
     seed: int = 0
     random_count: int = 100
-    max_pairs: int | None = None
 
 
 @dataclass
@@ -129,7 +128,6 @@ class PruneConfig:
     selection: str | None = None
     amia: AmiaParams = AmiaParams()
     random_count: int = 100
-    max_pairs: int | None = None
     seed: int = 0
     sequential: bool = False
 
@@ -137,7 +135,7 @@ class PruneConfig:
         return self.selection or METHOD_SPECS[self.method].selection
 
     def calibration_params(self) -> CalibrationParams:
-        return CalibrationParams(self.amia, self.seed, self.random_count, self.max_pairs)
+        return CalibrationParams(self.amia, self.seed, self.random_count)
 
 
 @dataclass
@@ -191,9 +189,8 @@ class Calibration:
     @cached_property
     def diversity(self) -> dict[tuple[int, str], DiversityStats]:
         """Per-layer diversity terms of the output tokens."""
-        acc = DiversityAccumulator(max_pairs=self.params.max_pairs, seed=self.params.seed)
+        acc = DiversityAccumulator()
         for trace in self.traces(CaptureFlags(outputs=True)):
-            acc.begin_sample()
             for key, z in trace.layer_outputs.items():
                 acc.add_layer_sample(key, z, trace.spans)
         return acc.finalize()

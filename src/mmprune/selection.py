@@ -63,6 +63,12 @@ class NeighborGraph:
 
 def build_knn(z: np.ndarray, k: int = 3, gamma: float = 1.0,
               distances: np.ndarray | None = None) -> NeighborGraph:
+    """k nearest neighbors per row, nearest first, in O(k * N^2).
+
+    Each of k passes takes every row's argmin and masks it with inf.
+    `argmin` returns the first minimum, so equal distances go to the lower
+    index: the order of a stable argsort's first k columns.
+    """
     n = np.asarray(z).shape[0]
     if n <= k:
         raise InsufficientTokensError(f"kNN graph needs more than k={k} tokens, got {n}")
@@ -70,9 +76,12 @@ def build_knn(z: np.ndarray, k: int = 3, gamma: float = 1.0,
         distances = pairwise_cosine_distances(z)
     ranked = distances.copy()
     np.fill_diagonal(ranked, np.inf)  # no self-neighbors
-    order = np.argsort(ranked, axis=1, kind="stable")[:, :k]
-    rows = np.arange(n)[:, None]
-    return NeighborGraph(order, distances[rows, order], gamma, k)
+    rows = np.arange(n)
+    order = np.empty((n, k), dtype=np.intp)
+    for j in range(k):
+        order[:, j] = ranked.argmin(axis=1)
+        ranked[rows, order[:, j]] = np.inf
+    return NeighborGraph(order, distances[rows[:, None], order], gamma, k)
 
 
 def forward_update(a: np.ndarray, graph: NeighborGraph) -> np.ndarray:

@@ -69,6 +69,50 @@ def test_prune_missing_model_is_runtime_error(workspace, tmp_path, capsys):
     assert err["error"] == "FormatError"
 
 
+def prune_format_error(workspace, tmp_path, capsys, needle):
+    code = main(["prune", "--model", str(workspace / "model"), "--calib",
+                 str(workspace / "calib.jsonl"), "--method", "wanda", "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == "FormatError"
+    assert needle in err["message"]
+
+
+def rewrite_first_calib_record(workspace, edit):
+    path = workspace / "calib.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    edit(record)
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}:1"
+
+
+def test_prune_span_without_len_is_format_error(workspace, tmp_path, capsys):
+    where = rewrite_first_calib_record(workspace, lambda r: r["spans"][0].pop("len"))
+    prune_format_error(workspace, tmp_path, capsys, where)
+
+
+def test_prune_non_list_spans_is_format_error(workspace, tmp_path, capsys):
+    where = rewrite_first_calib_record(workspace, lambda r: r.update(spans={"modality": "visual"}))
+    prune_format_error(workspace, tmp_path, capsys, where)
+
+
+@pytest.mark.parametrize("offset", [-8, 2.5, "0"])
+def test_prune_bad_row_offset_is_format_error(workspace, tmp_path, capsys, offset):
+    where = rewrite_first_calib_record(workspace, lambda r: r.update(row_offset=offset))
+    prune_format_error(workspace, tmp_path, capsys, where)
+
+
+@pytest.mark.parametrize("key", ["n_heads", "d_model", "d_ff"])
+def test_prune_non_positive_model_dimension_is_format_error(workspace, tmp_path, capsys, key):
+    manifest_path = workspace / "model" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = 0
+    manifest_path.write_text(json.dumps(manifest))
+    prune_format_error(workspace, tmp_path, capsys, key)
+
+
 def test_prune_writes_masked_checkpoint_and_report(workspace, tmp_path):
     out = tmp_path / "pruned"
     report_path = tmp_path / "report.json"
@@ -213,17 +257,18 @@ def test_rerun_reproduces_outputs(workspace, tmp_path):
             p.unlink()
     assert main(["rerun", str(run_file)]) == 0
     assert snapshot(out) == original
-    # records written while --threads existed still replay
-    record = json.loads(run_file.read_text())
-    record["config"]["threads"] = 2
-    run_file.write_text(json.dumps(record))
-    for p in list(out.rglob("*")):
-        if p.is_file():
-            p.unlink()
-    assert main(["rerun", str(run_file)]) == 0
-    replayed = snapshot(out)
-    assert set(replayed) == set(original)
-    assert all(replayed[name] == original[name] for name in original if name != "run.json")
+    # records written while --threads or --max-pairs existed still replay
+    for key, value in (("threads", 2), ("max_pairs", 64)):
+        record = json.loads(run_file.read_text())
+        record["config"][key] = value
+        run_file.write_text(json.dumps(record))
+        for p in list(out.rglob("*")):
+            if p.is_file():
+                p.unlink()
+        assert main(["rerun", str(run_file)]) == 0
+        replayed = snapshot(out)
+        assert set(replayed) == set(original)
+        assert all(replayed[name] == original[name] for name in original if name != "run.json")
 
 
 def rerun_error(path, capsys):

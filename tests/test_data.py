@@ -99,3 +99,20 @@ def test_records_without_dim_field_load_via_inference(tmp_path):
     loaded = load_sequences(path)
     for a, b in zip(seqs, loaded):
         assert a.embeddings.tobytes() == b.embeddings.tobytes()
+
+
+@pytest.mark.parametrize("line", [
+    '[1, 2]',
+    '{"spans": [{"len": 8}], "embeddings_file": "calib_embeddings.bin", "row_offset": 0}',
+    '{"spans": [{"modality": "visual", "len": -1}], "embeddings_file": "calib_embeddings.bin", "row_offset": 0}',
+    '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": 7, "row_offset": 0}',
+    '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "calib_embeddings.bin", "row_offset": true}',
+    '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "calib_embeddings.bin", "row_offset": 0, "dim": -8}',
+])
+def test_malformed_record_names_file_and_line(tmp_path, line):
+    seqs = generate_sequences(2, 8, make_specs(), seed=1)
+    path = write_sequences(seqs, tmp_path, "calib")
+    lines = path.read_text().splitlines()
+    path.write_text(lines[0] + "\n" + line + "\n")
+    with pytest.raises(FormatError, match=f"{path}:2"):
+        load_sequences(path)

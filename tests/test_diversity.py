@@ -32,6 +32,23 @@ def oracle_inter(z, idx_a, idx_b):
     return total / (len(idx_a) * len(idx_b))
 
 
+def oracle_floored_dist(u, v):
+    # a zero row has a zero unit row, so it sits at distance 1 from everything
+    if not any(u) or not any(v):
+        return 1.0
+    return oracle_cos_dist(u, v)
+
+
+def oracle_floored_intra(z, idx):
+    pairs = [(i, j) for a, i in enumerate(idx) for j in idx[a + 1:]]
+    return sum(oracle_floored_dist(z[i], z[j]) for i, j in pairs) / len(pairs)
+
+
+def oracle_floored_inter(z, idx_a, idx_b):
+    total = sum(oracle_floored_dist(z[i], z[j]) for i in idx_a for j in idx_b)
+    return total / (len(idx_a) * len(idx_b))
+
+
 # ---------------------------------------------------------------------------
 # cosine_distance
 
@@ -127,6 +144,39 @@ def test_all_token_matches_exhaustive_loop():
     assert all_token_diversity(z) == pytest.approx(oracle_intra(z, list(range(5))), rel=1e-6)
 
 
+def test_zero_row_scores_distance_one():
+    z = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    # pairs: (zero, x) twice at 1, (x, x) at 0
+    assert intra_diversity(z, [0, 1, 2]) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert inter_diversity(z, [0], [1, 2]) == pytest.approx(1.0, abs=1e-15)
+    assert intra_diversity(np.zeros((3, 2)), [0, 1, 2]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_antipodal_rows_score_two():
+    z = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 6.0], [-0.5, -1.0]])
+    assert inter_diversity(z, [0, 2], [1, 3]) == pytest.approx(2.0, abs=1e-15)
+    assert intra_diversity(z, [0, 1]) == pytest.approx(2.0, abs=1e-15)
+    assert intra_diversity(z, [0, 1, 2, 3]) == pytest.approx(oracle_intra(z, [0, 1, 2, 3]), abs=1e-12)
+
+
+def test_degenerate_rows_match_pair_loop_oracles():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        d = int(rng.integers(2, 5))
+        base = rng.standard_normal(d)
+        pool = [np.zeros(d), base, -base, 2.0 * base, base + 1e-9 * rng.standard_normal(d),
+                rng.integers(-2, 3, size=d).astype(float)]
+        n = int(rng.integers(2, 9))
+        z = np.array([pool[int(rng.integers(len(pool)))] if rng.random() < 0.7
+                      else rng.standard_normal(d) for _ in range(n)])
+        idx = list(range(n))
+        assert intra_diversity(z, idx) == pytest.approx(oracle_floored_intra(z, idx), abs=1e-12)
+        assert all_token_diversity(z) == pytest.approx(oracle_floored_intra(z, idx), abs=1e-12)
+        cut = int(rng.integers(1, n))
+        assert inter_diversity(z, idx[:cut], idx[cut:]) == pytest.approx(
+            oracle_floored_inter(z, idx[:cut], idx[cut:]), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # invariance properties
 
@@ -145,23 +195,6 @@ def test_permutation_invariance_within_span():
     idx = np.array([0, 1, 2, 3])
     shuffled = np.array([2, 0, 3, 1])
     assert intra_diversity(z, idx) == pytest.approx(intra_diversity(z, shuffled), abs=1e-12)
-
-
-def test_subsampling_with_full_budget_matches_exhaustive():
-    rng = np.random.default_rng(17)
-    z = rng.standard_normal((16, 4))
-    exhaustive = intra_diversity(z, np.arange(16))
-    budget = 16 * 15 // 2
-    sampled = intra_diversity(z, np.arange(16), max_pairs=budget, rng=np.random.default_rng(0))
-    assert sampled == exhaustive
-
-
-def test_subsampling_estimator_is_close_on_large_budget():
-    rng = np.random.default_rng(19)
-    z = rng.standard_normal((32, 4))
-    exhaustive = intra_diversity(z, np.arange(32))
-    sampled = intra_diversity(z, np.arange(32), max_pairs=400, rng=np.random.default_rng(1))
-    assert sampled == pytest.approx(exhaustive, abs=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +257,7 @@ def test_accumulator_averages_per_sample_then_over_samples():
     spans = [Span(VIS, 0, 2), Span(LANG, 2, 2)]
     z1 = np.array([[1.0, 0], [1, 0], [0, 1], [0, 1]])
     z2 = np.array([[1.0, 0], [0, 1], [1, 0], [0, 1]])
-    acc.begin_sample()
     acc.add_layer_sample((0, "v"), z1, spans)
-    acc.begin_sample()
     acc.add_layer_sample((0, "v"), z2, spans)
     stats = acc.finalize()[(0, "v")]
     # sample 1: intra_v = 0, intra_l = 0, inter = 1; sample 2: intra_v = 1, intra_l = 1, inter = 0.5
@@ -240,9 +271,7 @@ def test_accumulator_skips_degenerate_spans():
     acc = DiversityAccumulator()
     spans_a = [Span(VIS, 0, 1), Span(LANG, 1, 2)]  # visual has 1 token: intra skipped
     spans_b = [Span(VIS, 0, 2), Span(LANG, 2, 1)]
-    acc.begin_sample()
     acc.add_layer_sample((0, "q"), np.array([[1.0, 0], [0, 1], [0, 1]]), spans_a)
-    acc.begin_sample()
     acc.add_layer_sample((0, "q"), np.array([[1.0, 0], [1, 0], [0, 1]]), spans_b)
     stats = acc.finalize()[(0, "q")]
     assert stats.intra["visual"] == pytest.approx(0.0)   # only sample b contributes
@@ -254,7 +283,21 @@ def test_accumulator_zero_norm_rows_use_floor_not_error():
     acc = DiversityAccumulator()
     spans = [Span(VIS, 0, 3)]
     z = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    acc.begin_sample()
     acc.add_layer_sample((0, "k"), z, spans)
     stats = acc.finalize()[(0, "k")]
     assert np.isfinite(stats.importance)
+
+
+def test_accumulator_joins_repeated_modality_spans():
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal((7, 3))
+    z[5] = 0.0
+    spans = [Span(VIS, 0, 2), Span(LANG, 2, 2), Span(VIS, 4, 0), Span(VIS, 4, 3)]
+    acc = DiversityAccumulator()
+    acc.add_layer_sample((0, "o"), z, spans)
+    stats = acc.finalize()[(0, "o")]
+    vis, lang = [0, 1, 4, 5, 6], [2, 3]
+    assert stats.intra["visual"] == pytest.approx(oracle_floored_intra(z, vis), abs=1e-12)
+    assert stats.intra["language"] == pytest.approx(oracle_floored_intra(z, lang), abs=1e-12)
+    assert stats.inter[("visual", "language")] == pytest.approx(oracle_floored_inter(z, vis, lang), abs=1e-12)
+    assert stats.all_token == pytest.approx(oracle_floored_intra(z, list(range(7))), abs=1e-12)

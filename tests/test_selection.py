@@ -91,6 +91,28 @@ def test_knn_tie_break_prefers_lower_index():
     assert list(graph.neighbors[0]) == [1, 2, 3]
 
 
+def test_knn_order_matches_stable_argsort_on_ties():
+    # integer grids, duplicated rows and zero rows make many equal distances;
+    # neighbors must come nearest first, equal distances in index order
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(2, 14))
+        d = int(rng.integers(1, 4))
+        z = rng.integers(-1, 2, size=(n, d)).astype(float)
+        z[rng.random(n) < 0.2] = 0.0
+        dup = rng.integers(0, n, size=n // 3)
+        z[rng.integers(0, n, size=len(dup))] = z[dup]
+        distances = pairwise_cosine_distances(z)
+        ranked = distances.copy()
+        np.fill_diagonal(ranked, np.inf)
+        for k in range(1, min(4, n - 1) + 1):
+            expected = np.argsort(ranked, axis=1, kind="stable")[:, :k]
+            graph = build_knn(z, k=k, gamma=1.0)
+            np.testing.assert_array_equal(graph.neighbors, expected)
+            np.testing.assert_array_equal(graph.distances,
+                                          np.take_along_axis(distances, expected, axis=1))
+
+
 def test_knn_needs_more_tokens_than_k():
     with pytest.raises(InsufficientTokensError):
         build_knn(np.ones((3, 2)), k=3)
