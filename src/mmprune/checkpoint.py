@@ -94,6 +94,27 @@ def _read_f32(blob: np.ndarray, offset: int, shape: list[int], blob_name: str) -
     return blob[offset:offset + count].reshape(shape).copy()
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _record_problem(record, name_field: str) -> str | None:
+    """What is wrong with one layer or norm-scale record, or None."""
+    if not isinstance(record, dict):
+        return "is not a JSON object"
+    masked = "mask_blob" in record
+    for key in ("block", "offset") + (("mask_offset",) if masked else ()):
+        if not _is_count(record.get(key)):
+            return f"{key!r} must be a non-negative integer, got {record.get(key)!r}"
+    for key in ("blob", name_field) + (("mask_blob",) if masked else ()):
+        if not isinstance(record.get(key), str):
+            return f"{key!r} must be a string, got {record.get(key)!r}"
+    shape = record.get("shape")
+    if not isinstance(shape, list) or not all(_is_count(dim) for dim in shape):
+        return f"'shape' must be a list of non-negative integers, got {shape!r}"
+    return None
+
+
 def load_checkpoint(directory: str | Path) -> ToyModel:
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -110,10 +131,19 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
     for key in ("d_model", "n_heads", "d_ff", "n_blocks", "seed", "layers", "norm_scales"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing field {key!r}")
-    for key in ("d_model", "n_heads", "d_ff"):
+    for key in ("d_model", "n_heads", "d_ff", "n_blocks"):
         value = manifest[key]
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
             raise FormatError(f"{manifest_path}: {key!r} must be a positive integer, got {value!r}")
+    for section, name_field in (("layers", "kind"), ("norm_scales", "name")):
+        if not isinstance(manifest[section], list):
+            raise FormatError(f"{manifest_path}: {section!r} must be a list")
+        for i, record in enumerate(manifest[section]):
+            problem = _record_problem(record, name_field)
+            if problem is None and section == "norm_scales" and record["shape"] != [manifest["d_model"]]:
+                problem = f"'shape' must be [d_model] = [{manifest['d_model']}], got {record['shape']!r}"
+            if problem:
+                raise FormatError(f"{manifest_path}: {section}[{i}] {problem}")
 
     blobs: dict[str, np.ndarray] = {}
     raw_blobs: dict[str, bytes] = {}

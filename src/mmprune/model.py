@@ -208,9 +208,6 @@ class CaptureFlags:
     hiddens: bool = False
     blocks: frozenset[int] | None = None
 
-    def wants_block(self, index: int) -> bool:
-        return self.blocks is None or index in self.blocks
-
 
 CAPTURE_ALL = CaptureFlags(inputs=True, outputs=True, attention=True, hiddens=True)
 CAPTURE_NONE = CaptureFlags()
@@ -248,43 +245,41 @@ def _causal_softmax(scores: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = CAPTURE_NONE):
-    """Run the model on one sequence.
-
-    Returns (final hidden states N x d_model float32, ActivationTrace with
-    exactly the requested captures). Attention is stored post-softmax,
-    averaged over heads.
+@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
+def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = CAPTURE_NONE,
+            start: int = 0, stop: int | None = None, hidden: np.ndarray | None = None):
+    """Run blocks [start, stop) (default: all) on one sequence from `hidden`, the state
+    entering block `start` (default: the embeddings). Returns the state leaving the last
+    block run (N x d_model float32) and an ActivationTrace with exactly the requested
+    captures: attention post-softmax and head-averaged, `hiddens[j]` entering block
+    start + j. Captured arrays are never written afterwards, so q/k/v share one input
+    array and gate/up another; `hiddens[0]` is a copy, so a trace never aliases the input.
     """
     if seq.dim != model.d_model:
         raise ShapeError(f"sequence dim {seq.dim} != model d_model {model.d_model}")
-    n = len(seq)
-    h = model.n_heads
-    dh = model.head_dim
+    stop = model.n_blocks if stop is None else stop
+    if not 0 <= start <= stop <= model.n_blocks:
+        raise ConfigError(f"block range [{start}, {stop}) is outside [0, {model.n_blocks}]")
+    x = seq.embeddings if hidden is None else hidden
+    if x.shape != seq.embeddings.shape:
+        raise ShapeError(f"hidden state shape {x.shape} != sequence shape {seq.embeddings.shape}")
+    n, h, dh = len(seq), model.n_heads, model.head_dim
     trace = ActivationTrace(spans=list(seq.spans))
-    # overflow surfaces as a NumericError from the finite checks, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_impl(model, seq, capture, trace, n, h, dh)
-
-
-def _forward_impl(model: ToyModel, seq: TokenSequence, capture: CaptureFlags,
-                  trace: ActivationTrace, n: int, h: int, dh: int):
-
-    x = seq.embeddings
     if capture.hiddens:
         trace.hiddens.append(x.copy())
 
-    for block in model.blocks:
+    for block in model.blocks[start:stop]:
         b = block.index
-        record = capture.wants_block(b)
+        record = capture.blocks is None or b in capture.blocks
 
         def project(kind: str, inp: np.ndarray) -> np.ndarray:
             layer = block.layers[kind]
             out = inp @ layer.weight.T
             _check_finite(out, layer.name)
             if record and capture.inputs:
-                trace.layer_inputs[(b, kind)] = inp.copy()
+                trace.layer_inputs[(b, kind)] = inp
             if record and capture.outputs:
-                trace.layer_outputs[(b, kind)] = out.copy()
+                trace.layer_outputs[(b, kind)] = out
             return out
 
         attn_in = _rms_norm(x, block.attn_norm_scale)
@@ -313,7 +308,7 @@ def _forward_impl(model: ToyModel, seq: TokenSequence, capture: CaptureFlags,
         x = _check_finite(x.astype(np.float32), f"block{b}.residual")
 
         if capture.hiddens:
-            trace.hiddens.append(x.copy())
+            trace.hiddens.append(x)
 
     return x, trace
 

@@ -10,8 +10,8 @@ half-masked model. Structural pruning removes whole blocks by importance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -181,10 +181,21 @@ class Calibration:
             self._cache[key] = compute()
         return self._cache[key]
 
-    def traces(self, capture: CaptureFlags, model: ToyModel | None = None):
-        """The sample loop: one forward of `model` (default: the calibrated one) per sequence."""
+    def traces(self, capture: CaptureFlags):
+        """The sample loop: one forward of the calibrated model per sequence."""
         for seq in self.seqs:
-            yield forward(self.model if model is None else model, seq, capture)[1]
+            yield forward(self.model, seq, capture)[1]
+
+    def prefix_traces(self, capture: CaptureFlags, model: ToyModel, block: int, states: list[np.ndarray]):
+        """Per sample, one forward that advances `states[i]` (the embeddings, then the
+        state entering block `block - 1`) through that block of `model`, then records `block`."""
+        capture = replace(capture, hiddens=block > 0, blocks=frozenset({block}))
+        for i, seq in enumerate(self.seqs):
+            trace = forward(model, seq, capture, max(block - 1, 0), block + 1, states[i])[1]
+            if block:
+                states[i] = trace.hiddens[1]
+            yield trace
+            del trace
 
     @cached_property
     def diversity(self) -> dict[tuple[int, str], DiversityStats]:
@@ -201,17 +212,18 @@ class Calibration:
         coefficient = self.params.amia.mmd_coefficient
         return {key: coefficient * float(np.sqrt(st.importance)) for key, st in self.diversity.items()}
 
-    def _selections(self, model: ToyModel, kind: str, blocks: frozenset[int] | None = None):
+    def _selections(self, kind: str, traces=None):
         """Yields (trace, {layer: (indices, SelectionResult | None)}) per sample.
 
+        `traces(capture)` yields one trace per sequence (default: `self.traces`).
         Callers drop both before the next sample: with two traces alive, AMIA's
         N x N temporaries land in fresh pages and noisy `tamp` runs ~5% slower.
         """
         capture = CaptureFlags(inputs=True, outputs=(kind == "amia"),
-                               attention=kind in ("attention", "amia"), blocks=blocks)
+                               attention=kind in ("attention", "amia"))
         thresholds = self.thresholds if kind == "amia" else {}
         p = self.params
-        for index, trace in enumerate(self.traces(capture, model)):
+        for index, trace in enumerate((traces or self.traces)(capture)):
             contributions = {b: token_contributions(attn) for b, attn in trace.attention.items()}
             selected = {}
             for key, x in trace.layer_inputs.items():
@@ -226,16 +238,15 @@ class Calibration:
             yield trace, selected
             del trace, selected, contributions
 
-    def activations(self, kind: str):
-        """(InputActivation, LayerSelectionStats) per layer over the tokens `kind` selects."""
-        return self._memo(("activations", kind), lambda: self.activations_on(self.model, kind))
-
-    def activations_on(self, model: ToyModel, kind: str, blocks: frozenset[int] | None = None):
-        """Uncached activation pass over `model`, e.g. a progressively masked copy."""
+    def activations(self, kind: str, traces=None):
+        """(InputActivation, LayerSelectionStats) per layer over the tokens `kind` selects,
+        memoized unless `traces` (as in `_selections`, e.g. `prefix_traces`) is given."""
+        if traces is None:
+            return self._memo(("activations", kind), lambda: self.activations(kind, self.traces))
         thresholds = self.thresholds if kind == "amia" else {}
         sq_sums: dict[tuple[int, str], np.ndarray] = {}
         stats: dict[tuple[int, str], LayerSelectionStats] = {}
-        for trace, selected in self._selections(model, kind, blocks):
+        for trace, selected in self._selections(kind, traces):
             for key, (indices, result) in selected.items():
                 x = trace.layer_inputs[key]
                 sq = np.square(x[indices].astype(np.float64)).sum(axis=0)
@@ -260,7 +271,7 @@ class Calibration:
         """Per (sample, layer) selection details backing the analysis CSV."""
         return self._memo(("records", kind), lambda: [
             self._record(index, key, trace, *selected[key])
-            for index, (trace, selected) in enumerate(self._selections(self.model, kind))
+            for index, (trace, selected) in enumerate(self._selections(kind))
             for key in sorted(selected)])
 
     @staticmethod
@@ -424,11 +435,12 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
             achieved[key] = masks[key].achieved_ratio
 
     if config.sequential and spec.importance == "wanda":
-        # Recompute activations on the progressively masked prefix, block by block.
+        # Carry each sample's hidden state through the masked prefix, one block per step.
         sel_stats = {}
+        states = [seq.embeddings for seq in calib.seqs]
         for block in pruned.blocks:
-            block_norms, block_stats = calib.activations_on(
-                pruned, selection, blocks=frozenset({block.index}))
+            block_norms, block_stats = calib.activations(
+                selection, partial(calib.prefix_traces, model=pruned, block=block.index, states=states))
             sel_stats.update(block_stats)
             mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], block_norms)
     else:

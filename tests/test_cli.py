@@ -104,13 +104,30 @@ def test_prune_bad_row_offset_is_format_error(workspace, tmp_path, capsys, offse
     prune_format_error(workspace, tmp_path, capsys, where)
 
 
+def rewrite_manifest(workspace, edit):
+    path = workspace / "model" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 @pytest.mark.parametrize("key", ["n_heads", "d_model", "d_ff"])
 def test_prune_non_positive_model_dimension_is_format_error(workspace, tmp_path, capsys, key):
-    manifest_path = workspace / "model" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest[key] = 0
-    manifest_path.write_text(json.dumps(manifest))
+    rewrite_manifest(workspace, lambda m: m.update({key: 0}))
     prune_format_error(workspace, tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize("edit,record", [
+    (lambda m: m["layers"][0].pop("offset"), "layers[0] 'offset'"),
+    (lambda m: m["layers"][1].update(shape="16x16"), "layers[1] 'shape'"),
+    (lambda m: m["norm_scales"][0].update(offset=2.5), "norm_scales[0] 'offset'"),
+    (lambda m: m.update(n_blocks="2"), "'n_blocks'"),
+    (lambda m: m["norm_scales"][3].update(shape=[4]), "norm_scales[3] 'shape'"),
+], ids=["layer-without-offset", "string-shape", "float-offset", "string-n-blocks", "short-norm-scale"])
+def test_prune_malformed_manifest_record_is_format_error(workspace, tmp_path, capsys, edit, record):
+    path = rewrite_manifest(workspace, edit)
+    prune_format_error(workspace, tmp_path, capsys, f"{path}: {record}")
 
 
 def test_prune_writes_masked_checkpoint_and_report(workspace, tmp_path):

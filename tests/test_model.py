@@ -259,3 +259,53 @@ def test_residual_stream_shape_preserved_through_blocks():
     _, trace = forward(model, seq, CaptureFlags(hiddens=True))
     assert len(trace.hiddens) == 4  # input plus one per block
     assert all(h.shape == (7, 16) for h in trace.hiddens)
+
+
+def test_forward_block_range_continues_from_a_carried_state():
+    model = init_synthetic(8, 2, 12, 3, seed=8)
+    seq = rng_seq(6, 8, seed=4)
+    capture = CaptureFlags(inputs=True, attention=True, hiddens=True)
+    full, trace = forward(model, seq, capture)
+    h1, _ = forward(model, seq, stop=1)
+    assert h1.tobytes() == trace.hiddens[1].tobytes()
+    rest, part = forward(model, seq, capture, start=1, hidden=h1)
+    assert rest.tobytes() == full.tobytes()
+    assert sorted(part.layer_inputs) == [key for key in sorted(trace.layer_inputs) if key[0] >= 1]
+    for key, x in part.layer_inputs.items():
+        assert x.tobytes() == trace.layer_inputs[key].tobytes()
+    assert list(part.attention) == [1, 2]
+    assert [h.tobytes() for h in part.hiddens] == [h.tobytes() for h in trace.hiddens[1:]]
+    _, one = forward(model, seq, CaptureFlags(inputs=True, blocks=frozenset({2})),
+                     start=1, stop=3, hidden=h1)
+    assert sorted({block for block, _ in one.layer_inputs}) == [2]
+
+
+def test_forward_rejects_bad_block_ranges_and_states():
+    model = init_synthetic(8, 2, 12, 3, seed=8)
+    seq = rng_seq(6, 8, seed=4)
+    with pytest.raises(ConfigError):
+        forward(model, seq, start=2, stop=1, hidden=seq.embeddings)
+    with pytest.raises(ConfigError):
+        forward(model, seq, stop=4)
+    with pytest.raises(ShapeError):
+        forward(model, seq, start=1, hidden=seq.embeddings[:3])
+
+
+def test_trace_shares_projection_inputs_and_never_aliases_the_sequence():
+    model = init_synthetic(8, 2, 12, 2, seed=4)
+    seq = rng_seq(5, 8)
+    embeddings = seq.embeddings.copy()
+    reference, _ = forward(model, seq)
+    _, trace = forward(model, seq, CAPTURE_ALL)
+    inputs = trace.layer_inputs
+    for b in range(model.n_blocks):
+        assert inputs[(b, "q")] is inputs[(b, "k")] is inputs[(b, "v")]
+        assert inputs[(b, "gate")] is inputs[(b, "up")]
+        assert inputs[(b, "q")] is not inputs[(b, "gate")]
+    captured = [*inputs.values(), *trace.layer_outputs.values(), *trace.attention.values(),
+                *trace.hiddens]
+    assert not any(np.shares_memory(a, seq.embeddings) for a in captured)
+    for a in captured:
+        a[...] = 7.0
+    assert seq.embeddings.tobytes() == embeddings.tobytes()
+    assert forward(model, seq)[0].tobytes() == reference.tobytes()

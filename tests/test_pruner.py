@@ -7,6 +7,7 @@ match exactly.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ import pytest
 from mmprune.data import generate_sequences, ModalitySpec
 from mmprune.errors import ConfigError, InsufficientTokensError, ShapeError
 from mmprune.model import (PROJECTION_KINDS, CaptureFlags, forward, init_synthetic)
-from mmprune.pruner import (Calibration, InputActivation, PruneConfig, block_importances_das,
-                            block_importances_shortgpt, block_prune, blocks_to_remove,
-                            importance_magnitude, importance_wanda, input_activation,
-                            make_mask, prune_model)
-from mmprune.selection import AmiaParams
+from mmprune.pruner import (Calibration, InputActivation, LayerSelectionStats, PruneConfig,
+                            block_importances_das, block_importances_shortgpt, block_prune,
+                            blocks_to_remove, importance_magnitude, importance_wanda,
+                            input_activation, make_mask, prune_model)
+from mmprune.selection import AmiaParams, select_tokens, token_contributions
 from tests.test_diversity import oracle_intra, oracle_inter
 from tests.test_selection import oracle_reverse_select
 
@@ -321,6 +322,96 @@ def test_sequential_mode_runs_and_hits_budget():
     assert abs(report.global_achieved - 0.5) < 0.125
     for layer in pruned.iter_layers():
         assert layer.mask is not None
+
+
+def oracle_sequential_prune(model, seqs, config, ratios):
+    """Naive sequential reference: per block, a full forward of every sample
+    through the progressively masked copy, then Wanda masks for that block."""
+    kind = config.resolved_selection()
+    thresholds = Calibration(model, seqs).thresholds if kind == "amia" else {}
+    masked = model.copy()
+    masks, achieved, stats = {}, {}, {}
+    capture = CaptureFlags(inputs=True, outputs=True, attention=True)
+    for b in range(model.n_blocks):
+        traces = [forward(masked, seq, capture)[1] for seq in seqs]
+        for kind_index, layer_kind in enumerate(PROJECTION_KINDS):
+            key = (b, layer_kind)
+            entry = LayerSelectionStats(threshold=thresholds.get(key))
+            sq = np.zeros(model.layer(*key).in_features)
+            for index, trace in enumerate(traces):
+                x = trace.layer_inputs[key]
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    [config.seed, 7701, index, b, kind_index]))
+                picks, result = select_tokens(
+                    kind, token_contributions(trace.attention[b]), trace.layer_outputs[key],
+                    rng=rng, threshold=thresholds.get(key, 0.0), params=config.amia,
+                    random_count=config.random_count)
+                sq += np.square(x[picks].astype(np.float64)).sum(axis=0)
+                entry.token_total += len(x)
+                entry.selected_total += len(picks)
+                for span in trace.spans:
+                    inside = int(((picks >= span.start) & (picks < span.stop)).sum())
+                    name = span.modality.name
+                    entry.by_modality[name] = entry.by_modality.get(name, 0) + inside
+                if result is not None:
+                    entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
+                    entry.final_mmd_sum += result.mmd_trace[-1]
+                    entry.samples += 1
+            stats[key] = entry
+            layer = masked.layer(*key)
+            masks[key] = make_mask(importance_wanda(layer.weight, InputActivation(np.sqrt(sq), 0, kind)),
+                                   ratios[key]).keep
+            achieved[key] = float((~masks[key]).sum()) / masks[key].size
+        for layer_kind in PROJECTION_KINDS:
+            layer = masked.layer(b, layer_kind)
+            layer.mask = masks[(b, layer_kind)]
+            layer.apply_mask()
+    return masks, achieved, stats
+
+
+@pytest.mark.parametrize("method,selection", [
+    ("wanda", "full"), ("wanda", "random"), ("wanda", "attention"), ("wanda", "amia"),
+    ("tamp", None), ("owl", None), ("owl", "attention")])
+def test_sequential_prune_matches_naive_masked_prefix_oracle(method, selection):
+    model, seqs = calib_setup(seed=51, n_blocks=3, n_seqs=4)
+    config = PruneConfig(method=method, sparsity=0.5, selection=selection, random_count=5,
+                         seed=4, sequential=True)
+    _, dense_report = prune_model(model, seqs, replace(config, sequential=False))
+    ratios = dense_report.plan.ratios()
+    masks, achieved, stats = oracle_sequential_prune(model, seqs, config, ratios)
+    pruned, report = prune_model(model, seqs, config)
+    assert report.plan.ratios() == ratios
+    for layer in pruned.iter_layers():
+        key = (layer.block_index, layer.kind)
+        np.testing.assert_array_equal(layer.mask, masks[key], err_msg=f"layer {key}")
+    assert report.achieved == achieved
+    assert report.selection_stats == stats
+    # masking changes later blocks' inputs, so the sequential prune differs from the dense one
+    assert any(not np.array_equal(a.mask, b.mask)
+               for a, b in zip(pruned.iter_layers(), prune_model(model, seqs, replace(
+                   config, sequential=False))[0].iter_layers()))
+
+
+def test_sequential_prune_runs_each_block_at_most_twice_per_sample(monkeypatch):
+    import inspect
+
+    import mmprune.pruner as pruner
+    model, seqs = calib_setup(seed=53, n_blocks=4, n_seqs=3)
+    real_forward = pruner.forward
+    signature = inspect.signature(real_forward)
+    evaluated = []
+
+    def counting_forward(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        stop = bound.get("stop")
+        evaluated.append((bound["model"].n_blocks if stop is None else stop) - bound.get("start", 0))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(pruner, "forward", counting_forward)
+    prune_model(model, seqs, PruneConfig(method="wanda", sparsity=0.5, sequential=True))
+    n_blocks = model.n_blocks
+    assert len(evaluated) == n_blocks * len(seqs)
+    assert sum(evaluated) == (2 * n_blocks - 1) * len(seqs)  # B^2 per sample when re-run per block
 
 
 # ---------------------------------------------------------------------------
