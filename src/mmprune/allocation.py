@@ -10,13 +10,13 @@ the parameter-weighted mean hits the target exactly.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleBudgetError
+from .errors import ConfigError, FormatError, InfeasibleBudgetError
 
 BUDGET_TOL = 1e-12
 
@@ -69,13 +69,49 @@ class SparsityPlan:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SparsityPlan":
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-        entries = [
+        """Read a plan written by `to_json`; a plan missing its own target is a ConfigError."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                payload = json.load(f)
+        except (OSError, ValueError) as err:  # missing, unreadable, or not JSON
+            raise FormatError(f"{path}: cannot read sparsity plan: {err}") from err
+        if not (isinstance(payload, dict) and _is_number(payload.get("target"))
+                and _is_number(payload.get("lambda")) and isinstance(payload.get("entries"), list)
+                and payload["entries"]):
+            raise FormatError(f"{path}: a sparsity plan needs numeric \"target\" and \"lambda\" "
+                              "and a non-empty \"entries\" list")
+        for i, record in enumerate(payload["entries"]):
+            problem = _entry_problem(record)
+            if problem:
+                raise FormatError(f"{path}: entries[{i}] {problem}")
+        plan = cls(payload["target"], payload["lambda"], [
             PlanEntry(_layer_from_str(e["layer"]), e["param_count"], e["ratio"])
             for e in payload["entries"]
-        ]
-        return cls(payload["target"], payload["lambda"], entries)
+        ])
+        try:
+            plan.validate()
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from err
+        return plan
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _entry_problem(record) -> str | None:
+    """What is wrong with one serialized plan entry, or None."""
+    if not isinstance(record, dict):
+        return "is not a JSON object"
+    layer, count, ratio = record.get("layer"), record.get("param_count"), record.get("ratio")
+    if not isinstance(layer, str) or (":" in layer and not layer.split(":", 1)[0].isdecimal()):
+        return f"'layer' must be a string, with an integer block before any ':', got {layer!r}"
+    if not (isinstance(count, int) and not isinstance(count, bool) and 0 < count <= sys.maxsize):
+        return f"'param_count' must be a positive array size, got {count!r}"
+    if not _is_number(ratio):
+        return f"'ratio' must be a finite number, got {ratio!r}"
+    return None
 
 
 def _layer_str(layer) -> str:
@@ -217,8 +253,3 @@ def allocate_owl(outlier_ratios: dict, param_counts: dict, target: float, lam: f
         if not (0.0 <= value <= 1.0):
             raise ConfigError(f"outlier ratio for {layer!r} must be in [0, 1], got {value}")
     return _allocate_inverse(outlier_ratios, param_counts, target, lam)
-
-
-def plan_is_uniform(plan: SparsityPlan, tol: float = 0.0) -> bool:
-    ratios = [entry.ratio for entry in plan.entries]
-    return math.isclose(min(ratios), max(ratios), abs_tol=tol) if tol else min(ratios) == max(ratios)

@@ -135,15 +135,31 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
         value = manifest[key]
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
             raise FormatError(f"{manifest_path}: {key!r} must be a positive integer, got {value!r}")
-    for section, name_field in (("layers", "kind"), ("norm_scales", "name")):
+    version = manifest.get("format_version")
+    if not (_is_count(version) and version == FORMAT_VERSION):
+        raise FormatError(f"{manifest_path}: 'format_version' must be {FORMAT_VERSION}, got {version!r}")
+    n_blocks = manifest["n_blocks"]
+    for section, name_field, names in (("layers", "kind", PROJECTION_KINDS),
+                                       ("norm_scales", "name", ("attn", "ffn"))):
         if not isinstance(manifest[section], list):
             raise FormatError(f"{manifest_path}: {section!r} must be a list")
+        missing = {(b, name) for b in range(n_blocks) for name in names}
         for i, record in enumerate(manifest[section]):
             problem = _record_problem(record, name_field)
             if problem is None and section == "norm_scales" and record["shape"] != [manifest["d_model"]]:
                 problem = f"'shape' must be [d_model] = [{manifest['d_model']}], got {record['shape']!r}"
+            if problem is None:
+                key = (record["block"], record[name_field])
+                if key in missing:
+                    missing.remove(key)
+                elif key[0] < n_blocks and key[1] in names:
+                    problem = f"repeats (block, {name_field}) = {key!r}"
+                else:
+                    problem = f"(block, {name_field}) = {key!r} is outside {n_blocks} blocks x {names}"
             if problem:
                 raise FormatError(f"{manifest_path}: {section}[{i}] {problem}")
+        if missing:
+            raise FormatError(f"{manifest_path}: {section} has no record for (block, {name_field}) = {min(missing)!r}")
 
     blobs: dict[str, np.ndarray] = {}
     raw_blobs: dict[str, bytes] = {}
@@ -189,12 +205,7 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
 
     blocks = []
     for b in range(manifest["n_blocks"]):
-        try:
-            layers = {kind: layer_map[(b, kind)] for kind in PROJECTION_KINDS}
-            attn_scale = scale_map[(b, "attn")]
-            ffn_scale = scale_map[(b, "ffn")]
-        except KeyError as err:
-            raise FormatError(f"{manifest_path}: incomplete records for block {b}: {err}") from err
-        blocks.append(Block(b, layers, attn_scale, ffn_scale))
+        layers = {kind: layer_map[(b, kind)] for kind in PROJECTION_KINDS}
+        blocks.append(Block(b, layers, scale_map[(b, "attn")], scale_map[(b, "ffn")]))
 
     return ToyModel(blocks, manifest["n_heads"], manifest["d_model"], manifest["d_ff"], manifest["seed"])

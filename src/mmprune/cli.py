@@ -14,6 +14,7 @@ import csv
 import json
 import platform
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .pruner import (PRUNE_METHODS, Calibration, PruneConfig, block_importances_
 from .selection import SELECTION_KINDS, AmiaParams
 
 GROUP_FLAGS = {"row": "per_output_row", "layer": "per_layer"}
+DEFAULTS = PruneConfig()
 
 
 def _sparsity_arg(text: str) -> float:
@@ -85,24 +87,12 @@ def _write_run_record(out_dir: Path, command: str, config: dict) -> None:
 
 def _prune_config(config: dict) -> PruneConfig:
     """Resolve a run config; keys it does not know, as in older run records, are ignored."""
-    return PruneConfig(
-        method=config.get("method", "tamp"),
-        sparsity=config.get("sparsity", 0.5),
-        lam=config.get("lam", 0.1),
-        owl_lam=config.get("owl_lam", 0.08),
-        owl_m=config.get("owl_m", 5.0),
-        group=GROUP_FLAGS[config.get("group", "row")],
-        selection=config.get("selection"),
-        amia=AmiaParams(
-            k=config.get("k", 3),
-            gamma_forward=config.get("gamma_forward", 1.0),
-            gamma_reverse=config.get("gamma_reverse", 0.2),
-            mmd_coefficient=config.get("mmd_coefficient", 0.1),
-        ),
-        random_count=config.get("random_count", 100),
-        seed=config.get("seed", 0),
-        sequential=config.get("sequential", False),
-    )
+    def present(cls) -> dict:
+        return {f.name: config[f.name] for f in fields(cls) if f.name in config}
+    values = present(PruneConfig)
+    if "group" in values:
+        values["group"] = GROUP_FLAGS[values["group"]]
+    return PruneConfig(**{**values, "amia": AmiaParams(**present(AmiaParams))})
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +279,19 @@ def cmd_rerun(config: dict) -> None:
 
 
 def _add_common_prune_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.1,
+    parser.add_argument("--lam", "--lambda", type=float, default=DEFAULTS.lam,
                         help="sparsity deviation half-width")
-    parser.add_argument("--owl-m", dest="owl_m", type=_positive_float, default=5.0)
-    parser.add_argument("--owl-lambda", dest="owl_lam", type=float, default=0.08)
-    parser.add_argument("--group", choices=sorted(GROUP_FLAGS), default="row")
-    parser.add_argument("--selection", choices=SELECTION_KINDS, default=None)
-    parser.add_argument("--k", type=_positive_int, default=3, help="nearest neighbors")
-    parser.add_argument("--gamma-forward", dest="gamma_forward", type=_positive_float, default=1.0)
-    parser.add_argument("--gamma-reverse", dest="gamma_reverse", type=_positive_float, default=0.2)
-    parser.add_argument("--mmd-coefficient", dest="mmd_coefficient", type=_positive_float, default=0.1)
-    parser.add_argument("--random-count", dest="random_count", type=_positive_int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--owl-m", type=_positive_float, default=DEFAULTS.owl_m)
+    parser.add_argument("--owl-lambda", dest="owl_lam", type=float, default=DEFAULTS.owl_lam)
+    parser.add_argument("--group", choices=sorted(GROUP_FLAGS),
+                        default={v: k for k, v in GROUP_FLAGS.items()}[DEFAULTS.group])
+    parser.add_argument("--selection", choices=SELECTION_KINDS, default=DEFAULTS.selection)
+    parser.add_argument("--k", type=_positive_int, default=DEFAULTS.amia.k, help="nearest neighbors")
+    parser.add_argument("--gamma-forward", type=_positive_float, default=DEFAULTS.amia.gamma_forward)
+    parser.add_argument("--gamma-reverse", type=_positive_float, default=DEFAULTS.amia.gamma_reverse)
+    parser.add_argument("--mmd-coefficient", type=_positive_float, default=DEFAULTS.amia.mmd_coefficient)
+    parser.add_argument("--random-count", type=_positive_int, default=DEFAULTS.random_count)
+    parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="prune a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
-    p.add_argument("--method", choices=PRUNE_METHODS, default="tamp")
-    p.add_argument("--sparsity", type=_sparsity_arg, default=0.5)
+    p.add_argument("--method", choices=PRUNE_METHODS, default=DEFAULTS.method)
+    p.add_argument("--sparsity", type=_sparsity_arg, default=DEFAULTS.sparsity)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="write a JSON prune report here")
     p.add_argument("--sequential", action="store_true",

@@ -212,8 +212,6 @@ class NoisyScenario:
     model: ToyModel
     calib: list[TokenSequence]
     eval: list[TokenSequence]
-    noise_name: str
-    signal_name: str
 
 
 def _signal_tokens(rng: np.random.Generator, n_tokens: int, mu: np.ndarray,
@@ -329,8 +327,6 @@ def make_noisy_modality_scenario(
         model=model,
         calib=build(n_calib, domain=(0, calib_variant), with_noise=True),
         eval=build(n_eval, domain=(1,), with_noise=False),
-        noise_name="visual",
-        signal_name="language",
     )
 
 

@@ -23,7 +23,6 @@ from .pruner import Calibration, PruneConfig, prune_model
 @dataclass
 class EvalMetrics:
     layer_rel_error: dict[tuple[int, str], float] = field(default_factory=dict)
-    layer_rel_error_by_modality: dict[tuple[int, str], dict[str, float]] = field(default_factory=dict)
     end_rel_error: float = 0.0
     end_rel_error_by_modality: dict[str, float] = field(default_factory=dict)
     cosine: float = 1.0
@@ -65,7 +64,11 @@ def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def reconstruction_report(dense: ToyModel, pruned: ToyModel,
                           seqs: list[TokenSequence]) -> EvalMetrics:
-    """Deterministic fidelity metrics of `pruned` against `dense` over `seqs`."""
+    """Deterministic fidelity metrics of `pruned` against `dense` over `seqs`.
+
+    Per-layer errors cover all tokens; end-to-end error and cosine are also
+    reported per modality.
+    """
     same = (dense.d_model == pruned.d_model and dense.n_heads == pruned.n_heads
             and dense.d_ff == pruned.d_ff and dense.n_blocks == pruned.n_blocks)
     if not same:
@@ -74,64 +77,40 @@ def reconstruction_report(dense: ToyModel, pruned: ToyModel,
         raise ConfigError("evaluation requires at least one sequence")
 
     capture = CaptureFlags(outputs=True)
-    layer_num: dict[tuple[int, str], float] = {}
-    layer_den: dict[tuple[int, str], float] = {}
-    mod_num: dict[tuple[int, str], dict[str, float]] = {}
-    mod_den: dict[tuple[int, str], dict[str, float]] = {}
-    end_num = end_den = 0.0
-    end_mod_num: dict[str, float] = {}
-    end_mod_den: dict[str, float] = {}
-    cos_sum = 0.0
-    cos_count = 0
-    cos_mod_sum: dict[str, float] = {}
-    cos_mod_count: dict[str, int] = {}
+    # (block, kind) -> [num, den] over all tokens
+    layers: dict[tuple[int, str], list[float]] = {}
+    # None (all tokens) or a modality name -> [num, den, cosine sum, token count];
+    # repeated spans of one modality add into one entry
+    groups: dict[str | None, list[float]] = {}
 
     for seq in seqs:
         hidden_d, trace_d = forward(dense, seq, capture)
         hidden_p, trace_p = forward(pruned, seq, capture)
-        spans = [s for s in seq.spans if s.length]
         for key, z_d in trace_d.layer_outputs.items():
-            z_p = trace_p.layer_outputs[key]
-            diff = (z_d.astype(np.float64) - z_p.astype(np.float64))
-            layer_num[key] = layer_num.get(key, 0.0) + float(np.square(diff).sum())
-            layer_den[key] = layer_den.get(key, 0.0) + float(np.square(z_d.astype(np.float64)).sum())
-            for span in spans:
-                rows = slice(span.start, span.stop)
-                name = span.modality.name
-                mod_num.setdefault(key, {})[name] = mod_num.get(key, {}).get(name, 0.0) + \
-                    float(np.square(diff[rows]).sum())
-                mod_den.setdefault(key, {})[name] = mod_den.get(key, {}).get(name, 0.0) + \
-                    float(np.square(z_d[rows].astype(np.float64)).sum())
-        diff_h = hidden_d.astype(np.float64) - hidden_p.astype(np.float64)
-        end_num += float(np.square(diff_h).sum())
-        end_den += float(np.square(hidden_d.astype(np.float64)).sum())
+            z_d = z_d.astype(np.float64)
+            acc = layers.setdefault(key, [0.0, 0.0])
+            acc[0] += float(np.square(z_d - trace_p.layer_outputs[key].astype(np.float64)).sum())
+            acc[1] += float(np.square(z_d).sum())
+        hidden_d = hidden_d.astype(np.float64)
+        diff = hidden_d - hidden_p.astype(np.float64)
         cosines = _token_cosines(hidden_d, hidden_p)
-        cos_sum += float(cosines.sum())
-        cos_count += len(cosines)
-        for span in spans:
-            name = span.modality.name
-            rows = slice(span.start, span.stop)
-            end_mod_num[name] = end_mod_num.get(name, 0.0) + float(np.square(diff_h[rows]).sum())
-            end_mod_den[name] = end_mod_den.get(name, 0.0) + \
-                float(np.square(hidden_d[rows].astype(np.float64)).sum())
-            cos_mod_sum[name] = cos_mod_sum.get(name, 0.0) + float(cosines[rows].sum())
-            cos_mod_count[name] = cos_mod_count.get(name, 0) + span.length
+        for name, rows in [(None, slice(None))] + [
+                (s.modality.name, slice(s.start, s.stop)) for s in seq.spans if s.length]:
+            acc = groups.setdefault(name, [0.0, 0.0, 0.0, 0])
+            acc[0] += float(np.square(diff[rows]).sum())
+            acc[1] += float(np.square(hidden_d[rows]).sum())
+            acc[2] += float(cosines[rows].sum())
+            acc[3] += len(cosines[rows])
 
-    metrics = EvalMetrics()
-    for key in layer_num:
-        metrics.layer_rel_error[key] = _rel(layer_num[key], layer_den[key])
-        metrics.layer_rel_error_by_modality[key] = {
-            name: _rel(mod_num[key][name], mod_den[key][name]) for name in mod_num.get(key, {})
-        }
-    metrics.end_rel_error = _rel(end_num, end_den)
-    metrics.end_rel_error_by_modality = {
-        name: _rel(end_mod_num[name], end_mod_den[name]) for name in end_mod_num
-    }
-    metrics.cosine = cos_sum / cos_count
-    metrics.cosine_by_modality = {
-        name: cos_mod_sum[name] / cos_mod_count[name] for name in cos_mod_sum
-    }
-    return metrics
+    end_rel = {name: _rel(num, den) for name, (num, den, _, _) in groups.items()}
+    cosine = {name: cos_sum / count for name, (_, _, cos_sum, count) in groups.items()}
+    return EvalMetrics(
+        layer_rel_error={key: _rel(num, den) for key, (num, den) in layers.items()},
+        end_rel_error=end_rel.pop(None),
+        end_rel_error_by_modality=end_rel,
+        cosine=cosine.pop(None),
+        cosine_by_modality=cosine,
+    )
 
 
 def rel_avg(scores: dict[str, tuple[float, float]]) -> float:

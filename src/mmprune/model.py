@@ -69,13 +69,6 @@ class TokenSequence:
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
-    def modalities(self) -> list[ModalityId]:
-        seen: list[ModalityId] = []
-        for span in self.spans:
-            if span.modality not in seen:
-                seen.append(span.modality)
-        return seen
-
     def indices_for(self, modality: ModalityId | str) -> np.ndarray:
         name = modality.name if isinstance(modality, ModalityId) else modality
         parts = [s.indices() for s in self.spans if s.modality.name == name]
@@ -175,9 +168,6 @@ class ToyModel:
 
     def layer(self, block_index: int, kind: str) -> LinearLayer:
         return self.blocks[block_index].layers[kind]
-
-    def layer_ids(self) -> list[tuple[int, str]]:
-        return [(b.index, kind) for b in self.blocks for kind in PROJECTION_KINDS]
 
     def param_counts(self) -> dict[tuple[int, str], int]:
         return {(layer.block_index, layer.kind): layer.weight.size for layer in self.iter_layers()}

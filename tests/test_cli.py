@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from mmprune.allocation import allocate_uniform
 from mmprune.checkpoint import load_checkpoint
-from mmprune.cli import main
+from mmprune.cli import _prune_config, build_parser, main
+from mmprune.pruner import PruneConfig
 
 
 def snapshot(directory):
@@ -124,10 +126,63 @@ def test_prune_non_positive_model_dimension_is_format_error(workspace, tmp_path,
     (lambda m: m["norm_scales"][0].update(offset=2.5), "norm_scales[0] 'offset'"),
     (lambda m: m.update(n_blocks="2"), "'n_blocks'"),
     (lambda m: m["norm_scales"][3].update(shape=[4]), "norm_scales[3] 'shape'"),
-], ids=["layer-without-offset", "string-shape", "float-offset", "string-n-blocks", "short-norm-scale"])
+    (lambda m: m.update(format_version=99), "'format_version'"),
+    (lambda m: m.pop("format_version"), "'format_version'"),
+    (lambda m: m["layers"].append(dict(m["layers"][2])), "layers[14] repeats (block, kind) = (0, 'v')"),
+    (lambda m: m["layers"][0].update(block=2), "layers[0] (block, kind) = (2, 'q') is outside"),
+    (lambda m: m.update(n_blocks=1), "layers[7] (block, kind) = (1, 'q') is outside"),
+    (lambda m: m["layers"].pop(), "layers has no record for (block, kind) = (1, 'down')"),
+    (lambda m: m["norm_scales"][1].update(name="attn"), "norm_scales[1] repeats (block, name) = (0, 'attn')"),
+], ids=["layer-without-offset", "string-shape", "float-offset", "string-n-blocks", "short-norm-scale",
+        "format-version-99", "no-format-version", "duplicate-layer", "block-out-of-range",
+        "n-blocks-below-records", "missing-layer", "duplicate-norm-scale"])
 def test_prune_malformed_manifest_record_is_format_error(workspace, tmp_path, capsys, edit, record):
     path = rewrite_manifest(workspace, edit)
     prune_format_error(workspace, tmp_path, capsys, f"{path}: {record}")
+
+
+def write_plan(workspace, path, edit):
+    plan = allocate_uniform(load_checkpoint(workspace / "model").param_counts(), 0.5)
+    plan.to_json(path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("command,edit,error,record", [
+    ("prune", None, "FormatError", "cannot read sparsity plan"),
+    ("analyze", None, "FormatError", "cannot read sparsity plan"),
+    ("prune", "not json {", "FormatError", "cannot read sparsity plan"),
+    ("prune", lambda p: p.pop("entries"), "FormatError", "non-empty \"entries\" list"),
+    ("prune", lambda p: p["entries"][3].update(layer="x:q"), "FormatError", "entries[3] 'layer'"),
+    ("analyze", lambda p: p["entries"][3].update(layer="x:q"), "FormatError", "entries[3] 'layer'"),
+    ("prune", lambda p: p["entries"][0].update(ratio=0.57), "ConfigError", "plan misses target"),
+], ids=["missing-file", "analyze-missing-file", "not-json", "no-entries", "bad-layer",
+        "analyze-bad-layer", "ratios-miss-target"])
+def test_bad_plan_is_runtime_error(workspace, tmp_path, capsys, command, edit, error, record):
+    path = tmp_path / "plan.json"
+    if isinstance(edit, str):
+        path.write_text(edit)
+    elif edit is not None:
+        write_plan(workspace, path, edit)
+    args = ["--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
+            "--plan", str(path), "--out", str(tmp_path / "out")]
+    if command == "prune":
+        args += ["--method", "wanda"]
+    else:
+        args += ["--reports", "sparsity"]
+    code = main([command] + args)
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == error
+    assert f"{path}: " in err["message"] and record in err["message"]
+
+
+def test_prune_settings_have_one_source_of_defaults():
+    assert _prune_config({}) == PruneConfig()
+    required = ["--model", "m", "--calib", "c", "--out", "o"]
+    for argv in (["prune"] + required, ["analyze"] + required, ["compare", "--eval", "e"] + required):
+        assert _prune_config(vars(build_parser().parse_args(argv))) == PruneConfig()
 
 
 def test_prune_writes_masked_checkpoint_and_report(workspace, tmp_path):

@@ -134,6 +134,43 @@ def test_reconstruction_matches_scalar_oracle_on_one_block():
     assert metrics.cosine == pytest.approx(expected_cos, rel=1e-6)
 
 
+def test_per_modality_end_to_end_metrics_match_token_loop_oracle():
+    model, calib = eval_setup(seed=4)
+    pruned, _ = prune_model(model, calib, PruneConfig(method="wanda", sparsity=0.5))
+    audio = ModalityId(2, "audio")
+    rng = np.random.default_rng(8)
+    seqs = [  # visual appears twice in the first sequence, audio only as an empty span
+        TokenSequence(rng.standard_normal((9, 8)).astype(np.float32),
+                      [Span(VIS, 0, 3), Span(LANG, 3, 2), Span(audio, 5, 0), Span(VIS, 5, 4)]),
+        TokenSequence(rng.standard_normal((6, 8)).astype(np.float32),
+                      [Span(LANG, 0, 4), Span(VIS, 4, 2)]),
+    ]
+    num, den, cos, count = {}, {}, {}, {}
+    for seq in seqs:
+        hidden_d, _ = forward(model, seq)
+        hidden_p, _ = forward(pruned, seq)
+        for span in seq.spans:
+            for t in range(span.start, span.stop):
+                a = [float(x) for x in hidden_d[t]]
+                b = [float(x) for x in hidden_p[t]]
+                norm_a = math.sqrt(sum(x * x for x in a))
+                norm_b = math.sqrt(sum(y * y for y in b))
+                for group in ("all tokens", span.modality.name):
+                    num[group] = num.get(group, 0.0) + sum((x - y) ** 2 for x, y in zip(a, b))
+                    den[group] = den.get(group, 0.0) + sum(x * x for x in a)
+                    cos[group] = cos.get(group, 0.0) + sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
+                    count[group] = count.get(group, 0) + 1
+
+    metrics = reconstruction_report(model, pruned, seqs)
+    assert metrics.end_rel_error > 0.0
+    assert metrics.end_rel_error == pytest.approx(math.sqrt(num["all tokens"] / den["all tokens"]), rel=1e-9)
+    assert metrics.cosine == pytest.approx(cos["all tokens"] / count["all tokens"], rel=1e-9)
+    assert set(metrics.end_rel_error_by_modality) == set(metrics.cosine_by_modality) == {"visual", "language"}
+    for name in ("visual", "language"):
+        assert metrics.end_rel_error_by_modality[name] == pytest.approx(math.sqrt(num[name] / den[name]), rel=1e-9)
+        assert metrics.cosine_by_modality[name] == pytest.approx(cos[name] / count[name], rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # rel_avg
 
