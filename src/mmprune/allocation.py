@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InfeasibleBudgetError
+from .errors import ConfigError, FormatError, InfeasibleBudgetError, is_count
 
 BUDGET_TOL = 1e-12
 
@@ -107,7 +107,7 @@ def _entry_problem(record) -> str | None:
     layer, count, ratio = record.get("layer"), record.get("param_count"), record.get("ratio")
     if not isinstance(layer, str) or (":" in layer and not layer.split(":", 1)[0].isdecimal()):
         return f"'layer' must be a string, with an integer block before any ':', got {layer!r}"
-    if not (isinstance(count, int) and not isinstance(count, bool) and 0 < count <= sys.maxsize):
+    if not (is_count(count, 1) and count <= sys.maxsize):
         return f"'param_count' must be a positive array size, got {count!r}"
     if not _is_number(ratio):
         return f"'ratio' must be a finite number, got {ratio!r}"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, is_count
 from .model import PROJECTION_KINDS, Block, LinearLayer, ToyModel
 
 MANIFEST_NAME = "manifest.json"
@@ -94,23 +94,19 @@ def _read_f32(blob: np.ndarray, offset: int, shape: list[int], blob_name: str) -
     return blob[offset:offset + count].reshape(shape).copy()
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _record_problem(record, name_field: str) -> str | None:
     """What is wrong with one layer or norm-scale record, or None."""
     if not isinstance(record, dict):
         return "is not a JSON object"
     masked = "mask_blob" in record
     for key in ("block", "offset") + (("mask_offset",) if masked else ()):
-        if not _is_count(record.get(key)):
+        if not is_count(record.get(key)):
             return f"{key!r} must be a non-negative integer, got {record.get(key)!r}"
     for key in ("blob", name_field) + (("mask_blob",) if masked else ()):
         if not isinstance(record.get(key), str):
             return f"{key!r} must be a string, got {record.get(key)!r}"
     shape = record.get("shape")
-    if not isinstance(shape, list) or not all(_is_count(dim) for dim in shape):
+    if not isinstance(shape, list) or not all(is_count(dim) for dim in shape):
         return f"'shape' must be a list of non-negative integers, got {shape!r}"
     return None
 
@@ -132,34 +128,34 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing field {key!r}")
     for key in ("d_model", "n_heads", "d_ff", "n_blocks"):
-        value = manifest[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise FormatError(f"{manifest_path}: {key!r} must be a positive integer, got {value!r}")
+        if not is_count(manifest[key], 1):
+            raise FormatError(f"{manifest_path}: {key!r} must be a positive integer, got {manifest[key]!r}")
     version = manifest.get("format_version")
-    if not (_is_count(version) and version == FORMAT_VERSION):
+    if not (is_count(version) and version == FORMAT_VERSION):
         raise FormatError(f"{manifest_path}: 'format_version' must be {FORMAT_VERSION}, got {version!r}")
     n_blocks = manifest["n_blocks"]
     for section, name_field, names in (("layers", "kind", PROJECTION_KINDS),
                                        ("norm_scales", "name", ("attn", "ffn"))):
         if not isinstance(manifest[section], list):
             raise FormatError(f"{manifest_path}: {section!r} must be a list")
-        missing = {(b, name) for b in range(n_blocks) for name in names}
+        seen = set()
         for i, record in enumerate(manifest[section]):
             problem = _record_problem(record, name_field)
             if problem is None and section == "norm_scales" and record["shape"] != [manifest["d_model"]]:
                 problem = f"'shape' must be [d_model] = [{manifest['d_model']}], got {record['shape']!r}"
             if problem is None:
                 key = (record["block"], record[name_field])
-                if key in missing:
-                    missing.remove(key)
-                elif key[0] < n_blocks and key[1] in names:
-                    problem = f"repeats (block, {name_field}) = {key!r}"
-                else:
+                if key[0] >= n_blocks or key[1] not in names:
                     problem = f"(block, {name_field}) = {key!r} is outside {n_blocks} blocks x {names}"
+                elif key in seen:
+                    problem = f"repeats (block, {name_field}) = {key!r}"
+                seen.add(key)
             if problem:
                 raise FormatError(f"{manifest_path}: {section}[{i}] {problem}")
-        if missing:
-            raise FormatError(f"{manifest_path}: {section} has no record for (block, {name_field}) = {min(missing)!r}")
+        if len(seen) < n_blocks * len(names):
+            # Lazy, so a huge n_blocks stops just past the records instead of listing every key.
+            gap = next((b, name) for b in range(n_blocks) for name in names if (b, name) not in seen)
+            raise FormatError(f"{manifest_path}: {section} has no record for (block, {name_field}) = {gap!r}")
 
     blobs: dict[str, np.ndarray] = {}
     raw_blobs: dict[str, bytes] = {}

@@ -33,6 +33,7 @@ from .selection import SELECTION_KINDS, AmiaParams
 
 GROUP_FLAGS = {"row": "per_output_row", "layer": "per_layer"}
 DEFAULTS = PruneConfig()
+UNFLAGGED = ("amia", "max_count")  # PruneConfig/AmiaParams fields that no flag, and so no run record, sets
 
 
 def _sparsity_arg(text: str) -> float:
@@ -86,9 +87,9 @@ def _write_run_record(out_dir: Path, command: str, config: dict) -> None:
 
 
 def _prune_config(config: dict) -> PruneConfig:
-    """Resolve a run config; keys it does not know, as in older run records, are ignored."""
+    """Resolve a run config's flagged settings; other keys, as in older run records, are ignored."""
     def present(cls) -> dict:
-        return {f.name: config[f.name] for f in fields(cls) if f.name in config}
+        return {f.name: config[f.name] for f in fields(cls) if f.name in config and f.name not in UNFLAGGED}
     values = present(PruneConfig)
     if "group" in values:
         values["group"] = GROUP_FLAGS[values["group"]]

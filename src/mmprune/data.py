@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, is_count
 from .model import ModalityId, Span, TokenSequence, ToyModel, init_synthetic
 
 DEFAULT_MODALITY_NAMES = ("visual", "language", "audio")
@@ -51,10 +51,6 @@ def write_sequences(seqs: list[TokenSequence], directory: str | Path, prefix: st
     return jsonl_path
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _check_record(record, where: str) -> None:
     """Raises FormatError, prefixed with `where`, unless `record` fits the schema above."""
     if not isinstance(record, dict):
@@ -64,14 +60,14 @@ def _check_record(record, where: str) -> None:
             raise FormatError(f"{where}: missing field {key!r}")
     spans = record["spans"]
     if not isinstance(spans, list) or not all(
-            isinstance(s, dict) and isinstance(s.get("modality"), str) and _is_count(s.get("len"))
+            isinstance(s, dict) and isinstance(s.get("modality"), str) and is_count(s.get("len"))
             for s in spans):
         raise FormatError(f"{where}: 'spans' must be a list of {{'modality': str, 'len': int >= 0}}")
     if not isinstance(record["embeddings_file"], str):
         raise FormatError(f"{where}: 'embeddings_file' must be a string")
-    if not _is_count(record["row_offset"]):
+    if not is_count(record["row_offset"]):
         raise FormatError(f"{where}: 'row_offset' must be a non-negative integer, got {record['row_offset']!r}")
-    if record.get("dim") is not None and not _is_count(record["dim"]):
+    if record.get("dim") is not None and not is_count(record["dim"]):
         raise FormatError(f"{where}: 'dim' must be a non-negative integer, got {record['dim']!r}")
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the input check its loaders share."""
 
 
 class MMPruneError(Exception):
@@ -43,3 +43,8 @@ class InfeasibleBudgetError(MMPruneError):
     def __init__(self, message: str, binding_layers=()):
         super().__init__(message)
         self.binding_layers = list(binding_layers)
+
+
+def is_count(value, low: int = 0) -> bool:
+    """True for a JSON integer (not a bool) of at least `low`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low

@@ -133,9 +133,10 @@ def test_prune_non_positive_model_dimension_is_format_error(workspace, tmp_path,
     (lambda m: m.update(n_blocks=1), "layers[7] (block, kind) = (1, 'q') is outside"),
     (lambda m: m["layers"].pop(), "layers has no record for (block, kind) = (1, 'down')"),
     (lambda m: m["norm_scales"][1].update(name="attn"), "norm_scales[1] repeats (block, name) = (0, 'attn')"),
+    (lambda m: m.update(n_blocks=10**12), "layers has no record for (block, kind) = (2, 'q')"),
 ], ids=["layer-without-offset", "string-shape", "float-offset", "string-n-blocks", "short-norm-scale",
         "format-version-99", "no-format-version", "duplicate-layer", "block-out-of-range",
-        "n-blocks-below-records", "missing-layer", "duplicate-norm-scale"])
+        "n-blocks-below-records", "missing-layer", "duplicate-norm-scale", "huge-n-blocks"])
 def test_prune_malformed_manifest_record_is_format_error(workspace, tmp_path, capsys, edit, record):
     path = rewrite_manifest(workspace, edit)
     prune_format_error(workspace, tmp_path, capsys, f"{path}: {record}")
@@ -157,8 +158,21 @@ def write_plan(workspace, path, edit):
     ("prune", lambda p: p["entries"][3].update(layer="x:q"), "FormatError", "entries[3] 'layer'"),
     ("analyze", lambda p: p["entries"][3].update(layer="x:q"), "FormatError", "entries[3] 'layer'"),
     ("prune", lambda p: p["entries"][0].update(ratio=0.57), "ConfigError", "plan misses target"),
+    ("prune", "[]", "FormatError", "numeric \"target\""),
+    ("prune", lambda p: p.pop("target"), "FormatError", "numeric \"target\""),
+    ("prune", lambda p: p.update(target="0.5"), "FormatError", "numeric \"target\""),
+    ("prune", lambda p: p.pop("lambda"), "FormatError", "\"lambda\""),
+    ("prune", lambda p: p.update({"lambda": True}), "FormatError", "\"lambda\""),
+    ("prune", lambda p: p["entries"].__setitem__(2, "0:v"), "FormatError", "entries[2] is not a JSON object"),
+    ("prune", lambda p: p["entries"][1].update(param_count=0), "FormatError", "entries[1] 'param_count'"),
+    ("prune", lambda p: p["entries"][1].update(param_count=True), "FormatError", "entries[1] 'param_count'"),
+    ("prune", lambda p: p["entries"][1].update(param_count=2**63), "FormatError", "entries[1] 'param_count'"),
+    ("prune", lambda p: p["entries"][4].update(ratio=1e400), "FormatError", "entries[4] 'ratio'"),
+    ("prune", lambda p: p["entries"][4].update(ratio="0.5"), "FormatError", "entries[4] 'ratio'"),
 ], ids=["missing-file", "analyze-missing-file", "not-json", "no-entries", "bad-layer",
-        "analyze-bad-layer", "ratios-miss-target"])
+        "analyze-bad-layer", "ratios-miss-target", "not-an-object", "no-target", "string-target",
+        "no-lambda", "bool-lambda", "non-object-entry", "zero-param-count", "bool-param-count",
+        "huge-param-count", "infinite-ratio", "string-ratio"])
 def test_bad_plan_is_runtime_error(workspace, tmp_path, capsys, command, edit, error, record):
     path = tmp_path / "plan.json"
     if isinstance(edit, str):
@@ -180,6 +194,7 @@ def test_bad_plan_is_runtime_error(workspace, tmp_path, capsys, command, edit, e
 
 def test_prune_settings_have_one_source_of_defaults():
     assert _prune_config({}) == PruneConfig()
+    assert _prune_config({"max_count": 1, "amia": None}) == PruneConfig()
     required = ["--model", "m", "--calib", "c", "--out", "o"]
     for argv in (["prune"] + required, ["analyze"] + required, ["compare", "--eval", "e"] + required):
         assert _prune_config(vars(build_parser().parse_args(argv))) == PruneConfig()
