@@ -5,17 +5,14 @@ __version__ = "0.1.0"
 from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das, allocate_owl,
                          allocate_uniform, owl_outlier_ratio)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (generate_sequences, load_sequences, make_diversity_probe,
-                   make_noisy_modality_scenario, write_sequences)
-from .diversity import (DiversityStats, all_token_diversity, block_input_output_similarity,
-                        cosine_distance, inter_diversity, intra_diversity, layer_importance)
+from .data import generate_sequences, load_sequences, make_noisy_modality_scenario, write_sequences
+from .diversity import DiversityStats, block_input_output_similarity, layer_importance
 from .evaluation import (EvalMetrics, attention_by_modality, reconstruction_report, rel_avg,
                          run_comparison, sparsity_report)
 from .model import (ActivationTrace, CaptureFlags, LinearLayer, ModalityId, Span,
                     TokenSequence, ToyModel, forward, init_synthetic)
 from .pruner import (AmiaParams, Calibration, CalibrationParams, InputActivation, PruneConfig,
                      PruneReport, block_importances_das, block_importances_shortgpt, block_prune,
-                     importance_magnitude, importance_wanda, input_activation, make_mask, prune_model)
-from .selection import (NeighborGraph, SelectionResult, build_knn, forward_update, mmd,
-                        reverse_select, select_amia, select_tokens, select_variant,
-                        token_contributions)
+                     importance_magnitude, importance_wanda, make_mask, prune_model)
+from .selection import (NeighborGraph, SelectionResult, build_knn, forward_update,
+                        reverse_select, select_amia, select_tokens, token_contributions)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, InfeasibleBudgetError, is_count
+from .model import PROJECTION_KINDS
 
 BUDGET_TOL = 1e-12
 
@@ -33,12 +34,6 @@ class SparsityPlan:
     target: float
     lam: float
     entries: list[PlanEntry]
-
-    def ratio_for(self, layer) -> float:
-        for entry in self.entries:
-            if entry.layer == layer:
-                return entry.ratio
-        raise KeyError(f"plan has no entry for layer {layer!r}")
 
     def ratios(self) -> dict:
         return {entry.layer: entry.ratio for entry in self.entries}
@@ -59,7 +54,7 @@ class SparsityPlan:
             "target": self.target,
             "lambda": self.lam,
             "entries": [
-                {"layer": _layer_str(e.layer), "param_count": e.param_count, "ratio": e.ratio}
+                {"layer": f"{e.layer[0]}:{e.layer[1]}", "param_count": e.param_count, "ratio": e.ratio}
                 for e in self.entries
             ],
         }
@@ -69,7 +64,10 @@ class SparsityPlan:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SparsityPlan":
-        """Read a plan written by `to_json`; a plan missing its own target is a ConfigError."""
+        """Read a plan written by `to_json`; a plan missing its own target is a ConfigError.
+
+        Each entry's layer is `BLOCK:KIND`, and no layer may appear twice.
+        """
         try:
             with open(path, encoding="utf-8") as f:
                 payload = json.load(f)
@@ -80,14 +78,17 @@ class SparsityPlan:
                 and payload["entries"]):
             raise FormatError(f"{path}: a sparsity plan needs numeric \"target\" and \"lambda\" "
                               "and a non-empty \"entries\" list")
+        entries: dict[tuple[int, str], PlanEntry] = {}
         for i, record in enumerate(payload["entries"]):
             problem = _entry_problem(record)
+            if problem is None:
+                block, kind = record["layer"].split(":")
+                layer = (int(block), kind)
+                problem = f"repeats layer {record['layer']!r}" if layer in entries else None
+                entries[layer] = PlanEntry(layer, record["param_count"], record["ratio"])
             if problem:
                 raise FormatError(f"{path}: entries[{i}] {problem}")
-        plan = cls(payload["target"], payload["lambda"], [
-            PlanEntry(_layer_from_str(e["layer"]), e["param_count"], e["ratio"])
-            for e in payload["entries"]
-        ])
+        plan = cls(payload["target"], payload["lambda"], list(entries.values()))
         try:
             plan.validate()
         except ConfigError as err:
@@ -105,26 +106,14 @@ def _entry_problem(record) -> str | None:
     if not isinstance(record, dict):
         return "is not a JSON object"
     layer, count, ratio = record.get("layer"), record.get("param_count"), record.get("ratio")
-    if not isinstance(layer, str) or (":" in layer and not layer.split(":", 1)[0].isdecimal()):
-        return f"'layer' must be a string, with an integer block before any ':', got {layer!r}"
+    block, _, kind = layer.partition(":") if isinstance(layer, str) else ("", "", "")
+    if not (block.isascii() and block.isdecimal() and kind in PROJECTION_KINDS):
+        return f"'layer' must be BLOCK:KIND with KIND one of {PROJECTION_KINDS}, got {layer!r}"
     if not (is_count(count, 1) and count <= sys.maxsize):
         return f"'param_count' must be a positive array size, got {count!r}"
     if not _is_number(ratio):
         return f"'ratio' must be a finite number, got {ratio!r}"
     return None
-
-
-def _layer_str(layer) -> str:
-    if isinstance(layer, tuple):
-        return ":".join(str(part) for part in layer)
-    return str(layer)
-
-
-def _layer_from_str(text: str):
-    if ":" in text:
-        block, kind = text.split(":", 1)
-        return (int(block), kind)
-    return text
 
 
 def _validate_budget_args(target: float, lam: float) -> None:

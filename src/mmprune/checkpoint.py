@@ -8,7 +8,8 @@ Layout:
                    present only when at least one layer is masked
 
 Offsets count elements (weights) or bytes (packed masks). Save/load round
-trips are bit-exact, masks included.
+trips are bit-exact, masks included. A weight that its mask drops must be
+stored as zero.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
         return raw_blobs[name]
 
     layer_map: dict[tuple[int, str], LinearLayer] = {}
-    for record in manifest["layers"]:
+    for i, record in enumerate(manifest["layers"]):
         weight = _read_f32(blob_f32(record["blob"]), record["offset"], record["shape"], record["blob"])
         layer = LinearLayer(weight, record["kind"], record["block"])
         if "mask_blob" in record:
@@ -192,6 +193,8 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
                 raise FormatError(f"{record['mask_blob']}: needed {n_bytes} bytes at offset {start}, blob has {len(data)}")
             packed = np.frombuffer(data[start:start + n_bytes], dtype=np.uint8)
             layer.mask = np.unpackbits(packed, count=n_bits).astype(bool).reshape(weight.shape)
+            if weight[~layer.mask].any():  # forward runs on the stored weights, not the mask
+                raise FormatError(f"{manifest_path}: layers[{i}] has non-zero weights where its mask drops them")
         layer_map[(record["block"], record["kind"])] = layer
 
     scale_map: dict[tuple[int, str], np.ndarray] = {}

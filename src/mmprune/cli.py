@@ -33,7 +33,6 @@ from .selection import SELECTION_KINDS, AmiaParams
 
 GROUP_FLAGS = {"row": "per_output_row", "layer": "per_layer"}
 DEFAULTS = PruneConfig()
-UNFLAGGED = ("amia", "max_count")  # PruneConfig/AmiaParams fields that no flag, and so no run record, sets
 
 
 def _sparsity_arg(text: str) -> float:
@@ -89,7 +88,7 @@ def _write_run_record(out_dir: Path, command: str, config: dict) -> None:
 def _prune_config(config: dict) -> PruneConfig:
     """Resolve a run config's flagged settings; other keys, as in older run records, are ignored."""
     def present(cls) -> dict:
-        return {f.name: config[f.name] for f in fields(cls) if f.name in config and f.name not in UNFLAGGED}
+        return {f.name: config[f.name] for f in fields(cls) if f.name in config}
     values = present(PruneConfig)
     if "group" in values:
         values["group"] = GROUP_FLAGS[values["group"]]
@@ -191,7 +190,7 @@ def cmd_analyze(config: dict) -> None:
         _write_csv(out_dir / "diversity.csv", header, rows)
 
     if "attention" in reports:
-        masses = attention_by_modality(list(calibration.traces(CaptureFlags(attention=True))))
+        masses = attention_by_modality(calibration.traces(CaptureFlags(attention=True)))
         names = sorted({name for entry in masses.values() for name in entry})
         rows = [[block] + [masses[block].get(name, 0.0) for name in names]
                 for block in sorted(masses)]
@@ -364,7 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     try:
         args.func(config)
-    except MMPruneError as err:
+    except (MMPruneError, OSError) as err:
+        if isinstance(err, OSError):  # e.g. an output path that is an existing file; names the path
+            err = MMPruneError(str(err))
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)
         sys.stderr.write("\n")
         return 2 if isinstance(err, UsageError) else 1

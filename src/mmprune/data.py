@@ -211,9 +211,10 @@ class NoisyScenario:
 
 
 def _signal_tokens(rng: np.random.Generator, n_tokens: int, mu: np.ndarray,
-                   basis: np.ndarray, offset: float, jitter: float) -> np.ndarray:
+                   basis: np.ndarray) -> np.ndarray:
+    """4 * mu, plus a latent draw on the rows of `basis`, plus small isotropic jitter."""
     latent = rng.standard_normal((n_tokens, basis.shape[0]))
-    return offset * mu + latent @ basis + jitter * rng.standard_normal((n_tokens, mu.shape[0]))
+    return 4.0 * mu + latent @ basis + 0.05 * rng.standard_normal((n_tokens, mu.shape[0]))
 
 
 def make_noisy_modality_scenario(
@@ -223,32 +224,22 @@ def make_noisy_modality_scenario(
     n_heads: int = 4,
     d_ff: int = 128,
     n_blocks: int = 4,
-    weak_blocks: tuple[int, ...] = (1, 3),
     n_calib: int = 24,
     n_eval: int = 12,
-    n_noise_tokens: int = 160,
-    n_signal_tokens: int = 28,
-    noise_scale: float = 8.0,
-    signal_offset: float = 4.0,
-    signal_basis_dim: int = 8,
-    signal_basis_scale: float = 2.5,
-    informative_channels: int = 16,
-    weak_align_gain: float = 0.3,
-    weak_residual_scale: float = 0.05,
     calib_variant: int = 0,
 ) -> NoisyScenario:
     """Construct the scenario where naive full-token activations go wrong.
 
-    Calibration sequences carry a large span of high-magnitude noise tokens
-    living on the channels the signal never uses, plus a small span of
-    structured signal tokens whose energy concentrates on a few channels.
+    Calibration sequences carry a span of 160 high-magnitude noise tokens
+    living on the channels the signal never uses, plus a span of 28
+    structured signal tokens whose energy concentrates on 16 channels.
     Eval sequences contain only signal tokens (the noise span is empty), so
     the noise statistics are pure calibration pollution: whole-set channel
     norms point at the wrong channels. The model interleaves full-rank
-    blocks with "weak" blocks whose residual-reading projections mostly
-    pick up the shared signal direction at a deliberately small output
-    scale, so their output tokens are near-collinear (low diversity) and
-    carry little information worth protecting from pruning.
+    blocks with "weak" blocks (1 and 3) whose residual-reading projections
+    mostly pick up the shared signal direction at a deliberately small
+    output scale, so their output tokens are near-collinear (low
+    diversity) and carry little information worth protecting from pruning.
 
     `calib_variant` redraws the calibration token content without touching
     the model, channel structure, or eval set.
@@ -256,19 +247,18 @@ def make_noisy_modality_scenario(
     root = np.random.SeedSequence([seed, 90210])
     struct_rng = np.random.default_rng(root.spawn(1)[0])
 
-    channels = struct_rng.permutation(d_model)[:informative_channels]
+    channels = struct_rng.permutation(d_model)[:16]
     complement = np.setdiff1d(np.arange(d_model), channels)
     mu = np.zeros(d_model)
-    mu[channels] = struct_rng.standard_normal(informative_channels)
+    mu[channels] = struct_rng.standard_normal(16)
     mu /= np.linalg.norm(mu)
-    basis = np.zeros((signal_basis_dim, d_model))
-    basis[:, channels] = struct_rng.standard_normal((signal_basis_dim, informative_channels))
+    basis = np.zeros((8, d_model))  # an 8-dim latent signal subspace, rows of norm 2.5
+    basis[:, channels] = struct_rng.standard_normal((8, 16))
     basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-    basis *= signal_basis_scale
+    basis *= 2.5
 
     # mean response of an RMS-normed signal token along mu, from a seeded probe
-    probe = _signal_tokens(np.random.default_rng(root.spawn(1)[0]), 256, mu, basis,
-                           signal_offset, jitter=0.05)
+    probe = _signal_tokens(np.random.default_rng(root.spawn(1)[0]), 256, mu, basis)
     normed = probe / np.sqrt(np.mean(np.square(probe), axis=1, keepdims=True) + 1e-6)
     mu_response = float(np.mean(normed @ mu))
 
@@ -276,15 +266,14 @@ def make_noisy_modality_scenario(
     strong_output_norm = np.sqrt(d_model / 3.0)
     for b in range(n_blocks):
         block = model.blocks[b]
-        if b in weak_blocks:
+        if b in (1, 3):
             for kind in ("q", "k", "v", "gate", "up"):
                 layer = block.layers[kind]
                 u = struct_rng.standard_normal(layer.out_features)
                 u /= np.linalg.norm(u)
-                align = weak_align_gain * strong_output_norm / mu_response
+                align = 0.3 * strong_output_norm / mu_response
                 layer.weight = (align * np.outer(u, mu)
-                                + weak_residual_scale * layer.weight.astype(np.float64)
-                                ).astype(np.float32)
+                                + 0.05 * layer.weight.astype(np.float64)).astype(np.float32)
         else:
             # Sharpen attention so contexts keep the v-outputs' diversity
             # instead of averaging the whole sequence into one direction.
@@ -306,16 +295,16 @@ def make_noisy_modality_scenario(
         out = []
         for i in range(n_sequences):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 90210, *domain, i]))
-            n_noise = n_noise_tokens if with_noise else 0
+            n_noise = 160 if with_noise else 0
             # each draw puts its outlier energy on a different channel subset,
             # so whole-set channel norms depend heavily on the calibration draw
             scales = np.ones(len(complement))
             scales[rng.choice(len(complement), size=8, replace=False)] = 5.0
             noise = np.zeros((n_noise, d_model))
-            noise[:, complement] = noise_scale * scales * rng.standard_normal((n_noise, len(complement)))
-            signal = _signal_tokens(rng, n_signal_tokens, mu, basis, signal_offset, jitter=0.05)
+            noise[:, complement] = 8.0 * scales * rng.standard_normal((n_noise, len(complement)))
+            signal = _signal_tokens(rng, 28, mu, basis)
             embeddings = np.concatenate([noise, signal]).astype(np.float32)
-            spans = [Span(noise_mod, 0, n_noise), Span(signal_mod, n_noise, n_signal_tokens)]
+            spans = [Span(noise_mod, 0, n_noise), Span(signal_mod, n_noise, 28)]
             out.append(TokenSequence(embeddings, spans))
         return out
 
@@ -324,37 +313,3 @@ def make_noisy_modality_scenario(
         calib=build(n_calib, domain=(0, calib_variant), with_noise=True),
         eval=build(n_eval, domain=(1,), with_noise=False),
     )
-
-
-def make_diversity_probe(seed: int, *, d_model: int = 32, n_heads: int = 4, d_ff: int = 64,
-                         n_tokens: int = 24, n_sequences: int = 8):
-    """2-block model where block 0's v-projection collapses output tokens onto
-    one direction (low diversity) and block 1's v is orthogonal (high
-    diversity), plus matching sequences sharing the mean direction that the
-    collapsing projection reads.
-
-    Returns (model, sequences, low_layer_id, high_layer_id).
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
-    mu = rng.standard_normal(d_model)
-    mu /= np.linalg.norm(mu)
-
-    model = init_synthetic(d_model, n_heads, d_ff, 2, seed=seed)
-    v_low = model.blocks[0].layers["v"]
-    u = rng.standard_normal(d_model)
-    u /= np.linalg.norm(u)
-    v_low.weight = (np.linalg.norm(v_low.weight.astype(np.float64)) * np.outer(u, mu)
-                    + 0.05 * v_low.weight).astype(np.float32)
-    v_high = model.blocks[1].layers["v"]
-    q_mat, _ = np.linalg.qr(rng.standard_normal((d_model, d_model)))
-    v_high.weight = (q_mat * 0.6).astype(np.float32)
-
-    half = n_tokens // 2
-    mods = [ModalityId(0, "visual"), ModalityId(1, "language")]
-    seqs = []
-    for i in range(n_sequences):
-        seq_rng = np.random.default_rng(np.random.SeedSequence([seed, 556, i]))
-        embeddings = (2.5 * mu + 0.6 * seq_rng.standard_normal((n_tokens, d_model))).astype(np.float32)
-        spans = [Span(mods[0], 0, half), Span(mods[1], half, n_tokens - half)]
-        seqs.append(TokenSequence(embeddings, spans))
-    return model, seqs, (0, "v"), (1, "v")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InsufficientTokensError, ShapeError
+from .errors import DegenerateInputError, ShapeError
 from .model import Span
 
 NORM_FLOOR = 1e-12
@@ -34,24 +34,7 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z / np.maximum(norms, NORM_FLOOR)
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v), in [0, 2]. Raises on zero-norm input.
-
-    Computed as 0.5 * ||u_hat - v_hat||^2, which is algebraically the same
-    and exactly 0.0 for identical inputs.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ShapeError(f"vectors must share a 1-D shape, got {u.shape} and {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInputError("cosine distance of a zero-norm vector is undefined")
-    return float(np.clip(0.5 * np.square(u / nu - v / nv).sum(), 0.0, 2.0))
-
-
-def _row_sums(unit: np.ndarray, idx: np.ndarray | slice) -> tuple[np.ndarray, float, int]:
+def _row_sums(unit: np.ndarray, idx: slice) -> tuple[np.ndarray, float, int]:
     """(sum of the rows, sum of their squared norms, row count) over unit[idx]."""
     rows = unit[idx]
     return rows.sum(axis=0), float(np.vdot(rows, rows)), len(rows)
@@ -66,29 +49,6 @@ def _pair_mean(sums: tuple[np.ndarray, float, int]) -> float:
 def _cross_mean(sums_a: tuple[np.ndarray, float, int], sums_b: tuple[np.ndarray, float, int]) -> float:
     """Mean cosine distance over the full cross product of two row sets, from their `_row_sums`."""
     return min(max(1.0 - float(sums_a[0] @ sums_b[0]) / (sums_a[2] * sums_b[2]), 0.0), 2.0)
-
-
-def intra_diversity(z: np.ndarray, indices: np.ndarray) -> float:
-    indices = np.asarray(indices, dtype=int)
-    if len(indices) < 2:
-        raise InsufficientTokensError(f"intra diversity needs >= 2 tokens, got {len(indices)}")
-    return _pair_mean(_row_sums(_unit_rows(z), indices))
-
-
-def inter_diversity(z: np.ndarray, indices_a: np.ndarray, indices_b: np.ndarray) -> float:
-    indices_a = np.asarray(indices_a, dtype=int)
-    indices_b = np.asarray(indices_b, dtype=int)
-    if len(indices_a) == 0 or len(indices_b) == 0:
-        raise InsufficientTokensError("inter diversity needs both spans non-empty")
-    unit = _unit_rows(z)
-    return _cross_mean(_row_sums(unit, indices_a), _row_sums(unit, indices_b))
-
-
-def all_token_diversity(z: np.ndarray) -> float:
-    z = np.asarray(z)
-    if z.shape[0] < 2:
-        raise InsufficientTokensError(f"all-token diversity needs >= 2 tokens, got {z.shape[0]}")
-    return _pair_mean(_row_sums(_unit_rows(z), np.arange(z.shape[0])))
 
 
 def layer_importance(intra: dict[str, float], inter: dict[tuple[str, str], float],

@@ -9,6 +9,7 @@ task scores mirrors the usual pruned/reference * 100 reporting.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,10 +126,11 @@ def rel_avg(scores: dict[str, tuple[float, float]]) -> float:
     return float(np.mean(values))
 
 
-def attention_by_modality(traces: list[ActivationTrace]) -> dict[int, dict[str, float]]:
-    """Per block, the mean attention mass landing on each modality's key span."""
-    if not traces:
-        raise ConfigError("no traces given")
+def attention_by_modality(traces: Iterable[ActivationTrace]) -> dict[int, dict[str, float]]:
+    """Per block, the mean attention mass landing on each modality's key span.
+
+    Reads `traces` once, so a generator keeps one trace alive at a time.
+    """
     sums: dict[int, dict[str, float]] = {}
     counts: dict[int, int] = {}
     for trace in traces:
@@ -143,6 +145,8 @@ def attention_by_modality(traces: list[ActivationTrace]) -> dict[int, dict[str, 
             for name, mass in masses.items():
                 entry[name] = entry.get(name, 0.0) + mass
             counts[block] = counts.get(block, 0) + 1
+    if not counts:
+        raise ConfigError("no traces given")
     return {
         block: {name: value / counts[block] for name, value in sorted(entry.items())}
         for block, entry in sorted(sums.items())
@@ -152,11 +156,7 @@ def attention_by_modality(traces: list[ActivationTrace]) -> dict[int, dict[str, 
 def sparsity_report(source: SparsityPlan | ToyModel) -> dict:
     """Mean sparsity per projection kind and per block (plain means over layers)."""
     if isinstance(source, SparsityPlan):
-        ratios = {}
-        for entry in source.entries:
-            if not (isinstance(entry.layer, tuple) and len(entry.layer) == 2):
-                raise ConfigError(f"plan entry {entry.layer!r} is not a (block, kind) layer id")
-            ratios[entry.layer] = entry.ratio
+        ratios = source.ratios()
     elif isinstance(source, ToyModel):
         if source.n_blocks == 0:
             raise ConfigError("model has no blocks")

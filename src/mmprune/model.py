@@ -36,9 +36,6 @@ class Span:
     def stop(self) -> int:
         return self.start + self.length
 
-    def indices(self) -> np.ndarray:
-        return np.arange(self.start, self.stop)
-
 
 class TokenSequence:
     """Pre-embedded tokens (N x C float32) with contiguous modality spans."""
@@ -68,13 +65,6 @@ class TokenSequence:
     @property
     def dim(self) -> int:
         return self.embeddings.shape[1]
-
-    def indices_for(self, modality: ModalityId | str) -> np.ndarray:
-        name = modality.name if isinstance(modality, ModalityId) else modality
-        parts = [s.indices() for s in self.spans if s.modality.name == name]
-        if not parts:
-            return np.empty(0, dtype=int)
-        return np.concatenate(parts)
 
 
 @dataclass
@@ -199,10 +189,6 @@ class CaptureFlags:
     blocks: frozenset[int] | None = None
 
 
-CAPTURE_ALL = CaptureFlags(inputs=True, outputs=True, attention=True, hiddens=True)
-CAPTURE_NONE = CaptureFlags()
-
-
 @dataclass
 class ActivationTrace:
     """Per-sequence capture: projection inputs/outputs, head-averaged attention, block-boundary hiddens."""
@@ -236,7 +222,7 @@ def _causal_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
-def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = CAPTURE_NONE,
+def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = CaptureFlags(),
             start: int = 0, stop: int | None = None, hidden: np.ndarray | None = None):
     """Run blocks [start, stop) (default: all) on one sequence from `hidden`, the state
     entering block `start` (default: the embeddings). Returns the state leaving the last
@@ -303,36 +289,20 @@ def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = CAPTURE
     return x, trace
 
 
-def init_synthetic(d_model: int, n_heads: int, d_ff: int, n_blocks: int, seed: int,
-                   block_ranks: list[int | None] | None = None) -> ToyModel:
+def init_synthetic(d_model: int, n_heads: int, d_ff: int, n_blocks: int, seed: int) -> ToyModel:
     """Build a model with weights drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
     Draw order is fixed (block by block, q,k,v,o,gate,up,down) so a seed
-    pins every weight. `block_ranks[b]`, when set, factors that block's
-    projections through rank-r inner products, producing low-rank layers
-    whose output tokens carry less independent structure.
+    pins every weight.
     """
     if d_model % n_heads != 0:
         raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
     if n_blocks < 1 or d_ff < 1:
         raise ConfigError("n_blocks and d_ff must be positive")
-    if block_ranks is not None and len(block_ranks) != n_blocks:
-        raise ConfigError("block_ranks must have one entry per block")
     rng = np.random.default_rng(seed)
-
-    def draw(out_dim: int, in_dim: int, rank: int | None) -> np.ndarray:
-        bound = 1.0 / np.sqrt(in_dim)
-        if rank is None or rank >= min(out_dim, in_dim):
-            w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        else:
-            left = rng.uniform(-1.0, 1.0, size=(out_dim, rank))
-            right = rng.uniform(-bound, bound, size=(rank, in_dim))
-            w = (left @ right) * np.sqrt(3.0 / rank)
-        return w.astype(np.float32)
 
     blocks = []
     for b in range(n_blocks):
-        rank = None if block_ranks is None else block_ranks[b]
         layers = {}
         for kind in PROJECTION_KINDS:
             if kind == "down":
@@ -341,7 +311,9 @@ def init_synthetic(d_model: int, n_heads: int, d_ff: int, n_blocks: int, seed: i
                 out_dim, in_dim = d_ff, d_model
             else:
                 out_dim, in_dim = d_model, d_model
-            layers[kind] = LinearLayer(draw(out_dim, in_dim, rank), kind, b)
+            bound = 1.0 / np.sqrt(in_dim)
+            weight = rng.uniform(-bound, bound, size=(out_dim, in_dim)).astype(np.float32)
+            layers[kind] = LinearLayer(weight, kind, b)
         blocks.append(Block(
             index=b,
             layers=layers,

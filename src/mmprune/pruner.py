@@ -18,7 +18,7 @@ import numpy as np
 from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
                          allocate_owl, allocate_uniform, owl_outlier_ratio)
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
-from .errors import ConfigError, InsufficientTokensError, ShapeError
+from .errors import ConfigError, ShapeError
 from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, forward
 from .selection import SELECTION_KINDS, AmiaParams, select_tokens, token_contributions
 
@@ -52,13 +52,6 @@ class InputActivation:
     norms: np.ndarray
     token_count: int
     selection_kind: str
-
-
-def input_activation(rows: np.ndarray, selection_kind: str = "full") -> InputActivation:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise InsufficientTokensError(f"input activation needs >= 1 token row, got shape {rows.shape}")
-    return InputActivation(np.sqrt(np.square(rows).sum(axis=0)), rows.shape[0], selection_kind)
 
 
 def importance_magnitude(weight: np.ndarray) -> np.ndarray:
@@ -398,6 +391,12 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
         raise ConfigError("calibration was built for another model or other calibration settings")
     if not calib.seqs:
         raise ConfigError("pruning requires at least one calibration sequence")
+    counts = model.param_counts()
+    plan_counts = counts if plan is None else {e.layer: e.param_count for e in plan.entries}
+    if plan_counts != counts:
+        layer = next(key for key in {**counts, **plan_counts} if plan_counts.get(key) != counts.get(key))
+        raise ConfigError(f"plan and model disagree on layer {layer}: plan param_count "
+                          f"{plan_counts.get(layer, 'absent')}, model {counts.get(layer, 'absent')}")
     spec = METHOD_SPECS[config.method]
 
     stats = calib.diversity if spec.allocator.startswith("das") or selection == "amia" else None
@@ -411,9 +410,6 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
     else:
         owl_ratios = None
     plan_ratios = plan.ratios()
-    missing = [key for key in model.param_counts() if key not in plan_ratios]
-    if missing:
-        raise ConfigError(f"plan does not cover layers: {missing}")
 
     pruned = model.copy()
     achieved: dict[tuple[int, str], float] = {}
@@ -446,8 +442,7 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
     else:
         mask_layers(list(pruned.iter_layers()), norms)
 
-    total = sum(model.param_counts().values())
-    global_achieved = sum(achieved[key] * count for key, count in model.param_counts().items()) / total
+    global_achieved = sum(achieved[key] * count for key, count in counts.items()) / sum(counts.values())
     report = PruneReport(
         method=config.method,
         selection=selection,

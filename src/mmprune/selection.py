@@ -92,36 +92,22 @@ def forward_update(a: np.ndarray, graph: NeighborGraph) -> np.ndarray:
     return a + (graph.weights * a[graph.neighbors]).sum(axis=1)
 
 
-def mmd(set_a: np.ndarray, set_b: np.ndarray, kernel: np.ndarray) -> float:
-    """A(a,a) + A(b,b) - 2 A(a,b) with kernel means over all pairs of the sets."""
-    set_a = np.asarray(set_a, dtype=int)
-    set_b = np.asarray(set_b, dtype=int)
-    if len(set_a) == 0 or len(set_b) == 0:
-        raise InsufficientTokensError("MMD needs two non-empty index sets")
-    k_aa = kernel[np.ix_(set_a, set_a)].mean()
-    k_bb = kernel[np.ix_(set_b, set_b)].mean()
-    k_ab = kernel[np.ix_(set_a, set_b)].mean()
-    return max(0.0, float(k_aa + k_bb - 2.0 * k_ab))
-
-
 @dataclass
 class SelectionResult:
     selected: np.ndarray          # pick order
     mmd_trace: list[float]
     threshold: float
-    stopped_by: str               # "threshold" | "exhausted" | "max_count"
+    stopped_by: str               # "threshold" | "exhausted"
 
 
 def reverse_select(contributions: np.ndarray, graph: NeighborGraph, kernel: np.ndarray,
-                   threshold: float, min_count: int = 4,
-                   max_count: int | None = None) -> SelectionResult:
+                   threshold: float, min_count: int = 4) -> SelectionResult:
     """Greedy pick-and-penalize selection with an MMD stopping rule.
 
     Each step picks the highest remaining contribution (ties to the lowest
     index), subtracts `e_ij * a_i` from the picked token's graph neighbors,
     and recomputes MMD(all tokens, picked) from the full kernel. Stops when
-    MMD < threshold (after min_count picks), all tokens are picked, or
-    max_count is reached.
+    MMD < threshold (after min_count picks) or all tokens are picked.
     """
     a = np.asarray(contributions, dtype=np.float64).copy()
     n = graph.n_tokens
@@ -130,7 +116,6 @@ def reverse_select(contributions: np.ndarray, graph: NeighborGraph, kernel: np.n
     if kernel.shape != (n, n):
         raise ShapeError(f"kernel shape {kernel.shape} != ({n}, {n})")
     min_count = min(n, max(min_count, 1))
-    limit = n if max_count is None else min(n, max(max_count, min_count))
 
     total_mean = kernel.mean()
     cross_cols = np.zeros(n)      # per-token kernel sum to the picked set
@@ -141,7 +126,7 @@ def reverse_select(contributions: np.ndarray, graph: NeighborGraph, kernel: np.n
     trace: list[float] = []
     stopped_by = "exhausted"
 
-    while True:
+    for t in range(1, n + 1):
         candidate = int(np.where(picked_mask, -np.inf, a).argmax())
         value = a[candidate]
         picked.append(candidate)
@@ -152,18 +137,11 @@ def reverse_select(contributions: np.ndarray, graph: NeighborGraph, kernel: np.n
         sum_selected += 2.0 * cross_cols[candidate] + kernel[candidate, candidate]
         cross_cols += kernel[:, candidate]
         sum_cross += kernel[:, candidate].sum()
-        t = len(picked)
         current = max(0.0, float(total_mean + sum_selected / t**2 - 2.0 * sum_cross / (n * t)))
         trace.append(current)
 
         if t >= min_count and current < threshold:
             stopped_by = "threshold"
-            break
-        if t == n:
-            stopped_by = "exhausted"
-            break
-        if t >= limit:
-            stopped_by = "max_count"
             break
 
     return SelectionResult(np.array(picked, dtype=int), trace, threshold, stopped_by)
@@ -175,7 +153,6 @@ class AmiaParams:
     gamma_forward: float = 1.0
     gamma_reverse: float = 0.2
     mmd_coefficient: float = 0.1
-    max_count: int | None = None
 
     @property
     def min_count(self) -> int:
@@ -191,7 +168,7 @@ def select_amia(a: np.ndarray, z: np.ndarray, threshold: float,
     kernel = kernel_matrix(distances, params.gamma_reverse)
     graph_rev = graph_fwd.with_gamma(params.gamma_reverse)
     return reverse_select(boosted, graph_rev, kernel, threshold,
-                          min_count=params.min_count, max_count=params.max_count)
+                          min_count=params.min_count)
 
 
 def select_tokens(kind: str, a: np.ndarray | None, z: np.ndarray, *,
@@ -219,8 +196,3 @@ def select_tokens(kind: str, a: np.ndarray | None, z: np.ndarray, *,
         result = select_amia(a, z, threshold, params)
         return result.selected, result
     raise ValueError(f"unknown selection kind {kind!r}")
-
-
-def select_variant(kind: str, a: np.ndarray | None, z: np.ndarray, **options) -> np.ndarray:
-    """Selected token indices only; see `select_tokens` for the options."""
-    return select_tokens(kind, a, z, **options)[0]

@@ -12,16 +12,16 @@ import pytest
 
 from mmprune.allocation import allocate_das
 from mmprune.cli import main
-from mmprune.data import make_diversity_probe, make_noisy_modality_scenario
+from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import InfeasibleBudgetError
 from mmprune.evaluation import reconstruction_report, rel_avg
-from mmprune.model import forward, init_synthetic
-from mmprune.pruner import (Calibration, PruneConfig, block_importances_shortgpt, block_prune,
-                            blocks_to_remove, importance_wanda, input_activation, make_mask,
-                            prune_model)
+from mmprune.model import ModalityId, Span, TokenSequence, forward, init_synthetic
+from mmprune.pruner import (Calibration, InputActivation, PruneConfig, block_importances_shortgpt,
+                            block_prune, blocks_to_remove, importance_wanda, make_mask, prune_model)
 from mmprune.selection import AmiaParams, select_amia
-from tests.test_diversity import oracle_intra
+from tests.test_diversity import intra, oracle_intra
 from tests.test_model import rng_seq
+from tests.test_pruner import q_activation
 from tests.test_selection import oracle_reverse_select, two_cluster_tokens
 
 
@@ -40,9 +40,7 @@ def test_criterion_1_oracle_equivalence():
     # diversity against exhaustive pair loops
     rng = np.random.default_rng(101)
     z = rng.standard_normal((6, 5))
-    from mmprune.diversity import intra_diversity
-    assert intra_diversity(z, np.arange(6)) == pytest.approx(
-        oracle_intra(z, list(range(6))), rel=rtol)
+    assert intra(z, np.arange(6)) == pytest.approx(oracle_intra(z, list(range(6))), rel=rtol)
 
     # allocation against the brute-force offset search
     plan = allocate_das({"a": 2.0, "b": 1.0}, {"a": 3, "b": 1}, 0.5, 0.1)
@@ -61,10 +59,11 @@ def test_criterion_1_oracle_equivalence():
     np.testing.assert_allclose(result.mmd_trace, trace, rtol=rtol)
 
     # wanda importance and activation norms, scalar arithmetic
-    act = input_activation(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(act.norms, [1.0, 1.0], rtol=rtol)
+    (x,), act = q_activation([rng.standard_normal((5, 4)).tolist()])
+    oracle = [sum(float(row[c]) ** 2 for row in x) ** 0.5 for c in range(4)]
+    np.testing.assert_allclose(act.norms, oracle, rtol=rtol)
     got = importance_wanda(np.array([[1.0, -2.0], [3.0, 0.5]]),
-                           input_activation(np.array([[2.0, 0.0], [0.0, 1.0]])))
+                           InputActivation(np.array([2.0, 1.0]), 2, "full"))
     np.testing.assert_allclose(got, [[2.0, 2.0], [6.0, 0.5]], rtol=rtol)
 
     # mask generation against the per-row sort oracle
@@ -165,10 +164,44 @@ def test_criterion_4_amia_behavior():
               "x10 scale invariance")
 
 
+def diversity_probe(seed: int):
+    """2-block model where block 0's v-projection collapses output tokens onto
+    one direction (low diversity) and block 1's v is orthogonal (high
+    diversity), plus matching sequences sharing the mean direction that the
+    collapsing projection reads.
+
+    Returns (model, sequences, low_layer_id, high_layer_id).
+    """
+    d_model, n_tokens = 32, 24
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
+    mu = rng.standard_normal(d_model)
+    mu /= np.linalg.norm(mu)
+
+    model = init_synthetic(d_model, 4, 64, 2, seed=seed)
+    v_low = model.blocks[0].layers["v"]
+    u = rng.standard_normal(d_model)
+    u /= np.linalg.norm(u)
+    v_low.weight = (np.linalg.norm(v_low.weight.astype(np.float64)) * np.outer(u, mu)
+                    + 0.05 * v_low.weight).astype(np.float32)
+    v_high = model.blocks[1].layers["v"]
+    q_mat, _ = np.linalg.qr(rng.standard_normal((d_model, d_model)))
+    v_high.weight = (q_mat * 0.6).astype(np.float32)
+
+    half = n_tokens // 2
+    mods = [ModalityId(0, "visual"), ModalityId(1, "language")]
+    seqs = []
+    for i in range(8):
+        seq_rng = np.random.default_rng(np.random.SeedSequence([seed, 556, i]))
+        embeddings = (2.5 * mu + 0.6 * seq_rng.standard_normal((n_tokens, d_model))).astype(np.float32)
+        spans = [Span(mods[0], 0, half), Span(mods[1], half, n_tokens - half)]
+        seqs.append(TokenSequence(embeddings, spans))
+    return model, seqs, (0, "v"), (1, "v")
+
+
 def test_criterion_5_das_directionality():
     """Engineered low-diversity layer gets strictly higher sparsity at
     p=0.5, lambda=0.1."""
-    model, seqs, low_key, high_key = make_diversity_probe(0)
+    model, seqs, low_key, high_key = diversity_probe(0)
     stats = Calibration(model, seqs).diversity
     importances = {key: st.importance for key, st in stats.items()}
     assert importances[low_key] < importances[high_key]
@@ -186,9 +219,10 @@ def test_criterion_6_adversarial_superiority():
     wins = {"das": 0, "amia": 0, "tamp": 0}
     for seed in range(10):
         scenario = make_noisy_modality_scenario(seed, n_calib=12, n_eval=8)
+        calibration = Calibration(scenario.model, scenario.calib)  # shared by the four prunes
         errors = {}
         for method in methods:
-            pruned, _ = prune_model(scenario.model, scenario.calib,
+            pruned, _ = prune_model(scenario.model, calibration,
                                     PruneConfig(method=method, sparsity=0.5))
             metrics = reconstruction_report(scenario.model, pruned, scenario.eval)
             errors[method] = metrics.end_rel_error

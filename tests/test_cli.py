@@ -169,10 +169,22 @@ def write_plan(workspace, path, edit):
     ("prune", lambda p: p["entries"][1].update(param_count=2**63), "FormatError", "entries[1] 'param_count'"),
     ("prune", lambda p: p["entries"][4].update(ratio=1e400), "FormatError", "entries[4] 'ratio'"),
     ("prune", lambda p: p["entries"][4].update(ratio="0.5"), "FormatError", "entries[4] 'ratio'"),
+    ("prune", lambda p: p["entries"].append({"layer": "extra", "param_count": 1, "ratio": 0.5}),
+     "FormatError", "entries[14] 'layer' must be BLOCK:KIND"),
+    ("analyze", lambda p: p["entries"].append({"layer": "extra", "param_count": 1, "ratio": 0.5}),
+     "FormatError", "entries[14] 'layer' must be BLOCK:KIND"),
+    ("prune", lambda p: p["entries"][5].update(layer="0:proj"), "FormatError", "entries[5] 'layer'"),
+    ("prune", lambda p: p["entries"].append(dict(p["entries"][0])), "FormatError",
+     "entries[14] repeats layer '0:q'"),
+    ("prune", lambda p: [e.update(param_count=1) for e in p["entries"] if e["layer"].endswith(":q")],
+     "ConfigError", "plan and model disagree on layer (0, 'q'): plan param_count 1, model 256"),
+    ("prune", lambda p: p["entries"].pop(), "ConfigError",
+     "plan and model disagree on layer (1, 'down'): plan param_count absent, model 384"),
 ], ids=["missing-file", "analyze-missing-file", "not-json", "no-entries", "bad-layer",
         "analyze-bad-layer", "ratios-miss-target", "not-an-object", "no-target", "string-target",
         "no-lambda", "bool-lambda", "non-object-entry", "zero-param-count", "bool-param-count",
-        "huge-param-count", "infinite-ratio", "string-ratio"])
+        "huge-param-count", "infinite-ratio", "string-ratio", "extra-layer", "analyze-extra-layer",
+        "unknown-kind", "repeated-layer", "q-param-count-1", "missing-layer"])
 def test_bad_plan_is_runtime_error(workspace, tmp_path, capsys, command, edit, error, record):
     path = tmp_path / "plan.json"
     if isinstance(edit, str):
@@ -189,7 +201,33 @@ def test_bad_plan_is_runtime_error(workspace, tmp_path, capsys, command, edit, e
     err = json.loads(capsys.readouterr().err)
     assert code == 1
     assert err["error"] == error
-    assert f"{path}: " in err["message"] and record in err["message"]
+    assert record in err["message"]
+    if not record.startswith("plan and model disagree"):  # found by prune_model, which sees no file
+        assert f"{path}: " in err["message"]
+
+
+def test_prune_masked_nonzero_weight_is_format_error(workspace, tmp_path, capsys):
+    # a mask that drops every weight of layers[3] (16 x 16) over its stored non-zero weights
+    (workspace / "model" / "masks.bin").write_bytes(bytes(16 * 16 // 8))
+    path = rewrite_manifest(workspace, lambda m: m["layers"][3].update(mask_blob="masks.bin", mask_offset=0))
+    prune_format_error(workspace, tmp_path, capsys, f"{path}: layers[3] has non-zero weights")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys, flag):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out, report = tmp_path / "out", tmp_path / "report.json"
+    if flag == "--out":
+        out = blocker
+    else:
+        report = blocker / "report.json"
+    code = main(["prune", "--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
+                 "--method", "wanda", "--out", str(out), "--report", str(report)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == "MMPruneError"
+    assert str(blocker) in err["message"]
 
 
 def test_prune_settings_have_one_source_of_defaults():

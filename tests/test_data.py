@@ -77,12 +77,13 @@ def test_noisy_scenario_shape_and_determinism():
     for la, lb in zip(a.model.iter_layers(), b.model.iter_layers()):
         assert la.weight.tobytes() == lb.weight.tobytes()
     # calibration carries the noise span, eval does not
-    assert len(a.calib[0].indices_for("visual")) > 0
-    assert len(a.eval[0].indices_for("visual")) == 0
-    assert len(a.eval[0].indices_for("language")) == len(a.eval[0])
+    noise_span, signal_span = a.calib[0].spans
+    assert (noise_span.modality.name, signal_span.modality.name) == ("visual", "language")
+    assert noise_span.length > 0
+    assert [(s.modality.name, s.length) for s in a.eval[0].spans] == [("visual", 0), ("language", len(a.eval[0]))]
     # the noise modality is the high-magnitude one
-    noise = a.calib[0].embeddings[a.calib[0].indices_for("visual")]
-    signal = a.calib[0].embeddings[a.calib[0].indices_for("language")]
+    noise = a.calib[0].embeddings[noise_span.start:noise_span.stop]
+    signal = a.calib[0].embeddings[signal_span.start:signal_span.stop]
     assert np.abs(noise).mean() > 2 * np.abs(signal).mean()
 
 

@@ -1,14 +1,12 @@
-"""Diversity statistics against exhaustive pair-loop oracles."""
+"""Diversity statistics, through the streaming accumulator, against exhaustive pair-loop oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mmprune.diversity import (DiversityAccumulator, all_token_diversity,
-                               block_input_output_similarity, cosine_distance,
-                               inter_diversity, intra_diversity, layer_importance)
-from mmprune.errors import DegenerateInputError, InsufficientTokensError
+from mmprune.diversity import DiversityAccumulator, block_input_output_similarity, layer_importance
+from mmprune.errors import DegenerateInputError
 from mmprune.model import ModalityId, Span
 
 VIS = ModalityId(0, "visual")
@@ -49,33 +47,56 @@ def oracle_floored_inter(z, idx_a, idx_b):
     return total / (len(idx_a) * len(idx_b))
 
 
+def layer_stats(z, spans):
+    """DiversityStats of one layer after a single accumulated sample."""
+    acc = DiversityAccumulator()
+    acc.add_layer_sample((0, "q"), np.asarray(z, dtype=np.float64), spans)
+    return acc.finalize()[(0, "q")]
+
+
+def intra(z, idx):
+    """The accumulator's intra term over rows z[idx], fed as one visual span."""
+    rows = np.asarray(z, dtype=np.float64)[list(idx)]
+    return layer_stats(rows, [Span(VIS, 0, len(rows))]).intra["visual"]
+
+
+def inter(z, idx_a, idx_b):
+    """The accumulator's inter term between rows z[idx_a] (visual) and z[idx_b] (language)."""
+    rows = np.asarray(z, dtype=np.float64)[list(idx_a) + list(idx_b)]
+    spans = [Span(VIS, 0, len(idx_a)), Span(LANG, len(idx_a), len(idx_b))]
+    return layer_stats(rows, spans).inter[("visual", "language")]
+
+
+def all_token(z):
+    return layer_stats(z, [Span(VIS, 0, len(z))]).all_token
+
+
+def pair_distance(u, v):
+    return intra(np.array([u, v], dtype=np.float64), [0, 1])
+
+
 # ---------------------------------------------------------------------------
-# cosine_distance
+# cosine distance of one pair
 
 
 def test_cosine_distance_identical_direction():
-    assert cosine_distance([1.0, 0.0], [1.0, 0.0]) == 0.0
+    assert pair_distance([1.0, 0.0], [1.0, 0.0]) == 0.0
 
 
 def test_cosine_distance_orthogonal():
-    assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
+    assert pair_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
 
 
 def test_cosine_distance_45_degrees():
-    value = cosine_distance([1.0, 1.0], [1.0, 0.0])
+    value = pair_distance([1.0, 1.0], [1.0, 0.0])
     assert value == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), rel=1e-6)
-
-
-def test_cosine_distance_zero_norm_raises():
-    with pytest.raises(DegenerateInputError):
-        cosine_distance([0.0, 0.0], [1.0, 0.0])
 
 
 def test_cosine_distance_symmetric_and_bounded():
     rng = np.random.default_rng(1)
     for _ in range(50):
         u, v = rng.standard_normal(5), rng.standard_normal(5)
-        d1, d2 = cosine_distance(u, v), cosine_distance(v, u)
+        d1, d2 = pair_distance(u, v), pair_distance(v, u)
         assert d1 == pytest.approx(d2, abs=1e-12)
         assert 0.0 <= d1 <= 2.0
 
@@ -86,77 +107,80 @@ def test_cosine_distance_symmetric_and_bounded():
 
 def test_intra_identical_rows_is_zero():
     z = np.array([[1.0, 2.0], [1.0, 2.0]])
-    assert intra_diversity(z, [0, 1]) == pytest.approx(0.0, abs=1e-12)
+    assert intra(z, [0, 1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_intra_single_orthogonal_pair():
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert intra_diversity(z, [0, 1]) == pytest.approx(1.0, abs=1e-12)
+    assert intra(z, [0, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_intra_matches_exhaustive_loop():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((4, 6))
-    got = intra_diversity(z, np.arange(4))
+    got = intra(z, np.arange(4))
     assert got == pytest.approx(oracle_intra(z, list(range(4))), rel=1e-6)
 
 
 def test_intra_needs_two_tokens():
-    with pytest.raises(InsufficientTokensError):
-        intra_diversity(np.ones((3, 2)), [1])
+    stats = layer_stats(np.ones((3, 2)), [Span(VIS, 0, 1), Span(LANG, 1, 2)])
+    assert "visual" not in stats.intra and "language" in stats.intra
 
 
 def test_inter_equal_spans_zero():
     z = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-    assert inter_diversity(z, [0], [1, 2]) == pytest.approx(0.0, abs=1e-12)
+    assert inter(z, [0], [1, 2]) == pytest.approx(0.0, abs=1e-12)
+    assert inter(np.ones((5, 3)), [0, 1], [2, 3, 4]) == 0.0  # rounds to -2e-16 before the clip
 
 
 def test_inter_orthogonal_singletons():
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert inter_diversity(z, [0], [1]) == pytest.approx(1.0, abs=1e-12)
+    assert inter(z, [0], [1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inter_matches_exhaustive_loop():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((5, 4))
-    got = inter_diversity(z, [0, 1, 2], [3, 4])
+    got = inter(z, [0, 1, 2], [3, 4])
     assert got == pytest.approx(oracle_inter(z, [0, 1, 2], [3, 4]), rel=1e-6)
 
 
 def test_inter_empty_span_raises():
-    with pytest.raises(InsufficientTokensError):
-        inter_diversity(np.ones((2, 2)), [], [0, 1])
+    # an empty span adds no inter term; a layer left with no term at all cannot be scored
+    assert layer_stats(np.ones((2, 2)), [Span(VIS, 0, 0), Span(LANG, 0, 2)]).inter == {}
+    with pytest.raises(DegenerateInputError):
+        layer_stats(np.ones((1, 2)), [Span(VIS, 0, 0), Span(LANG, 0, 1)])
 
 
 def test_all_token_identical_rows():
-    assert all_token_diversity(np.ones((5, 3))) == 0.0
+    assert all_token(np.ones((5, 3))) == 0.0
 
 
 def test_all_token_equals_intra_over_everything():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((6, 4))
-    assert all_token_diversity(z) == intra_diversity(z, np.arange(6))
+    assert all_token(z) == intra(z, np.arange(6))
 
 
 def test_all_token_matches_exhaustive_loop():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((5, 3))
-    assert all_token_diversity(z) == pytest.approx(oracle_intra(z, list(range(5))), rel=1e-6)
+    assert all_token(z) == pytest.approx(oracle_intra(z, list(range(5))), rel=1e-6)
 
 
 def test_zero_row_scores_distance_one():
     z = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     # pairs: (zero, x) twice at 1, (x, x) at 0
-    assert intra_diversity(z, [0, 1, 2]) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert inter_diversity(z, [0], [1, 2]) == pytest.approx(1.0, abs=1e-15)
-    assert intra_diversity(np.zeros((3, 2)), [0, 1, 2]) == pytest.approx(1.0, abs=1e-15)
+    assert intra(z, [0, 1, 2]) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert inter(z, [0], [1, 2]) == pytest.approx(1.0, abs=1e-15)
+    assert intra(np.zeros((3, 2)), [0, 1, 2]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_antipodal_rows_score_two():
     z = np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 6.0], [-0.5, -1.0]])
-    assert inter_diversity(z, [0, 2], [1, 3]) == pytest.approx(2.0, abs=1e-15)
-    assert intra_diversity(z, [0, 1]) == pytest.approx(2.0, abs=1e-15)
-    assert intra_diversity(z, [0, 1, 2, 3]) == pytest.approx(oracle_intra(z, [0, 1, 2, 3]), abs=1e-12)
+    assert inter(z, [0, 2], [1, 3]) == pytest.approx(2.0, abs=1e-15)
+    assert intra(z, [0, 1]) == pytest.approx(2.0, abs=1e-15)
+    assert intra(z, [0, 1, 2, 3]) == pytest.approx(oracle_intra(z, [0, 1, 2, 3]), abs=1e-12)
 
 
 def test_degenerate_rows_match_pair_loop_oracles():
@@ -170,10 +194,10 @@ def test_degenerate_rows_match_pair_loop_oracles():
         z = np.array([pool[int(rng.integers(len(pool)))] if rng.random() < 0.7
                       else rng.standard_normal(d) for _ in range(n)])
         idx = list(range(n))
-        assert intra_diversity(z, idx) == pytest.approx(oracle_floored_intra(z, idx), abs=1e-12)
-        assert all_token_diversity(z) == pytest.approx(oracle_floored_intra(z, idx), abs=1e-12)
+        assert intra(z, idx) == pytest.approx(oracle_floored_intra(z, idx), abs=1e-12)
+        assert all_token(z) == pytest.approx(oracle_floored_intra(z, idx), abs=1e-12)
         cut = int(rng.integers(1, n))
-        assert inter_diversity(z, idx[:cut], idx[cut:]) == pytest.approx(
+        assert inter(z, idx[:cut], idx[cut:]) == pytest.approx(
             oracle_floored_inter(z, idx[:cut], idx[cut:]), abs=1e-12)
 
 
@@ -186,7 +210,7 @@ def test_scale_invariance_of_diversities():
     z = rng.standard_normal((6, 4))
     scaled = z.copy()
     scaled[2] *= 8.0  # power of two keeps normalization bit-exact
-    assert intra_diversity(z, np.arange(6)) == intra_diversity(scaled, np.arange(6))
+    assert intra(z, np.arange(6)) == intra(scaled, np.arange(6))
 
 
 def test_permutation_invariance_within_span():
@@ -194,7 +218,7 @@ def test_permutation_invariance_within_span():
     z = rng.standard_normal((6, 4))
     idx = np.array([0, 1, 2, 3])
     shuffled = np.array([2, 0, 3, 1])
-    assert intra_diversity(z, idx) == pytest.approx(intra_diversity(z, shuffled), abs=1e-12)
+    assert intra(z, idx) == pytest.approx(intra(z, shuffled), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

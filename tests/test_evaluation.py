@@ -1,6 +1,7 @@
 """Reconstruction metrics, relative average, attention/sparsity reports."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +240,27 @@ def test_attention_from_real_traces_sums_to_one():
     masses = attention_by_modality(traces)
     for block in masses.values():
         assert sum(block.values()) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_attention_streams_a_generator_of_traces():
+    model, seqs = eval_setup(seed=5)
+    from mmprune.model import CaptureFlags
+    capture = CaptureFlags(attention=True)
+    refs, peak = [], []
+
+    def traces():
+        for seq in seqs:
+            trace = forward(model, seq, capture)[1]
+            refs.append(weakref.ref(trace))
+            peak.append(sum(ref() is not None for ref in refs))
+            yield trace
+            del trace
+
+    streamed = attention_by_modality(traces())
+    assert streamed == attention_by_modality([forward(model, s, capture)[1] for s in seqs])
+    assert len(seqs) == 3 and max(peak) == 2  # the consumer drops each trace before the next
+    with pytest.raises(ConfigError, match="no traces"):
+        attention_by_modality(iter([]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,42 +13,55 @@ import numpy as np
 import pytest
 
 from mmprune.data import generate_sequences, ModalitySpec
-from mmprune.errors import ConfigError, InsufficientTokensError, ShapeError
-from mmprune.model import (PROJECTION_KINDS, CaptureFlags, forward, init_synthetic)
+from mmprune.errors import ConfigError, ShapeError
+from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, TokenSequence, forward,
+                           init_synthetic)
 from mmprune.pruner import (Calibration, InputActivation, LayerSelectionStats, PruneConfig,
                             block_importances_das, block_importances_shortgpt, block_prune,
                             blocks_to_remove, importance_magnitude, importance_wanda,
-                            input_activation, make_mask, prune_model)
+                            make_mask, prune_model)
 from mmprune.selection import AmiaParams, select_tokens, token_contributions
 from tests.test_diversity import oracle_intra, oracle_inter
 from tests.test_selection import oracle_reverse_select
 
 
 # ---------------------------------------------------------------------------
-# input activation
+# input activation: per-channel l2 norms over the selected calibration inputs
+
+
+def q_activation(rows_per_seq):
+    """Block 0's q inputs per sequence, and Calibration's full-selection activation of that layer."""
+    model = init_synthetic(4, 2, 8, 1, seed=3)
+    vis = ModalityId(0, "visual")
+    seqs = [TokenSequence(np.array(rows, np.float32), [Span(vis, 0, len(rows))]) for rows in rows_per_seq]
+    inputs = [forward(model, seq, CaptureFlags(inputs=True))[1].layer_inputs[(0, "q")] for seq in seqs]
+    return inputs, Calibration(model, seqs).activations("full")[0][(0, "q")]
 
 
 def test_input_activation_single_token():
-    act = input_activation(np.array([[3.0, 4.0]]))
-    np.testing.assert_allclose(act.norms, [3.0, 4.0])
+    (x,), act = q_activation([[[3.0, 4.0, 0.0, 1.0]]])
+    np.testing.assert_allclose(act.norms, np.abs(x[0]), rtol=1e-12)
     assert act.token_count == 1
 
 
 def test_input_activation_orthogonal_rows():
-    act = input_activation(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(act.norms, [1.0, 1.0], rtol=1e-12)
+    # RMS norm rescales each row, so orthogonal embeddings give orthogonal inputs
+    (x,), act = q_activation([[[2.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]]])
+    np.testing.assert_allclose(act.norms, [x[0, 0], x[1, 1], 0.0, 0.0], rtol=1e-12)
 
 
 def test_input_activation_duplication_scales_by_sqrt2():
-    rows = np.random.default_rng(0).standard_normal((5, 3))
-    base = input_activation(rows)
-    doubled = input_activation(np.concatenate([rows, rows]))
+    rows = np.random.default_rng(0).standard_normal((5, 4)).tolist()
+    _, base = q_activation([rows])
+    _, doubled = q_activation([rows, rows])
     np.testing.assert_allclose(doubled.norms, np.sqrt(2.0) * base.norms, rtol=1e-12)
+    assert doubled.token_count == 2 * base.token_count
 
 
 def test_input_activation_empty_raises():
-    with pytest.raises(InsufficientTokensError):
-        input_activation(np.zeros((0, 4)))
+    model, _ = calib_setup()
+    with pytest.raises(ConfigError, match="at least one calibration sequence"):
+        prune_model(model, [], PruneConfig(method="wanda"))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +514,7 @@ def test_tamp_masks_match_scripted_composition_oracle():
 
     pruned, report = prune_model(model, seqs, PruneConfig(method="tamp", sparsity=target, lam=lam))
     for key in counts:
-        assert report.plan.ratio_for(key) == pytest.approx(oracle_ratios[key], abs=1e-9)
+        assert report.plan.ratios()[key] == pytest.approx(oracle_ratios[key], abs=1e-9)
         got = pruned.blocks[key[0]].layers[key[1]].mask
         np.testing.assert_array_equal(got, oracle_masks[key], err_msg=f"layer {key}")
 

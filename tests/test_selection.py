@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from mmprune.errors import InsufficientTokensError, ShapeError
-from mmprune.selection import (AmiaParams, build_knn, forward_update, kernel_matrix, mmd,
+from mmprune.selection import (AmiaParams, build_knn, forward_update, kernel_matrix,
                                pairwise_cosine_distances, reverse_select, select_amia,
-                               select_variant, token_contributions)
+                               select_tokens, token_contributions)
 
 
 # ---------------------------------------------------------------------------
@@ -159,37 +159,6 @@ def test_forward_update_never_decreases():
 
 
 # ---------------------------------------------------------------------------
-# mmd
-
-
-def test_mmd_identical_sets_zero():
-    z = np.random.default_rng(0).standard_normal((6, 3))
-    kernel = kernel_matrix(pairwise_cosine_distances(z), 0.2)
-    idx = np.arange(6)
-    assert mmd(idx, idx, kernel) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mmd_orthogonal_singletons_value():
-    z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    kernel = kernel_matrix(pairwise_cosine_distances(z), 0.2)
-    got = mmd([0], [1], kernel)
-    assert got == pytest.approx(1.0 + 1.0 - 2.0 * math.exp(-0.2), rel=1e-9)
-
-
-def test_mmd_symmetric():
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((7, 4))
-    kernel = kernel_matrix(pairwise_cosine_distances(z), 0.2)
-    assert mmd([0, 2, 4], [1, 3], kernel) == pytest.approx(mmd([1, 3], [0, 2, 4], kernel), abs=1e-12)
-
-
-def test_mmd_empty_set_raises():
-    kernel = np.ones((3, 3))
-    with pytest.raises(InsufficientTokensError):
-        mmd([], [0], kernel)
-
-
-# ---------------------------------------------------------------------------
 # reverse selection
 
 
@@ -284,15 +253,6 @@ def test_threshold_zero_selects_everything_with_zero_final_mmd():
     assert result.mmd_trace[-1] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_max_count_stops_selection():
-    rng = np.random.default_rng(7)
-    z = rng.standard_normal((10, 4))
-    a = rng.random(10)
-    result = select_amia(a, z, threshold=0.0, params=AmiaParams(max_count=6))
-    assert len(result.selected) == 6
-    assert result.stopped_by == "max_count"
-
-
 def test_no_duplicate_selections_under_negative_contributions():
     rng = np.random.default_rng(8)
     for trial in range(10):
@@ -326,29 +286,29 @@ def test_mmd_trace_length_matches_selection():
 
 def test_variant_full():
     z = np.ones((7, 2))
-    np.testing.assert_array_equal(select_variant("full", None, z), np.arange(7))
+    np.testing.assert_array_equal(select_tokens("full", None, z)[0], np.arange(7))
 
 
 def test_variant_attention_uniform_falls_back_to_full():
     z = np.ones((5, 2))
     a = np.full(5, 0.2)
-    np.testing.assert_array_equal(select_variant("attention", a, z), np.arange(5))
+    np.testing.assert_array_equal(select_tokens("attention", a, z)[0], np.arange(5))
 
 
 def test_variant_attention_above_mean():
     z = np.ones((4, 2))
     a = np.array([0.1, 0.4, 0.2, 0.3])
-    np.testing.assert_array_equal(select_variant("attention", a, z), [1, 3])
+    np.testing.assert_array_equal(select_tokens("attention", a, z)[0], [1, 3])
 
 
 def test_variant_random_deterministic_and_capped():
     z = np.ones((250, 2))
-    pick1 = select_variant("random", None, z, rng=np.random.default_rng(99))
-    pick2 = select_variant("random", None, z, rng=np.random.default_rng(99))
+    pick1 = select_tokens("random", None, z, rng=np.random.default_rng(99))[0]
+    pick2 = select_tokens("random", None, z, rng=np.random.default_rng(99))[0]
     np.testing.assert_array_equal(pick1, pick2)
     assert len(pick1) == 100
     assert len(set(pick1.tolist())) == 100
-    small = select_variant("random", None, np.ones((30, 2)), rng=np.random.default_rng(1))
+    small = select_tokens("random", None, np.ones((30, 2)), rng=np.random.default_rng(1))[0]
     assert len(small) == 30
 
 
@@ -359,7 +319,7 @@ def test_selected_sets_within_range_fuzz():
         z = rng.standard_normal((n, 4))
         a = rng.random(n)
         for kind in ("full", "random", "attention", "amia"):
-            idx = select_variant(kind, a, z, rng=np.random.default_rng(0), threshold=0.05)
+            idx = select_tokens(kind, a, z, rng=np.random.default_rng(0), threshold=0.05)[0]
             assert len(set(idx.tolist())) == len(idx)
             assert (idx >= 0).all() and (idx < n).all()
 
