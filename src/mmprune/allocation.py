@@ -49,6 +49,15 @@ class SparsityPlan:
         if abs(self.weighted_mean() - self.target) > 1e-9:
             raise ConfigError(f"plan misses target: {self.weighted_mean()} != {self.target}")
 
+    def check_layers(self, param_counts: dict) -> None:
+        """Raises ConfigError, naming a layer, unless the plan's {layer: param_count}
+        equals `param_counts` (a model's `param_counts()`)."""
+        counts = {e.layer: e.param_count for e in self.entries}
+        if counts != param_counts:
+            layer = next(key for key in {**param_counts, **counts} if counts.get(key) != param_counts.get(key))
+            raise ConfigError(f"plan and model disagree on layer {layer}: plan param_count "
+                              f"{counts.get(layer, 'absent')}, model {param_counts.get(layer, 'absent')}")
+
     def to_json(self, path: str | Path) -> None:
         payload = {
             "target": self.target,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import platform
 import sys
 from dataclasses import fields
@@ -72,6 +74,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _prepare_output_file(path: Path) -> Path:
+    """Create the directory an output file goes in, so that a path that cannot be
+    written fails, with an OSError naming it, before any work."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return path
+
+
 def _write_run_record(out_dir: Path, command: str, config: dict) -> None:
     record = {
         "command": command,
@@ -126,6 +137,10 @@ def cmd_gen_synth(config: dict) -> None:
 
 def cmd_prune(config: dict) -> None:
     out_dir = Path(config["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)  # every output path first: a bad one fails before any work
+    report_path = _prepare_output_file(Path(config["report"])) if config.get("report") else None
+    plan_out = (_prepare_output_file(Path(config["plan_out"]))
+                if config.get("plan_out") and not config.get("structural") else None)
     model = load_checkpoint(config["model"])
     calib = load_sequences(config["calib"])
     prune_cfg = _prune_config(config)
@@ -152,12 +167,12 @@ def cmd_prune(config: dict) -> None:
         plan = SparsityPlan.from_json(config["plan"]) if config.get("plan") else None
         pruned, prune_report = prune_model(model, calib, prune_cfg, plan=plan)
         save_checkpoint(pruned, out_dir)
-        if config.get("plan_out"):
-            prune_report.plan.to_json(Path(config["plan_out"]))
+        if plan_out:
+            prune_report.plan.to_json(plan_out)
         report = prune_report.to_dict()
 
-    if config.get("report"):
-        _write_json(Path(config["report"]), report)
+    if report_path:
+        _write_json(report_path, report)
     _write_run_record(out_dir, "prune", config)
     print(f"pruned checkpoint written to {out_dir}")
 
@@ -172,6 +187,10 @@ def cmd_analyze(config: dict) -> None:
     unknown = set(reports) - known
     if unknown:
         raise UsageError(f"unknown analyze reports: {sorted(unknown)}")
+    plan = None
+    if "sparsity" in reports and config.get("plan"):
+        plan = SparsityPlan.from_json(config["plan"])
+        plan.check_layers(model.param_counts())
     calibration = Calibration(model, calib, _prune_config(config).calibration_params())
 
     if "diversity" in reports:
@@ -214,8 +233,7 @@ def cmd_analyze(config: dict) -> None:
         _write_csv(out_dir / "selection.csv", header, rows)
 
     if "sparsity" in reports:
-        source = SparsityPlan.from_json(config["plan"]) if config.get("plan") else model
-        report = sparsity_report(source)
+        report = sparsity_report(plan if plan is not None else model)
         _write_csv(out_dir / "sparsity_by_type.csv", ["kind", "mean_sparsity"],
                    [[kind, value] for kind, value in report["by_kind"].items()])
         _write_csv(out_dir / "sparsity_by_block.csv", ["block", "mean_sparsity"],

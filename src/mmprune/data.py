@@ -17,10 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, is_count
+from .errors import ConfigError, FormatError, is_count
 from .model import ModalityId, Span, TokenSequence, ToyModel, init_synthetic
 
 DEFAULT_MODALITY_NAMES = ("visual", "language", "audio")
+# The noisy-modality scenario's channel layout: the signal lives on SIGNAL_CHANNELS
+# channels, and each calibration draw boosts OUTLIER_CHANNELS of the others.
+SIGNAL_CHANNELS = 16
+OUTLIER_CHANNELS = 8
 
 
 def write_sequences(seqs: list[TokenSequence], directory: str | Path, prefix: str) -> Path:
@@ -244,16 +248,19 @@ def make_noisy_modality_scenario(
     `calib_variant` redraws the calibration token content without touching
     the model, channel structure, or eval set.
     """
+    if d_model < SIGNAL_CHANNELS + OUTLIER_CHANNELS:
+        raise ConfigError(f"the noisy-modality scenario needs d_model >= {SIGNAL_CHANNELS + OUTLIER_CHANNELS} "
+                          f"({SIGNAL_CHANNELS} signal and {OUTLIER_CHANNELS} outlier channels), got {d_model}")
     root = np.random.SeedSequence([seed, 90210])
     struct_rng = np.random.default_rng(root.spawn(1)[0])
 
-    channels = struct_rng.permutation(d_model)[:16]
+    channels = struct_rng.permutation(d_model)[:SIGNAL_CHANNELS]
     complement = np.setdiff1d(np.arange(d_model), channels)
     mu = np.zeros(d_model)
-    mu[channels] = struct_rng.standard_normal(16)
+    mu[channels] = struct_rng.standard_normal(SIGNAL_CHANNELS)
     mu /= np.linalg.norm(mu)
     basis = np.zeros((8, d_model))  # an 8-dim latent signal subspace, rows of norm 2.5
-    basis[:, channels] = struct_rng.standard_normal((8, 16))
+    basis[:, channels] = struct_rng.standard_normal((8, SIGNAL_CHANNELS))
     basis /= np.linalg.norm(basis, axis=1, keepdims=True)
     basis *= 2.5
 
@@ -299,7 +306,7 @@ def make_noisy_modality_scenario(
             # each draw puts its outlier energy on a different channel subset,
             # so whole-set channel norms depend heavily on the calibration draw
             scales = np.ones(len(complement))
-            scales[rng.choice(len(complement), size=8, replace=False)] = 5.0
+            scales[rng.choice(len(complement), size=OUTLIER_CHANNELS, replace=False)] = 5.0
             noise = np.zeros((n_noise, d_model))
             noise[:, complement] = 8.0 * scales * rng.standard_normal((n_noise, len(complement)))
             signal = _signal_tokens(rng, 28, mu, basis)

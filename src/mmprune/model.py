@@ -211,38 +211,56 @@ def _rms_norm(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return (x / np.sqrt(ms + RMS_EPS)) * scale
 
 
+# 0 on and below the diagonal, -inf above it. Grown to the longest sequence seen and
+# replaced, never written, so a shorter sequence's slice stays valid.
+_causal_bias = np.zeros((0, 0), dtype=np.float32)
+
+
 def _causal_softmax(scores: np.ndarray) -> np.ndarray:
-    # scores: (heads, N, N); entries above the diagonal must come out exactly 0.
+    """Softmax over the last axis of `scores` (heads, N, N), in place, with every entry
+    above the diagonal exactly 0. Returns the (heads, N, 1) row sums: the probabilities
+    are finite exactly when the sums are, because each term lies in [0, 1] and the row
+    maximum contributes 1. A score above the diagonal that overflowed to +inf or NaN
+    makes its row's sum NaN."""
+    global _causal_bias
     n = scores.shape[-1]
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    scores = np.where(mask, -np.inf, scores)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    bias = _causal_bias
+    if bias.shape[0] < n:
+        bias = np.triu(np.full((n, n), -np.inf, dtype=np.float32), k=1)
+        bias.flags.writeable = False
+        _causal_bias = bias
+    scores += bias[:n, :n]
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    sums = scores.sum(axis=-1, keepdims=True)
+    scores /= sums
+    return sums
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
 def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = CaptureFlags(),
             start: int = 0, stop: int | None = None, hidden: np.ndarray | None = None):
     """Run blocks [start, stop) (default: all) on one sequence from `hidden`, the state
-    entering block `start` (default: the embeddings). Returns the state leaving the last
-    block run (N x d_model float32) and an ActivationTrace with exactly the requested
-    captures: attention post-softmax and head-averaged, `hiddens[j]` entering block
-    start + j. Captured arrays are never written afterwards, so q/k/v share one input
-    array and gate/up another; `hiddens[0]` is a copy, so a trace never aliases the input.
+    entering block `start` (default: the embeddings; taken as float32). Returns the state
+    leaving the last block run (N x d_model float32) and an ActivationTrace with exactly
+    the requested captures: attention post-softmax and head-averaged, `hiddens[j]`
+    entering block start + j. Captured arrays are never written afterwards, so q/k/v
+    share one input array and gate/up another; `hiddens[0]` is a copy, so a trace never
+    aliases the input.
     """
     if seq.dim != model.d_model:
         raise ShapeError(f"sequence dim {seq.dim} != model d_model {model.d_model}")
     stop = model.n_blocks if stop is None else stop
     if not 0 <= start <= stop <= model.n_blocks:
         raise ConfigError(f"block range [{start}, {stop}) is outside [0, {model.n_blocks}]")
-    x = seq.embeddings if hidden is None else hidden
+    x = seq.embeddings if hidden is None else hidden.astype(np.float32, copy=False)
     if x.shape != seq.embeddings.shape:
         raise ShapeError(f"hidden state shape {x.shape} != sequence shape {seq.embeddings.shape}")
     n, h, dh = len(seq), model.n_heads, model.head_dim
     trace = ActivationTrace(spans=list(seq.spans))
     if capture.hiddens:
         trace.hiddens.append(x.copy())
+    scores = np.empty((h, n, n), dtype=np.float32)  # every block's attention; captures copy it
 
     for block in model.blocks[start:stop]:
         b = block.index
@@ -267,21 +285,25 @@ def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = Capture
         qh = q.reshape(n, h, dh).transpose(1, 0, 2)
         kh = k.reshape(n, h, dh).transpose(1, 0, 2)
         vh = v.reshape(n, h, dh).transpose(1, 0, 2)
-        scores = (qh @ kh.transpose(0, 2, 1)) / np.float32(np.sqrt(dh))
-        probs = _causal_softmax(scores)
-        _check_finite(probs, f"block{b}.attention")
+        np.matmul(qh, kh.transpose(0, 2, 1), out=scores)
+        scores /= np.float32(np.sqrt(dh))
+        _check_finite(_causal_softmax(scores), f"block{b}.attention")
         if record and capture.attention:
-            trace.attention[b] = probs.mean(axis=0).astype(np.float32)
+            trace.attention[b] = scores.mean(axis=0).astype(np.float32, copy=False)
 
-        context = (probs @ vh).transpose(1, 0, 2).reshape(n, model.d_model).astype(np.float32)
+        context = (scores @ vh).transpose(1, 0, 2).reshape(n, model.d_model).astype(np.float32, copy=False)
         x = x + project("o", context)
 
         ffn_in = _rms_norm(x, block.ffn_norm_scale)
         gate = project("gate", ffn_in)
         up = project("up", ffn_in)
-        act = (gate / (1.0 + np.exp(-gate))) * up  # SiLU(gate) * up
-        x = x + project("down", act.astype(np.float32))
-        x = _check_finite(x.astype(np.float32), f"block{b}.residual")
+        act = np.negative(gate)  # SiLU(gate) * up, in place: gate is captured, act is not
+        np.exp(act, out=act)
+        act += 1.0
+        np.divide(gate, act, out=act)
+        act *= up
+        x = x + project("down", act.astype(np.float32, copy=False))
+        x = _check_finite(x.astype(np.float32, copy=False), f"block{b}.residual")
 
         if capture.hiddens:
             trace.hiddens.append(x)

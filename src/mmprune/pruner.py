@@ -392,11 +392,8 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
     if not calib.seqs:
         raise ConfigError("pruning requires at least one calibration sequence")
     counts = model.param_counts()
-    plan_counts = counts if plan is None else {e.layer: e.param_count for e in plan.entries}
-    if plan_counts != counts:
-        layer = next(key for key in {**counts, **plan_counts} if plan_counts.get(key) != counts.get(key))
-        raise ConfigError(f"plan and model disagree on layer {layer}: plan param_count "
-                          f"{plan_counts.get(layer, 'absent')}, model {counts.get(layer, 'absent')}")
+    if plan is not None:
+        plan.check_layers(counts)
     spec = METHOD_SPECS[config.method]
 
     stats = calib.diversity if spec.allocator.startswith("das") or selection == "amia" else None

@@ -32,13 +32,16 @@ def token_contributions(attention: np.ndarray) -> np.ndarray:
 def pairwise_cosine_distances(z: np.ndarray) -> np.ndarray:
     """N x N cosine distances with an exact-zero diagonal."""
     unit = _unit_rows(z)
-    d = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    d = unit @ unit.T
+    np.subtract(1.0, d, out=d)
+    np.clip(d, 0.0, 2.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 
 
 def kernel_matrix(distances: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * distances)
+    kernel = -gamma * distances
+    return np.exp(kernel, out=kernel)
 
 
 @dataclass
@@ -134,9 +137,10 @@ def reverse_select(contributions: np.ndarray, graph: NeighborGraph, kernel: np.n
         neigh = graph.neighbors[candidate]
         a[neigh] -= graph.weights[candidate] * value
 
-        sum_selected += 2.0 * cross_cols[candidate] + kernel[candidate, candidate]
-        cross_cols += kernel[:, candidate]
-        sum_cross += kernel[:, candidate].sum()
+        column = kernel[:, candidate]
+        sum_selected += 2.0 * cross_cols[candidate] + column[candidate]
+        cross_cols += column
+        sum_cross += column.sum()
         current = max(0.0, float(total_mean + sum_selected / t**2 - 2.0 * sum_cross / (n * t)))
         trace.append(current)
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from mmprune import pruner
 from mmprune.allocation import allocate_uniform
 from mmprune.checkpoint import load_checkpoint
 from mmprune.cli import _prune_config, build_parser, main
@@ -53,6 +54,24 @@ def test_gen_synth_three_modalities(tmp_path):
     names = [s["modality"] for s in record["spans"]]
     assert names == ["visual", "language", "audio"]
     assert all(s["len"] == 4 for s in record["spans"])
+
+
+@pytest.mark.parametrize("d_model", [8, 12, 16, 20, 23])
+def test_noisy_scenario_below_its_channel_count_is_config_error(tmp_path, capsys, d_model):
+    code = main(["gen-synth", "--scenario", "noisy-modality", "--out", str(tmp_path / "ws"),
+                 "--d-model", str(d_model), "--n-heads", "1", "--n-calib", "1", "--n-eval", "1"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == "ConfigError"
+    assert f"needs d_model >= 24 (16 signal and 8 outlier channels), got {d_model}" in err["message"]
+    assert not (tmp_path / "ws" / "model").exists()
+
+
+def test_noisy_scenario_at_its_channel_count(tmp_path):
+    assert main(["gen-synth", "--scenario", "noisy-modality", "--out", str(tmp_path / "ws"),
+                 "--d-model", "24", "--n-heads", "4", "--d-ff", "8", "--n-blocks", "1",
+                 "--n-calib", "1", "--n-eval", "1"]) == 0
+    assert load_checkpoint(tmp_path / "ws" / "model").d_model == 24
 
 
 def test_prune_usage_error_on_bad_sparsity(workspace, tmp_path):
@@ -142,6 +161,13 @@ def test_prune_malformed_manifest_record_is_format_error(workspace, tmp_path, ca
     prune_format_error(workspace, tmp_path, capsys, f"{path}: {record}")
 
 
+def four_block_plan(payload):
+    """The 2-block workspace's plan with blocks 2 and 3 appended, as a 4-block model would give."""
+    for entry in list(payload["entries"]):
+        block, kind = entry["layer"].split(":")
+        payload["entries"].append({**entry, "layer": f"{int(block) + 2}:{kind}"})
+
+
 def write_plan(workspace, path, edit):
     plan = allocate_uniform(load_checkpoint(workspace / "model").param_counts(), 0.5)
     plan.to_json(path)
@@ -180,11 +206,20 @@ def write_plan(workspace, path, edit):
      "ConfigError", "plan and model disagree on layer (0, 'q'): plan param_count 1, model 256"),
     ("prune", lambda p: p["entries"].pop(), "ConfigError",
      "plan and model disagree on layer (1, 'down'): plan param_count absent, model 384"),
+    ("analyze", lambda p: [e.update(param_count=1) for e in p["entries"] if e["layer"].endswith(":q")],
+     "ConfigError", "plan and model disagree on layer (0, 'q'): plan param_count 1, model 256"),
+    ("analyze", lambda p: p["entries"].pop(), "ConfigError",
+     "plan and model disagree on layer (1, 'down'): plan param_count absent, model 384"),
+    ("prune", four_block_plan, "ConfigError",
+     "plan and model disagree on layer (2, 'q'): plan param_count 256, model absent"),
+    ("analyze", four_block_plan, "ConfigError",
+     "plan and model disagree on layer (2, 'q'): plan param_count 256, model absent"),
 ], ids=["missing-file", "analyze-missing-file", "not-json", "no-entries", "bad-layer",
         "analyze-bad-layer", "ratios-miss-target", "not-an-object", "no-target", "string-target",
         "no-lambda", "bool-lambda", "non-object-entry", "zero-param-count", "bool-param-count",
         "huge-param-count", "infinite-ratio", "string-ratio", "extra-layer", "analyze-extra-layer",
-        "unknown-kind", "repeated-layer", "q-param-count-1", "missing-layer"])
+        "unknown-kind", "repeated-layer", "q-param-count-1", "missing-layer",
+        "analyze-q-param-count-1", "analyze-missing-layer", "four-block-plan", "analyze-four-block-plan"])
 def test_bad_plan_is_runtime_error(workspace, tmp_path, capsys, command, edit, error, record):
     path = tmp_path / "plan.json"
     if isinstance(edit, str):
@@ -213,21 +248,26 @@ def test_prune_masked_nonzero_weight_is_format_error(workspace, tmp_path, capsys
     prune_format_error(workspace, tmp_path, capsys, f"{path}: layers[3] has non-zero weights")
 
 
-@pytest.mark.parametrize("flag", ["--out", "--report"])
-def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys, flag):
-    blocker = tmp_path / "a_file"
-    blocker.write_text("")
-    out, report = tmp_path / "out", tmp_path / "report.json"
-    if flag == "--out":
-        out = blocker
-    else:
-        report = blocker / "report.json"
+@pytest.mark.parametrize("flag,target,named", [
+    ("--out", "a_file", "a_file"),
+    ("--report", "a_file/report.json", "a_file"),
+    ("--plan-out", "a_file/plan.json", "a_file"),
+    ("--report", "a_dir", "a_dir"),
+], ids=["--out", "--report", "--plan-out", "report-is-a-directory"])
+def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys, monkeypatch, flag, target, named):
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    forwards, real_forward = [], pruner.forward
+    monkeypatch.setattr(pruner, "forward",
+                        lambda *args, **kwargs: forwards.append(args) or real_forward(*args, **kwargs))
+    outputs = {"--out": "out", "--report": "report.json", "--plan-out": "plan.json", flag: target}
     code = main(["prune", "--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
-                 "--method", "wanda", "--out", str(out), "--report", str(report)])
+                 "--method", "wanda"] + [arg for f, t in outputs.items() for arg in (f, str(tmp_path / t))])
     err = json.loads(capsys.readouterr().err)
     assert code == 1
     assert err["error"] == "MMPruneError"
-    assert str(blocker) in err["message"]
+    assert str(tmp_path / named) in err["message"]
+    assert forwards == []  # the path fails before any calibration
 
 
 def test_prune_settings_have_one_source_of_defaults():

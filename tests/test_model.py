@@ -9,10 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmprune import model as model_module
+from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError, ShapeError
-from mmprune.model import (Block, CaptureFlags, LinearLayer, ModalityId, Span, TokenSequence,
-                           ToyModel, forward, init_synthetic)
+from mmprune.model import (RMS_EPS, Block, CaptureFlags, LinearLayer, ModalityId, Span, TokenSequence,
+                           ToyModel, _causal_softmax, forward, init_synthetic)
 
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
@@ -270,6 +274,7 @@ def test_forward_block_range_continues_from_a_carried_state():
     assert h1.tobytes() == trace.hiddens[1].tobytes()
     rest, part = forward(model, seq, capture, start=1, hidden=h1)
     assert rest.tobytes() == full.tobytes()
+    assert forward(model, seq, start=1, hidden=h1.astype(np.float64))[0].tobytes() == full.tobytes()
     assert sorted(part.layer_inputs) == [key for key in sorted(trace.layer_inputs) if key[0] >= 1]
     for key, x in part.layer_inputs.items():
         assert x.tobytes() == trace.layer_inputs[key].tobytes()
@@ -309,3 +314,106 @@ def test_trace_shares_projection_inputs_and_never_aliases_the_sequence():
         a[...] = 7.0
     assert seq.embeddings.tobytes() == embeddings.tobytes()
     assert forward(model, seq)[0].tobytes() == reference.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against the out-of-place forward they replaced
+
+
+def _oracle_softmax(scores):
+    n = scores.shape[-1]
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    scores = np.where(mask, -np.inf, scores)
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _oracle_forward(model, seq):
+    """Every block with fresh arrays at each step; returns (state, attention, layer outputs)."""
+    def rms_norm(x, scale):
+        return (x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMS_EPS)) * scale
+
+    def project(block, kind, inp):
+        out = inp @ block.layers[kind].weight.T
+        outputs[(block.index, kind)] = out
+        return out
+
+    n, h, dh = len(seq), model.n_heads, model.head_dim
+    x, attention, outputs = seq.embeddings, {}, {}
+    for block in model.blocks:
+        attn_in = rms_norm(x, block.attn_norm_scale)
+        q, k, v = (project(block, kind, attn_in).reshape(n, h, dh).transpose(1, 0, 2) for kind in "qkv")
+        probs = _oracle_softmax((q @ k.transpose(0, 2, 1)) / np.float32(np.sqrt(dh)))
+        attention[block.index] = probs.mean(axis=0).astype(np.float32)
+        context = (probs @ v).transpose(1, 0, 2).reshape(n, model.d_model).astype(np.float32)
+        x = x + project(block, "o", context)
+        ffn_in = rms_norm(x, block.ffn_norm_scale)
+        gate, up = project(block, "gate", ffn_in), project(block, "up", ffn_in)
+        x = (x + project(block, "down", ((gate / (1.0 + np.exp(-gate))) * up).astype(np.float32))).astype(np.float32)
+    return x, attention, outputs
+
+
+def test_forward_matches_out_of_place_oracle_bitwise(monkeypatch):
+    # start from an empty mask cache: 40 grows it, 7 and 1 read slices of it, 40 reads it whole
+    monkeypatch.setattr(model_module, "_causal_bias", np.zeros((0, 0), dtype=np.float32))
+    model = init_synthetic(16, 4, 24, 3, seed=12)
+    scenario = make_noisy_modality_scenario(0, d_model=24, n_heads=4, d_ff=32, n_blocks=4,
+                                            n_calib=1, n_eval=1)
+    cases = [(model, rng_seq(n, 16, seed=n)) for n in (40, 7, 1, 40)]
+    cases += [(scenario.model, seq) for seq in scenario.calib + scenario.eval]  # 188 and 28 tokens
+    for i, (m, seq) in enumerate(cases):
+        state, trace = forward(m, seq, CAPTURE_ALL)
+        expected_state, expected_attention, expected_outputs = _oracle_forward(m, seq)
+        assert state.tobytes() == expected_state.tobytes()
+        assert sorted(trace.attention) == sorted(expected_attention)
+        for b, attn in trace.attention.items():
+            assert attn.dtype == np.float32 and attn.tobytes() == expected_attention[b].tobytes()
+        assert sorted(trace.layer_outputs) == sorted(expected_outputs)
+        for key, out in trace.layer_outputs.items():
+            assert out.tobytes() == expected_outputs[key].tobytes()
+        if i == 3:
+            assert model_module._causal_bias.shape == (40, 40)  # one array, as long as the longest
+    assert model_module._causal_bias.shape == (188, 188)
+
+
+def test_attention_overflow_with_finite_q_and_k_names_the_block():
+    model = init_synthetic(8, 2, 12, 1, seed=0)
+    for kind in ("q", "k"):
+        model.blocks[0].layers[kind].weight = np.full((8, 8), 1e19, dtype=np.float32)
+    seq = two_span_seq(np.ones((4, 8)))  # q = k = 8e19 per channel: finite, q.k overflows
+    with pytest.raises(NumericError, match=r"block0\.attention"):
+        forward(model, seq)
+
+
+def test_captured_attention_never_shares_the_scores_buffer(monkeypatch):
+    buffers = []
+
+    def recording_softmax(scores):
+        buffers.append(scores)
+        return _causal_softmax(scores)
+
+    monkeypatch.setattr(model_module, "_causal_softmax", recording_softmax)
+    model = init_synthetic(16, 4, 24, 3, seed=7)
+    _, trace = forward(model, rng_seq(9, 16, seed=1), CAPTURE_ALL)
+    assert len(buffers) == 3 and all(buf is buffers[0] for buf in buffers)  # one buffer per call
+    captured = [*trace.layer_inputs.values(), *trace.layer_outputs.values(), *trace.hiddens]
+    attention = list(trace.attention.values())
+    assert len(attention) == 3
+    for i, attn in enumerate(attention):
+        assert not any(np.shares_memory(attn, other) for other in [buffers[0], *captured, *attention[i + 1:]])
+    assert not any(np.shares_memory(buffers[0], a) for a in captured)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(heads=st.integers(1, 4), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]), ties=st.booleans())
+def test_in_place_softmax_matches_oracle(heads, n, seed, scale, ties):
+    scores = np.random.default_rng(seed).uniform(-scale, scale, size=(heads, n, n)).astype(np.float32)
+    if ties:  # repeated row maxima, and -0.0 from rounding small negatives
+        scores = np.round(scores / scale * 3.0).astype(np.float32)
+    expected = _oracle_softmax(scores)
+    sums = _causal_softmax(scores)
+    assert scores.tobytes() == expected.tobytes()
+    assert sums.shape == (heads, n, 1) and np.isfinite(sums).all() and (sums >= 1.0).all()
+    assert (np.triu(scores, k=1) == 0.0).all()  # exact zeros above the diagonal

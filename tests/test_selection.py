@@ -118,6 +118,25 @@ def test_knn_needs_more_tokens_than_k():
         build_knn(np.ones((3, 2)), k=3)
 
 
+def test_in_place_kernels_equal_their_out_of_place_formulas_bitwise():
+    rng = np.random.default_rng(43)
+    for n, d in [(1, 3), (2, 1), (9, 4), (64, 16), (188, 64)]:
+        z = rng.standard_normal((n, d)) * rng.random(d) * 3.0
+        z[rng.random(n) < 0.1] = 0.0  # zero rows sit at distance 1
+        # repeated and negated rows round 1 - cos to just below 0 or above 2, which the clip fixes
+        z[1::3] = z[0::3][:len(z[1::3])]
+        z[2::3] = -z[0::3][:len(z[2::3])]
+        unit = z / np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
+        expected = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+        np.fill_diagonal(expected, 0.0)
+        distances = pairwise_cosine_distances(z)
+        assert distances.tobytes() == expected.tobytes()
+        before = distances.copy()
+        for gamma in (0.2, 1.0, 1e4):
+            assert kernel_matrix(distances, gamma).tobytes() == np.exp(-gamma * expected).tobytes()
+        assert distances.tobytes() == before.tobytes()  # the kernel leaves its input alone
+
+
 # ---------------------------------------------------------------------------
 # forward update
 
