@@ -136,11 +136,15 @@ def cmd_gen_synth(config: dict) -> None:
 
 
 def cmd_prune(config: dict) -> None:
+    if config.get("structural"):
+        unused = [flag for flag, key in (("--plan", "plan"), ("--plan-out", "plan_out")) if config.get(key)]
+        if unused:
+            raise UsageError("--structural removes whole blocks and has no sparsity plan to read or "
+                             f"write: drop {' and '.join(unused)}")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)  # every output path first: a bad one fails before any work
     report_path = _prepare_output_file(Path(config["report"])) if config.get("report") else None
-    plan_out = (_prepare_output_file(Path(config["plan_out"]))
-                if config.get("plan_out") and not config.get("structural") else None)
+    plan_out = _prepare_output_file(Path(config["plan_out"])) if config.get("plan_out") else None
     model = load_checkpoint(config["model"])
     calib = load_sequences(config["calib"])
     prune_cfg = _prune_config(config)
@@ -178,17 +182,20 @@ def cmd_prune(config: dict) -> None:
 
 
 def cmd_analyze(config: dict) -> None:
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model = load_checkpoint(config["model"])
-    calib = load_sequences(config["calib"])
     reports = [name.strip() for name in config["reports"].split(",") if name.strip()]
     known = {"diversity", "attention", "selection", "sparsity"}
     unknown = set(reports) - known
     if unknown:
         raise UsageError(f"unknown analyze reports: {sorted(unknown)}")
+    if config.get("plan") and "sparsity" not in reports:
+        raise UsageError("--plan is read only by the sparsity report: "
+                         "add sparsity to --reports or drop --plan")
+    out_dir = Path(config["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model = load_checkpoint(config["model"])
+    calib = load_sequences(config["calib"])
     plan = None
-    if "sparsity" in reports and config.get("plan"):
+    if config.get("plan"):
         plan = SparsityPlan.from_json(config["plan"])
         plan.check_layers(model.param_counts())
     calibration = Calibration(model, calib, _prune_config(config).calibration_params())

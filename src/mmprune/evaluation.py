@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .allocation import SparsityPlan
 from .errors import ConfigError
 from .model import (PROJECTION_KINDS, ActivationTrace, CaptureFlags, TokenSequence,
-                    ToyModel, forward)
+                    ToyModel, chunks, forward)
 from .pruner import Calibration, PruneConfig, prune_model
 
 
@@ -63,6 +64,80 @@ def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - 0.5 * np.square(a_hat - b_hat).sum(axis=1), -1.0, 1.0)
 
 
+class _Reference:
+    """One sequence's dense outputs and the sums of squares every scored model divides by."""
+
+    def __init__(self, seq: TokenSequence, hidden: np.ndarray, trace: ActivationTrace):
+        self.outputs = trace.layer_outputs
+        self.layer_dens = {key: float(np.square(z.astype(np.float64)).sum())
+                           for key, z in self.outputs.items()}
+        self.hidden = hidden.astype(np.float64)
+        # all tokens, then each modality span; repeated spans of one modality add into one entry
+        self.groups = [(None, slice(None))] + [
+            (s.modality.name, slice(s.start, s.stop)) for s in seq.spans if s.length]
+        self.group_dens = [float(np.square(self.hidden[rows]).sum()) for _, rows in self.groups]
+
+
+class _Fidelity:
+    """Error sums of one model's outputs against the dense model's, one sequence at a time."""
+
+    def __init__(self):
+        # (block, kind) -> [num, den] over all tokens
+        self.layers: dict[tuple[int, str], list[float]] = {}
+        # None (all tokens) or a modality name -> [num, den, cosine sum, token count]
+        self.groups: dict[str | None, list[float]] = {}
+
+    def add(self, ref: _Reference, hidden: np.ndarray, trace: ActivationTrace) -> None:
+        """Adds one sequence's final state and trace under the scored model."""
+        for key, z_d in ref.outputs.items():
+            acc = self.layers.setdefault(key, [0.0, 0.0])
+            diff = np.subtract(z_d, trace.layer_outputs[key], dtype=np.float64)
+            acc[0] += float(np.square(diff, out=diff).sum())
+            acc[1] += ref.layer_dens[key]
+        diff = ref.hidden - hidden.astype(np.float64)
+        cosines = _token_cosines(ref.hidden, hidden)
+        for (name, rows), den in zip(ref.groups, ref.group_dens):
+            acc = self.groups.setdefault(name, [0.0, 0.0, 0.0, 0])
+            acc[0] += float(np.square(diff[rows]).sum())
+            acc[1] += den
+            acc[2] += float(cosines[rows].sum())
+            acc[3] += len(cosines[rows])
+
+    def metrics(self) -> EvalMetrics:
+        end_rel = {name: _rel(num, den) for name, (num, den, _, _) in self.groups.items()}
+        cosine = {name: cos_sum / count for name, (_, _, cos_sum, count) in self.groups.items()}
+        return EvalMetrics(
+            layer_rel_error={key: _rel(num, den) for key, (num, den) in self.layers.items()},
+            end_rel_error=end_rel.pop(None),
+            end_rel_error_by_modality=end_rel,
+            cosine=cosine.pop(None),
+            cosine_by_modality=cosine,
+        )
+
+
+def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[EvalMetrics]:
+    """Fidelity metrics against `dense` of each entry of `models` over `seqs`.
+
+    An entry is a callable returning the model to score, called once per chunk of
+    sequences, or None for `dense` itself. Each chunk runs one dense forward, which
+    every entry is scored against, and one forward per callable. Each entry's sums
+    take one term per sequence in sequence order, so its metrics do not depend on
+    the chunks.
+    """
+    if not seqs:
+        raise ConfigError("evaluation requires at least one sequence")
+    capture = CaptureFlags(outputs=True)
+    sums = [_Fidelity() for _ in models]
+    for chunk in chunks(seqs):
+        dense_out = forward(dense, chunk, capture)
+        refs = [_Reference(seq, *one) for seq, one in zip(chunk.seqs, zip(*dense_out))]
+        for acc, model in zip(sums, models):
+            hidden, traces = dense_out if model is None else forward(model(), chunk, capture)
+            for ref, one, trace in zip(refs, hidden, traces):
+                acc.add(ref, one, trace)
+    return [acc.metrics() for acc in sums]
+
+
 def reconstruction_report(dense: ToyModel, pruned: ToyModel,
                           seqs: list[TokenSequence]) -> EvalMetrics:
     """Deterministic fidelity metrics of `pruned` against `dense` over `seqs`.
@@ -74,44 +149,7 @@ def reconstruction_report(dense: ToyModel, pruned: ToyModel,
             and dense.d_ff == pruned.d_ff and dense.n_blocks == pruned.n_blocks)
     if not same:
         raise ConfigError("dense and pruned models must share an architecture")
-    if not seqs:
-        raise ConfigError("evaluation requires at least one sequence")
-
-    capture = CaptureFlags(outputs=True)
-    # (block, kind) -> [num, den] over all tokens
-    layers: dict[tuple[int, str], list[float]] = {}
-    # None (all tokens) or a modality name -> [num, den, cosine sum, token count];
-    # repeated spans of one modality add into one entry
-    groups: dict[str | None, list[float]] = {}
-
-    for seq in seqs:
-        hidden_d, trace_d = forward(dense, seq, capture)
-        hidden_p, trace_p = forward(pruned, seq, capture)
-        for key, z_d in trace_d.layer_outputs.items():
-            z_d = z_d.astype(np.float64)
-            acc = layers.setdefault(key, [0.0, 0.0])
-            acc[0] += float(np.square(z_d - trace_p.layer_outputs[key].astype(np.float64)).sum())
-            acc[1] += float(np.square(z_d).sum())
-        hidden_d = hidden_d.astype(np.float64)
-        diff = hidden_d - hidden_p.astype(np.float64)
-        cosines = _token_cosines(hidden_d, hidden_p)
-        for name, rows in [(None, slice(None))] + [
-                (s.modality.name, slice(s.start, s.stop)) for s in seq.spans if s.length]:
-            acc = groups.setdefault(name, [0.0, 0.0, 0.0, 0])
-            acc[0] += float(np.square(diff[rows]).sum())
-            acc[1] += float(np.square(hidden_d[rows]).sum())
-            acc[2] += float(cosines[rows].sum())
-            acc[3] += len(cosines[rows])
-
-    end_rel = {name: _rel(num, den) for name, (num, den, _, _) in groups.items()}
-    cosine = {name: cos_sum / count for name, (_, _, cos_sum, count) in groups.items()}
-    return EvalMetrics(
-        layer_rel_error={key: _rel(num, den) for key, (num, den) in layers.items()},
-        end_rel_error=end_rel.pop(None),
-        end_rel_error_by_modality=end_rel,
-        cosine=cosine.pop(None),
-        cosine_by_modality=cosine,
-    )
+    return _evaluate(dense, seqs, [lambda: pruned])[0]
 
 
 def rel_avg(scores: dict[str, tuple[float, float]]) -> float:
@@ -182,34 +220,58 @@ def sparsity_report(source: SparsityPlan | ToyModel) -> dict:
     }
 
 
+def _write_masked(model: ToyModel, dense: ToyModel, keep: list[np.ndarray]) -> ToyModel:
+    """Writes `dense`'s weights into `model` under bit-packed keep-masks, one per layer
+    in `iter_layers` order, and returns `model`. Each weight's bits are ANDed with all
+    ones where kept and all zeros where dropped, so kept weights stay bit-identical and
+    dropped ones become +0.0, as `LinearLayer.apply_mask` leaves them."""
+    for layer, source, packed in zip(model.iter_layers(), dense.iter_layers(), keep):
+        bits = np.unpackbits(packed, count=source.weight.size).astype(np.uint32)
+        bits *= np.uint32(0xFFFFFFFF)
+        np.bitwise_and(source.weight.view(np.uint32), bits.reshape(source.weight.shape),
+                       out=layer.weight.view(np.uint32))
+    return model
+
+
 def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
                    eval_seqs: list[TokenSequence], methods: list[str], sparsities: list[float],
                    base_config: PruneConfig) -> list[dict]:
     """Prune on a method x sparsity grid and score each cell on eval data.
 
-    All cells share one Calibration, so each distinct pass runs once.
+    All cells share one Calibration, so each distinct pass runs once. Every
+    cell is pruned first, keeping only its bit-packed keep-masks; evaluation
+    then forwards the dense model once per eval chunk and scores each cell
+    against it, rebuilding the cell's masked weights in one scratch model.
     Task scores are the end-to-end per-token cosine similarities (overall
-    and per modality); references come from an explicit dense-vs-dense run,
-    so the relative average of the unpruned model is exactly 100.
+    and per modality); references come from the dense model scored against
+    itself, so the relative average of the unpruned model is exactly 100.
     """
     if not isinstance(calib, Calibration):
         calib = Calibration(dense, calib, base_config.calibration_params())
-    reference = reconstruction_report(dense, dense, eval_seqs).task_scores()
-    rows = []
+    cells = []
     for sparsity in sparsities:
         for method in methods:
             config = replace(base_config, method=method, sparsity=sparsity)
             pruned, report = prune_model(dense, calib, config)
-            metrics = reconstruction_report(dense, pruned, eval_seqs)
-            scores = metrics.task_scores()
-            row = {
-                "method": method,
-                "sparsity": sparsity,
-                "global_achieved": report.global_achieved,
-                "end_rel_error": metrics.end_rel_error,
-                "mean_layer_rel_error": metrics.to_dict()["mean_layer_rel_error"],
-            }
-            row.update(scores)
-            row["rel_avg"] = rel_avg({task: (scores[task], reference[task]) for task in scores})
-            rows.append(row)
+            keep = [np.packbits(layer.mask) for layer in pruned.iter_layers()]
+            cells.append((method, sparsity, report.global_achieved, keep))
+            del pruned
+
+    scratch = dense.copy()
+    reference, *scored = _evaluate(dense, eval_seqs, [None] + [
+        partial(_write_masked, scratch, dense, keep) for *_, keep in cells])
+    reference = reference.task_scores()
+    rows = []
+    for (method, sparsity, global_achieved, _), metrics in zip(cells, scored):
+        scores = metrics.task_scores()
+        row = {
+            "method": method,
+            "sparsity": sparsity,
+            "global_achieved": global_achieved,
+            "end_rel_error": metrics.end_rel_error,
+            "mean_layer_rel_error": metrics.to_dict()["mean_layer_rel_error"],
+        }
+        row.update(scores)
+        row["rel_avg"] = rel_avg({task: (scores[task], reference[task]) for task in scores})
+        rows.append(row)
     return rows

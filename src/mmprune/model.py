@@ -217,8 +217,8 @@ _causal_bias = np.zeros((0, 0), dtype=np.float32)
 
 
 def _causal_softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of `scores` (heads, N, N), in place, with every entry
-    above the diagonal exactly 0. Returns the (heads, N, 1) row sums: the probabilities
+    """Softmax over the last axis of `scores` (..., N, N), in place, with every entry
+    above the diagonal exactly 0. Returns the (..., N, 1) row sums: the probabilities
     are finite exactly when the sums are, because each term lies in [0, 1] and the row
     maximum contributes 1. A score above the diagonal that overflowed to +inf or NaN
     makes its row's sum NaN."""
@@ -237,43 +237,113 @@ def _causal_softmax(scores: np.ndarray) -> np.ndarray:
     return sums
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
-def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = CaptureFlags(),
+# A forward stacks consecutive equal-length sequences up to this many tokens: 2 plain
+# (48-token) samples, 1 noisy calibration (188-token) sample, 4 noisy eval (28-token)
+# ones. Per-call overhead dominates a forward at these sizes, but a chunk's activations
+# stay alive together: at 192 tokens (4 plain samples) the `sweep-plain` benchmark's
+# peak RSS rose from 47.3 to 50.9 MB, past its bound.
+CHUNK_TOKENS = 128
+
+
+class Chunk:
+    """Sequences of one length that a forward runs as one (S, N, C) stack. Like a
+    sequence's, its length is its token count."""
+
+    def __init__(self, seqs: list[TokenSequence]):
+        if not seqs:
+            raise ConfigError("a chunk needs at least one sequence")
+        for seq in seqs:
+            if len(seq) != len(seqs[0]):
+                raise ShapeError(f"a chunk holds sequences of {len(seqs[0])} and {len(seq)} tokens")
+        self.seqs = list(seqs)
+
+    def __len__(self) -> int:
+        return len(self.seqs) * len(self.seqs[0])
+
+
+def chunks(seqs: list[TokenSequence]):
+    """Chunks of consecutive equal-length sequences, in order, each of at most
+    CHUNK_TOKENS tokens or else a single sequence."""
+    run: list[TokenSequence] = []
+    for seq in seqs:
+        if run and (len(seq) != len(run[0]) or (len(run) + 1) * len(seq) > CHUNK_TOKENS):
+            yield Chunk(run)
+            run = []
+        run.append(seq)
+    if run:
+        yield Chunk(run)
+
+
+def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags = CaptureFlags(),
             start: int = 0, stop: int | None = None, hidden: np.ndarray | None = None):
-    """Run blocks [start, stop) (default: all) on one sequence from `hidden`, the state
-    entering block `start` (default: the embeddings; taken as float32). Returns the state
-    leaving the last block run (N x d_model float32) and an ActivationTrace with exactly
-    the requested captures: attention post-softmax and head-averaged, `hiddens[j]`
-    entering block start + j. Captured arrays are never written afterwards, so q/k/v
-    share one input array and gate/up another; `hiddens[0]` is a copy, so a trace never
-    aliases the input.
+    """Run blocks [start, stop) (default: all) of `model` on one sequence or on a Chunk,
+    from `hidden`, the state entering block `start` (default: the embeddings; taken as
+    float32). A chunk's S sequences run as one (S, N, d_model) stack: `hidden` and the
+    returned state are stacks, and one ActivationTrace per sequence is returned. One
+    sequence runs as a chunk of one, with N x d_model states and its one trace.
+
+    Each trace holds exactly the requested captures: attention post-softmax and
+    head-averaged, `hiddens[j]` entering block start + j. Each captured array is a view
+    of sample s in an array shared by the chunk and is never written afterwards, so
+    q/k/v share one input array and gate/up another; `hiddens[0]` is a copy, so a
+    trace never aliases the input. Every matmul and reduction works per sample and per
+    row, so a sample's results do not depend on the chunk it runs in.
     """
-    if seq.dim != model.d_model:
-        raise ShapeError(f"sequence dim {seq.dim} != model d_model {model.d_model}")
+    if isinstance(seq, Chunk):
+        return _forward(model, seq, capture, start, stop, hidden)
+    state, traces = _forward(model, Chunk([seq]), capture, start, stop,
+                             None if hidden is None else hidden[None])
+    return state[0], traces[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
+def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, start: int, stop: int | None,
+             hidden: np.ndarray | None):
+    """`forward` on a chunk: (S, N, d_model) states in and out, one trace per sequence."""
+    seqs = chunk.seqs
+    n, d = len(seqs[0]), model.d_model
+    for seq in seqs:
+        if seq.dim != d:
+            raise ShapeError(f"sequence dim {seq.dim} != model d_model {d}")
     stop = model.n_blocks if stop is None else stop
     if not 0 <= start <= stop <= model.n_blocks:
         raise ConfigError(f"block range [{start}, {stop}) is outside [0, {model.n_blocks}]")
-    x = seq.embeddings if hidden is None else hidden.astype(np.float32, copy=False)
-    if x.shape != seq.embeddings.shape:
-        raise ShapeError(f"hidden state shape {x.shape} != sequence shape {seq.embeddings.shape}")
-    n, h, dh = len(seq), model.n_heads, model.head_dim
-    trace = ActivationTrace(spans=list(seq.spans))
+    s, h, dh = len(seqs), model.n_heads, model.head_dim
+    if hidden is None:
+        x = seqs[0].embeddings[None] if s == 1 else np.stack([seq.embeddings for seq in seqs])
+    else:
+        x = hidden.astype(np.float32, copy=False)
+        if x.shape != (s, n, d):
+            raise ShapeError(f"hidden state shape {x.shape} != chunk shape {(s, n, d)}")
+    traces = [ActivationTrace(spans=list(seq.spans)) for seq in seqs]
+
+    # per trace field, the last stacked array recorded and its per-sample views, so the
+    # captures of q/k/v (and of gate/up) share one input view per sample
+    views: dict[str, tuple] = {}
+
+    def record(field: str, key, stacked: np.ndarray) -> None:
+        if field not in views or views[field][0] is not stacked:
+            views[field] = (stacked, list(stacked))
+        for trace, one in zip(traces, views[field][1]):
+            getattr(trace, field)[key] = one
+
     if capture.hiddens:
-        trace.hiddens.append(x.copy())
-    scores = np.empty((h, n, n), dtype=np.float32)  # every block's attention; captures copy it
+        for trace, one in zip(traces, x.copy()):
+            trace.hiddens.append(one)
+    scores = np.empty((s, h, n, n), dtype=np.float32)  # every block's attention; captures copy it
 
     for block in model.blocks[start:stop]:
         b = block.index
-        record = capture.blocks is None or b in capture.blocks
+        keep = capture.blocks is None or b in capture.blocks
 
         def project(kind: str, inp: np.ndarray) -> np.ndarray:
             layer = block.layers[kind]
             out = inp @ layer.weight.T
             _check_finite(out, layer.name)
-            if record and capture.inputs:
-                trace.layer_inputs[(b, kind)] = inp
-            if record and capture.outputs:
-                trace.layer_outputs[(b, kind)] = out
+            if keep and capture.inputs:
+                record("layer_inputs", (b, kind), inp)
+            if keep and capture.outputs:
+                record("layer_outputs", (b, kind), out)
             return out
 
         attn_in = _rms_norm(x, block.attn_norm_scale)
@@ -281,17 +351,17 @@ def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = Capture
         k = project("k", attn_in)
         v = project("v", attn_in)
 
-        # (heads, N, dh)
-        qh = q.reshape(n, h, dh).transpose(1, 0, 2)
-        kh = k.reshape(n, h, dh).transpose(1, 0, 2)
-        vh = v.reshape(n, h, dh).transpose(1, 0, 2)
-        np.matmul(qh, kh.transpose(0, 2, 1), out=scores)
+        # (S, heads, N, dh)
+        qh = q.reshape(s, n, h, dh).transpose(0, 2, 1, 3)
+        kh = k.reshape(s, n, h, dh).transpose(0, 2, 1, 3)
+        vh = v.reshape(s, n, h, dh).transpose(0, 2, 1, 3)
+        np.matmul(qh, kh.transpose(0, 1, 3, 2), out=scores)
         scores /= np.float32(np.sqrt(dh))
         _check_finite(_causal_softmax(scores), f"block{b}.attention")
-        if record and capture.attention:
-            trace.attention[b] = scores.mean(axis=0).astype(np.float32, copy=False)
+        if keep and capture.attention:
+            record("attention", b, scores.mean(axis=1).astype(np.float32, copy=False))
 
-        context = (scores @ vh).transpose(1, 0, 2).reshape(n, model.d_model).astype(np.float32, copy=False)
+        context = (scores @ vh).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32, copy=False)
         x = x + project("o", context)
 
         ffn_in = _rms_norm(x, block.ffn_norm_scale)
@@ -306,9 +376,10 @@ def forward(model: ToyModel, seq: TokenSequence, capture: CaptureFlags = Capture
         x = _check_finite(x.astype(np.float32, copy=False), f"block{b}.residual")
 
         if capture.hiddens:
-            trace.hiddens.append(x)
+            for trace, one in zip(traces, x):
+                trace.hiddens.append(one)
 
-    return x, trace
+    return x, traces
 
 
 def init_synthetic(d_model: int, n_heads: int, d_ff: int, n_blocks: int, seed: int) -> ToyModel:

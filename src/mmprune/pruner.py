@@ -19,10 +19,18 @@ from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
                          allocate_owl, allocate_uniform, owl_outlier_ratio)
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, ShapeError
-from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, forward
-from .selection import SELECTION_KINDS, AmiaParams, select_tokens, token_contributions
+from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, chunks, forward
+from .selection import SELECTION_KINDS, AmiaParams, select_amia, select_tokens, token_contributions
 
 MASK_GROUPS = ("per_output_row", "per_layer")
+
+# AMIA runs a sample's layers of one output shape (N, C) as one stack while L * N^2
+# stays within this many elements: a 48-token plain sample's 20 (N, d_model) layers in
+# one stack and its 8 (N, d_ff) layers in another, a 188-token noisy sample's layers
+# three at a time. A stack holds two L x N x N float64 buffers, 2 MB at the bound. At
+# 2**16 a noisy stack held one layer, and the stacked pick loop's per-step array calls
+# made noisy `tamp` about 10% slower than the one-layer scalar loop they replaced.
+AMIA_STACK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -175,20 +183,26 @@ class Calibration:
         return self._cache[key]
 
     def traces(self, capture: CaptureFlags):
-        """The sample loop: one forward of the calibrated model per sequence."""
-        for seq in self.seqs:
-            yield forward(self.model, seq, capture)[1]
+        """The sample loop: one trace per sequence, from one forward of the calibrated
+        model per chunk of sequences."""
+        for chunk in chunks(self.seqs):
+            yield from forward(self.model, chunk, capture)[1]
 
     def prefix_traces(self, capture: CaptureFlags, model: ToyModel, block: int, states: list[np.ndarray]):
-        """Per sample, one forward that advances `states[i]` (the embeddings, then the
-        state entering block `block - 1`) through that block of `model`, then records `block`."""
+        """Per sample, a trace from one forward per chunk that advances `states[i]` (the
+        embeddings, then the state entering block `block - 1`) through that block of
+        `model`, then records `block`."""
         capture = replace(capture, hiddens=block > 0, blocks=frozenset({block}))
-        for i, seq in enumerate(self.seqs):
-            trace = forward(model, seq, capture, max(block - 1, 0), block + 1, states[i])[1]
-            if block:
-                states[i] = trace.hiddens[1]
-            yield trace
-            del trace
+        i = 0
+        for chunk in chunks(self.seqs):
+            s = len(chunk.seqs)
+            hidden = states[i][None] if s == 1 else np.stack(states[i:i + s])
+            for trace in forward(model, chunk, capture, max(block - 1, 0), block + 1, hidden)[1]:
+                if block:
+                    states[i] = trace.hiddens[1]
+                i += 1
+                yield trace
+            del trace, hidden  # as in `_selections`: free the chunk before the next forward
 
     @cached_property
     def diversity(self) -> dict[tuple[int, str], DiversityStats]:
@@ -209,27 +223,51 @@ class Calibration:
         """Yields (trace, {layer: (indices, SelectionResult | None)}) per sample.
 
         `traces(capture)` yields one trace per sequence (default: `self.traces`).
-        Callers drop both before the next sample: with two traces alive, AMIA's
-        N x N temporaries land in fresh pages and noisy `tamp` runs ~5% slower.
+        Callers drop both before the next sample, so a noisy chunk (one sample) is
+        freed before the next forward: with two traces alive, AMIA's N x N
+        temporaries land in fresh pages and noisy `tamp` runs ~5% slower.
         """
         capture = CaptureFlags(inputs=True, outputs=(kind == "amia"),
                                attention=kind in ("attention", "amia"))
-        thresholds = self.thresholds if kind == "amia" else {}
+        thresholds = self.thresholds if kind == "amia" else {}  # its pass runs first
         p = self.params
         for index, trace in enumerate((traces or self.traces)(capture)):
             contributions = {b: token_contributions(attn) for b, attn in trace.attention.items()}
-            selected = {}
-            for key, x in trace.layer_inputs.items():
-                block, layer_kind = key
-                rng = None
-                if kind == "random":
-                    rng = np.random.default_rng(np.random.SeedSequence(
-                        [p.seed, 7701, index, block, PROJECTION_KINDS.index(layer_kind)]))
-                selected[key] = select_tokens(
-                    kind, contributions.get(block), trace.layer_outputs.get(key, x), rng=rng,
-                    threshold=thresholds.get(key, 0.0), params=p.amia, random_count=p.random_count)
+            if kind == "amia":
+                selected = self._amia(trace, contributions, thresholds)
+            else:
+                selected = {}
+                for key, x in trace.layer_inputs.items():
+                    block, layer_kind = key
+                    rng = None
+                    if kind == "random":
+                        rng = np.random.default_rng(np.random.SeedSequence(
+                            [p.seed, 7701, index, block, PROJECTION_KINDS.index(layer_kind)]))
+                    selected[key] = (select_tokens(kind, contributions.get(block), x, rng=rng,
+                                                   random_count=p.random_count), None)
             yield trace, selected
             del trace, selected, contributions
+
+    def _amia(self, trace, contributions, thresholds) -> dict:
+        """AMIA selections of one sample's layers, in layer order: a stack of layers of one
+        output shape at a time, or all tokens where there are too few for a kNN graph."""
+        amia = self.params.amia
+        stacks: dict[tuple[int, ...], list] = {}
+        for key, z in trace.layer_outputs.items():
+            stacks.setdefault(z.shape, []).append(key)
+        selected = dict.fromkeys(trace.layer_outputs)
+        for (n, _), keys in stacks.items():
+            if n <= amia.k:
+                selected.update((key, (np.arange(n), None)) for key in keys)
+                continue
+            size = max(1, AMIA_STACK_ELEMENTS // (n * n))
+            for i in range(0, len(keys), size):
+                stack = keys[i:i + size]
+                results = select_amia(np.stack([contributions[block] for block, _ in stack]),
+                                      np.stack([trace.layer_outputs[key] for key in stack]),
+                                      [thresholds[key] for key in stack], amia)
+                selected.update((key, (result.selected, result)) for key, result in zip(stack, results))
+        return selected
 
     def activations(self, kind: str, traces=None):
         """(InputActivation, LayerSelectionStats) per layer over the tokens `kind` selects,

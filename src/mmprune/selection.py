@@ -29,13 +29,27 @@ def token_contributions(attention: np.ndarray) -> np.ndarray:
     return attention[-1, :].astype(np.float64)
 
 
+def _fill_diagonals(matrices: np.ndarray, value: float) -> None:
+    """Writes `value` on the diagonal of each N x N matrix in a contiguous (..., N, N) array."""
+    n = matrices.shape[-1]
+    matrices.reshape(-1, n * n)[:, ::n + 1] = value
+
+
 def pairwise_cosine_distances(z: np.ndarray) -> np.ndarray:
-    """N x N cosine distances with an exact-zero diagonal."""
+    """N x N cosine distances with an exact-zero diagonal, per layer of a (..., N, C) stack.
+
+    Each layer's Gram matrix is one 2-D matmul, as for a single layer, so a layer's
+    distances do not depend on the stack it is in. numpy computes `u @ u.T` as one
+    triangle and mirrors it, so the distances are exactly symmetric.
+    """
     unit = _unit_rows(z)
-    d = unit @ unit.T
+    n, c = unit.shape[-2:]
+    d = np.empty(unit.shape[:-1] + (n,))
+    for u, gram in zip(unit.reshape(-1, n, c), d.reshape(-1, n, n)):
+        np.matmul(u, u.T, out=gram)
     np.subtract(1.0, d, out=d)
     np.clip(d, 0.0, 2.0, out=d)
-    np.fill_diagonal(d, 0.0)
+    _fill_diagonals(d, 0.0)
     return d
 
 
@@ -46,10 +60,11 @@ def kernel_matrix(distances: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass
 class NeighborGraph:
-    """k nearest neighbors per token (cosine distance, ties to lower index)."""
+    """k nearest neighbors per token (cosine distance, ties to lower index), per layer
+    of a stack when the arrays have a leading layer axis."""
 
-    neighbors: np.ndarray  # (N, k) int
-    distances: np.ndarray  # (N, k)
+    neighbors: np.ndarray  # (..., N, k) int
+    distances: np.ndarray  # (..., N, k)
     gamma: float
     k: int
 
@@ -58,7 +73,7 @@ class NeighborGraph:
 
     @property
     def n_tokens(self) -> int:
-        return self.neighbors.shape[0]
+        return self.neighbors.shape[-2]
 
     def with_gamma(self, gamma: float) -> "NeighborGraph":
         return NeighborGraph(self.neighbors, self.distances, gamma, self.k)
@@ -66,33 +81,43 @@ class NeighborGraph:
 
 def build_knn(z: np.ndarray, k: int = 3, gamma: float = 1.0,
               distances: np.ndarray | None = None) -> NeighborGraph:
-    """k nearest neighbors per row, nearest first, in O(k * N^2).
+    """k nearest neighbors per row, nearest first, in O(k * N^2), per layer of a
+    (..., N, C) stack.
 
     Each of k passes takes every row's argmin and masks it with inf.
     `argmin` returns the first minimum, so equal distances go to the lower
-    index: the order of a stable argsort's first k columns.
+    index: the order of a stable argsort's first k columns. Given `distances`
+    (from `pairwise_cosine_distances(z)`), the passes mask it in place: a caller
+    that still needs it passes a copy.
     """
-    n = np.asarray(z).shape[0]
+    n = np.asarray(z).shape[-2]
     if n <= k:
         raise InsufficientTokensError(f"kNN graph needs more than k={k} tokens, got {n}")
     if distances is None:
         distances = pairwise_cosine_distances(z)
-    ranked = distances.copy()
-    np.fill_diagonal(ranked, np.inf)  # no self-neighbors
-    rows = np.arange(n)
-    order = np.empty((n, k), dtype=np.intp)
+    ranked = np.ascontiguousarray(distances).reshape(-1, n)  # one row per (layer, token)
+    _fill_diagonals(ranked.reshape(-1, n, n), np.inf)  # no self-neighbors
+    flat = ranked.reshape(-1)
+    starts = np.arange(0, flat.size, n)  # where each row starts in `flat`
+    order = np.empty((len(ranked), k), dtype=np.intp)
+    nearest = np.empty((len(ranked), k))
     for j in range(k):
         order[:, j] = ranked.argmin(axis=1)
-        ranked[rows, order[:, j]] = np.inf
-    return NeighborGraph(order, distances[rows[:, None], order], gamma, k)
+        picked = starts + order[:, j]
+        nearest[:, j] = flat.take(picked)
+        flat.put(picked, np.inf)
+    shape = distances.shape[:-1] + (k,)
+    return NeighborGraph(order.reshape(shape), nearest.reshape(shape), gamma, k)
 
 
 def forward_update(a: np.ndarray, graph: NeighborGraph) -> np.ndarray:
     """One synchronous pass of neighbor reinforcement; reads only the input a."""
     a = np.asarray(a, dtype=np.float64)
-    if a.shape != (graph.n_tokens,):
-        raise ShapeError(f"contributions length {a.shape} != token count {graph.n_tokens}")
-    return a + (graph.weights * a[graph.neighbors]).sum(axis=1)
+    if a.shape != graph.neighbors.shape[:-1]:
+        raise ShapeError(f"contributions shape {a.shape} != token shape {graph.neighbors.shape[:-1]}")
+    n = graph.n_tokens
+    layers = np.arange(0, a.size, n).reshape(a.shape[:-1] + (1, 1))  # where each layer starts in a.flat
+    return a + (graph.weights * a.reshape(-1).take(graph.neighbors + layers)).sum(axis=-1)
 
 
 @dataclass
@@ -104,51 +129,72 @@ class SelectionResult:
 
 
 def reverse_select(contributions: np.ndarray, graph: NeighborGraph, kernel: np.ndarray,
-                   threshold: float, min_count: int = 4) -> SelectionResult:
-    """Greedy pick-and-penalize selection with an MMD stopping rule.
+                   thresholds: list[float], min_count: int = 4) -> list[SelectionResult]:
+    """Greedy pick-and-penalize selection with an MMD stopping rule, per layer of a stack.
 
     Each step picks the highest remaining contribution (ties to the lowest
     index), subtracts `e_ij * a_i` from the picked token's graph neighbors,
-    and recomputes MMD(all tokens, picked) from the full kernel. Stops when
-    MMD < threshold (after min_count picks) or all tokens are picked.
+    and updates MMD(all tokens, picked) from the full kernel. A layer stops when
+    its MMD < its threshold (after min_count picks) or all its tokens are picked.
+    The kernel must be symmetric, as `kernel_matrix` of `pairwise_cosine_distances`
+    is exactly: a picked token's kernel row stands for its column.
+
+    Contributions (L, N), the graph's (L, N, k) arrays, the (L, N, N) kernel and L
+    thresholds give one result per layer. A step's array work runs on all L layers
+    at once; each running layer's MMD then takes a few float operations.
     """
-    a = np.asarray(contributions, dtype=np.float64).copy()
-    n = graph.n_tokens
-    if a.shape != (n,):
-        raise ShapeError(f"contributions length {a.shape} != token count {n}")
-    if kernel.shape != (n, n):
-        raise ShapeError(f"kernel shape {kernel.shape} != ({n}, {n})")
+    a = np.array(contributions, dtype=np.float64)  # a copy: picks penalize it in place
+    if a.ndim != 2 or a.shape != graph.neighbors.shape[:-1]:
+        raise ShapeError(f"contributions shape {a.shape} != token shape (L, N) {graph.neighbors.shape[:-1]}")
+    n_layers, n = a.shape
+    if kernel.shape != (n_layers, n, n):
+        raise ShapeError(f"kernel shape {kernel.shape} != {(n_layers, n, n)}")
+    if len(thresholds) != n_layers:
+        raise ShapeError(f"{len(thresholds)} thresholds for {n_layers} layers")
+    thresholds = [float(t) for t in thresholds]
     min_count = min(n, max(min_count, 1))
 
-    total_mean = kernel.mean()
-    cross_cols = np.zeros(n)      # per-token kernel sum to the picked set
-    sum_selected = 0.0            # kernel sum over picked x picked
-    sum_cross = 0.0               # kernel sum over all x picked
-    picked: list[int] = []
-    picked_mask = np.zeros(n, dtype=bool)
-    trace: list[float] = []
-    stopped_by = "exhausted"
+    base = np.arange(0, n_layers * n, n)  # token j of layer i is row i * n + j of the flat arrays
+    flat = a.reshape(-1)
+    neighbors = (graph.neighbors.reshape(n_layers, n, -1) + base[:, None, None]).reshape(n_layers * n, -1)
+    weights = graph.weights.reshape(n_layers * n, -1)
+    rows = kernel.reshape(n_layers * n, n)
+    total_means = kernel.reshape(n_layers, n * n).mean(axis=1).tolist()
+    cross = np.zeros((n_layers, n))   # per-token kernel sum to the picked set
+    sum_selected = [0.0] * n_layers   # kernel sum over picked x picked
+    sum_cross = [0.0] * n_layers      # kernel sum over all x picked
+    traces: list[list[float]] = [[] for _ in range(n_layers)]
+    stopped_by = ["exhausted"] * n_layers
+    running = list(range(n_layers))
+    picks = np.empty((n_layers, n), dtype=int)
 
     for t in range(1, n + 1):
-        candidate = int(np.where(picked_mask, -np.inf, a).argmax())
-        value = a[candidate]
-        picked.append(candidate)
-        picked_mask[candidate] = True
-        neigh = graph.neighbors[candidate]
-        a[neigh] -= graph.weights[candidate] * value
+        candidate = a.argmax(axis=1)
+        picked = base + candidate
+        value = flat.take(picked)
+        flat.put(picked, -np.inf)  # never the maximum again
+        penalty = weights.take(picked, axis=0)
+        penalty *= value[:, None]
+        flat[neighbors.take(picked, axis=0)] -= penalty
+        picks[:, t - 1] = candidate
 
-        column = kernel[:, candidate]
-        sum_selected += 2.0 * cross_cols[candidate] + column[candidate]
-        cross_cols += column
-        sum_cross += column.sum()
-        current = max(0.0, float(total_mean + sum_selected / t**2 - 2.0 * sum_cross / (n * t)))
-        trace.append(current)
-
-        if t >= min_count and current < threshold:
-            stopped_by = "threshold"
+        row = rows.take(picked, axis=0)
+        to_picked = cross.reshape(-1).take(picked).tolist()
+        self_terms = row.reshape(-1).take(picked).tolist()
+        cross += row
+        row_sums = row.sum(axis=1).tolist()
+        for i in running[:]:
+            sum_selected[i] += 2.0 * to_picked[i] + self_terms[i]
+            sum_cross[i] += row_sums[i]
+            current = max(0.0, total_means[i] + sum_selected[i] / t**2 - 2.0 * sum_cross[i] / (n * t))
+            traces[i].append(current)
+            if t >= min_count and current < thresholds[i]:
+                stopped_by[i] = "threshold"
+                running.remove(i)
+        if not running:
             break
-
-    return SelectionResult(np.array(picked, dtype=int), trace, threshold, stopped_by)
+    return [SelectionResult(picks[i, :len(trace)].copy(), trace, thresholds[i], stopped_by[i])
+            for i, trace in enumerate(traces)]
 
 
 @dataclass(frozen=True)
@@ -163,40 +209,37 @@ class AmiaParams:
         return max(self.k + 1, 4)
 
 
-def select_amia(a: np.ndarray, z: np.ndarray, threshold: float,
-                params: AmiaParams = AmiaParams()) -> SelectionResult:
-    """Full adaptive pipeline over one layer's output tokens."""
+def select_amia(a: np.ndarray, z: np.ndarray, thresholds: list[float],
+                params: AmiaParams = AmiaParams()) -> list[SelectionResult]:
+    """The full adaptive pipeline over a stack of L layers that share N and C:
+    contributions a (L, N), output tokens z (L, N, C) and L thresholds. Returns one
+    result per layer, the same whatever else the stack holds; the layers' N x N
+    buffers are allocated once."""
     distances = pairwise_cosine_distances(z)
+    kernel = kernel_matrix(distances, params.gamma_reverse)  # before build_knn masks distances
     graph_fwd = build_knn(z, params.k, params.gamma_forward, distances=distances)
     boosted = forward_update(a, graph_fwd)
-    kernel = kernel_matrix(distances, params.gamma_reverse)
     graph_rev = graph_fwd.with_gamma(params.gamma_reverse)
-    return reverse_select(boosted, graph_rev, kernel, threshold,
-                          min_count=params.min_count)
+    return reverse_select(boosted, graph_rev, kernel, thresholds, min_count=params.min_count)
 
 
 def select_tokens(kind: str, a: np.ndarray | None, z: np.ndarray, *,
-                  rng: np.random.Generator | None = None,
-                  threshold: float = 0.0,
-                  params: AmiaParams = AmiaParams(),
-                  random_count: int = 100) -> tuple[np.ndarray, SelectionResult | None]:
-    """Dispatch over SELECTION_KINDS; returns (indices, SelectionResult or None).
+                  rng: np.random.Generator | None = None, random_count: int = 100) -> np.ndarray:
+    """Indices of the tokens a non-adaptive kind of SELECTION_KINDS keeps.
 
-    `a` holds token contributions; outside amia only the row count of `z` matters.
+    `a` holds token contributions; only the row count of `z` matters. Adaptive
+    selection (amia) runs per stack of layers through `select_amia`.
     """
     n = np.asarray(z).shape[0]
-    if kind == "full" or (kind == "amia" and n <= params.k):
-        return np.arange(n), None  # amia: too few tokens for a kNN graph
+    if kind == "full":
+        return np.arange(n)
     if kind == "random":
         if rng is None:
             raise ValueError("random selection requires an rng")
-        return np.sort(rng.choice(n, size=min(random_count, n), replace=False)), None
+        return np.sort(rng.choice(n, size=min(random_count, n), replace=False))
     if kind == "attention":
         a = np.asarray(a, dtype=np.float64)
         chosen = np.where(a > a.mean())[0]
         # uniform contributions leave nothing above the mean; fall back to all tokens
-        return (chosen if len(chosen) else np.arange(n)), None
-    if kind == "amia":
-        result = select_amia(a, z, threshold, params)
-        return result.selected, result
+        return chosen if len(chosen) else np.arange(n)
     raise ValueError(f"unknown selection kind {kind!r}")

@@ -18,11 +18,11 @@ from mmprune.evaluation import reconstruction_report, rel_avg
 from mmprune.model import ModalityId, Span, TokenSequence, forward, init_synthetic
 from mmprune.pruner import (Calibration, InputActivation, PruneConfig, block_importances_shortgpt,
                             block_prune, blocks_to_remove, importance_wanda, make_mask, prune_model)
-from mmprune.selection import AmiaParams, select_amia
+from mmprune.selection import AmiaParams
 from tests.test_diversity import intra, oracle_intra
 from tests.test_model import rng_seq
 from tests.test_pruner import q_activation
-from tests.test_selection import oracle_reverse_select, two_cluster_tokens
+from tests.test_selection import amia_one, oracle_reverse_select, two_cluster_tokens
 
 
 def report(criterion: int, message: str) -> None:
@@ -50,7 +50,7 @@ def test_criterion_1_oracle_equivalence():
     # selection against the scalar simulation
     z = two_cluster_tokens()
     params = AmiaParams()
-    result = select_amia(np.full(6, 1 / 6), z, threshold=0.05, params=params)
+    result = amia_one(np.full(6, 1 / 6), z, threshold=0.05, params=params)
     from mmprune.selection import build_knn, forward_update
     boosted = forward_update(np.full(6, 1 / 6), build_knn(z, params.k, params.gamma_forward))
     picks, trace, _ = oracle_reverse_select(boosted, z, params.k, params.gamma_reverse,
@@ -146,19 +146,19 @@ def test_criterion_4_amia_behavior():
     """Two-cluster picks split, threshold-0 exhausts with zero MMD, x10
     rescaling leaves the selection unchanged."""
     z = two_cluster_tokens()
-    result = select_amia(np.full(6, 1 / 6), z, threshold=1e-9)
+    result = amia_one(np.full(6, 1 / 6), z, threshold=1e-9)
     first, second = result.selected[:2]
     assert (first < 3) != (second < 3)
 
     rng = np.random.default_rng(404)
     z_big = rng.standard_normal((20, 6))
     a = rng.random(20)
-    full = select_amia(a, z_big, threshold=0.0)
+    full = amia_one(a, z_big, threshold=0.0)
     assert sorted(full.selected) == list(range(20))
     assert full.mmd_trace[-1] == pytest.approx(0.0, abs=1e-9)
 
-    base = select_amia(a, z_big, threshold=0.05)
-    scaled = select_amia(a, 10.0 * z_big, threshold=0.05)
+    base = amia_one(a, z_big, threshold=0.05)
+    scaled = amia_one(a, 10.0 * z_big, threshold=0.05)
     assert list(base.selected) == list(scaled.selected)
     report(4, "cluster-splitting picks, exhaustive zero-threshold selection, "
               "x10 scale invariance")

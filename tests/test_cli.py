@@ -270,6 +270,29 @@ def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys, monkeyp
     assert forwards == []  # the path fails before any calibration
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["prune", "--structural", "das", "--plan-out", "PLAN"], "drop --plan-out"),
+    (["prune", "--structural", "shortgpt", "--plan", "PLAN"], "drop --plan"),
+    (["prune", "--structural", "das", "--plan", "PLAN", "--plan-out", "PLAN"],
+     "drop --plan and --plan-out"),
+    (["analyze", "--reports", "diversity,selection", "--plan", "PLAN"],
+     "add sparsity to --reports or drop --plan"),
+], ids=["structural-plan-out", "structural-plan", "structural-both", "analyze-plan-without-sparsity"])
+def test_unused_plan_flag_is_usage_error(workspace, tmp_path, capsys, monkeypatch, argv, message):
+    import mmprune.cli as cli
+    loads = []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *args: loads.append(args))
+    plan = str(tmp_path / "missing" / "plan.json")  # never opened, never created
+    code = main([arg.replace("PLAN", plan) for arg in argv] + [
+        "--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
+        "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "UsageError"
+    assert err["message"].endswith(message)
+    assert loads == [] and not (tmp_path / "out").exists() and not (tmp_path / "missing").exists()
+
+
 def test_prune_settings_have_one_source_of_defaults():
     assert _prune_config({}) == PruneConfig()
     assert _prune_config({"max_count": 1, "amia": None}) == PruneConfig()

@@ -369,3 +369,79 @@ def test_comparison_grid_runs_each_calibration_pass_once(monkeypatch):
     assert len(rows) == 18
     # one diversity pass, one full-token pass, one adaptive-selection pass
     assert len(calls) <= 3 * len(seqs)
+
+
+def test_comparison_forwards_each_model_once_per_eval_sequence(monkeypatch):
+    import mmprune.evaluation as evaluation
+    model, seqs = eval_setup(seed=24)
+    eval_seqs = generate_sequences(5, 8, [ModalitySpec("visual", 5), ModalitySpec("language", 4)],
+                                   seed=96, domain=1)
+    forwarded = {}  # model -> sequences it ran on, in order
+    real_forward = evaluation.forward
+
+    def counting_forward(m, chunk, *args, **kwargs):
+        forwarded.setdefault(id(m), []).extend(id(seq) for seq in chunk.seqs)
+        return real_forward(m, chunk, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "forward", counting_forward)
+    run_comparison(model, seqs, eval_seqs, ["magnitude", "wanda", "tamp"], [0.4, 0.6], PruneConfig())
+    order = [id(seq) for seq in eval_seqs]
+    assert forwarded.pop(id(model)) == order  # one dense pass serves the reference and all 6 cells
+    assert [ids for ids in forwarded.values()] == [order * 6]  # every cell in one scratch model
+
+
+@pytest.mark.parametrize("tokens", [1, 18, 27, 10**6], ids=["chunks-of-1", "of-2", "of-3", "one-chunk"])
+def test_comparison_rows_do_not_depend_on_eval_chunks(monkeypatch, tokens):
+    import mmprune.model as model_module
+    model, seqs = eval_setup(seed=25)
+    eval_seqs = generate_sequences(5, 8, [ModalitySpec("visual", 5), ModalitySpec("language", 4)],
+                                   seed=95, domain=1)
+    args = (model, seqs, eval_seqs, ["wanda", "das", "tamp"], [0.5], PruneConfig())
+    expected = run_comparison(*args)
+    monkeypatch.setattr(model_module, "CHUNK_TOKENS", tokens)
+    assert run_comparison(*args) == expected
+
+
+def test_masked_scratch_weights_equal_apply_mask_bitwise():
+    from mmprune.evaluation import _write_masked
+    dense = init_synthetic(8, 2, 12, 1, seed=26)
+    for layer in dense.iter_layers():
+        layer.weight[0, :4] = [-0.0, 0.0, -1.5, 2.5]  # kept and dropped signed zeros and negatives
+    rng = np.random.default_rng(27)
+    masks = [rng.random(layer.weight.shape) < 0.5 for layer in dense.iter_layers()]
+    for mask in masks:
+        mask[0, :4] = [True, False, False, True]
+    expected = dense.copy()
+    for layer, mask in zip(expected.iter_layers(), masks):
+        layer.mask = mask
+        layer.apply_mask()
+    scratch = dense.copy()
+    for layer in scratch.iter_layers():
+        layer.weight[...] = np.nan  # every weight is written
+    assert _write_masked(scratch, dense, [np.packbits(mask) for mask in masks]) is scratch
+    for got, want in zip(scratch.iter_layers(), expected.iter_layers()):
+        assert got.weight.tobytes() == want.weight.tobytes()
+
+
+def test_comparison_peak_memory_does_not_grow_with_cells():
+    import tracemalloc
+    model = init_synthetic(32, 2, 64, 2, seed=28)
+    specs = [ModalitySpec("visual", 8), ModalitySpec("language", 8)]
+    seqs = generate_sequences(4, 32, specs, seed=29)
+    eval_seqs = generate_sequences(4, 32, specs, seed=30, domain=1)
+
+    def peak(methods):
+        tracemalloc.start()
+        try:
+            run_comparison(model, seqs, eval_seqs, methods, [0.5], PruneConfig())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(["wanda", "tamp"])  # first-use caches, such as the causal mask, fill here
+    two = peak(["wanda", "tamp"])  # every calibration pass the six methods need
+    six = peak(["magnitude", "wanda", "owl", "das", "amia", "tamp"])
+    # four more cells cost less than one model's weights; a pruned model kept per cell
+    # would add four times that, plus the masks
+    weights = sum(layer.weight.nbytes for layer in model.iter_layers())
+    assert six - two < weights

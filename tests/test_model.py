@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from mmprune import model as model_module
 from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError, ShapeError
-from mmprune.model import (RMS_EPS, Block, CaptureFlags, LinearLayer, ModalityId, Span, TokenSequence,
-                           ToyModel, _causal_softmax, forward, init_synthetic)
+from mmprune.model import (RMS_EPS, Block, CaptureFlags, Chunk, LinearLayer, ModalityId, Span,
+                           TokenSequence, ToyModel, _causal_softmax, chunks, forward, init_synthetic)
 
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
@@ -375,6 +375,82 @@ def test_forward_matches_out_of_place_oracle_bitwise(monkeypatch):
         if i == 3:
             assert model_module._causal_bias.shape == (40, 40)  # one array, as long as the longest
     assert model_module._causal_bias.shape == (188, 188)
+
+
+# ---------------------------------------------------------------------------
+# chunked forward against one sequence at a time
+
+
+def _assert_same_trace(got, expected):
+    assert got.spans == expected.spans
+    for field in ("layer_inputs", "layer_outputs", "attention"):
+        got_field, expected_field = getattr(got, field), getattr(expected, field)
+        assert list(got_field) == list(expected_field), field
+        for key, value in got_field.items():
+            assert value.dtype == expected_field[key].dtype
+            assert value.tobytes() == expected_field[key].tobytes(), (field, key)
+    assert [h.tobytes() for h in got.hiddens] == [h.tobytes() for h in expected.hiddens]
+
+
+def _chunk_cases():
+    plain = init_synthetic(64, 4, 128, 2, seed=3)
+    scenario = make_noisy_modality_scenario(1, d_model=24, n_heads=4, d_ff=32, n_blocks=2,
+                                            n_calib=3, n_eval=5)
+    return [(plain, [rng_seq(48, 64, seed=i) for i in range(5)]),  # the plain workspace's length
+            (scenario.model, scenario.calib),                       # 188 tokens
+            (scenario.model, scenario.eval)]                        # 28 tokens
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5])
+def test_chunked_forward_matches_per_sequence_forward_bitwise(size):
+    # sizes 2 and 3 leave an odd tail chunk of the 5 (or 3) sequences
+    for model, seqs in _chunk_cases():
+        expected = [forward(model, seq, CAPTURE_ALL) for seq in seqs]
+        for start in range(0, len(seqs), size):
+            chunk = seqs[start:start + size]
+            state, traces = forward(model, Chunk(chunk), CAPTURE_ALL)
+            assert state.shape == (len(chunk), len(chunk[0]), model.d_model) and state.dtype == np.float32
+            for i, trace in enumerate(traces):
+                expected_state, expected_trace = expected[start + i]
+                assert state[i].tobytes() == expected_state.tobytes()
+                _assert_same_trace(trace, expected_trace)
+            # one sample's captures never share memory with another's
+            captured = [[*t.layer_inputs.values(), *t.layer_outputs.values(), *t.attention.values(),
+                         *t.hiddens] for t in traces]
+            for i, mine in enumerate(captured):
+                for theirs in captured[i + 1:]:
+                    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+
+def test_chunked_forward_carries_stacked_states_through_block_ranges():
+    for model, seqs in _chunk_cases():
+        capture = CaptureFlags(inputs=True, hiddens=True, blocks=frozenset({1}))
+        entering = [forward(model, seq, stop=1)[0] for seq in seqs]
+        expected = [forward(model, seq, capture, start=1, hidden=h) for seq, h in zip(seqs, entering)]
+        for size in (1, 2, len(seqs)):
+            for start in range(0, len(seqs), size):
+                hidden = np.stack(entering[start:start + size]).astype(np.float64)  # taken as float32
+                state, traces = forward(model, Chunk(seqs[start:start + size]), capture,
+                                        start=1, hidden=hidden)
+                for i, trace in enumerate(traces):
+                    assert state[i].tobytes() == expected[start + i][0].tobytes()
+                    _assert_same_trace(trace, expected[start + i][1])
+
+
+def test_chunked_forward_rejects_mixed_lengths_and_mis_shaped_states():
+    model = init_synthetic(8, 2, 12, 2, seed=8)
+    with pytest.raises(ShapeError, match="sequences of 6 and 5 tokens"):
+        Chunk([rng_seq(6, 8), rng_seq(5, 8)])
+    seqs = [rng_seq(6, 8, seed=1), rng_seq(6, 8, seed=2)]
+    with pytest.raises(ShapeError, match=r"chunk shape \(2, 6, 8\)"):
+        forward(model, Chunk(seqs), start=1, hidden=np.zeros((1, 6, 8), np.float32))
+
+
+def test_chunks_keep_order_and_equal_lengths_within_the_token_budget(monkeypatch):
+    monkeypatch.setattr(model_module, "CHUNK_TOKENS", 100)
+    seqs = [rng_seq(n, 4, seed=i) for i, n in enumerate([48, 48, 48, 20, 20, 20, 20, 20, 20, 150, 7])]
+    got = [[seqs.index(seq) for seq in chunk.seqs] for chunk in chunks(seqs)]
+    assert got == [[0, 1], [2], [3, 4, 5, 6, 7], [8], [9], [10]]
 
 
 def test_attention_overflow_with_finite_q_and_k_names_the_block():

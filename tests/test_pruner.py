@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmprune.data import generate_sequences, ModalitySpec
+from mmprune.data import generate_sequences, make_noisy_modality_scenario, ModalitySpec
 from mmprune.errors import ConfigError, ShapeError
 from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, TokenSequence, forward,
                            init_synthetic)
@@ -20,7 +20,7 @@ from mmprune.pruner import (Calibration, InputActivation, LayerSelectionStats, P
                             block_importances_das, block_importances_shortgpt, block_prune,
                             blocks_to_remove, importance_magnitude, importance_wanda,
                             make_mask, prune_model)
-from mmprune.selection import AmiaParams, select_tokens, token_contributions
+from mmprune.selection import AmiaParams, select_amia, select_tokens, token_contributions
 from tests.test_diversity import oracle_intra, oracle_inter
 from tests.test_selection import oracle_reverse_select
 
@@ -56,6 +56,22 @@ def test_input_activation_duplication_scales_by_sqrt2():
     _, doubled = q_activation([rows, rows])
     np.testing.assert_allclose(doubled.norms, np.sqrt(2.0) * base.norms, rtol=1e-12)
     assert doubled.token_count == 2 * base.token_count
+
+
+def test_amia_keeps_every_token_of_a_sample_too_short_for_a_knn_graph():
+    # 3 tokens and 5 tokens against k = 3: the short sample keeps all its tokens unscored,
+    # the long one is selected by AMIA, and both feed the same layers
+    rows = np.random.default_rng(4).standard_normal((8, 4)).tolist()
+    _, full = q_activation([rows[:3]])
+    model = init_synthetic(4, 2, 8, 1, seed=3)
+    vis = ModalityId(0, "visual")
+    seqs = [TokenSequence(np.array(r, np.float32), [Span(vis, 0, len(r))]) for r in (rows[:3], rows[3:])]
+    activations, stats = Calibration(model, seqs).activations("amia")
+    short_only, _ = Calibration(model, seqs[:1]).activations("amia")
+    np.testing.assert_array_equal(short_only[(0, "q")].norms, full.norms)
+    for key, entry in stats.items():
+        assert entry.token_total == 8 and 3 + AmiaParams().min_count <= entry.selected_total <= 8
+        assert entry.samples == 1 and sum(entry.stopped_by.values()) == 1, key
 
 
 def test_input_activation_empty_raises():
@@ -228,13 +244,14 @@ def test_pipeline_deterministic_and_thread_invariant():
 
 
 def count_calibration_forwards(monkeypatch):
+    """One entry per sequence that a calibration forward runs, whatever its chunk."""
     import mmprune.pruner as pruner
     calls = []
     real_forward = pruner.forward
 
-    def counting_forward(*args, **kwargs):
-        calls.append(1)
-        return real_forward(*args, **kwargs)
+    def counting_forward(model, chunk, *args, **kwargs):
+        calls.extend([1] * len(chunk.seqs))
+        return real_forward(model, chunk, *args, **kwargs)
 
     monkeypatch.setattr(pruner, "forward", counting_forward)
     return calls
@@ -266,6 +283,33 @@ def test_calibration_memoizes_and_matches_fresh_runs(monkeypatch):
         assert a.weight.tobytes() == b.weight.tobytes() == c.weight.tobytes()
     for a, b in zip(das.iter_layers(), fresh_das.iter_layers()):
         assert a.weight.tobytes() == b.weight.tobytes()
+
+
+@pytest.mark.parametrize("config,data", [
+    (PruneConfig(method="tamp", sparsity=0.5, seed=2), "plain"),
+    (PruneConfig(method="tamp", sparsity=0.5, seed=2), "noisy"),
+    (PruneConfig(method="wanda", sparsity=0.5, sequential=True), "plain"),
+    (PruneConfig(method="tamp", sparsity=0.5, sequential=True), "noisy"),
+], ids=["tamp", "noisy-tamp", "sequential-wanda", "noisy-sequential-tamp"])
+def test_prune_does_not_depend_on_chunk_or_stack_sizes(monkeypatch, config, data):
+    import mmprune.model as model_module
+    import mmprune.pruner as pruner
+    if data == "plain":
+        model, seqs = calib_setup(seed=61, n_seqs=5)
+    else:
+        scenario = make_noisy_modality_scenario(2, d_model=24, n_heads=4, d_ff=32, n_blocks=2,
+                                                n_calib=3, n_eval=1)
+        model, seqs = scenario.model, scenario.calib
+    runs = []
+    # one sequence per chunk and one layer per AMIA stack; two sequences and the default
+    # stacks; every sequence in one chunk and every layer of a shape in one stack
+    for tokens, elements in [(1, 1), (2 * len(seqs[0]), pruner.AMIA_STACK_ELEMENTS), (10**9, 10**9)]:
+        monkeypatch.setattr(model_module, "CHUNK_TOKENS", tokens)
+        monkeypatch.setattr(pruner, "AMIA_STACK_ELEMENTS", elements)
+        pruned, report = prune_model(model, seqs, config)
+        runs.append(([layer.weight.tobytes() + layer.mask.tobytes() for layer in pruned.iter_layers()],
+                     report.to_dict()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_calibration_must_match_model_and_settings():
@@ -355,10 +399,13 @@ def oracle_sequential_prune(model, seqs, config, ratios):
                 x = trace.layer_inputs[key]
                 rng = np.random.default_rng(np.random.SeedSequence(
                     [config.seed, 7701, index, b, kind_index]))
-                picks, result = select_tokens(
-                    kind, token_contributions(trace.attention[b]), trace.layer_outputs[key],
-                    rng=rng, threshold=thresholds.get(key, 0.0), params=config.amia,
-                    random_count=config.random_count)
+                a, z = token_contributions(trace.attention[b]), trace.layer_outputs[key]
+                if kind == "amia":
+                    result = select_amia(a[None], z[None], [thresholds[key]], config.amia)[0]
+                    picks = result.selected
+                else:
+                    picks = select_tokens(kind, a, z, rng=rng, random_count=config.random_count)
+                    result = None
                 sq += np.square(x[picks].astype(np.float64)).sum(axis=0)
                 entry.token_total += len(x)
                 entry.selected_total += len(picks)
@@ -412,12 +459,13 @@ def test_sequential_prune_runs_each_block_at_most_twice_per_sample(monkeypatch):
     model, seqs = calib_setup(seed=53, n_blocks=4, n_seqs=3)
     real_forward = pruner.forward
     signature = inspect.signature(real_forward)
-    evaluated = []
+    evaluated = []  # blocks run, once per sequence forwarded
 
     def counting_forward(*args, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
         stop = bound.get("stop")
-        evaluated.append((bound["model"].n_blocks if stop is None else stop) - bound.get("start", 0))
+        blocks = (bound["model"].n_blocks if stop is None else stop) - bound.get("start", 0)
+        evaluated.extend([blocks] * len(bound["seq"].seqs))
         return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(pruner, "forward", counting_forward)

@@ -11,8 +11,13 @@ import pytest
 
 from mmprune.errors import InsufficientTokensError, ShapeError
 from mmprune.selection import (AmiaParams, build_knn, forward_update, kernel_matrix,
-                               pairwise_cosine_distances, reverse_select, select_amia,
-                               select_tokens, token_contributions)
+                               pairwise_cosine_distances, reverse_select, select_amia, select_tokens,
+                               token_contributions)
+
+
+def amia_one(a, z, threshold, params=AmiaParams()):
+    """`select_amia` on one layer: a stack of one."""
+    return select_amia(np.asarray(a)[None], np.asarray(z)[None], [threshold], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +225,8 @@ def oracle_reverse_select(a, z, k, gamma_rev, threshold, min_count):
 
 
 def test_reverse_select_matches_scalar_simulation():
-    z = two_cluster_tokens()
-    a0 = np.full(6, 1.0 / 6.0)
+    z = two_cluster_tokens()[None]  # a stack of one layer
+    a0 = np.full((1, 6), 1.0 / 6.0)
     params = AmiaParams()
     graph_fwd = build_knn(z, params.k, params.gamma_forward)
     boosted = forward_update(a0, graph_fwd)
@@ -229,9 +234,9 @@ def test_reverse_select_matches_scalar_simulation():
     graph_rev = graph_fwd.with_gamma(params.gamma_reverse)
 
     threshold = 0.05
-    result = reverse_select(boosted, graph_rev, kernel, threshold, min_count=params.min_count)
+    result, = reverse_select(boosted, graph_rev, kernel, [threshold], min_count=params.min_count)
     picks, trace, stopped = oracle_reverse_select(
-        boosted, z, params.k, params.gamma_reverse, threshold, params.min_count)
+        boosted[0], z[0], params.k, params.gamma_reverse, threshold, params.min_count)
     assert list(result.selected) == picks
     np.testing.assert_allclose(result.mmd_trace, trace, rtol=1e-6, atol=1e-12)
     assert result.stopped_by == stopped
@@ -240,7 +245,7 @@ def test_reverse_select_matches_scalar_simulation():
 def test_two_clusters_second_pick_from_other_cluster():
     z = two_cluster_tokens()
     a0 = np.full(6, 1.0 / 6.0)
-    result = select_amia(a0, z, threshold=1e-9)
+    result = amia_one(a0, z, threshold=1e-9)
     first, second = result.selected[:2]
     assert (first < 3) != (second < 3)
 
@@ -248,7 +253,7 @@ def test_two_clusters_second_pick_from_other_cluster():
 def test_dominant_contribution_token_picked_first():
     z = np.tile([1.0, 0.5], (5, 1)) + 1e-3 * np.random.default_rng(2).standard_normal((5, 2))
     a = np.array([0.1, 0.1, 0.6, 0.1, 0.1])
-    result = select_amia(a, z, threshold=1e-12)
+    result = amia_one(a, z, threshold=1e-12)
     assert result.selected[0] == 2
 
 
@@ -256,7 +261,7 @@ def test_threshold_infinite_selects_exactly_min_count():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((12, 4))
     a = rng.random(12)
-    result = select_amia(a, z, threshold=np.inf)
+    result = amia_one(a, z, threshold=np.inf)
     assert len(result.selected) == AmiaParams().min_count
     assert result.stopped_by == "threshold"
 
@@ -265,7 +270,7 @@ def test_threshold_zero_selects_everything_with_zero_final_mmd():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((10, 4))
     a = rng.random(10)
-    result = select_amia(a, z, threshold=0.0)
+    result = amia_one(a, z, threshold=0.0)
     assert len(result.selected) == 10
     assert sorted(result.selected) == list(range(10))
     assert result.stopped_by == "exhausted"
@@ -277,7 +282,7 @@ def test_no_duplicate_selections_under_negative_contributions():
     for trial in range(10):
         z = rng.standard_normal((9, 3))
         a = rng.random(9)
-        result = select_amia(a, z, threshold=0.0)
+        result = amia_one(a, z, threshold=0.0)
         assert len(set(result.selected.tolist())) == len(result.selected) == 9
 
 
@@ -285,9 +290,9 @@ def test_selection_scale_invariance():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((14, 5))
     a = rng.random(14)
-    base = select_amia(a, z, threshold=0.03)
+    base = amia_one(a, z, threshold=0.03)
     for scale in (8.0, 10.0):
-        scaled = select_amia(a, scale * z, threshold=0.03)
+        scaled = amia_one(a, scale * z, threshold=0.03)
         assert list(scaled.selected) == list(base.selected)
 
 
@@ -295,8 +300,95 @@ def test_mmd_trace_length_matches_selection():
     rng = np.random.default_rng(10)
     z = rng.standard_normal((11, 4))
     a = rng.random(11)
-    result = select_amia(a, z, threshold=0.02)
+    result = amia_one(a, z, threshold=0.02)
     assert len(result.mmd_trace) == len(result.selected)
+
+
+# ---------------------------------------------------------------------------
+# layer stacks
+
+
+def incremental_reverse_select(a, graph, kernel, threshold, min_count):
+    """The one-layer loop that stacked selection replaced, kept as its bitwise reference:
+    one pick and one incremental MMD update per step, reading the picked kernel column."""
+    a = np.array(a, dtype=np.float64)
+    n = len(a)
+    min_count = min(n, max(min_count, 1))
+    total_mean = kernel.mean()
+    cross_cols, sum_selected, sum_cross = np.zeros(n), 0.0, 0.0
+    picked, picked_mask, trace = [], np.zeros(n, dtype=bool), []
+    for t in range(1, n + 1):
+        candidate = int(np.where(picked_mask, -np.inf, a).argmax())
+        value = a[candidate]
+        picked.append(candidate)
+        picked_mask[candidate] = True
+        a[graph.neighbors[candidate]] -= graph.weights[candidate] * value
+        column = kernel[:, candidate]
+        sum_selected += 2.0 * cross_cols[candidate] + column[candidate]
+        cross_cols += column
+        sum_cross += column.sum()
+        trace.append(max(0.0, float(total_mean + sum_selected / t**2 - 2.0 * sum_cross / (n * t))))
+        if t >= min_count and trace[-1] < threshold:
+            return picked, trace, "threshold"
+    return picked, trace, "exhausted"
+
+
+def layer_stack(seed, n_layers=5, n=24, c=6):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_layers, n, c)) * rng.random((n_layers, 1, c)) * 3.0
+    z[:, 1::5] = z[:, 0::5][:, :len(z[0, 1::5])]  # repeated rows tie distances
+    return rng.random((n_layers, n)), z
+
+
+def test_stacked_kernels_equal_each_layer_alone_bitwise():
+    _, z = layer_stack(51)
+    distances = pairwise_cosine_distances(z)
+    graph = build_knn(z, 3, 1.0)
+    for i in range(len(z)):
+        alone = pairwise_cosine_distances(z[i])
+        assert distances[i].tobytes() == alone.tobytes()
+        assert (alone == alone.T).all()  # reverse_select reads kernel rows for columns
+        one = build_knn(z[i], 3, 1.0)
+        assert graph.neighbors[i].tobytes() == one.neighbors.tobytes()
+        assert graph.distances[i].tobytes() == one.distances.tobytes()
+    a = np.random.default_rng(52).random(z.shape[:2])
+    boosted = forward_update(a, graph)
+    for i in range(len(z)):
+        assert boosted[i].tobytes() == forward_update(a[i], build_knn(z[i], 3, 1.0)).tobytes()
+    assert kernel_matrix(distances, 0.2)[2].tobytes() == kernel_matrix(distances[2], 0.2).tobytes()
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_stacked_selection_equals_the_one_layer_loop_with_its_own_stop_per_layer(seed):
+    a, z = layer_stack(seed)
+    params = AmiaParams()
+    graphs = [build_knn(z[i], params.k, params.gamma_reverse) for i in range(len(z))]
+    kernels = [kernel_matrix(pairwise_cosine_distances(z[i]), params.gamma_reverse) for i in range(len(z))]
+    boosted = [forward_update(a[i], build_knn(z[i], params.k, params.gamma_forward)) for i in range(len(z))]
+    # the full MMD trace of each layer sets thresholds that stop the layers at different t
+    full = [incremental_reverse_select(boosted[i], graphs[i], kernels[i], 0.0, params.min_count)[1]
+            for i in range(len(z))]
+    thresholds = [np.inf, 0.0] + [full[i][t] * (1 + 1e-9) for i, t in ((2, 6), (3, 12), (4, 17))]
+    stacked = select_amia(a, z, thresholds, params)
+    stops = set()
+    for i, result in enumerate(stacked):
+        picks, trace, stopped_by = incremental_reverse_select(
+            boosted[i], graphs[i], kernels[i], thresholds[i], params.min_count)
+        assert result.selected.tolist() == picks
+        assert result.mmd_trace == trace  # bitwise: same floats in the same order
+        assert result.stopped_by == stopped_by
+        assert result.threshold == thresholds[i]
+        one = amia_one(a[i], z[i], thresholds[i], params)
+        assert (one.selected.tolist(), one.mmd_trace, one.stopped_by) == (picks, trace, stopped_by)
+        stops.add((len(picks), stopped_by))
+    assert (params.min_count, "threshold") in stops and (len(a[0]), "exhausted") in stops
+    assert len(stops) >= 4
+
+
+def test_stacked_selection_rejects_a_threshold_count_that_misses_the_layers():
+    a, z = layer_stack(64, n_layers=3)
+    with pytest.raises(ShapeError, match="2 thresholds for 3 layers"):
+        select_amia(a, z, [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -305,29 +397,29 @@ def test_mmd_trace_length_matches_selection():
 
 def test_variant_full():
     z = np.ones((7, 2))
-    np.testing.assert_array_equal(select_tokens("full", None, z)[0], np.arange(7))
+    np.testing.assert_array_equal(select_tokens("full", None, z), np.arange(7))
 
 
 def test_variant_attention_uniform_falls_back_to_full():
     z = np.ones((5, 2))
     a = np.full(5, 0.2)
-    np.testing.assert_array_equal(select_tokens("attention", a, z)[0], np.arange(5))
+    np.testing.assert_array_equal(select_tokens("attention", a, z), np.arange(5))
 
 
 def test_variant_attention_above_mean():
     z = np.ones((4, 2))
     a = np.array([0.1, 0.4, 0.2, 0.3])
-    np.testing.assert_array_equal(select_tokens("attention", a, z)[0], [1, 3])
+    np.testing.assert_array_equal(select_tokens("attention", a, z), [1, 3])
 
 
 def test_variant_random_deterministic_and_capped():
     z = np.ones((250, 2))
-    pick1 = select_tokens("random", None, z, rng=np.random.default_rng(99))[0]
-    pick2 = select_tokens("random", None, z, rng=np.random.default_rng(99))[0]
+    pick1 = select_tokens("random", None, z, rng=np.random.default_rng(99))
+    pick2 = select_tokens("random", None, z, rng=np.random.default_rng(99))
     np.testing.assert_array_equal(pick1, pick2)
     assert len(pick1) == 100
     assert len(set(pick1.tolist())) == 100
-    small = select_tokens("random", None, np.ones((30, 2)), rng=np.random.default_rng(1))[0]
+    small = select_tokens("random", None, np.ones((30, 2)), rng=np.random.default_rng(1))
     assert len(small) == 30
 
 
@@ -337,8 +429,9 @@ def test_selected_sets_within_range_fuzz():
         n = int(rng.integers(5, 40))
         z = rng.standard_normal((n, 4))
         a = rng.random(n)
-        for kind in ("full", "random", "attention", "amia"):
-            idx = select_tokens(kind, a, z, rng=np.random.default_rng(0), threshold=0.05)[0]
+        picks = [select_tokens(kind, a, z, rng=np.random.default_rng(0))
+                 for kind in ("full", "random", "attention")]
+        for idx in picks + [amia_one(a, z, threshold=0.05).selected]:
             assert len(set(idx.tolist())) == len(idx)
             assert (idx >= 0).all() and (idx < n).all()
 
@@ -350,7 +443,7 @@ def test_threshold_stops_imply_final_below_threshold_fuzz():
         z = rng.standard_normal((n, 4))
         a = rng.random(n)
         threshold = float(rng.uniform(0.005, 0.2))
-        result = select_amia(a, z, threshold=threshold)
+        result = amia_one(a, z, threshold=threshold)
         assert np.isfinite(result.mmd_trace).all()
         if result.stopped_by == "threshold":
             assert result.mmd_trace[-1] < threshold
