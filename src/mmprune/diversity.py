@@ -29,26 +29,35 @@ NORM_FLOOR = 1e-12
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    return z / np.maximum(norms, NORM_FLOOR)
+    unit = np.array(z, dtype=np.float64)  # one new array, whatever the input's type
+    unit /= np.maximum(np.linalg.norm(unit, axis=-1, keepdims=True), NORM_FLOOR)
+    return unit
 
 
-def _row_sums(unit: np.ndarray, idx: slice) -> tuple[np.ndarray, float, int]:
-    """(sum of the rows, sum of their squared norms, row count) over unit[idx]."""
-    rows = unit[idx]
-    return rows.sum(axis=0), float(np.vdot(rows, rows)), len(rows)
+def _row_sums(unit: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Over rows [start, stop) of each (N, C) matrix of a (..., N, C) stack: the sum of
+    the rows (..., C) and the sum of their squared norms (...)."""
+    rows = unit[..., start:stop, :]
+    flat = rows.reshape(rows.shape[:-2] + (1, rows.shape[-2] * rows.shape[-1]))
+    # one BLAS dot per matrix, as np.vdot(rows, rows) of one matrix computes it
+    return rows.sum(axis=-2), (flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _pair_mean(sums: tuple[np.ndarray, float, int]) -> float:
-    """Mean cosine distance over unordered pairs i != j of one row set, from its `_row_sums`."""
-    total, sq_norms, n = sums
-    return min(max(1.0 - float(total @ total - sq_norms) / (n * (n - 1)), 0.0), 2.0)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each vector of two (..., C) stacks, one BLAS dot each."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _cross_mean(sums_a: tuple[np.ndarray, float, int], sums_b: tuple[np.ndarray, float, int]) -> float:
-    """Mean cosine distance over the full cross product of two row sets, from their `_row_sums`."""
-    return min(max(1.0 - float(sums_a[0] @ sums_b[0]) / (sums_a[2] * sums_b[2]), 0.0), 2.0)
+def _pair_mean(total: np.ndarray, sq_norms: np.ndarray, n: int) -> np.ndarray:
+    """Mean cosine distance over unordered pairs i != j of each row set of n rows, from
+    the `_row_sums` of its unit rows."""
+    return np.minimum(np.maximum(1.0 - (_dots(total, total) - sq_norms) / (n * (n - 1)), 0.0), 2.0)
+
+
+def _cross_mean(total_a: np.ndarray, n_a: int, total_b: np.ndarray, n_b: int) -> np.ndarray:
+    """Mean cosine distance over the full cross product of each pair of row sets, from
+    the row sums of their unit rows."""
+    return np.minimum(np.maximum(1.0 - _dots(total_a, total_b) / (n_a * n_b), 0.0), 2.0)
 
 
 def layer_importance(intra: dict[str, float], inter: dict[tuple[str, str], float],
@@ -86,51 +95,73 @@ class DiversityStats:
 
 
 class DiversityAccumulator:
-    """Streams per-sample layer outputs and averages diversity terms.
+    """Streams layer outputs and averages diversity terms.
 
     Terms are computed per sample, then averaged over the samples where
     they exist (spans with fewer than 2 tokens, or empty spans for inter
-    terms, are skipped for that sample).
+    terms, are skipped for that sample). Each term's sum adds one value per
+    sample, in the order the samples are added.
     """
 
     def __init__(self):
         self._sums: dict[tuple[int, str], dict] = {}
 
-    def add_layer_sample(self, key: tuple[int, str], z: np.ndarray, spans: list[Span]) -> None:
-        entry = self._sums.setdefault(key, {"intra": {}, "inter": {}, "all": [0.0, 0]})
+    def add_layer_sample(self, keys, z: np.ndarray, spans: list[Span]) -> None:
+        """Adds the outputs z of layers `keys` on samples that share the span layout
+        `spans`: an (L, S, N, C) stack holding layer keys[l] of S samples, in sample
+        order. One sample's (N, C) outputs of one layer, under one key, are a stack
+        of one."""
+        z = np.asarray(z)
+        if z.ndim == 2:
+            keys, z = [keys], z[None, None]
+        if z.ndim != 4 or len(keys) != z.shape[0] or not z.shape[1]:
+            raise ShapeError(f"{len(keys)} layer keys for an output stack of shape {z.shape}")
         unit = _unit_rows(z)
 
         ids: dict[str, int] = {}
-        sums: dict[str, tuple[np.ndarray, float, int]] = {}
+        sums: dict[str, list] = {}  # name -> [row sums (L, S, C), squared norms (L, S), rows]
         for span in spans:
             name = span.modality.name
             ids.setdefault(name, span.modality.id)
-            part = _row_sums(unit, slice(span.start, span.stop))
-            sums[name] = tuple(a + b for a, b in zip(sums[name], part)) if name in sums else part
+            total, sq_norms = _row_sums(unit, span.start, span.stop)
+            if name in sums:
+                entry = sums[name]
+                entry[0] = entry[0] + total
+                entry[1] = entry[1] + sq_norms
+                entry[2] += span.length
+            else:
+                sums[name] = [total, sq_norms, span.length]
         order = sorted(ids, key=ids.get)
 
+        terms: list[tuple[str, object, np.ndarray]] = []  # (field, name or pair, values (L, S))
         for name in order:
-            if sums[name][2] >= 2:
-                value = _pair_mean(sums[name])
-                s, c = entry["intra"].get(name, (0.0, 0))
-                entry["intra"][name] = (s + value, c + 1)
+            total, sq_norms, n = sums[name]
+            if n >= 2:
+                terms.append(("intra", name, _pair_mean(total, sq_norms, n)))
         for i, name_a in enumerate(order):
             for name_b in order[i + 1:]:
-                if sums[name_a][2] and sums[name_b][2]:
-                    value = _cross_mean(sums[name_a], sums[name_b])
-                    s, c = entry["inter"].get((name_a, name_b), (0.0, 0))
-                    entry["inter"][(name_a, name_b)] = (s + value, c + 1)
-        if z.shape[0] >= 2:
-            value = _pair_mean(_row_sums(unit, slice(None)))
-            entry["all"][0] += value
-            entry["all"][1] += 1
+                (total_a, _, n_a), (total_b, _, n_b) = sums[name_a], sums[name_b]
+                if n_a and n_b:
+                    terms.append(("inter", (name_a, name_b), _cross_mean(total_a, n_a, total_b, n_b)))
+        n = z.shape[2]
+        if n >= 2:
+            terms.append(("all", None, _pair_mean(*_row_sums(unit, 0, n), n)))
+
+        for key, *values in zip(keys, *(values.tolist() for _, _, values in terms)):
+            entry = self._sums.setdefault(key, {"intra": {}, "inter": {}, "all": {}})
+            for (field_name, name, _), samples in zip(terms, values):
+                s, c = entry[field_name].get(name, (0.0, 0))
+                for value in samples:
+                    s += value
+                    c += 1
+                entry[field_name][name] = (s, c)
 
     def finalize(self) -> dict[tuple[int, str], DiversityStats]:
         out = {}
         for key, entry in self._sums.items():
             intra = {name: s / c for name, (s, c) in entry["intra"].items()}
             inter = {pair: s / c for pair, (s, c) in entry["inter"].items()}
-            all_sum, all_count = entry["all"]
+            all_sum, all_count = entry["all"].get(None, (0.0, 0))
             stats = DiversityStats(
                 intra=intra,
                 inter=inter,

@@ -19,7 +19,7 @@ from .allocation import SparsityPlan
 from .errors import ConfigError
 from .model import (PROJECTION_KINDS, ActivationTrace, CaptureFlags, TokenSequence,
                     ToyModel, chunks, forward)
-from .pruner import Calibration, PruneConfig, prune_model
+from .pruner import Calibration, PruneConfig, calibration_needs, prune_model
 
 
 @dataclass
@@ -59,27 +59,43 @@ def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # bit-identical rows, which keeps the dense-vs-dense check exact.
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    a_hat = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
-    b_hat = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-12)
-    return np.clip(1.0 - 0.5 * np.square(a_hat - b_hat).sum(axis=1), -1.0, 1.0)
+    a_hat = a / np.maximum(np.linalg.norm(a, axis=-1, keepdims=True), 1e-12)
+    b_hat = b / np.maximum(np.linalg.norm(b, axis=-1, keepdims=True), 1e-12)
+    return np.clip(1.0 - 0.5 * np.square(a_hat - b_hat).sum(axis=-1), -1.0, 1.0)
+
+
+def _stack(traces: list[ActivationTrace], key) -> np.ndarray:
+    """One layer's outputs of a chunk's sequences, as an (S, N, C) stack."""
+    return np.array([trace.layer_outputs[key] for trace in traces])
+
+
+def _sums(sq: np.ndarray) -> list[float]:
+    """Per sequence of an (S, ...) stack, the sum of its entries: the pairwise sum that
+    `.sum()` of that sequence alone takes."""
+    return sq.reshape(len(sq), -1).sum(axis=1).tolist()
 
 
 class _Reference:
-    """One sequence's dense outputs and the sums of squares every scored model divides by."""
+    """One chunk's dense outputs as (S, N, C) stacks, the sums of squares every scored
+    model divides by, and a float64 scratch stack per output shape."""
 
-    def __init__(self, seq: TokenSequence, hidden: np.ndarray, trace: ActivationTrace):
-        self.outputs = trace.layer_outputs
-        self.layer_dens = {key: float(np.square(z.astype(np.float64)).sum())
+    def __init__(self, seqs: list[TokenSequence], hidden: np.ndarray, traces: list[ActivationTrace]):
+        self.outputs = {key: _stack(traces, key) for key in traces[0].layer_outputs}
+        self.scratch = {z.shape: np.empty(z.shape) for z in self.outputs.values()}
+        self.layer_dens = {key: _sums(np.square(z, out=self.scratch[z.shape], dtype=np.float64))
                            for key, z in self.outputs.items()}
-        self.hidden = hidden.astype(np.float64)
-        # all tokens, then each modality span; repeated spans of one modality add into one entry
-        self.groups = [(None, slice(None))] + [
-            (s.modality.name, slice(s.start, s.stop)) for s in seq.spans if s.length]
-        self.group_dens = [float(np.square(self.hidden[rows]).sum()) for _, rows in self.groups]
+        self.hidden = hidden.astype(np.float64)  # (S, N, C)
+        # per sequence: all tokens, then each modality span; repeated spans of one
+        # modality add into one entry
+        self.groups = [[(None, slice(None))] + [(s.modality.name, slice(s.start, s.stop))
+                                                for s in seq.spans if s.length] for seq in seqs]
+        sq = np.square(self.hidden)
+        self.group_dens = [[float(one[rows].sum()) for _, rows in groups]
+                           for one, groups in zip(sq, self.groups)]
 
 
 class _Fidelity:
-    """Error sums of one model's outputs against the dense model's, one sequence at a time."""
+    """Error sums of one model's outputs against the dense model's, one chunk at a time."""
 
     def __init__(self):
         # (block, kind) -> [num, den] over all tokens
@@ -87,21 +103,24 @@ class _Fidelity:
         # None (all tokens) or a modality name -> [num, den, cosine sum, token count]
         self.groups: dict[str | None, list[float]] = {}
 
-    def add(self, ref: _Reference, hidden: np.ndarray, trace: ActivationTrace) -> None:
-        """Adds one sequence's final state and trace under the scored model."""
-        for key, z_d in ref.outputs.items():
+    def add(self, ref: _Reference, hidden: np.ndarray, traces: list[ActivationTrace]) -> None:
+        """Adds one chunk's (S, N, C) final states and traces under the scored model,
+        one term per sequence, in order."""
+        for key, dense in ref.outputs.items():
             acc = self.layers.setdefault(key, [0.0, 0.0])
-            diff = np.subtract(z_d, trace.layer_outputs[key], dtype=np.float64)
-            acc[0] += float(np.square(diff, out=diff).sum())
-            acc[1] += ref.layer_dens[key]
-        diff = ref.hidden - hidden.astype(np.float64)
+            diff = np.subtract(dense, _stack(traces, key), out=ref.scratch[dense.shape], dtype=np.float64)
+            for num, den in zip(_sums(np.square(diff, out=diff)), ref.layer_dens[key]):
+                acc[0] += num
+                acc[1] += den
+        sq = np.square(ref.hidden - hidden.astype(np.float64))
         cosines = _token_cosines(ref.hidden, hidden)
-        for (name, rows), den in zip(ref.groups, ref.group_dens):
-            acc = self.groups.setdefault(name, [0.0, 0.0, 0.0, 0])
-            acc[0] += float(np.square(diff[rows]).sum())
-            acc[1] += den
-            acc[2] += float(cosines[rows].sum())
-            acc[3] += len(cosines[rows])
+        for groups, dens, one_sq, one_cos in zip(ref.groups, ref.group_dens, sq, cosines):
+            for (name, rows), den in zip(groups, dens):
+                acc = self.groups.setdefault(name, [0.0, 0.0, 0.0, 0])
+                acc[0] += float(one_sq[rows].sum())
+                acc[1] += den
+                acc[2] += float(one_cos[rows].sum())
+                acc[3] += len(one_cos[rows])
 
     def metrics(self) -> EvalMetrics:
         end_rel = {name: _rel(num, den) for name, (num, den, _, _) in self.groups.items()}
@@ -130,11 +149,9 @@ def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[
     sums = [_Fidelity() for _ in models]
     for chunk in chunks(seqs):
         dense_out = forward(dense, chunk, capture)
-        refs = [_Reference(seq, *one) for seq, one in zip(chunk.seqs, zip(*dense_out))]
+        ref = _Reference(chunk.seqs, *dense_out)
         for acc, model in zip(sums, models):
-            hidden, traces = dense_out if model is None else forward(model(), chunk, capture)
-            for ref, one, trace in zip(refs, hidden, traces):
-                acc.add(ref, one, trace)
+            acc.add(ref, *(dense_out if model is None else forward(model(), chunk, capture)))
     return [acc.metrics() for acc in sums]
 
 
@@ -238,8 +255,9 @@ def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
                    base_config: PruneConfig) -> list[dict]:
     """Prune on a method x sparsity grid and score each cell on eval data.
 
-    All cells share one Calibration, so each distinct pass runs once. Every
-    cell is pruned first, keeping only its bit-packed keep-masks; evaluation
+    All cells share one Calibration, which computes every result the cells read
+    up front, one pass over the calibration samples per dependency level, and
+    sorts each distinct importance once. Every cell is pruned first, keeping only its bit-packed keep-masks; evaluation
     then forwards the dense model once per eval chunk and scores each cell
     against it, rebuilding the cell's masked weights in one scratch model.
     Task scores are the end-to-end per-token cosine similarities (overall
@@ -248,14 +266,15 @@ def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
     """
     if not isinstance(calib, Calibration):
         calib = Calibration(dense, calib, base_config.calibration_params())
+    configs = [replace(base_config, method=method, sparsity=sparsity)
+               for sparsity in sparsities for method in methods]
+    calib.compute(*dict.fromkeys(need for config in configs for need in calibration_needs(config)))
     cells = []
-    for sparsity in sparsities:
-        for method in methods:
-            config = replace(base_config, method=method, sparsity=sparsity)
-            pruned, report = prune_model(dense, calib, config)
-            keep = [np.packbits(layer.mask) for layer in pruned.iter_layers()]
-            cells.append((method, sparsity, report.global_achieved, keep))
-            del pruned
+    for config in configs:
+        pruned, report = prune_model(dense, calib, config)
+        keep = [np.packbits(layer.mask) for layer in pruned.iter_layers()]
+        cells.append((config.method, config.sparsity, report.global_achieved, keep))
+        del pruned
 
     scratch = dense.copy()
     reference, *scored = _evaluate(dense, eval_seqs, [None] + [

@@ -79,28 +79,39 @@ class PruneMask:
     achieved_ratio: float
 
 
-def make_mask(importance: np.ndarray, ratio: float, group: str = "per_output_row") -> PruneMask:
-    """Drop the floor(ratio * group_size) smallest-importance entries per group.
+def mask_order(importance: np.ndarray, group: str = "per_output_row") -> np.ndarray:
+    """The order in which `make_mask` drops entries: each row's stable ascending argsort
+    (per_output_row), or the whole matrix's as flat indices in the matrix's shape
+    (per_layer), in the narrowest unsigned integer type. Ties put the lower flattened
+    index first, so drop sets are nested across ratios."""
+    if group not in MASK_GROUPS:
+        raise ConfigError(f"unknown comparison group {group!r}")
+    importance = np.asarray(importance, dtype=np.float64)
+    if group == "per_output_row":
+        order = np.argsort(importance, axis=1, kind="stable")
+        n = importance.shape[1]
+    else:
+        order = np.argsort(importance.ravel(), kind="stable").reshape(importance.shape)
+        n = importance.size
+    return order.astype(np.min_scalar_type(max(n - 1, 0)))
 
-    Ties are broken by dropping the lower flattened index first, so drop
-    sets are nested across ratios.
-    """
+
+def make_mask(order: np.ndarray, ratio: float, group: str = "per_output_row") -> PruneMask:
+    """Drop the floor(ratio * group_size) smallest-importance entries per group: the
+    first ones of each group's `mask_order`."""
     if not (0.0 <= ratio <= 1.0):
         raise ConfigError(f"ratio must be in [0, 1], got {ratio}")
     if group not in MASK_GROUPS:
         raise ConfigError(f"unknown comparison group {group!r}")
-    importance = np.asarray(importance, dtype=np.float64)
-    keep = np.ones(importance.shape, dtype=bool)
+    keep = np.ones(order.shape, dtype=bool)
     if group == "per_output_row":
-        n_drop = int(ratio * importance.shape[1])
+        n_drop = int(ratio * order.shape[1])
         if n_drop:
-            order = np.argsort(importance, axis=1, kind="stable")[:, :n_drop]
-            keep[np.arange(importance.shape[0])[:, None], order] = False
+            keep[np.arange(order.shape[0])[:, None], order[:, :n_drop]] = False
     else:
-        n_drop = int(ratio * importance.size)
+        n_drop = int(ratio * order.size)
         if n_drop:
-            order = np.argsort(importance.ravel(), kind="stable")[:n_drop]
-            keep.ravel()[order] = False
+            keep.ravel()[order.ravel()[:n_drop]] = False
     achieved = float((~keep).sum()) / keep.size
     return PruneMask(keep, achieved)
 
@@ -153,12 +164,92 @@ class LayerSelectionStats:
         return self.final_mmd_sum / self.samples if self.samples else None
 
 
-def _add_modality_counts(counts: dict[str, int], indices: np.ndarray, spans) -> dict[str, int]:
-    """Adds how many of `indices` fall in each modality's spans to `counts`."""
-    for span in spans:
-        count = int(((indices >= span.start) & (indices < span.stop)).sum())
-        counts[span.modality.name] = counts.get(span.modality.name, 0) + count
-    return counts
+class _Sample:
+    """One sample's trace with what the statistics of every selection kind share: its
+    captured inputs in float64, converted once per distinct input array (q/k/v share
+    one, gate/up another), and each token's span."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        self.spans = trace.spans
+        self.span_index = np.repeat(np.arange(len(self.spans)), [span.length for span in self.spans])
+        self._inputs: dict[int, list] = {}  # id of a captured input -> [float64 copy, all-row sums]
+
+    def sq_sums(self, key, indices: np.ndarray | None) -> np.ndarray:
+        """Per input channel of layer `key`, the sum of squares over the rows `indices`
+        (None: every row, computed once per distinct input)."""
+        x = self.trace.layer_inputs[key]
+        entry = self._inputs.get(id(x))
+        if entry is None:
+            entry = self._inputs[id(x)] = [x.astype(np.float64), None]
+        if indices is not None:
+            return np.square(entry[0][indices]).sum(axis=0)
+        if entry[1] is None:
+            entry[1] = np.square(entry[0]).sum(axis=0)
+        return entry[1]
+
+    def add_modality_counts(self, counts: dict[str, int], indices: np.ndarray | None) -> dict[str, int]:
+        """Adds how many of `indices` (None: every token) fall in each modality's spans
+        to `counts`."""
+        if indices is None:
+            per_span = [span.length for span in self.spans]
+        else:
+            per_span = np.bincount(self.span_index[indices], minlength=len(self.spans)).tolist()
+        for span, count in zip(self.spans, per_span):
+            counts[span.modality.name] = counts.get(span.modality.name, 0) + count
+        return counts
+
+
+class _ActivationSums:
+    """Streams one selection kind's per-layer input norms and LayerSelectionStats."""
+
+    def __init__(self, kind: str, thresholds: dict):
+        self.kind = kind
+        self.thresholds = thresholds
+        self.sq_sums: dict[tuple[int, str], np.ndarray] = {}
+        self.stats: dict[tuple[int, str], LayerSelectionStats] = {}
+
+    def add(self, sample: _Sample, selected: dict) -> None:
+        """Adds one sample's {layer: (indices, SelectionResult | None)}."""
+        # the full kind keeps every token in order, so its sums need no gather
+        every_row = self.kind == "full"
+        for key, (indices, result) in selected.items():
+            sq = sample.sq_sums(key, None if every_row else indices)
+            if key not in self.sq_sums:
+                self.sq_sums[key] = np.zeros_like(sq)
+                self.stats[key] = LayerSelectionStats(threshold=self.thresholds.get(key))
+            self.sq_sums[key] += sq
+            entry = self.stats[key]
+            entry.token_total += len(sample.trace.layer_inputs[key])
+            entry.selected_total += len(indices)
+            sample.add_modality_counts(entry.by_modality, None if every_row else indices)
+            if result is not None:
+                entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
+                entry.final_mmd_sum += result.mmd_trace[-1]
+                entry.samples += 1
+
+    def result(self):
+        activations = {key: InputActivation(np.sqrt(sq), self.stats[key].selected_total, self.kind)
+                       for key, sq in self.sq_sums.items()}
+        return activations, self.stats
+
+
+def _add_diversity(acc: DiversityAccumulator, traces) -> None:
+    """Adds one chunk's layer outputs to `acc`: per run of consecutive samples with one
+    span layout, one stack per output shape, its layers in order."""
+    start = 0
+    while start < len(traces):
+        stop = start + 1
+        while stop < len(traces) and traces[stop].spans == traces[start].spans:
+            stop += 1
+        run = traces[start:stop]
+        by_shape: dict[tuple[int, ...], list] = {}
+        for key, z in run[0].layer_outputs.items():
+            by_shape.setdefault(z.shape, []).append(key)
+        for keys in by_shape.values():
+            z = np.array([[trace.layer_outputs[key] for trace in run] for key in keys])
+            acc.add_layer_sample(keys, z, run[0].spans)
+        start = stop
 
 
 class Calibration:
@@ -166,8 +257,10 @@ class Calibration:
 
     Each result is computed on first request and cached on the instance, so
     a method x sparsity grid sharing one Calibration pays each distinct pass
-    once, and a single prune computes only what it uses. The cache holds
-    per-layer aggregates and per-sample selection records, never traces.
+    once, and a single prune computes only what it uses. A caller that needs
+    several results declares them to `compute`, which serves every result of
+    one dependency level from one forward per chunk. The cache holds per-layer
+    aggregates, per-sample selection records and mask orders, never traces.
     """
 
     def __init__(self, model: ToyModel, seqs: list[TokenSequence],
@@ -182,36 +275,53 @@ class Calibration:
             self._cache[key] = compute()
         return self._cache[key]
 
-    def traces(self, capture: CaptureFlags):
-        """The sample loop: one trace per sequence, from one forward of the calibrated
-        model per chunk of sequences."""
+    def compute(self, *results: str) -> None:
+        """Computes each of `results` that is not cached yet: "diversity", or a kind of
+        SELECTION_KINDS for the activations over the tokens it keeps. Diversity and the
+        non-adaptive activations share one pass over the samples; amia's activations
+        read the thresholds taken from the finalized diversity, so they run in a
+        second."""
+        for result in results:
+            if result != "diversity" and result not in SELECTION_KINDS:
+                raise ConfigError(f"unknown calibration result {result!r}")
+        missing = [result for result in dict.fromkeys(results) if result not in self._cache]
+        for level in ([r for r in missing if r != "amia"], [r for r in missing if r == "amia"]):
+            if level:
+                self._cache.update(self._pass(level, self.chunk_traces))
+
+    def chunk_traces(self, capture: CaptureFlags):
+        """The sample loop: per chunk of sequences, its traces from one forward of the
+        calibrated model."""
         for chunk in chunks(self.seqs):
-            yield from forward(self.model, chunk, capture)[1]
+            yield forward(self.model, chunk, capture)[1]
+
+    def traces(self, capture: CaptureFlags):
+        """One trace per sequence, from `chunk_traces`."""
+        for traces in self.chunk_traces(capture):
+            yield from traces
 
     def prefix_traces(self, capture: CaptureFlags, model: ToyModel, block: int, states: list[np.ndarray]):
-        """Per sample, a trace from one forward per chunk that advances `states[i]` (the
-        embeddings, then the state entering block `block - 1`) through that block of
+        """Per chunk, its traces from one forward that advances each sample's `states[i]`
+        (the embeddings, then the state entering block `block - 1`) through that block of
         `model`, then records `block`."""
         capture = replace(capture, hiddens=block > 0, blocks=frozenset({block}))
         i = 0
         for chunk in chunks(self.seqs):
             s = len(chunk.seqs)
             hidden = states[i][None] if s == 1 else np.stack(states[i:i + s])
-            for trace in forward(model, chunk, capture, max(block - 1, 0), block + 1, hidden)[1]:
-                if block:
-                    states[i] = trace.hiddens[1]
-                i += 1
-                yield trace
-            del trace, hidden  # as in `_selections`: free the chunk before the next forward
+            traces = forward(model, chunk, capture, max(block - 1, 0), block + 1, hidden)[1]
+            if block:
+                states[i:i + s] = [trace.hiddens[1] for trace in traces]
+            i += s
+            del hidden
+            yield traces
+            del traces  # free the chunk before the next forward, as `_selections` says
 
-    @cached_property
+    @property
     def diversity(self) -> dict[tuple[int, str], DiversityStats]:
         """Per-layer diversity terms of the output tokens."""
-        acc = DiversityAccumulator()
-        for trace in self.traces(CaptureFlags(outputs=True)):
-            for key, z in trace.layer_outputs.items():
-                acc.add_layer_sample(key, z, trace.spans)
-        return acc.finalize()
+        self.compute("diversity")
+        return self._cache["diversity"]
 
     @cached_property
     def thresholds(self) -> dict[tuple[int, str], float]:
@@ -219,34 +329,43 @@ class Calibration:
         coefficient = self.params.amia.mmd_coefficient
         return {key: coefficient * float(np.sqrt(st.importance)) for key, st in self.diversity.items()}
 
-    def _selections(self, kind: str, traces=None):
-        """Yields (trace, {layer: (indices, SelectionResult | None)}) per sample.
+    def _selections(self, kinds: list[str], chunk_traces, outputs: bool = False):
+        """Yields, per chunk, its traces and per trace {kind: {layer: (indices,
+        SelectionResult | None)}} for each selection kind of `kinds`.
 
-        `traces(capture)` yields one trace per sequence (default: `self.traces`).
-        Callers drop both before the next sample, so a noisy chunk (one sample) is
-        freed before the next forward: with two traces alive, AMIA's N x N
-        temporaries land in fresh pages and noisy `tamp` runs ~5% slower.
+        `chunk_traces(capture)` yields each chunk's traces (e.g. `self.chunk_traces`);
+        `outputs` also captures the layer outputs. Callers drop what a chunk yields
+        before the next one, so a noisy chunk (one sample) is freed before the next
+        forward: with two traces alive, AMIA's N x N temporaries land in fresh pages
+        and noisy `tamp` runs ~5% slower.
         """
-        capture = CaptureFlags(inputs=True, outputs=(kind == "amia"),
-                               attention=kind in ("attention", "amia"))
-        thresholds = self.thresholds if kind == "amia" else {}  # its pass runs first
+        capture = CaptureFlags(inputs=bool(kinds), outputs=outputs or "amia" in kinds,
+                               attention=any(kind in ("attention", "amia") for kind in kinds))
+        thresholds = self.thresholds if "amia" in kinds else {}  # its pass runs first
         p = self.params
-        for index, trace in enumerate((traces or self.traces)(capture)):
-            contributions = {b: token_contributions(attn) for b, attn in trace.attention.items()}
-            if kind == "amia":
-                selected = self._amia(trace, contributions, thresholds)
-            else:
-                selected = {}
-                for key, x in trace.layer_inputs.items():
-                    block, layer_kind = key
-                    rng = None
-                    if kind == "random":
-                        rng = np.random.default_rng(np.random.SeedSequence(
-                            [p.seed, 7701, index, block, PROJECTION_KINDS.index(layer_kind)]))
-                    selected[key] = (select_tokens(kind, contributions.get(block), x, rng=rng,
-                                                   random_count=p.random_count), None)
-            yield trace, selected
-            del trace, selected, contributions
+        index = 0
+        for traces in chunk_traces(capture):
+            selected = []
+            for trace in traces:
+                contributions = {b: token_contributions(attn) for b, attn in trace.attention.items()}
+                by_kind = {}
+                for kind in kinds:
+                    if kind == "amia":
+                        by_kind[kind] = self._amia(trace, contributions, thresholds)
+                        continue
+                    by_kind[kind] = {}
+                    for key, x in trace.layer_inputs.items():
+                        block, layer_kind = key
+                        rng = None
+                        if kind == "random":
+                            rng = np.random.default_rng(np.random.SeedSequence(
+                                [p.seed, 7701, index, block, PROJECTION_KINDS.index(layer_kind)]))
+                        by_kind[kind][key] = (select_tokens(kind, contributions.get(block), x, rng=rng,
+                                                            random_count=p.random_count), None)
+                selected.append(by_kind)
+                index += 1
+            yield traces, selected
+            del traces, selected, trace, contributions, by_kind
 
     def _amia(self, trace, contributions, thresholds) -> dict:
         """AMIA selections of one sample's layers, in layer order: a stack of layers of one
@@ -269,51 +388,80 @@ class Calibration:
                 selected.update((key, (result.selected, result)) for key, result in zip(stack, results))
         return selected
 
-    def activations(self, kind: str, traces=None):
+    def _pass(self, results: list[str], chunk_traces) -> dict:
+        """One pass over the samples that computes `results` (as in `compute`), all of one
+        dependency level, from the chunks `chunk_traces(capture)` yields."""
+        kinds = [result for result in results if result != "diversity"]
+        acc = DiversityAccumulator() if "diversity" in results else None
+        sums = {kind: _ActivationSums(kind, self.thresholds if kind == "amia" else {}) for kind in kinds}
+        for traces, selected in self._selections(kinds, chunk_traces, outputs=acc is not None):
+            if acc is not None:
+                _add_diversity(acc, traces)
+            for trace, by_kind in zip(traces, selected):
+                sample = _Sample(trace)
+                for kind, layers in by_kind.items():
+                    sums[kind].add(sample, layers)
+            del traces, selected, trace, by_kind, sample
+        out = {kind: acc_sums.result() for kind, acc_sums in sums.items()}
+        if acc is not None:
+            # in layer order, as the stats' consumers (block means, thresholds) read them
+            stats = acc.finalize()
+            out["diversity"] = {key: stats[key] for key in self.model.param_counts() if key in stats}
+        return out
+
+    def activations(self, kind: str, chunk_traces=None):
         """(InputActivation, LayerSelectionStats) per layer over the tokens `kind` selects,
-        memoized unless `traces` (as in `_selections`, e.g. `prefix_traces`) is given."""
-        if traces is None:
-            return self._memo(("activations", kind), lambda: self.activations(kind, self.traces))
-        thresholds = self.thresholds if kind == "amia" else {}
-        sq_sums: dict[tuple[int, str], np.ndarray] = {}
-        stats: dict[tuple[int, str], LayerSelectionStats] = {}
-        for trace, selected in self._selections(kind, traces):
-            for key, (indices, result) in selected.items():
-                x = trace.layer_inputs[key]
-                sq = np.square(x[indices].astype(np.float64)).sum(axis=0)
-                if key not in sq_sums:
-                    sq_sums[key] = np.zeros_like(sq)
-                    stats[key] = LayerSelectionStats(threshold=thresholds.get(key))
-                sq_sums[key] += sq
-                entry = stats[key]
-                entry.token_total += len(x)
-                entry.selected_total += len(indices)
-                _add_modality_counts(entry.by_modality, indices, trace.spans)
-                if result is not None:
-                    entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
-                    entry.final_mmd_sum += result.mmd_trace[-1]
-                    entry.samples += 1
-            del trace, selected
-        activations = {key: InputActivation(np.sqrt(sq), stats[key].selected_total, kind)
-                       for key, sq in sq_sums.items()}
-        return activations, stats
+        cached unless `chunk_traces` (as in `_selections`, e.g. `prefix_traces`) is
+        given."""
+        if chunk_traces is not None:
+            return self._pass([kind], chunk_traces)[kind]
+        self.compute(kind)
+        return self._cache[kind]
+
+    def mask_orders(self, importance: str, selection: str, group: str) -> dict[tuple[int, str], np.ndarray]:
+        """Per layer of the calibrated model, the `mask_order` under `group` of its
+        importance: "magnitude", or "wanda" over the tokens `selection` keeps. Each layer
+        is sorted once per (importance, selection, group); `make_mask` cuts its order at
+        any ratio."""
+        if importance == "magnitude":
+            selection = None
+        elif importance != "wanda":
+            raise ConfigError(f"unknown importance {importance!r}")
+
+        def compute():
+            norms = None if selection is None else self.activations(selection)[0]
+            orders = {}
+            for layer in self.model.iter_layers():
+                key = (layer.block_index, layer.kind)
+                score = (importance_magnitude(layer.weight) if norms is None
+                         else importance_wanda(layer.weight, norms[key]))
+                orders[key] = mask_order(score, group)
+            return orders
+        return self._memo(("orders", importance, selection, group), compute)
 
     def selection_records(self, kind: str) -> list[dict]:
         """Per (sample, layer) selection details backing the analysis CSV."""
-        return self._memo(("records", kind), lambda: [
-            self._record(index, key, trace, *selected[key])
-            for index, (trace, selected) in enumerate(self._selections(kind))
-            for key in sorted(selected)])
+        def compute():
+            records = []
+            index = 0
+            for traces, selected in self._selections([kind], self.chunk_traces):
+                for trace, by_kind in zip(traces, selected):
+                    layers, sample = by_kind[kind], _Sample(trace)
+                    records += [self._record(index, key, sample, *layers[key]) for key in sorted(layers)]
+                    index += 1
+                del traces, selected, trace, by_kind, layers, sample
+            return records
+        return self._memo(("records", kind), compute)
 
     @staticmethod
-    def _record(index: int, key: tuple[int, str], trace, indices: np.ndarray, result) -> dict:
+    def _record(index: int, key: tuple[int, str], sample: _Sample, indices: np.ndarray, result) -> dict:
         record = {
             "sample": index,
             "block": key[0],
             "kind": key[1],
-            "n_tokens": len(trace.layer_inputs[key]),
+            "n_tokens": len(sample.trace.layer_inputs[key]),
             "n_selected": int(len(indices)),
-            "by_modality": _add_modality_counts({}, indices, trace.spans),
+            "by_modality": sample.add_modality_counts({}, indices),
         }
         if result is not None:
             record["stopped_by"] = result.stopped_by
@@ -411,6 +559,21 @@ def _build_plan(model: ToyModel, config: PruneConfig, stats, norms) -> tuple[Spa
     raise ConfigError(f"unknown allocator {allocator!r}")
 
 
+def calibration_needs(config: PruneConfig) -> list[str]:
+    """The Calibration results (as `Calibration.compute` names them) that `prune_model`
+    reads under `config`: the diversity for DAS allocation and AMIA thresholds, and the
+    activations of the selected tokens for wanda importance and OWL ratios, which
+    `--sequential` takes from the masked prefix instead."""
+    spec = METHOD_SPECS[config.method]
+    selection = config.resolved_selection()
+    needs = []
+    if spec.allocator.startswith("das") or selection == "amia":
+        needs.append("diversity")
+    if spec.allocator == "owl" or (spec.importance == "wanda" and not config.sequential):
+        needs.append(selection)
+    return needs
+
+
 def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], config: PruneConfig,
                 plan: SparsityPlan | None = None) -> tuple[ToyModel, PruneReport]:
     """Run the full unstructured pipeline; returns (masked copy, report).
@@ -434,10 +597,11 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
         plan.check_layers(counts)
     spec = METHOD_SPECS[config.method]
 
-    stats = calib.diversity if spec.allocator.startswith("das") or selection == "amia" else None
-    needs_norms = spec.importance == "wanda" or spec.allocator == "owl"
+    needs = calibration_needs(config)
+    calib.compute(*needs)
+    stats = calib.diversity if "diversity" in needs else None
     norms = sel_stats = None
-    if needs_norms and (spec.allocator == "owl" or not config.sequential):
+    if selection in needs:
         norms, sel_stats = calib.activations(selection)
 
     if plan is None:
@@ -449,16 +613,12 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
     pruned = model.copy()
     achieved: dict[tuple[int, str], float] = {}
 
-    def mask_layers(layers, norms) -> None:
+    def mask_layers(layers, orders) -> None:
         # commit only after every mask is built
         masks = {}
         for layer in layers:
             key = (layer.block_index, layer.kind)
-            if spec.importance == "magnitude":
-                score = importance_magnitude(layer.weight)
-            else:
-                score = importance_wanda(layer.weight, norms[key])
-            masks[key] = make_mask(score, plan_ratios[key], config.group)
+            masks[key] = make_mask(orders[key], plan_ratios[key], config.group)
         for layer in layers:
             key = (layer.block_index, layer.kind)
             layer.mask = masks[key].keep
@@ -466,16 +626,20 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
             achieved[key] = masks[key].achieved_ratio
 
     if config.sequential and spec.importance == "wanda":
-        # Carry each sample's hidden state through the masked prefix, one block per step.
+        # Carry each sample's hidden state through the masked prefix, one block per step;
+        # each block's norms, and so its orders, come from the masked prefix.
         sel_stats = {}
         states = [seq.embeddings for seq in calib.seqs]
         for block in pruned.blocks:
             block_norms, block_stats = calib.activations(
                 selection, partial(calib.prefix_traces, model=pruned, block=block.index, states=states))
             sel_stats.update(block_stats)
-            mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], block_norms)
+            layers = [block.layers[kind] for kind in PROJECTION_KINDS]
+            mask_layers(layers, {(block.index, layer.kind): mask_order(
+                importance_wanda(layer.weight, block_norms[(block.index, layer.kind)]), config.group)
+                for layer in layers})
     else:
-        mask_layers(list(pruned.iter_layers()), norms)
+        mask_layers(list(pruned.iter_layers()), calib.mask_orders(spec.importance, selection, config.group))
 
     global_achieved = sum(achieved[key] * count for key, count in counts.items()) / sum(counts.values())
     report = PruneReport(

@@ -17,7 +17,8 @@ from mmprune.errors import InfeasibleBudgetError
 from mmprune.evaluation import reconstruction_report, rel_avg
 from mmprune.model import ModalityId, Span, TokenSequence, forward, init_synthetic
 from mmprune.pruner import (Calibration, InputActivation, PruneConfig, block_importances_shortgpt,
-                            block_prune, blocks_to_remove, importance_wanda, make_mask, prune_model)
+                            block_prune, blocks_to_remove, importance_wanda, make_mask, mask_order,
+                            prune_model)
 from mmprune.selection import AmiaParams
 from tests.test_diversity import intra, oracle_intra
 from tests.test_model import rng_seq
@@ -67,7 +68,7 @@ def test_criterion_1_oracle_equivalence():
     np.testing.assert_allclose(got, [[2.0, 2.0], [6.0, 0.5]], rtol=rtol)
 
     # mask generation against the per-row sort oracle
-    mask = make_mask(np.array([[2.0, 2.0], [6.0, 0.5]]), 0.5, "per_output_row")
+    mask = make_mask(mask_order(np.array([[2.0, 2.0], [6.0, 0.5]]), "per_output_row"), 0.5, "per_output_row")
     np.testing.assert_array_equal(mask.keep, [[False, True], [True, False]])
 
     # relative average arithmetic
@@ -122,7 +123,7 @@ def test_criterion_3_mask_correctness():
         for group, size in (("per_output_row", cols), ("per_layer", rows * cols)):
             previous = np.zeros((rows, cols), dtype=bool)
             for ratio in ratios:
-                mask = make_mask(imp, ratio, group)
+                mask = make_mask(mask_order(imp, group), ratio, group)
                 dropped = ~mask.keep
                 if group == "per_output_row":
                     per_group = dropped.sum(axis=1) / cols
@@ -132,10 +133,10 @@ def test_criterion_3_mask_correctness():
                 assert (previous <= dropped).all()
                 previous = dropped
         scale = float(rng.uniform(0.1, 50))
-        base = make_mask(imp, 0.5, "per_output_row")
+        base = make_mask(mask_order(imp, "per_output_row"), 0.5, "per_output_row")
         scaled_cols = rng.random(cols) + 0.1
-        a = make_mask(imp * scaled_cols, 0.5, "per_output_row")
-        b = make_mask(imp * (scale * scaled_cols), 0.5, "per_output_row")
+        a = make_mask(mask_order(imp * scaled_cols, "per_output_row"), 0.5, "per_output_row")
+        b = make_mask(mask_order(imp * (scale * scaled_cols), "per_output_row"), 0.5, "per_output_row")
         np.testing.assert_array_equal(a.keep, b.keep)
         assert base.achieved_ratio == (~base.keep).sum() / base.keep.size
     report(3, "150 fuzzed importance matrices: group sparsity within one element, "

@@ -15,6 +15,7 @@ import pytest
 from mmprune.checkpoint import load_checkpoint
 from mmprune.cli import main
 from mmprune.data import load_sequences
+from mmprune.model import chunks
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -78,6 +79,7 @@ def test_the_benchmark_tracer_counts_chunked_forwards_and_stacked_selections(tmp
     # tamp runs two calibration passes: diversity, then AMIA selection
     assert metrics["model.forward.tokens"] == 2 * sum(len(seq) for seq in seqs)
     assert 0 < metrics["model.forward.calls"] < 2 * len(seqs)  # a chunk is one call
-    assert metrics["diversity.add_layer_sample.calls"] == len(seqs) * n_layers
+    # one stack per chunk and output shape, (N, d_model) and (N, d_ff)
+    assert metrics["diversity.add_layer_sample.calls"] == 2 * len(list(chunks(seqs)))
     assert 0 < metrics["selection.select_amia.calls"] < len(seqs) * n_layers  # a stack is one call
     assert metrics["selection.select_amia.s"] > 0

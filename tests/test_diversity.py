@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmprune.diversity import DiversityAccumulator, block_input_output_similarity, layer_importance
-from mmprune.errors import DegenerateInputError
+from mmprune.errors import DegenerateInputError, ShapeError
 from mmprune.model import ModalityId, Span
 
 VIS = ModalityId(0, "visual")
@@ -325,3 +325,54 @@ def test_accumulator_joins_repeated_modality_spans():
     assert stats.intra["language"] == pytest.approx(oracle_floored_intra(z, lang), abs=1e-12)
     assert stats.inter[("visual", "language")] == pytest.approx(oracle_floored_inter(z, vis, lang), abs=1e-12)
     assert stats.all_token == pytest.approx(oracle_floored_intra(z, list(range(7))), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacks of layers and samples
+
+
+def finalized(acc):
+    """The accumulator's per-layer stats, with NaN spelled out so that equal stats compare equal."""
+    return repr(acc.finalize())
+
+
+@pytest.mark.parametrize("spans,channels", [
+    ([Span(VIS, 0, 24), Span(LANG, 24, 24)], 16),  # plain calibration and eval
+    ([Span(VIS, 0, 160), Span(LANG, 160, 28)], 24),  # noisy calibration
+    ([Span(VIS, 0, 0), Span(LANG, 0, 28)], 24),  # noisy eval: an empty visual span
+    ([Span(VIS, 0, 3), Span(LANG, 3, 4), Span(VIS, 7, 0), Span(VIS, 7, 2), Span(AUD, 9, 1)], 5),
+    ([Span(VIS, 0, 1), Span(LANG, 1, 1)], 3),  # two tokens: no intra term, one inter
+], ids=["plain", "noisy-calib", "noisy-eval", "repeated-spans", "two-tokens"])
+@pytest.mark.parametrize("samples", [1, 3])
+def test_stacked_accumulation_equals_one_sample_at_a_time_bitwise(spans, channels, samples):
+    rng = np.random.default_rng(len(spans) * 100 + channels + samples)
+    n = spans[-1].stop
+    keys = [(0, "q"), (0, "k"), (1, "q")]
+    z = (rng.standard_normal((len(keys), samples, n, channels)) * rng.uniform(0.1, 9.0)).astype(np.float32)
+    z[0, 0, 1] = 0.0  # a zero row sits at distance 1 from every other row
+    stacked, single = DiversityAccumulator(), DiversityAccumulator()
+    stacked.add_layer_sample(keys, z[:, :1], spans)  # a stack of one sample first
+    if samples > 1:
+        stacked.add_layer_sample(keys, z[:, 1:], spans)
+    for s in range(samples):
+        for l, key in enumerate(keys):
+            single.add_layer_sample(key, z[l, s], spans)
+    assert finalized(stacked) == finalized(single)
+
+
+def test_one_token_samples_have_no_terms_stacked_or_alone():
+    z = np.ones((2, 3, 1, 4), dtype=np.float32)
+    spans = [Span(VIS, 0, 1), Span(LANG, 1, 0)]
+    stacked, single = DiversityAccumulator(), DiversityAccumulator()
+    stacked.add_layer_sample([(0, "q"), (0, "k")], z, spans)
+    single.add_layer_sample((0, "q"), z[0, 0], spans)
+    for acc in (stacked, single):
+        with pytest.raises(DegenerateInputError, match="layer 0:q"):
+            acc.finalize()
+
+
+@pytest.mark.parametrize("keys,shape", [([(0, "q")], (2, 1, 3, 4)), ([(0, "q")], (1, 0, 3, 4)),
+                                        ([(0, "q")], (1, 3, 4))])
+def test_stack_needs_one_key_per_layer_and_a_sample(keys, shape):
+    with pytest.raises(ShapeError):
+        DiversityAccumulator().add_layer_sample(keys, np.ones(shape), [Span(VIS, 0, 3)])

@@ -11,9 +11,10 @@ from mmprune.data import ModalitySpec, generate_sequences
 from mmprune.errors import ConfigError
 from mmprune.evaluation import (attention_by_modality, reconstruction_report, rel_avg,
                                 run_comparison, sparsity_report)
-from mmprune.model import (ActivationTrace, Block, LinearLayer, ModalityId, Span,
+from mmprune.model import (ActivationTrace, Block, CaptureFlags, LinearLayer, ModalityId, Span,
                            TokenSequence, ToyModel, forward)
-from mmprune.pruner import METHOD_SPECS, Calibration, PruneConfig, make_mask, prune_model
+from mmprune.pruner import (METHOD_SPECS, Calibration, PruneConfig, make_mask, mask_order,
+                            prune_model)
 from mmprune.model import init_synthetic
 from tests.test_model import _oracle_matvec, _oracle_rms, rng_seq
 from tests.test_pruner import count_calibration_forwards
@@ -47,7 +48,7 @@ def test_fully_pruned_nonzero_model_has_positive_error():
     model, seqs = eval_setup(seed=2)
     pruned = model.copy()
     for layer in pruned.iter_layers():
-        layer.mask = make_mask(np.abs(layer.weight), 1.0).keep
+        layer.mask = make_mask(mask_order(np.abs(layer.weight)), 1.0).keep
         layer.apply_mask()
     metrics = reconstruction_report(model, pruned, seqs)
     assert metrics.end_rel_error > 0.0
@@ -367,8 +368,8 @@ def test_comparison_grid_runs_each_calibration_pass_once(monkeypatch):
                           ["magnitude", "wanda", "owl", "das", "amia", "tamp"], [0.4, 0.5, 0.6],
                           PruneConfig())
     assert len(rows) == 18
-    # one diversity pass, one full-token pass, one adaptive-selection pass
-    assert len(calls) <= 3 * len(seqs)
+    # one pass for the diversity and the full-token norms, one for adaptive selection
+    assert len(calls) == 2 * len(seqs)
 
 
 def test_comparison_forwards_each_model_once_per_eval_sequence(monkeypatch):
@@ -445,3 +446,74 @@ def test_comparison_peak_memory_does_not_grow_with_cells():
     # would add four times that, plus the masks
     weights = sum(layer.weight.nbytes for layer in model.iter_layers())
     assert six - two < weights
+
+
+def per_sequence_metrics(dense, pruned, seqs):
+    """`_evaluate`'s metrics of `pruned`, summed one sequence at a time as before the
+    evaluator took chunks."""
+    from mmprune.evaluation import EvalMetrics, _rel, _token_cosines
+    layers, groups = {}, {}
+    for seq in seqs:
+        hd, td = forward(dense, seq, CaptureFlags(outputs=True))
+        hp, tp = forward(pruned, seq, CaptureFlags(outputs=True))
+        for key, z_d in td.layer_outputs.items():
+            acc = layers.setdefault(key, [0.0, 0.0])
+            acc[0] += float(np.square(np.subtract(z_d, tp.layer_outputs[key], dtype=np.float64)).sum())
+            acc[1] += float(np.square(z_d.astype(np.float64)).sum())
+        ref = hd.astype(np.float64)
+        diff = ref - hp.astype(np.float64)
+        cosines = _token_cosines(ref, hp)
+        for name, rows in [(None, slice(None))] + [(s.modality.name, slice(s.start, s.stop))
+                                                   for s in seq.spans if s.length]:
+            acc = groups.setdefault(name, [0.0, 0.0, 0.0, 0])
+            acc[0] += float(np.square(diff[rows]).sum())
+            acc[1] += float(np.square(ref[rows]).sum())
+            acc[2] += float(cosines[rows].sum())
+            acc[3] += len(cosines[rows])
+    end_rel = {name: _rel(num, den) for name, (num, den, _, _) in groups.items()}
+    cosine = {name: cos / count for name, (_, _, cos, count) in groups.items()}
+    return EvalMetrics({key: _rel(num, den) for key, (num, den) in layers.items()},
+                       end_rel.pop(None), end_rel, cosine.pop(None), cosine)
+
+
+@pytest.mark.parametrize("data", ["plain", "noisy-eval"])
+@pytest.mark.parametrize("tokens", [1, 20, 10**6], ids=["chunks-of-1", "small-chunks", "one-chunk"])
+def test_chunk_fidelity_sums_equal_per_sequence_sums(monkeypatch, data, tokens):
+    import mmprune.model as model_module
+    from mmprune.data import make_noisy_modality_scenario
+    from mmprune.evaluation import _evaluate
+    if data == "plain":
+        model, seqs = eval_setup(seed=31)
+        eval_seqs = generate_sequences(5, 8, [ModalitySpec("visual", 5), ModalitySpec("language", 4)],
+                                       seed=94, domain=1)
+    else:  # 28-token sequences with an empty visual span
+        scenario = make_noisy_modality_scenario(4, d_model=24, n_heads=4, d_ff=32, n_blocks=2,
+                                                n_calib=2, n_eval=5)
+        model, seqs, eval_seqs = scenario.model, scenario.calib, scenario.eval
+    pruned, _ = prune_model(model, seqs, PruneConfig(method="wanda", sparsity=0.5))
+    monkeypatch.setattr(model_module, "CHUNK_TOKENS", tokens)
+    reference, scored = _evaluate(model, eval_seqs, [None, lambda: pruned])
+    assert repr(scored) == repr(per_sequence_metrics(model, pruned, eval_seqs))
+    assert repr(reference) == repr(per_sequence_metrics(model, model, eval_seqs))
+
+
+@pytest.mark.parametrize("selection,importances", [(None, 3), ("random", 2)])
+def test_comparison_grid_sorts_each_distinct_importance_once(monkeypatch, selection, importances):
+    import mmprune.pruner as pruner
+    model, seqs = eval_setup(seed=32)
+    eval_seqs = generate_sequences(2, 8, [ModalitySpec("visual", 5), ModalitySpec("language", 4)],
+                                   seed=93, domain=1)
+    sorts = []
+    real_mask_order = pruner.mask_order
+
+    def counting_mask_order(*args, **kwargs):
+        sorts.append(1)
+        return real_mask_order(*args, **kwargs)
+
+    monkeypatch.setattr(pruner, "mask_order", counting_mask_order)
+    rows = run_comparison(model, seqs, eval_seqs, ["magnitude", "wanda", "owl", "das", "amia", "tamp"],
+                          [0.4, 0.5, 0.6], PruneConfig(selection=selection))
+    assert len(rows) == 18
+    # |W| for magnitude, and the wanda importance of each selection kind the grid uses:
+    # full-token (wanda, owl, das) and amia (amia, tamp), or one override for all five
+    assert len(sorts) == importances * len(list(model.iter_layers()))

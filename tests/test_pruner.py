@@ -19,7 +19,7 @@ from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, Tok
 from mmprune.pruner import (Calibration, InputActivation, LayerSelectionStats, PruneConfig,
                             block_importances_das, block_importances_shortgpt, block_prune,
                             blocks_to_remove, importance_magnitude, importance_wanda,
-                            make_mask, prune_model)
+                            make_mask, mask_order, prune_model)
 from mmprune.selection import AmiaParams, select_amia, select_tokens, token_contributions
 from tests.test_diversity import oracle_intra, oracle_inter
 from tests.test_selection import oracle_reverse_select
@@ -118,22 +118,22 @@ def test_importance_wanda_shape_mismatch():
 
 def test_mask_ratio_zero_and_one():
     imp = np.random.default_rng(0).random((4, 6))
-    assert make_mask(imp, 0.0).keep.all()
-    full = make_mask(imp, 1.0)
+    assert make_mask(mask_order(imp), 0.0).keep.all()
+    full = make_mask(mask_order(imp), 1.0)
     assert not full.keep.any()
     assert full.achieved_ratio == 1.0
 
 
 def test_mask_per_row_example_with_tie_break():
     imp = np.array([[2.0, 2.0], [6.0, 0.5]])
-    mask = make_mask(imp, 0.5, "per_output_row")
+    mask = make_mask(mask_order(imp, "per_output_row"), 0.5, "per_output_row")
     np.testing.assert_array_equal(mask.keep, [[False, True], [True, False]])
     assert mask.achieved_ratio == 0.5
 
 
 def test_mask_per_layer_example():
     imp = np.array([[2.0, 2.0], [6.0, 0.5]])
-    mask = make_mask(imp, 0.5, "per_layer")
+    mask = make_mask(mask_order(imp, "per_layer"), 0.5, "per_layer")
     np.testing.assert_array_equal(mask.keep, [[False, True], [True, False]])
 
 
@@ -141,7 +141,7 @@ def test_mask_matches_sorting_oracle():
     rng = np.random.default_rng(5)
     imp = rng.random((6, 9))
     ratio = 0.4
-    mask = make_mask(imp, ratio, "per_output_row")
+    mask = make_mask(mask_order(imp, "per_output_row"), ratio, "per_output_row")
     n_drop = int(ratio * 9)
     for r in range(6):
         order = sorted(range(9), key=lambda c: (imp[r, c], c))
@@ -156,7 +156,7 @@ def test_mask_achieved_within_one_element_per_group_fuzz():
         imp = rng.random((rows, cols))
         ratio = float(rng.random())
         for group, size in (("per_output_row", cols), ("per_layer", rows * cols)):
-            mask = make_mask(imp, ratio, group)
+            mask = make_mask(mask_order(imp, group), ratio, group)
             achieved = (~mask.keep).sum() / (rows * cols)
             assert mask.achieved_ratio == achieved
             if group == "per_output_row":
@@ -171,7 +171,7 @@ def test_mask_containment_monotone_in_ratio():
     imp = rng.random((8, 16))
     previous = np.zeros(imp.shape, dtype=bool)
     for ratio in (0.1, 0.25, 0.5, 0.75, 0.9):
-        dropped = ~make_mask(imp, ratio, "per_output_row").keep
+        dropped = ~make_mask(mask_order(imp, "per_output_row"), ratio, "per_output_row").keep
         assert (previous <= dropped).all()
         previous = dropped
 
@@ -180,16 +180,18 @@ def test_mask_invariant_to_activation_rescaling():
     rng = np.random.default_rng(11)
     w = rng.standard_normal((12, 10))
     norms = rng.random(10) + 0.1
-    base = make_mask(importance_wanda(w, InputActivation(norms, 1, "full")), 0.5)
-    scaled = make_mask(importance_wanda(w, InputActivation(4.0 * norms, 1, "full")), 0.5)
+    base = make_mask(mask_order(importance_wanda(w, InputActivation(norms, 1, "full"))), 0.5)
+    scaled = make_mask(mask_order(importance_wanda(w, InputActivation(4.0 * norms, 1, "full"))), 0.5)
     np.testing.assert_array_equal(base.keep, scaled.keep)
 
 
 def test_mask_bad_args():
     with pytest.raises(ConfigError):
-        make_mask(np.ones((2, 2)), 1.5)
+        make_mask(mask_order(np.ones((2, 2))), 1.5)
     with pytest.raises(ConfigError):
-        make_mask(np.ones((2, 2)), 0.5, "per_banana")
+        make_mask(mask_order(np.ones((2, 2))), 0.5, "per_banana")
+    with pytest.raises(ConfigError):
+        mask_order(np.ones((2, 2)), "per_banana")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +209,7 @@ def test_magnitude_uniform_reproduces_classic_magnitude():
     model, seqs = calib_setup()
     pruned, report = prune_model(model, seqs, PruneConfig(method="magnitude", sparsity=0.5))
     for layer in model.iter_layers():
-        expected = make_mask(importance_magnitude(layer.weight), 0.5)
+        expected = make_mask(mask_order(importance_magnitude(layer.weight)), 0.5)
         got = pruned.blocks[layer.block_index].layers[layer.kind]
         np.testing.assert_array_equal(got.mask, expected.keep)
         assert (got.weight[~got.mask] == 0.0).all()
@@ -228,7 +230,7 @@ def test_wanda_uniform_full_selection_is_wanda():
         key = (layer.block_index, layer.kind)
         rows = np.concatenate(stacked[key])
         norms = np.sqrt((rows ** 2).sum(axis=0))
-        expected = make_mask(norms[None, :] * np.abs(layer.weight.astype(np.float64)), 0.5)
+        expected = make_mask(mask_order(norms[None, :] * np.abs(layer.weight.astype(np.float64))), 0.5)
         got = pruned.blocks[key[0]].layers[key[1]]
         np.testing.assert_array_equal(got.mask, expected.keep)
 
@@ -260,7 +262,10 @@ def count_calibration_forwards(monkeypatch):
 def test_single_prune_runs_only_the_passes_it_uses(monkeypatch):
     model, seqs = calib_setup(seed=6, n_seqs=4)
     calls = count_calibration_forwards(monkeypatch)
-    expected = {"magnitude": 0, "wanda": 1, "owl": 1, "das": 2, "amia": 2, "tamp": 2}
+    # das* read the diversity and the full-token norms from one pass; amia's pass
+    # needs the finalized diversity first
+    expected = {"magnitude": 0, "wanda": 1, "owl": 1, "das": 1, "das_alltoken": 1,
+                "das_blockwise": 1, "amia": 2, "tamp": 2}
     for method, passes in expected.items():
         calls.clear()
         prune_model(model, seqs, PruneConfig(method=method, sparsity=0.5))
@@ -419,7 +424,7 @@ def oracle_sequential_prune(model, seqs, config, ratios):
                     entry.samples += 1
             stats[key] = entry
             layer = masked.layer(*key)
-            masks[key] = make_mask(importance_wanda(layer.weight, InputActivation(np.sqrt(sq), 0, kind)),
+            masks[key] = make_mask(mask_order(importance_wanda(layer.weight, InputActivation(np.sqrt(sq), 0, kind))),
                                    ratios[key]).keep
             achieved[key] = float((~masks[key]).sum()) / masks[key].size
         for layer_kind in PROJECTION_KINDS:
@@ -633,3 +638,144 @@ def test_sequential_owl_combination_runs():
     assert report.owl_ratios is not None
     assert all(layer.mask is not None for layer in pruned.iter_layers())
     assert report.plan.weighted_mean() == pytest.approx(0.5, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one pass per dependency level: stacked statistics and memoized mask orders
+
+VISUAL, LANGUAGE, AUDIO = ModalityId(0, "visual"), ModalityId(1, "language"), ModalityId(2, "audio")
+
+
+def mixed_layout_setup(seed):
+    """Sequences of one length whose span layouts differ, with repeated, empty and
+    trailing empty spans, so one chunk holds several layouts."""
+    model = init_synthetic(8, 2, 12, 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    layouts = [
+        [Span(VISUAL, 0, 4), Span(LANGUAGE, 4, 3), Span(VISUAL, 7, 3), Span(AUDIO, 10, 0)],
+        [Span(VISUAL, 0, 4), Span(LANGUAGE, 4, 3), Span(VISUAL, 7, 3), Span(AUDIO, 10, 0)],
+        [Span(VISUAL, 0, 0), Span(LANGUAGE, 0, 10)],
+        [Span(VISUAL, 0, 4), Span(LANGUAGE, 4, 3), Span(VISUAL, 7, 3), Span(AUDIO, 10, 0)],
+        [Span(LANGUAGE, 0, 5), Span(VISUAL, 5, 5)],
+    ]
+    seqs = [TokenSequence(rng.standard_normal((10, 8)).astype(np.float32), spans) for spans in layouts]
+    return model, seqs
+
+
+def calibration_data(name):
+    if name == "plain":
+        return calib_setup(seed=91, n_seqs=5)
+    if name == "mixed-layouts":
+        return mixed_layout_setup(92)
+    scenario = make_noisy_modality_scenario(3, d_model=24, n_heads=4, d_ff=32, n_blocks=2,
+                                            n_calib=2, n_eval=5)
+    return scenario.model, scenario.calib if name == "noisy-calib" else scenario.eval
+
+
+@pytest.mark.parametrize("data", ["plain", "mixed-layouts", "noisy-calib", "noisy-eval"])
+@pytest.mark.parametrize("tokens", [1, 10**6], ids=["chunks-of-1", "one-chunk"])
+def test_calibration_diversity_equals_one_sample_at_a_time_bitwise(monkeypatch, data, tokens):
+    import mmprune.model as model_module
+    from mmprune.diversity import DiversityAccumulator
+    model, seqs = calibration_data(data)
+    single = DiversityAccumulator()
+    for seq in seqs:
+        trace = forward(model, seq, CaptureFlags(outputs=True))[1]
+        for key, z in trace.layer_outputs.items():
+            single.add_layer_sample(key, z, seq.spans)
+    monkeypatch.setattr(model_module, "CHUNK_TOKENS", tokens)
+    assert repr(Calibration(model, seqs).diversity) == repr(single.finalize())
+
+
+def per_layer_activations(calib, kind):
+    """`Calibration.activations(kind)` computed one (sample, layer) at a time, as the
+    pipeline did before it shared inputs and counted spans through one lookup."""
+    sq_sums, stats = {}, {}
+    thresholds = calib.thresholds if kind == "amia" else {}
+    for traces, selected in calib._selections([kind], calib.chunk_traces):
+        for trace, by_kind in zip(traces, selected):
+            for key, (indices, result) in by_kind[kind].items():
+                x = trace.layer_inputs[key]
+                sq = np.square(x[indices].astype(np.float64)).sum(axis=0)
+                sq_sums[key] = sq_sums.get(key, 0.0) + sq
+                entry = stats.setdefault(key, LayerSelectionStats(threshold=thresholds.get(key)))
+                entry.token_total += len(x)
+                entry.selected_total += len(indices)
+                for span in trace.spans:
+                    count = int(((indices >= span.start) & (indices < span.stop)).sum())
+                    entry.by_modality[span.modality.name] = entry.by_modality.get(span.modality.name, 0) + count
+                if result is not None:
+                    entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
+                    entry.final_mmd_sum += result.mmd_trace[-1]
+                    entry.samples += 1
+    return {key: np.sqrt(sq) for key, sq in sq_sums.items()}, stats
+
+
+@pytest.mark.parametrize("data", ["plain", "mixed-layouts", "noisy-eval"])
+@pytest.mark.parametrize("kind", ["full", "random", "attention", "amia"])
+def test_activation_statistics_equal_a_per_layer_computation(data, kind):
+    model, seqs = calibration_data(data)
+    calib = Calibration(model, seqs, PruneConfig(seed=3, random_count=4).calibration_params())
+    activations, stats = calib.activations(kind)
+    norms, expected = per_layer_activations(calib, kind)
+    assert list(activations) == list(norms) and stats == expected
+    for key, act in activations.items():
+        assert act.norms.tobytes() == norms[key].tobytes(), key
+        assert act.token_count == expected[key].selected_total
+    assert stats[(0, "q")].by_modality.keys() >= {span.modality.name for span in seqs[0].spans}
+
+
+def test_calibration_serves_one_dependency_level_from_one_pass(monkeypatch):
+    model, seqs = calib_setup(seed=93, n_seqs=4)
+    calls = count_calibration_forwards(monkeypatch)
+    calib = Calibration(model, seqs)
+    calib.compute("diversity", "full", "random", "attention")
+    assert len(calls) == len(seqs)
+    calib.compute("amia", "full", "diversity")  # only amia is missing: its own pass
+    assert len(calls) == 2 * len(seqs)
+    fresh = Calibration(model, seqs)
+    for kind in ("full", "random", "attention", "amia"):
+        assert repr(calib.activations(kind)) == repr(fresh.activations(kind)), kind
+    assert repr(calib.diversity) == repr(fresh.diversity)
+    with pytest.raises(ConfigError, match="unknown calibration result"):
+        calib.compute("banana")
+
+
+def make_mask_from_importance(importance, ratio, group):
+    """make_mask as it was before orders were memoized: one stable argsort per call."""
+    keep = np.ones(importance.shape, dtype=bool)
+    if group == "per_output_row":
+        n_drop = int(ratio * importance.shape[1])
+        order = np.argsort(importance, axis=1, kind="stable")[:, :n_drop]
+        keep[np.arange(importance.shape[0])[:, None], order] = False
+    else:
+        n_drop = int(ratio * importance.size)
+        keep.ravel()[np.argsort(importance.ravel(), kind="stable")[:n_drop]] = False
+    return keep
+
+
+@pytest.mark.parametrize("group", ["per_output_row", "per_layer"])
+def test_memoized_mask_orders_give_make_mask_masks_in_any_cell_order(group):
+    model, seqs = calib_setup(seed=94, n_seqs=3)
+    calib = Calibration(model, seqs)
+    for importance, selection in (("magnitude", "full"), ("wanda", "full"), ("wanda", "amia")):
+        orders = calib.mask_orders(importance, selection, group)
+        norms = calib.activations(selection)[0]
+        for layer in model.iter_layers():
+            key = (layer.block_index, layer.kind)
+            assert orders[key].dtype == np.uint8  # no layer here has more than 256 entries
+            score = (importance_magnitude(layer.weight) if importance == "magnitude"
+                     else importance_wanda(layer.weight, norms[key]))
+            for ratio in (0.0, 0.25, 0.5, 0.7, 1.0):
+                assert np.array_equal(make_mask(orders[key], ratio, group).keep,
+                                      make_mask_from_importance(score, ratio, group)), (importance, key, ratio)
+    cells = [(method, ratio) for method in ("magnitude", "wanda", "das", "tamp") for ratio in (0.3, 0.5, 0.7)]
+    masks = []
+    for order in (cells, cells[::-1], cells[1::2] + cells[::2]):
+        shared = Calibration(model, seqs)
+        run = {}
+        for method, ratio in order:
+            pruned, _ = prune_model(model, shared, PruneConfig(method=method, sparsity=ratio, group=group))
+            run[(method, ratio)] = [layer.mask.tobytes() for layer in pruned.iter_layers()]
+        masks.append(run)
+    assert masks[0] == masks[1] == masks[2]
