@@ -128,8 +128,8 @@ def _entry_problem(record) -> str | None:
 def _validate_budget_args(target: float, lam: float) -> None:
     if not (0.0 < target < 1.0):
         raise ConfigError(f"sparsity target must be in (0, 1), got {target}")
-    if lam < 0.0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < float("inf"):
+        raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
 
 
 def _waterfill(raw: dict, param_counts: dict, target: float, lam: float) -> SparsityPlan:
@@ -233,8 +233,8 @@ def allocate_uniform(param_counts: dict, target: float) -> SparsityPlan:
 
 def owl_outlier_ratio(importance: np.ndarray, m: float = 5.0) -> float:
     """Fraction of importance entries exceeding m times the mean entry."""
-    if m <= 1.0:
-        raise ConfigError(f"outlier multiplier must be > 1, got {m}")
+    if not 1.0 < m < float("inf"):
+        raise ConfigError(f"outlier multiplier must be finite and > 1, got {m}")
     importance = np.asarray(importance, dtype=np.float64)
     if importance.size == 0:
         raise ConfigError("empty importance matrix")

@@ -13,6 +13,7 @@ import argparse
 import csv
 import errno
 import json
+import math
 import os
 import platform
 import sys
@@ -35,27 +36,112 @@ from .selection import SELECTION_KINDS, AmiaParams
 
 GROUP_FLAGS = {"row": "per_output_row", "layer": "per_layer"}
 DEFAULTS = PruneConfig()
+ANALYZE_REPORTS = ("diversity", "attention", "selection", "sparsity")
+# the settings with a fixed set of values; None stands for an unset optional flag
+CHOICES = {
+    "scenario": ("plain", "noisy-modality"),
+    "method": PRUNE_METHODS,
+    "structural": (None, "das", "shortgpt"),
+    "group": tuple(sorted(GROUP_FLAGS)),
+    "selection": (None,) + SELECTION_KINDS,
+}
 
 
-def _sparsity_arg(text: str) -> float:
-    value = float(text)
-    if not (0.0 < value < 1.0):
-        raise argparse.ArgumentTypeError(f"sparsity must be in (0, 1), got {text}")
+def _finite_positive(value) -> bool:
+    return 0.0 < value < math.inf
+
+
+def _count(value) -> bool:
+    return value >= 1
+
+
+# Every numeric setting a command reads: (type, test, what the test asks). argparse
+# parses flags with these tests, and `_check_config` applies them to every config,
+# a `rerun` record's included, before anything loads.
+NUMERIC_SETTINGS = {
+    "sparsity": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "lam": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
+    "owl_lam": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
+    "owl_m": (float, lambda v: 1.0 < v < math.inf, "a finite number > 1"),
+    "gamma_forward": (float, _finite_positive, "a finite number > 0"),
+    "gamma_reverse": (float, _finite_positive, "a finite number > 0"),
+    "mmd_coefficient": (float, _finite_positive, "a finite number > 0"),
+    "k": (int, _count, "an integer >= 1"),
+    "random_count": (int, _count, "an integer >= 1"),
+    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
+    **{key: (int, _count, "an integer >= 1") for key in (
+        "d_model", "n_heads", "d_ff", "n_blocks", "modalities", "tokens_per_modality", "n_calib", "n_eval")},
+}
+FLAG_NAMES = {"owl_lam": "--owl-lambda"}  # otherwise "--" and the key with dashes
+
+
+def _flag(key: str) -> str:
+    return FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+
+
+def _numeric_setting(key: str, value):
+    """`value` of setting `key` if it passes NUMERIC_SETTINGS' test; else a UsageError."""
+    kind, test, rule = NUMERIC_SETTINGS[key]
+    number = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
+    if not (number and test(value)):
+        raise UsageError(f"{_flag(key)} must be {rule}, got {value!r}")
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
+def _arg_type(key: str):
+    """An argparse type that parses a flag's text and checks it as `_numeric_setting` does."""
+    kind, _, rule = NUMERIC_SETTINGS[key]
+
+    def parse(text: str):
+        try:
+            return _numeric_setting(key, kind(text))
+        except (ValueError, UsageError) as err:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}") from err
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _names(config: dict, key: str) -> list[str]:
+    return [name.strip() for name in str(config[key]).split(",") if name.strip()]
+
+
+def _sparsities(config: dict) -> list[float]:
+    try:
+        sparsities = [_numeric_setting("sparsity", float(text)) for text in _names(config, "sparsities")]
+    except (ValueError, UsageError) as err:
+        raise UsageError(f"bad --sparsities value: {err}") from err
+    if not sparsities:
+        raise UsageError("no sparsity levels given")
+    return sparsities
+
+
+def _check_config(command: str, config: dict) -> None:
+    """Every usage check of `command`'s config, run before anything loads, whether the
+    config comes from argparse or from a `rerun` record."""
+    for key, value in config.items():
+        if key in NUMERIC_SETTINGS:
+            _numeric_setting(key, value)
+    for key, allowed in CHOICES.items():
+        if key in config and config[key] not in allowed:
+            raise UsageError(f"{_flag(key)} must be one of {[c for c in allowed if c is not None]}, "
+                             f"got {config[key]!r}")
+    if command == "prune" and config.get("structural"):
+        unused = [flag for flag, key in (("--plan", "plan"), ("--plan-out", "plan_out")) if config.get(key)]
+        if unused:
+            raise UsageError("--structural removes whole blocks and has no sparsity plan to read or "
+                             f"write: drop {' and '.join(unused)}")
+    if command == "analyze":
+        reports = _names(config, "reports")
+        unknown = set(reports) - set(ANALYZE_REPORTS)
+        if unknown:
+            raise UsageError(f"unknown analyze reports: {sorted(unknown)}")
+        if config.get("plan") and "sparsity" not in reports:
+            raise UsageError("--plan is read only by the sparsity report: "
+                             "add sparsity to --reports or drop --plan")
+    if command == "compare":
+        unknown = [m for m in _names(config, "methods") if m not in PRUNE_METHODS]
+        if unknown:
+            raise UsageError(f"unknown methods: {unknown}")
+        _sparsities(config)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -136,11 +222,6 @@ def cmd_gen_synth(config: dict) -> None:
 
 
 def cmd_prune(config: dict) -> None:
-    if config.get("structural"):
-        unused = [flag for flag, key in (("--plan", "plan"), ("--plan-out", "plan_out")) if config.get(key)]
-        if unused:
-            raise UsageError("--structural removes whole blocks and has no sparsity plan to read or "
-                             f"write: drop {' and '.join(unused)}")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)  # every output path first: a bad one fails before any work
     report_path = _prepare_output_file(Path(config["report"])) if config.get("report") else None
@@ -182,14 +263,7 @@ def cmd_prune(config: dict) -> None:
 
 
 def cmd_analyze(config: dict) -> None:
-    reports = [name.strip() for name in config["reports"].split(",") if name.strip()]
-    known = {"diversity", "attention", "selection", "sparsity"}
-    unknown = set(reports) - known
-    if unknown:
-        raise UsageError(f"unknown analyze reports: {sorted(unknown)}")
-    if config.get("plan") and "sparsity" not in reports:
-        raise UsageError("--plan is read only by the sparsity report: "
-                         "add sparsity to --reports or drop --plan")
+    reports = _names(config, "reports")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(config["model"])
@@ -256,18 +330,9 @@ def cmd_compare(config: dict) -> None:
     model = load_checkpoint(config["model"])
     calib = load_sequences(config["calib"])
     eval_seqs = load_sequences(config["eval"])
-    methods = [m.strip() for m in config["methods"].split(",") if m.strip()]
-    unknown = [m for m in methods if m not in PRUNE_METHODS]
-    if unknown:
-        raise UsageError(f"unknown methods: {unknown}")
-    try:
-        sparsities = [_sparsity_arg(s) for s in config["sparsities"].split(",") if s.strip()]
-    except (ValueError, argparse.ArgumentTypeError) as err:
-        raise UsageError(f"bad --sparsities value: {err}") from err
-    if not sparsities:
-        raise UsageError("no sparsity levels given")
 
-    rows = run_comparison(model, calib, eval_seqs, methods, sparsities, _prune_config(config))
+    rows = run_comparison(model, calib, eval_seqs, _names(config, "methods"), _sparsities(config),
+                          _prune_config(config))
     columns = ["method", "sparsity", "global_achieved"]
     metric_columns = sorted({k for row in rows for k in row} - set(columns) - {"rel_avg"})
     columns += metric_columns + ["rel_avg"]
@@ -288,6 +353,13 @@ COMMANDS = {
 }
 
 
+def _run(command: str, config: dict) -> None:
+    """Runs `command` on `config` once its usage checks pass: the way in for the command
+    line and for `rerun` alike."""
+    _check_config(command, config)
+    COMMANDS[command](config)
+
+
 def cmd_rerun(config: dict) -> None:
     path = config["run_file"]
     try:
@@ -300,23 +372,23 @@ def cmd_rerun(config: dict) -> None:
     command = record.get("command")
     if command not in COMMANDS:
         raise MMPruneError(f"{path}: run record has unknown command {command!r}")
-    COMMANDS[command](record["config"])
+    _run(command, record["config"])
 
 
 def _add_common_prune_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lam", "--lambda", type=float, default=DEFAULTS.lam,
+    parser.add_argument("--lam", "--lambda", type=_arg_type("lam"), default=DEFAULTS.lam,
                         help="sparsity deviation half-width")
-    parser.add_argument("--owl-m", type=_positive_float, default=DEFAULTS.owl_m)
-    parser.add_argument("--owl-lambda", dest="owl_lam", type=float, default=DEFAULTS.owl_lam)
-    parser.add_argument("--group", choices=sorted(GROUP_FLAGS),
+    parser.add_argument("--owl-m", type=_arg_type("owl_m"), default=DEFAULTS.owl_m)
+    parser.add_argument("--owl-lambda", dest="owl_lam", type=_arg_type("owl_lam"), default=DEFAULTS.owl_lam)
+    parser.add_argument("--group", choices=CHOICES["group"],
                         default={v: k for k, v in GROUP_FLAGS.items()}[DEFAULTS.group])
-    parser.add_argument("--selection", choices=SELECTION_KINDS, default=DEFAULTS.selection)
-    parser.add_argument("--k", type=_positive_int, default=DEFAULTS.amia.k, help="nearest neighbors")
-    parser.add_argument("--gamma-forward", type=_positive_float, default=DEFAULTS.amia.gamma_forward)
-    parser.add_argument("--gamma-reverse", type=_positive_float, default=DEFAULTS.amia.gamma_reverse)
-    parser.add_argument("--mmd-coefficient", type=_positive_float, default=DEFAULTS.amia.mmd_coefficient)
-    parser.add_argument("--random-count", type=_positive_int, default=DEFAULTS.random_count)
-    parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
+    parser.add_argument("--selection", choices=CHOICES["selection"][1:], default=DEFAULTS.selection)
+    parser.add_argument("--k", type=_arg_type("k"), default=DEFAULTS.amia.k, help="nearest neighbors")
+    parser.add_argument("--gamma-forward", type=_arg_type("gamma_forward"), default=DEFAULTS.amia.gamma_forward)
+    parser.add_argument("--gamma-reverse", type=_arg_type("gamma_reverse"), default=DEFAULTS.amia.gamma_reverse)
+    parser.add_argument("--mmd-coefficient", type=_arg_type("mmd_coefficient"), default=DEFAULTS.amia.mmd_coefficient)
+    parser.add_argument("--random-count", type=_arg_type("random_count"), default=DEFAULTS.random_count)
+    parser.add_argument("--seed", type=_arg_type("seed"), default=DEFAULTS.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,34 +398,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic model plus calibration/eval data")
     p.add_argument("--out", required=True)
-    p.add_argument("--scenario", choices=["plain", "noisy-modality"], default="plain")
-    p.add_argument("--d-model", dest="d_model", type=_positive_int, default=64)
-    p.add_argument("--n-heads", dest="n_heads", type=_positive_int, default=4)
-    p.add_argument("--d-ff", dest="d_ff", type=_positive_int, default=128)
-    p.add_argument("--n-blocks", dest="n_blocks", type=_positive_int, default=4)
-    p.add_argument("--modalities", type=_positive_int, default=2)
-    p.add_argument("--tokens-per-modality", dest="tokens_per_modality", type=_positive_int, default=24)
-    p.add_argument("--n-calib", dest="n_calib", type=_positive_int, default=128)
-    p.add_argument("--n-eval", dest="n_eval", type=_positive_int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen_synth)
+    p.add_argument("--scenario", choices=CHOICES["scenario"], default="plain")
+    p.add_argument("--d-model", dest="d_model", type=_arg_type("d_model"), default=64)
+    p.add_argument("--n-heads", dest="n_heads", type=_arg_type("n_heads"), default=4)
+    p.add_argument("--d-ff", dest="d_ff", type=_arg_type("d_ff"), default=128)
+    p.add_argument("--n-blocks", dest="n_blocks", type=_arg_type("n_blocks"), default=4)
+    p.add_argument("--modalities", type=_arg_type("modalities"), default=2)
+    p.add_argument("--tokens-per-modality", dest="tokens_per_modality", type=_arg_type("tokens_per_modality"), default=24)
+    p.add_argument("--n-calib", dest="n_calib", type=_arg_type("n_calib"), default=128)
+    p.add_argument("--n-eval", dest="n_eval", type=_arg_type("n_eval"), default=16)
+    p.add_argument("--seed", type=_arg_type("seed"), default=0)
 
     p = sub.add_parser("prune", help="prune a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
-    p.add_argument("--method", choices=PRUNE_METHODS, default=DEFAULTS.method)
-    p.add_argument("--sparsity", type=_sparsity_arg, default=DEFAULTS.sparsity)
+    p.add_argument("--method", choices=CHOICES["method"], default=DEFAULTS.method)
+    p.add_argument("--sparsity", type=_arg_type("sparsity"), default=DEFAULTS.sparsity)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="write a JSON prune report here")
     p.add_argument("--sequential", action="store_true",
                    help="recompute activations on the already-masked prefix, block by block")
-    p.add_argument("--structural", choices=["das", "shortgpt"], default=None,
+    p.add_argument("--structural", choices=CHOICES["structural"][1:], default=None,
                    help="remove whole blocks by importance instead of masking weights")
     p.add_argument("--plan", default=None, help="use a precomputed sparsity plan JSON")
     p.add_argument("--plan-out", dest="plan_out", default=None,
                    help="write the resolved sparsity plan JSON here")
     _add_common_prune_flags(p)
-    p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("analyze", help="emit diversity/attention/selection/sparsity reports")
     p.add_argument("--model", required=True)
@@ -363,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: diversity,attention,selection,sparsity")
     p.add_argument("--plan", default=None, help="sparsity plan JSON for the sparsity report")
     _add_common_prune_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="run a method x sparsity grid and emit the comparison matrix")
     p.add_argument("--model", required=True)
@@ -373,11 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsities", default="0.5")
     p.add_argument("--out", required=True)
     _add_common_prune_flags(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("rerun", help="replay a saved run.json")
     p.add_argument("run_file")
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
@@ -385,9 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    config = {k: v for k, v in vars(args).items() if k != "command"}
     try:
-        args.func(config)
+        if args.command == "rerun":
+            cmd_rerun(config)
+        else:
+            _run(args.command, config)
     except (MMPruneError, OSError) as err:
         if isinstance(err, OSError):  # e.g. an output path that is an existing file; names the path
             err = MMPruneError(str(err))

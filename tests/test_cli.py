@@ -551,3 +551,82 @@ def test_selection_report_with_full_kind(workspace, tmp_path):
         rows = list(csv.DictReader(f))
     assert rows[0]["n_selected"] == rows[0]["n_tokens"]
     assert rows[0]["stopped_by"] == ""
+
+
+def exit_code(argv):
+    """main's exit code, also where argparse rejects a flag by exiting."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture()
+def no_loads(monkeypatch):
+    """Records every model or sequence load, and every synthetic workspace generated."""
+    import mmprune.cli as cli
+    loads = []
+    for name in ("load_checkpoint", "load_sequences", "init_synthetic", "make_noisy_modality_scenario"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: loads.append(name))
+    return loads
+
+
+@pytest.mark.parametrize("argv", [
+    ["prune", "--method", "tamp", "--gamma-reverse", "nan"],
+    ["prune", "--gamma-forward", "inf"],
+    ["prune", "--mmd-coefficient", "nan"],
+    ["prune", "--owl-m", "nan"],
+    ["prune", "--method", "owl", "--owl-m", "0.5"],
+    ["prune", "--method", "das", "--lam", "nan"],
+    ["prune", "--method", "das", "--lam=--"],
+    ["prune", "--method", "owl", "--owl-lambda", "nan"],
+    ["prune", "--owl-lambda", "-inf"],
+    ["prune", "--selection", "random", "--seed", "-1"],
+    ["prune", "--k", "0"],
+    ["analyze", "--random-count", "0"],
+    ["compare", "--methods", "wanda,banana"],
+    ["compare", "--sparsities", "0.5,nan"],
+    ["compare", "--sparsities", "0.5,1.5"],
+    ["compare", "--sparsities", ","],
+    ["gen-synth", "--seed", "-1"],
+    ["gen-synth", "--n-calib", "0"],
+], ids=["gamma-reverse-nan", "gamma-forward-inf", "mmd-coefficient-nan", "owl-m-nan", "owl-m-below-1",
+        "lam-nan", "lam-dashes", "owl-lambda-nan", "owl-lambda-negative", "seed-negative", "k-zero",
+        "random-count-zero", "unknown-method", "sparsities-nan", "sparsities-above-1", "no-sparsities",
+        "gen-synth-seed-negative", "gen-synth-no-calib"])
+def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, no_loads, argv):
+    paths = {"prune": ["--model", "m", "--calib", "c"], "analyze": ["--model", "m", "--calib", "c"],
+             "compare": ["--model", "m", "--calib", "c", "--eval", "e"], "gen-synth": []}[argv[0]]
+    assert exit_code(argv + paths + ["--out", str(tmp_path / "out")]) == 2
+    assert no_loads == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("prune", {"gamma_reverse": float("nan")}, "--gamma-reverse must be a finite number > 0, got nan"),
+    ("prune", {"lam": float("inf")}, "--lam must be a finite number >= 0, got inf"),
+    ("prune", {"owl_m": 1}, "--owl-m must be a finite number > 1, got 1"),
+    ("prune", {"seed": -1}, "--seed must be an integer >= 0, got -1"),
+    ("prune", {"seed": 1.5}, "--seed must be an integer >= 0, got 1.5"),
+    ("prune", {"k": True}, "--k must be an integer >= 1, got True"),
+    ("prune", {"sparsity": "0.5"}, "--sparsity must be in (0, 1), got '0.5'"),
+    ("prune", {"group": "banana"}, "--group must be one of ['layer', 'row'], got 'banana'"),
+    ("prune", {"structural": "das", "plan_out": "p.json"}, "drop --plan-out"),
+    ("analyze", {"reports": "diversity,banana"}, "unknown analyze reports: ['banana']"),
+    ("compare", {"sparsities": "0.5,1.0"}, "bad --sparsities value: --sparsity must be in (0, 1), got 1.0"),
+    ("gen-synth", {"n_blocks": 0}, "--n-blocks must be an integer >= 1, got 0"),
+], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
+        "group", "structural-plan-out", "analyze-report", "compare-sparsity", "gen-synth-blocks"])
+def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
+    args = {"prune": ["prune", "--model", "m", "--calib", "c"],
+            "analyze": ["analyze", "--model", "m", "--calib", "c"],
+            "compare": ["compare", "--model", "m", "--calib", "c", "--eval", "e"],
+            "gen-synth": ["gen-synth"]}[command]
+    config = {k: v for k, v in vars(build_parser().parse_args(args + ["--out", str(tmp_path / "out")])).items()
+              if k != "command"}
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({"command": command, "config": {**config, **edit}}))
+    code = main(["rerun", str(run_file)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "UsageError"
+    assert err["message"].endswith(message)
+    assert no_loads == [] and not (tmp_path / "out").exists()
