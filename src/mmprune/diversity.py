@@ -119,18 +119,12 @@ class DiversityAccumulator:
         unit = _unit_rows(z)
 
         ids: dict[str, int] = {}
-        sums: dict[str, list] = {}  # name -> [row sums (L, S, C), squared norms (L, S), rows]
+        sums: dict[str, tuple] = {}  # name -> (row sums (L, S, C), squared norms (L, S), rows)
         for span in spans:
             name = span.modality.name
             ids.setdefault(name, span.modality.id)
-            total, sq_norms = _row_sums(unit, span.start, span.stop)
-            if name in sums:
-                entry = sums[name]
-                entry[0] = entry[0] + total
-                entry[1] = entry[1] + sq_norms
-                entry[2] += span.length
-            else:
-                sums[name] = [total, sq_norms, span.length]
+            part = (*_row_sums(unit, span.start, span.stop), span.length)
+            sums[name] = tuple(a + b for a, b in zip(sums[name], part)) if name in sums else part
         order = sorted(ids, key=ids.get)
 
         terms: list[tuple[str, object, np.ndarray]] = []  # (field, name or pair, values (L, S))
@@ -147,11 +141,12 @@ class DiversityAccumulator:
         if n >= 2:
             terms.append(("all", None, _pair_mean(*_row_sums(unit, 0, n), n)))
 
-        for key, *values in zip(keys, *(values.tolist() for _, _, values in terms)):
+        terms = [(field_name, name, values.tolist()) for field_name, name, values in terms]
+        for layer, key in enumerate(keys):
             entry = self._sums.setdefault(key, {"intra": {}, "inter": {}, "all": {}})
-            for (field_name, name, _), samples in zip(terms, values):
+            for field_name, name, values in terms:
                 s, c = entry[field_name].get(name, (0.0, 0))
-                for value in samples:
+                for value in values[layer]:
                     s += value
                     c += 1
                 entry[field_name][name] = (s, c)

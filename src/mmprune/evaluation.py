@@ -257,9 +257,10 @@ def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
 
     All cells share one Calibration, which computes every result the cells read
     up front, one pass over the calibration samples per dependency level, and
-    sorts each distinct importance once. Every cell is pruned first, keeping only its bit-packed keep-masks; evaluation
-    then forwards the dense model once per eval chunk and scores each cell
-    against it, rebuilding the cell's masked weights in one scratch model.
+    sorts each distinct importance once. Every cell is pruned first, keeping
+    only its bit-packed keep-masks; evaluation then forwards the dense model
+    once per eval chunk and scores each cell against it, rebuilding the cell's
+    masked weights in one scratch model.
     Task scores are the end-to-end per-token cosine similarities (overall
     and per modality); references come from the dense model scored against
     itself, so the relative average of the unpruned model is exactly 100.

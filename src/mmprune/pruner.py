@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from itertools import groupby
 
 import numpy as np
 
@@ -237,19 +238,14 @@ class _ActivationSums:
 def _add_diversity(acc: DiversityAccumulator, traces) -> None:
     """Adds one chunk's layer outputs to `acc`: per run of consecutive samples with one
     span layout, one stack per output shape, its layers in order."""
-    start = 0
-    while start < len(traces):
-        stop = start + 1
-        while stop < len(traces) and traces[stop].spans == traces[start].spans:
-            stop += 1
-        run = traces[start:stop]
+    for spans, run in groupby(traces, key=lambda trace: trace.spans):
+        run = list(run)
         by_shape: dict[tuple[int, ...], list] = {}
         for key, z in run[0].layer_outputs.items():
             by_shape.setdefault(z.shape, []).append(key)
         for keys in by_shape.values():
-            z = np.array([[trace.layer_outputs[key] for trace in run] for key in keys])
-            acc.add_layer_sample(keys, z, run[0].spans)
-        start = stop
+            acc.add_layer_sample(keys, np.array([[trace.layer_outputs[key] for trace in run] for key in keys]),
+                                 spans)
 
 
 class Calibration:
@@ -425,8 +421,6 @@ class Calibration:
         any ratio."""
         if importance == "magnitude":
             selection = None
-        elif importance != "wanda":
-            raise ConfigError(f"unknown importance {importance!r}")
 
         def compute():
             norms = None if selection is None else self.activations(selection)[0]
@@ -634,10 +628,9 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
             block_norms, block_stats = calib.activations(
                 selection, partial(calib.prefix_traces, model=pruned, block=block.index, states=states))
             sel_stats.update(block_stats)
-            layers = [block.layers[kind] for kind in PROJECTION_KINDS]
-            mask_layers(layers, {(block.index, layer.kind): mask_order(
-                importance_wanda(layer.weight, block_norms[(block.index, layer.kind)]), config.group)
-                for layer in layers})
+            orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, act), config.group)
+                      for key, act in block_norms.items()}
+            mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], orders)
     else:
         mask_layers(list(pruned.iter_layers()), calib.mask_orders(spec.importance, selection, config.group))
 
