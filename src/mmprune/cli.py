@@ -138,9 +138,10 @@ def _check_config(command: str, config: dict) -> None:
             raise UsageError("--plan is read only by the sparsity report: "
                              "add sparsity to --reports or drop --plan")
     if command == "compare":
-        unknown = [m for m in _names(config, "methods") if m not in PRUNE_METHODS]
-        if unknown:
-            raise UsageError(f"unknown methods: {unknown}")
+        methods = _names(config, "methods")
+        unknown = [m for m in methods if m not in PRUNE_METHODS]
+        if unknown or not methods:
+            raise UsageError(f"unknown methods: {unknown}" if unknown else "no methods given")
         _sparsities(config)
 
 

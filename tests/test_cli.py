@@ -585,6 +585,7 @@ def no_loads(monkeypatch):
     ["prune", "--k", "0"],
     ["analyze", "--random-count", "0"],
     ["compare", "--methods", "wanda,banana"],
+    ["compare", "--methods", ","],
     ["compare", "--sparsities", "0.5,nan"],
     ["compare", "--sparsities", "0.5,1.5"],
     ["compare", "--sparsities", ","],
@@ -592,7 +593,7 @@ def no_loads(monkeypatch):
     ["gen-synth", "--n-calib", "0"],
 ], ids=["gamma-reverse-nan", "gamma-forward-inf", "mmd-coefficient-nan", "owl-m-nan", "owl-m-below-1",
         "lam-nan", "lam-dashes", "owl-lambda-nan", "owl-lambda-negative", "seed-negative", "k-zero",
-        "random-count-zero", "unknown-method", "sparsities-nan", "sparsities-above-1", "no-sparsities",
+        "random-count-zero", "unknown-method", "no-methods", "sparsities-nan", "sparsities-above-1", "no-sparsities",
         "gen-synth-seed-negative", "gen-synth-no-calib"])
 def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, no_loads, argv):
     paths = {"prune": ["--model", "m", "--calib", "c"], "analyze": ["--model", "m", "--calib", "c"],
