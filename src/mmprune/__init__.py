@@ -13,6 +13,6 @@ from .model import (ActivationTrace, CaptureFlags, LinearLayer, ModalityId, Span
                     TokenSequence, ToyModel, forward, init_synthetic)
 from .pruner import (AmiaParams, Calibration, CalibrationParams, InputActivation, PruneConfig,
                      PruneReport, block_importances_das, block_importances_shortgpt, block_prune,
-                     importance_magnitude, importance_wanda, make_mask, prune_model)
+                     importance_magnitude, importance_wanda, make_mask, mask_order, prune_model)
 from .selection import (NeighborGraph, SelectionResult, build_knn, forward_update,
                         reverse_select, select_amia, select_tokens, token_contributions)
