@@ -7,12 +7,11 @@ from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das, all
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import generate_sequences, load_sequences, make_noisy_modality_scenario, write_sequences
 from .diversity import DiversityStats, block_input_output_similarity, layer_importance
-from .evaluation import (EvalMetrics, attention_by_modality, reconstruction_report, rel_avg,
-                         run_comparison, sparsity_report)
+from .evaluation import EvalMetrics, reconstruction_report, rel_avg, run_comparison, sparsity_report
 from .model import (ActivationTrace, CaptureFlags, LinearLayer, ModalityId, Span,
                     TokenSequence, ToyModel, forward, init_synthetic)
-from .pruner import (AmiaParams, Calibration, CalibrationParams, InputActivation, PruneConfig,
+from .pruner import (AmiaParams, Calibration, CalibrationParams, PruneConfig,
                      PruneReport, block_importances_das, block_importances_shortgpt, block_prune,
                      importance_magnitude, importance_wanda, make_mask, mask_order, prune_model)
 from .selection import (NeighborGraph, SelectionResult, build_knn, forward_update,
-                        reverse_select, select_amia, select_tokens, token_contributions)
+                        reverse_select, select_amia, token_contributions)

@@ -9,12 +9,14 @@ Layout:
 
 Offsets count elements (weights) or bytes (packed masks). Save/load round
 trips are bit-exact, masks included. A weight that its mask drops must be
-stored as zero.
+stored as zero. Saves are atomic per file: each file is written under a
+temporary name, then moved into place, the blobs before the manifest.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -79,12 +81,20 @@ def save_checkpoint(model: ToyModel, directory: str | Path) -> Path:
         "layers": layers,
         "norm_scales": norm_scales,
     }
-    (directory / WEIGHTS_BLOB).write_bytes(np.concatenate(weight_parts).tobytes())
+    files = {WEIGHTS_BLOB: np.concatenate(weight_parts).tobytes()}
     if mask_parts:
-        (directory / MASKS_BLOB).write_bytes(np.concatenate(mask_parts).tobytes())
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        files[MASKS_BLOB] = np.concatenate(mask_parts).tobytes()
+    files[MANIFEST_NAME] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    temps = {}
+    try:  # a failed write leaves the old checkpoint whole, and no temporary file behind
+        for name, data in files.items():
+            temps[name] = directory / f".{name}.tmp"
+            temps[name].write_bytes(data)
+        for name, temp in temps.items():
+            os.replace(temp, directory / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
     return directory
 
 

@@ -28,8 +28,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (default_modality_specs, generate_sequences, load_sequences,
                    make_noisy_modality_scenario, write_sequences)
 from .errors import FormatError, MMPruneError, UsageError
-from .evaluation import attention_by_modality, run_comparison, sparsity_report
-from .model import CaptureFlags, init_synthetic
+from .evaluation import run_comparison, sparsity_report
+from .model import init_synthetic
 from .pruner import (PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
                      block_importances_shortgpt, block_prune, blocks_to_remove, prune_model)
 from .selection import SELECTION_KINDS, AmiaParams
@@ -43,7 +43,7 @@ CHOICES = {
     "method": PRUNE_METHODS,
     "structural": (None, "das", "shortgpt"),
     "group": tuple(sorted(GROUP_FLAGS)),
-    "selection": (None,) + SELECTION_KINDS,
+    "selection": (None, *SELECTION_KINDS),
 }
 
 
@@ -114,9 +114,30 @@ def _sparsities(config: dict) -> list[float]:
     return sparsities
 
 
-def _check_config(command: str, config: dict) -> None:
-    """Every usage check of `command`'s config, run before anything loads, whether the
-    config comes from argparse or from a `rerun` record."""
+def _settings(command: str) -> list[argparse.Action]:
+    """The settings of `command`, as `build_parser` declares them."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [action for action in commands.choices[command]._actions if action.dest != "help"]
+
+
+def _check_config(command: str, config: dict) -> dict:
+    """`command`'s config, every usage check passed, before anything loads, whether it
+    comes from argparse or from a `rerun` record. A record's missing optional setting
+    takes the parser's default; other keys, as in older records, are kept and ignored."""
+    for action in _settings(command):
+        key = action.dest
+        if key not in config:
+            if action.required:
+                raise UsageError(f"the run record has no {_flag(key)} setting ({key!r})")
+            config = {**config, key: action.default}
+        value = config[key]
+        if isinstance(action, argparse._StoreTrueAction):
+            if not isinstance(value, bool):
+                raise UsageError(f"{_flag(key)} must be true or false, got {value!r}")
+        elif action.type is None and action.choices is None:  # a path or a comma list
+            optional = action.default is None and not action.required
+            if not (isinstance(value, str) or (optional and value is None)):
+                raise UsageError(f"{_flag(key)} must be a string{' or null' if optional else ''}, got {value!r}")
     for key, value in config.items():
         if key in NUMERIC_SETTINGS:
             _numeric_setting(key, value)
@@ -143,6 +164,7 @@ def _check_config(command: str, config: dict) -> None:
         if unknown or not methods:
             raise UsageError(f"unknown methods: {unknown}" if unknown else "no methods given")
         _sparsities(config)
+    return config
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -274,6 +296,9 @@ def cmd_analyze(config: dict) -> None:
         plan = SparsityPlan.from_json(config["plan"])
         plan.check_layers(model.param_counts())
     calibration = Calibration(model, calib, _prune_config(config).calibration_params())
+    selection = config.get("selection") or "amia"
+    results = {"diversity": "diversity", "attention": "attention_mass", "selection": ("records", selection)}
+    calibration.compute(*(results[report] for report in reports if report in results))  # one pass per level
 
     if "diversity" in reports:
         stats = calibration.diversity
@@ -291,14 +316,14 @@ def cmd_analyze(config: dict) -> None:
         _write_csv(out_dir / "diversity.csv", header, rows)
 
     if "attention" in reports:
-        masses = attention_by_modality(calibration.traces(CaptureFlags(attention=True)))
+        masses = calibration.result("attention_mass")
         names = sorted({name for entry in masses.values() for name in entry})
         rows = [[block] + [masses[block].get(name, 0.0) for name in names]
                 for block in sorted(masses)]
         _write_csv(out_dir / "attention.csv", ["block"] + [f"mass_{n}" for n in names], rows)
 
     if "selection" in reports:
-        records = calibration.selection_records(config.get("selection") or "amia")
+        records = calibration.result(("records", selection))
         names = sorted({name for r in records for name in r["by_modality"]})
         header = (["sample", "block", "kind", "n_tokens", "n_selected"]
                   + [f"sel_{n}" for n in names]
@@ -357,8 +382,7 @@ COMMANDS = {
 def _run(command: str, config: dict) -> None:
     """Runs `command` on `config` once its usage checks pass: the way in for the command
     line and for `rerun` alike."""
-    _check_config(command, config)
-    COMMANDS[command](config)
+    COMMANDS[command](_check_config(command, config))
 
 
 def cmd_rerun(config: dict) -> None:

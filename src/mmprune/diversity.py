@@ -19,6 +19,7 @@ sum ||u_i||^2 rather than n keeps that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -103,8 +104,26 @@ class DiversityAccumulator:
     sample, in the order the samples are added.
     """
 
+    reads = ("outputs",)  # the trace fields that `add` reads
+
     def __init__(self):
         self._sums: dict[tuple[int, str], dict] = {}
+
+    def _entry(self, key) -> dict:
+        return self._sums.setdefault(key, {"intra": {}, "inter": {}, "all": {}})
+
+    def add(self, samples) -> None:
+        """Adds a chunk of samples' `trace`s: per run with one span layout, one stack per
+        output shape. The first chunk registers the layers, so `finalize` keeps their order."""
+        for spans, run in groupby((sample.trace for sample in samples), key=lambda trace: trace.spans):
+            run = list(run)
+            by_shape: dict[tuple[int, ...], list] = {}
+            for key, z in run[0].layer_outputs.items():
+                self._entry(key)
+                by_shape.setdefault(z.shape, []).append(key)
+            for keys in by_shape.values():
+                self.add_layer_sample(keys, np.array([[trace.layer_outputs[key] for trace in run] for key in keys]),
+                                      spans)
 
     def add_layer_sample(self, keys, z: np.ndarray, spans: list[Span]) -> None:
         """Adds the outputs z of layers `keys` on samples that share the span layout
@@ -143,7 +162,7 @@ class DiversityAccumulator:
 
         terms = [(field_name, name, values.tolist()) for field_name, name, values in terms]
         for layer, key in enumerate(keys):
-            entry = self._sums.setdefault(key, {"intra": {}, "inter": {}, "all": {}})
+            entry = self._entry(key)
             for field_name, name, values in terms:
                 s, c = entry[field_name].get(name, (0.0, 0))
                 for value in values[layer]:

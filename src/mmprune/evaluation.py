@@ -9,7 +9,6 @@ task scores mirrors the usual pruned/reference * 100 reporting.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -179,33 +178,6 @@ def rel_avg(scores: dict[str, tuple[float, float]]) -> float:
             raise ConfigError(f"task {task!r} has non-positive reference score {reference}")
         values.append(100.0 * pruned / reference)
     return float(np.mean(values))
-
-
-def attention_by_modality(traces: Iterable[ActivationTrace]) -> dict[int, dict[str, float]]:
-    """Per block, the mean attention mass landing on each modality's key span.
-
-    Reads `traces` once, so a generator keeps one trace alive at a time.
-    """
-    sums: dict[int, dict[str, float]] = {}
-    counts: dict[int, int] = {}
-    for trace in traces:
-        if not trace.attention:
-            raise ConfigError("trace lacks attention capture")
-        for block, attn in trace.attention.items():
-            masses: dict[str, float] = {}
-            for span in trace.spans:
-                mass = float(attn[:, span.start:span.stop].sum(axis=1).mean()) if span.length else 0.0
-                masses[span.modality.name] = masses.get(span.modality.name, 0.0) + mass
-            entry = sums.setdefault(block, {})
-            for name, mass in masses.items():
-                entry[name] = entry.get(name, 0.0) + mass
-            counts[block] = counts.get(block, 0) + 1
-    if not counts:
-        raise ConfigError("no traces given")
-    return {
-        block: {name: value / counts[block] for name, value in sorted(entry.items())}
-        for block, entry in sorted(sums.items())
-    }
 
 
 def sparsity_report(source: SparsityPlan | ToyModel) -> dict:

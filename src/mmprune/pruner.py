@@ -10,9 +10,9 @@ half-masked model. Structural pruning removes whole blocks by importance.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import groupby
 
 import numpy as np
 
@@ -21,17 +21,9 @@ from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, ShapeError
 from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, chunks, forward
-from .selection import SELECTION_KINDS, AmiaParams, select_amia, select_tokens, token_contributions
+from .selection import SELECTION_KINDS, AmiaParams, token_contributions
 
 MASK_GROUPS = ("per_output_row", "per_layer")
-
-# AMIA runs a sample's layers of one output shape (N, C) as one stack while L * N^2
-# stays within this many elements: a 48-token plain sample's 20 (N, d_model) layers in
-# one stack and its 8 (N, d_ff) layers in another, a 188-token noisy sample's layers
-# three at a time. A stack holds two L x N x N float64 buffers, 2 MB at the bound. At
-# 2**16 a noisy stack held one layer, and the stacked pick loop's per-step array calls
-# made noisy `tamp` about 10% slower than the one-layer scalar loop they replaced.
-AMIA_STACK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -54,30 +46,16 @@ METHOD_SPECS = {
 PRUNE_METHODS = tuple(METHOD_SPECS)
 
 
-@dataclass
-class InputActivation:
-    """Per-input-channel l2 norms over the selected calibration tokens."""
-
-    norms: np.ndarray
-    token_count: int
-    selection_kind: str
-
-
 def importance_magnitude(weight: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(weight, dtype=np.float64))
 
 
-def importance_wanda(weight: np.ndarray, act: InputActivation) -> np.ndarray:
+def importance_wanda(weight: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """|W| scaled by the per-input-channel l2 norms of the selected calibration tokens."""
     weight = np.asarray(weight, dtype=np.float64)
-    if act.norms.shape != (weight.shape[1],):
-        raise ShapeError(f"activation length {act.norms.shape} != C_in {weight.shape[1]}")
-    return act.norms[None, :] * np.abs(weight)
-
-
-@dataclass
-class PruneMask:
-    keep: np.ndarray
-    achieved_ratio: float
+    if norms.shape != (weight.shape[1],):
+        raise ShapeError(f"activation length {norms.shape} != C_in {weight.shape[1]}")
+    return norms[None, :] * np.abs(weight)
 
 
 def mask_order(importance: np.ndarray, group: str = "per_output_row") -> np.ndarray:
@@ -97,9 +75,9 @@ def mask_order(importance: np.ndarray, group: str = "per_output_row") -> np.ndar
     return order.astype(np.min_scalar_type(max(n - 1, 0)))
 
 
-def make_mask(order: np.ndarray, ratio: float, group: str = "per_output_row") -> PruneMask:
-    """Drop the floor(ratio * group_size) smallest-importance entries per group: the
-    first ones of each group's `mask_order`."""
+def make_mask(order: np.ndarray, ratio: float, group: str = "per_output_row") -> np.ndarray:
+    """The keep-mask that drops the floor(ratio * group_size) smallest-importance entries
+    per group: the first ones of each group's `mask_order`."""
     if not (0.0 <= ratio <= 1.0):
         raise ConfigError(f"ratio must be in [0, 1], got {ratio}")
     if group not in MASK_GROUPS:
@@ -113,8 +91,7 @@ def make_mask(order: np.ndarray, ratio: float, group: str = "per_output_row") ->
         n_drop = int(ratio * order.size)
         if n_drop:
             keep.ravel()[order.ravel()[:n_drop]] = False
-    achieved = float((~keep).sum()) / keep.size
-    return PruneMask(keep, achieved)
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +138,17 @@ class LayerSelectionStats:
     final_mmd_sum: float = 0.0
     samples: int = 0
 
-    def mean_final_mmd(self) -> float | None:
-        return self.final_mmd_sum / self.samples if self.samples else None
-
 
 class _Sample:
-    """One sample's trace with what the statistics of every selection kind share: its
-    captured inputs in float64, converted once per distinct input array (q/k/v share
-    one, gate/up another), and each token's span."""
+    """One sample of a calibration pass: its trace and index, its tokens selected by each
+    kind the pass reads, and what those kinds' statistics share: its captured inputs in
+    float64, converted once per input array (q/k/v share one, gate/up another)."""
 
-    def __init__(self, trace):
+    def __init__(self, trace, index: int):
         self.trace = trace
+        self.index = index
+        self.selected: dict[str, dict] = {}
+        self.contributions = {b: token_contributions(attn) for b, attn in trace.attention.items()}
         self.spans = trace.spans
         self.span_index = np.repeat(np.arange(len(self.spans)), [span.length for span in self.spans])
         self._inputs: dict[int, list] = {}  # id of a captured input -> [float64 copy, all-row sums]
@@ -202,61 +179,132 @@ class _Sample:
 
 
 class _ActivationSums:
-    """Streams one selection kind's per-layer input norms and LayerSelectionStats."""
+    """One selection kind's per-layer input norms and LayerSelectionStats."""
 
-    def __init__(self, kind: str, thresholds: dict):
+    reads = ("inputs",)
+
+    def __init__(self, calib: "Calibration", kind: str):
         self.kind = kind
-        self.thresholds = thresholds
+        self.thresholds = calib.thresholds if SELECTION_KINDS[kind].adaptive else {}
         self.sq_sums: dict[tuple[int, str], np.ndarray] = {}
         self.stats: dict[tuple[int, str], LayerSelectionStats] = {}
 
-    def add(self, sample: _Sample, selected: dict) -> None:
-        """Adds one sample's {layer: (indices, SelectionResult | None)}."""
-        # the full kind keeps every token in order, so its sums need no gather
-        every_row = self.kind == "full"
-        for key, (indices, result) in selected.items():
-            sq = sample.sq_sums(key, None if every_row else indices)
-            if key not in self.sq_sums:
-                self.sq_sums[key] = np.zeros_like(sq)
-                self.stats[key] = LayerSelectionStats(threshold=self.thresholds.get(key))
-            self.sq_sums[key] += sq
-            entry = self.stats[key]
-            entry.token_total += len(sample.trace.layer_inputs[key])
-            entry.selected_total += len(indices)
-            sample.add_modality_counts(entry.by_modality, None if every_row else indices)
-            if result is not None:
-                entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
-                entry.final_mmd_sum += result.mmd_trace[-1]
-                entry.samples += 1
+    def add(self, samples: list[_Sample]) -> None:
+        every_row = SELECTION_KINDS[self.kind].keeps_all  # its sums need no gather
+        for sample in samples:
+            for key, (indices, result) in sample.selected[self.kind].items():
+                sq = sample.sq_sums(key, None if every_row else indices)
+                if key not in self.sq_sums:
+                    self.sq_sums[key] = np.zeros_like(sq)
+                    self.stats[key] = LayerSelectionStats(threshold=self.thresholds.get(key))
+                self.sq_sums[key] += sq
+                entry = self.stats[key]
+                entry.token_total += len(sample.trace.layer_inputs[key])
+                entry.selected_total += len(indices)
+                sample.add_modality_counts(entry.by_modality, None if every_row else indices)
+                if result is not None:
+                    entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
+                    entry.final_mmd_sum += result.mmd_trace[-1]
+                    entry.samples += 1
 
-    def result(self):
-        activations = {key: InputActivation(np.sqrt(sq), self.stats[key].selected_total, self.kind)
-                       for key, sq in self.sq_sums.items()}
-        return activations, self.stats
+    def finalize(self):
+        return {key: np.sqrt(sq) for key, sq in self.sq_sums.items()}, self.stats
 
 
-def _add_diversity(acc: DiversityAccumulator, traces) -> None:
-    """Adds one chunk's layer outputs to `acc`: per run of consecutive samples with one
-    span layout, one stack per output shape, its layers in order."""
-    for spans, run in groupby(traces, key=lambda trace: trace.spans):
-        run = list(run)
-        by_shape: dict[tuple[int, ...], list] = {}
-        for key, z in run[0].layer_outputs.items():
-            by_shape.setdefault(z.shape, []).append(key)
-        for keys in by_shape.values():
-            acc.add_layer_sample(keys, np.array([[trace.layer_outputs[key] for trace in run] for key in keys]),
-                                 spans)
+class _Records:
+    """One selection kind's per (sample, layer) details, backing the analysis CSV."""
+
+    reads = ("inputs",)
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.records: list[dict] = []
+
+    def add(self, samples: list[_Sample]) -> None:
+        for sample in samples:
+            for key, (indices, result) in sorted(sample.selected[self.kind].items()):
+                record = {"sample": sample.index, "block": key[0], "kind": key[1],
+                          "n_tokens": len(sample.trace.layer_inputs[key]), "n_selected": int(len(indices)),
+                          "by_modality": sample.add_modality_counts({}, indices)}
+                if result is not None:
+                    record.update(stopped_by=result.stopped_by, threshold=result.threshold,
+                                  mmd_trace=[float(v) for v in result.mmd_trace])
+                self.records.append(record)
+
+    def finalize(self) -> list[dict]:
+        return self.records
+
+
+class _AttentionMass:
+    """Per block, the mean attention mass landing on each modality's key span."""
+
+    reads = ("attention",)
+
+    def __init__(self):
+        self.sums: dict[int, dict[str, float]] = {}
+        self.count = 0
+
+    def add(self, samples: list[_Sample]) -> None:
+        for sample in samples:
+            trace = sample.trace
+            if not trace.attention:
+                raise ConfigError("trace lacks attention capture")
+            for block, attn in trace.attention.items():
+                masses: dict[str, float] = {}
+                for span in trace.spans:
+                    mass = float(attn[:, span.start:span.stop].sum(axis=1).mean()) if span.length else 0.0
+                    masses[span.modality.name] = masses.get(span.modality.name, 0.0) + mass
+                entry = self.sums.setdefault(block, {})
+                for name, mass in masses.items():
+                    entry[name] = entry.get(name, 0.0) + mass
+            self.count += 1
+
+    def finalize(self) -> dict[int, dict[str, float]]:
+        if not self.count:
+            raise ConfigError("no traces given")
+        return {block: {name: value / self.count for name, value in sorted(entry.items())}
+                for block, entry in sorted(self.sums.items())}
+
+
+class _BlockSimilarity:
+    """Mean per-token cosine similarity between each block's input and output rows."""
+
+    reads = ("hiddens",)
+
+    def __init__(self, n_blocks: int):
+        self.sums = np.zeros(n_blocks)
+        self.count = 0
+
+    def add(self, samples: list[_Sample]) -> None:
+        for sample in samples:
+            hiddens = sample.trace.hiddens
+            self.sums += [block_input_output_similarity(a, b) for a, b in zip(hiddens, hiddens[1:])]
+            self.count += 1
+
+    def finalize(self) -> dict[int, float]:
+        return {b: float(total / self.count) for b, total in enumerate(self.sums)}
+
+
+# Every result `Calibration.compute` serves: the selection kind it reads (or None) and
+# a function making its accumulator, which names the trace fields it `reads`, takes each
+# chunk's samples in `add` and then gives its `finalize()`. A kind names its activations.
+RESULTS = {
+    "diversity": (None, lambda calib: DiversityAccumulator()),
+    "attention_mass": (None, lambda calib: _AttentionMass()),
+    "block_similarity": (None, lambda calib: _BlockSimilarity(calib.model.n_blocks)),
+    **{kind: (kind, partial(_ActivationSums, kind=kind)) for kind in SELECTION_KINDS},
+    **{("records", kind): (kind, lambda calib, kind=kind: _Records(kind)) for kind in SELECTION_KINDS},
+}
 
 
 class Calibration:
     """Calibration results of one model on one sequence set, computed lazily.
 
-    Each result is computed on first request and cached on the instance, so
-    a method x sparsity grid sharing one Calibration pays each distinct pass
-    once, and a single prune computes only what it uses. A caller that needs
-    several results declares them to `compute`, which serves every result of
-    one dependency level from one forward per chunk. The cache holds per-layer
-    aggregates, per-sample selection records and mask orders, never traces.
+    Each result is computed on first request and cached, so a method x sparsity grid
+    sharing one Calibration pays each distinct pass once, and a single prune computes only
+    what it uses. A caller that needs several results declares them to `compute`, which
+    serves every result of one dependency level from one forward per chunk. The cache
+    holds per-layer aggregates, per-sample selection records and mask orders, never traces.
     """
 
     def __init__(self, model: ToyModel, seqs: list[TokenSequence],
@@ -266,35 +314,28 @@ class Calibration:
         self.params = params
         self._cache: dict = {}
 
-    def _memo(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def compute(self, *results: str) -> None:
-        """Computes each of `results` that is not cached yet: "diversity", or a kind of
-        SELECTION_KINDS for the activations over the tokens it keeps. Diversity and the
-        non-adaptive activations share one pass over the samples; amia's activations
-        read the thresholds taken from the finalized diversity, so they run in a
-        second."""
+    def compute(self, *results) -> None:
+        """Computes each of `results` (named as in RESULTS) not cached yet, in one pass per
+        dependency level: a result that reads an adaptive kind reads the thresholds taken
+        from the finalized diversity, so it runs in a second pass."""
         for result in results:
-            if result != "diversity" and result not in SELECTION_KINDS:
+            if result not in RESULTS:
                 raise ConfigError(f"unknown calibration result {result!r}")
         missing = [result for result in dict.fromkeys(results) if result not in self._cache]
-        for level in ([r for r in missing if r != "amia"], [r for r in missing if r == "amia"]):
+        adaptive = [r for r in missing if RESULTS[r][0] is not None and SELECTION_KINDS[RESULTS[r][0]].adaptive]
+        for level in ([r for r in missing if r not in adaptive], adaptive):
             if level:
                 self._cache.update(self._pass(level, self.chunk_traces))
 
+    def result(self, name):
+        """The result `name` (as in RESULTS), computed if it is not cached."""
+        self.compute(name)
+        return self._cache[name]
+
     def chunk_traces(self, capture: CaptureFlags):
-        """The sample loop: per chunk of sequences, its traces from one forward of the
-        calibrated model."""
+        """Per chunk of sequences, its traces from one forward of the calibrated model."""
         for chunk in chunks(self.seqs):
             yield forward(self.model, chunk, capture)[1]
-
-    def traces(self, capture: CaptureFlags):
-        """One trace per sequence, from `chunk_traces`."""
-        for traces in self.chunk_traces(capture):
-            yield from traces
 
     def prefix_traces(self, capture: CaptureFlags, model: ToyModel, block: int, states: list[np.ndarray]):
         """Per chunk, its traces from one forward that advances each sample's `states[i]`
@@ -311,13 +352,12 @@ class Calibration:
             i += s
             del hidden
             yield traces
-            del traces  # free the chunk before the next forward, as `_selections` says
+            del traces  # free the chunk before the next forward, as `_pass` says
 
     @property
     def diversity(self) -> dict[tuple[int, str], DiversityStats]:
         """Per-layer diversity terms of the output tokens."""
-        self.compute("diversity")
-        return self._cache["diversity"]
+        return self.result("diversity")
 
     @cached_property
     def thresholds(self) -> dict[tuple[int, str], float]:
@@ -325,94 +365,39 @@ class Calibration:
         coefficient = self.params.amia.mmd_coefficient
         return {key: coefficient * float(np.sqrt(st.importance)) for key, st in self.diversity.items()}
 
-    def _selections(self, kinds: list[str], chunk_traces, outputs: bool = False):
-        """Yields, per chunk, its traces and per trace {kind: {layer: (indices,
-        SelectionResult | None)}} for each selection kind of `kinds`.
-
-        `chunk_traces(capture)` yields each chunk's traces (e.g. `self.chunk_traces`);
-        `outputs` also captures the layer outputs. Callers drop what a chunk yields
-        before the next one, so a noisy chunk (one sample) is freed before the next
-        forward: with two traces alive, AMIA's N x N temporaries land in fresh pages
-        and noisy `tamp` runs ~5% slower.
-        """
-        capture = CaptureFlags(inputs=bool(kinds), outputs=outputs or "amia" in kinds,
-                               attention=any(kind in ("attention", "amia") for kind in kinds))
-        thresholds = self.thresholds if "amia" in kinds else {}  # its pass runs first
-        p = self.params
+    def _pass(self, results: list, chunk_traces) -> dict:
+        """The one loop over calibration chunks: computes `results`, all of one dependency
+        level, from the chunks `chunk_traces(capture)` yields, capturing what their
+        accumulators and selection kinds read. It selects each sample's tokens once per
+        kind, then feeds every accumulator the chunk. Each chunk is dropped before the
+        next forward: with two noisy traces alive, AMIA's N x N temporaries land in fresh
+        pages and noisy `tamp` runs ~5% slower."""
+        # fed in RESULTS order, diversity first: its stacks then reuse heap that a kind's float64
+        # inputs would pin (a plain `compare` takes 850 minor page faults, not 51,000)
+        accs = {result: build(self) for result, (_, build) in RESULTS.items() if result in results}
+        kinds = {kind: SELECTION_KINDS[kind] for kind, _ in map(RESULTS.get, results) if kind is not None}
+        reads = {name for reader in [*accs.values(), *kinds.values()] for name in reader.reads}
+        thresholds = self.thresholds if any(entry.adaptive for entry in kinds.values()) else {}
         index = 0
-        for traces in chunk_traces(capture):
-            selected = []
+        for traces in chunk_traces(CaptureFlags(**dict.fromkeys(reads, True))):
+            samples = []
             for trace in traces:
-                contributions = {b: token_contributions(attn) for b, attn in trace.attention.items()}
-                by_kind = {}
-                for kind in kinds:
-                    if kind == "amia":
-                        by_kind[kind] = self._amia(trace, contributions, thresholds)
-                        continue
-                    by_kind[kind] = {}
-                    for key, x in trace.layer_inputs.items():
-                        block, layer_kind = key
-                        rng = None
-                        if kind == "random":
-                            rng = np.random.default_rng(np.random.SeedSequence(
-                                [p.seed, 7701, index, block, PROJECTION_KINDS.index(layer_kind)]))
-                        by_kind[kind][key] = (select_tokens(kind, contributions.get(block), x, rng=rng,
-                                                            random_count=p.random_count), None)
-                selected.append(by_kind)
+                sample = _Sample(trace, index)
+                for kind, entry in kinds.items():
+                    sample.selected[kind] = entry.select(sample, self.params, thresholds)
+                samples.append(sample)
                 index += 1
-            yield traces, selected
-            del traces, selected, trace, contributions, by_kind
-
-    def _amia(self, trace, contributions, thresholds) -> dict:
-        """AMIA selections of one sample's layers, in layer order: a stack of layers of one
-        output shape at a time, or all tokens where there are too few for a kNN graph."""
-        amia = self.params.amia
-        stacks: dict[tuple[int, ...], list] = {}
-        for key, z in trace.layer_outputs.items():
-            stacks.setdefault(z.shape, []).append(key)
-        selected = dict.fromkeys(trace.layer_outputs)
-        for (n, _), keys in stacks.items():
-            if n <= amia.k:
-                selected.update((key, (np.arange(n), None)) for key in keys)
-                continue
-            size = max(1, AMIA_STACK_ELEMENTS // (n * n))
-            for i in range(0, len(keys), size):
-                stack = keys[i:i + size]
-                results = select_amia(np.stack([contributions[block] for block, _ in stack]),
-                                      np.stack([trace.layer_outputs[key] for key in stack]),
-                                      [thresholds[key] for key in stack], amia)
-                selected.update((key, (result.selected, result)) for key, result in zip(stack, results))
-        return selected
-
-    def _pass(self, results: list[str], chunk_traces) -> dict:
-        """One pass over the samples that computes `results` (as in `compute`), all of one
-        dependency level, from the chunks `chunk_traces(capture)` yields."""
-        kinds = [result for result in results if result != "diversity"]
-        acc = DiversityAccumulator() if "diversity" in results else None
-        sums = {kind: _ActivationSums(kind, self.thresholds if kind == "amia" else {}) for kind in kinds}
-        for traces, selected in self._selections(kinds, chunk_traces, outputs=acc is not None):
-            if acc is not None:
-                _add_diversity(acc, traces)
-            for trace, by_kind in zip(traces, selected):
-                sample = _Sample(trace)
-                for kind, layers in by_kind.items():
-                    sums[kind].add(sample, layers)
-            del traces, selected, trace, by_kind, sample
-        out = {kind: acc_sums.result() for kind, acc_sums in sums.items()}
-        if acc is not None:
-            # in layer order, as the stats' consumers (block means, thresholds) read them
-            stats = acc.finalize()
-            out["diversity"] = {key: stats[key] for key in self.model.param_counts() if key in stats}
-        return out
+            for acc in accs.values():
+                acc.add(samples)
+            del traces, trace, samples, sample
+        return {result: acc.finalize() for result, acc in accs.items()}
 
     def activations(self, kind: str, chunk_traces=None):
-        """(InputActivation, LayerSelectionStats) per layer over the tokens `kind` selects,
-        cached unless `chunk_traces` (as in `_selections`, e.g. `prefix_traces`) is
-        given."""
+        """(norms, LayerSelectionStats) per layer over the tokens `kind` selects, cached
+        unless `chunk_traces` (as in `_pass`, e.g. `prefix_traces`) is given."""
         if chunk_traces is not None:
             return self._pass([kind], chunk_traces)[kind]
-        self.compute(kind)
-        return self._cache[kind]
+        return self.result(kind)
 
     def mask_orders(self, importance: str, selection: str, group: str) -> dict[tuple[int, str], np.ndarray]:
         """Per layer of the calibrated model, the `mask_order` under `group` of its
@@ -421,57 +406,17 @@ class Calibration:
         any ratio."""
         if importance == "magnitude":
             selection = None
-
-        def compute():
+        key = ("orders", importance, selection, group)
+        if key not in self._cache:
             norms = None if selection is None else self.activations(selection)[0]
             orders = {}
             for layer in self.model.iter_layers():
-                key = (layer.block_index, layer.kind)
+                layer_key = (layer.block_index, layer.kind)
                 score = (importance_magnitude(layer.weight) if norms is None
-                         else importance_wanda(layer.weight, norms[key]))
-                orders[key] = mask_order(score, group)
-            return orders
-        return self._memo(("orders", importance, selection, group), compute)
-
-    def selection_records(self, kind: str) -> list[dict]:
-        """Per (sample, layer) selection details backing the analysis CSV."""
-        def compute():
-            records = []
-            index = 0
-            for traces, selected in self._selections([kind], self.chunk_traces):
-                for trace, by_kind in zip(traces, selected):
-                    layers, sample = by_kind[kind], _Sample(trace)
-                    records += [self._record(index, key, sample, *layers[key]) for key in sorted(layers)]
-                    index += 1
-                del traces, selected, trace, by_kind, layers, sample
-            return records
-        return self._memo(("records", kind), compute)
-
-    @staticmethod
-    def _record(index: int, key: tuple[int, str], sample: _Sample, indices: np.ndarray, result) -> dict:
-        record = {
-            "sample": index,
-            "block": key[0],
-            "kind": key[1],
-            "n_tokens": len(sample.trace.layer_inputs[key]),
-            "n_selected": int(len(indices)),
-            "by_modality": sample.add_modality_counts({}, indices),
-        }
-        if result is not None:
-            record["stopped_by"] = result.stopped_by
-            record["threshold"] = result.threshold
-            record["mmd_trace"] = [float(v) for v in result.mmd_trace]
-        return record
-
-    @cached_property
-    def block_similarity(self) -> dict[int, float]:
-        """Mean per-token cosine similarity between each block's input and output rows."""
-        n_blocks = self.model.n_blocks
-        sums = np.zeros(n_blocks)
-        for trace in self.traces(CaptureFlags(hiddens=True)):
-            sums += np.asarray([block_input_output_similarity(trace.hiddens[b], trace.hiddens[b + 1])
-                                for b in range(n_blocks)])
-        return {b: float(sums[b] / len(self.seqs)) for b in range(n_blocks)}
+                         else importance_wanda(layer.weight, norms[layer_key]))
+                orders[layer_key] = mask_order(score, group)
+            self._cache[key] = orders
+        return self._cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +466,7 @@ class PruneReport:
                 record["selected_by_modality"] = dict(sorted(sel.by_modality.items()))
                 if sel.samples:
                     record["stopped_by"] = dict(sorted(sel.stopped_by.items()))
-                    record["mean_final_mmd"] = sel.mean_final_mmd()
+                    record["mean_final_mmd"] = sel.final_mmd_sum / sel.samples
                     record["mmd_threshold"] = sel.threshold
             if self.owl_ratios and key in self.owl_ratios:
                 record["outlier_ratio"] = self.owl_ratios[key]
@@ -529,28 +474,39 @@ class PruneReport:
         return out
 
 
-def _build_plan(model: ToyModel, config: PruneConfig, stats, norms) -> tuple[SparsityPlan, dict | None]:
-    allocator = METHOD_SPECS[config.method].allocator
-    param_counts = model.param_counts()
-    if allocator == "uniform":
-        return allocate_uniform(param_counts, config.sparsity), None
-    if allocator == "das":
-        importances = {key: stats[key].importance for key in param_counts}
-        return allocate_das(importances, param_counts, config.sparsity, config.lam), None
-    if allocator == "das_alltoken":
-        importances = {key: stats[key].all_token for key in param_counts}
-        return allocate_das(importances, param_counts, config.sparsity, config.lam), None
-    if allocator == "das_blockwise":
-        importances = {key: stats[key].importance for key in param_counts}
-        return allocate_blockwise_das(importances, param_counts, config.sparsity, config.lam), None
-    if allocator == "owl":
-        ratios = {}
-        for layer in model.iter_layers():
-            key = (layer.block_index, layer.kind)
-            score = importance_wanda(layer.weight, norms[key])
-            ratios[key] = owl_outlier_ratio(score, config.owl_m)
-        return allocate_owl(ratios, param_counts, config.sparsity, config.owl_lam), ratios
-    raise ConfigError(f"unknown allocator {allocator!r}")
+def _plan_das(model: ToyModel, config: PruneConfig, stats, norms, term="importance", blockwise=False):
+    counts = model.param_counts()
+    allocate = allocate_blockwise_das if blockwise else allocate_das
+    return allocate({key: getattr(stats[key], term) for key in counts}, counts, config.sparsity, config.lam), None
+
+
+def _plan_owl(model: ToyModel, config: PruneConfig, stats, norms):
+    ratios = {}
+    for layer in model.iter_layers():
+        key = (layer.block_index, layer.kind)
+        ratios[key] = owl_outlier_ratio(importance_wanda(layer.weight, norms[key]), config.owl_m)
+    return allocate_owl(ratios, model.param_counts(), config.sparsity, config.owl_lam), ratios
+
+
+@dataclass(frozen=True)
+class Allocator:
+    """`plan(model, config, stats, norms)` gives (SparsityPlan, OWL ratios or None) from
+    the diversity stats if `diversity` and the selected tokens' norms if `norms`. It looks
+    `allocate_*` up when called, so a wrapper bound to the module name sees the call."""
+
+    plan: Callable[..., tuple]
+    diversity: bool = False
+    norms: bool = False
+
+
+ALLOCATORS = {
+    "uniform": Allocator(lambda model, config, stats, norms: (allocate_uniform(model.param_counts(),
+                                                                               config.sparsity), None)),
+    "das": Allocator(_plan_das, diversity=True),
+    "das_alltoken": Allocator(partial(_plan_das, term="all_token"), diversity=True),
+    "das_blockwise": Allocator(partial(_plan_das, blockwise=True), diversity=True),
+    "owl": Allocator(_plan_owl, norms=True),
+}
 
 
 def calibration_needs(config: PruneConfig) -> list[str]:
@@ -559,11 +515,12 @@ def calibration_needs(config: PruneConfig) -> list[str]:
     activations of the selected tokens for wanda importance and OWL ratios, which
     `--sequential` takes from the masked prefix instead."""
     spec = METHOD_SPECS[config.method]
+    allocator = ALLOCATORS[spec.allocator]
     selection = config.resolved_selection()
     needs = []
-    if spec.allocator.startswith("das") or selection == "amia":
+    if allocator.diversity or SELECTION_KINDS[selection].adaptive:
         needs.append("diversity")
-    if spec.allocator == "owl" or (spec.importance == "wanda" and not config.sequential):
+    if allocator.norms or (spec.importance == "wanda" and not config.sequential):
         needs.append(selection)
     return needs
 
@@ -594,12 +551,10 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
     needs = calibration_needs(config)
     calib.compute(*needs)
     stats = calib.diversity if "diversity" in needs else None
-    norms = sel_stats = None
-    if selection in needs:
-        norms, sel_stats = calib.activations(selection)
+    norms, sel_stats = calib.activations(selection) if selection in needs else (None, None)
 
     if plan is None:
-        plan, owl_ratios = _build_plan(model, config, stats, norms)
+        plan, owl_ratios = ALLOCATORS[spec.allocator].plan(model, config, stats, norms)
     else:
         owl_ratios = None
     plan_ratios = plan.ratios()
@@ -609,15 +564,12 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
 
     def mask_layers(layers, orders) -> None:
         # commit only after every mask is built
-        masks = {}
-        for layer in layers:
-            key = (layer.block_index, layer.kind)
-            masks[key] = make_mask(orders[key], plan_ratios[key], config.group)
-        for layer in layers:
-            key = (layer.block_index, layer.kind)
-            layer.mask = masks[key].keep
+        keys = [(layer.block_index, layer.kind) for layer in layers]
+        masks = [make_mask(orders[key], plan_ratios[key], config.group) for key in keys]
+        for layer, key, keep in zip(layers, keys, masks):
+            layer.mask = keep
             layer.apply_mask()
-            achieved[key] = masks[key].achieved_ratio
+            achieved[key] = float((~keep).sum()) / keep.size
 
     if config.sequential and spec.importance == "wanda":
         # Carry each sample's hidden state through the masked prefix, one block per step;
@@ -628,8 +580,8 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
             block_norms, block_stats = calib.activations(
                 selection, partial(calib.prefix_traces, model=pruned, block=block.index, states=states))
             sel_stats.update(block_stats)
-            orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, act), config.group)
-                      for key, act in block_norms.items()}
+            orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, norms), config.group)
+                      for key, norms in block_norms.items()}
             mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], orders)
     else:
         mask_layers(list(pruned.iter_layers()), calib.mask_orders(spec.importance, selection, config.group))
@@ -682,7 +634,7 @@ def block_prune(model: ToyModel, importances: dict[int, float], ratio: float) ->
 
 def block_importances_shortgpt(calib: Calibration) -> dict[int, float]:
     """1 - mean cosine similarity between each block's input and output rows."""
-    return {b: 1.0 - sim for b, sim in calib.block_similarity.items()}
+    return {b: 1.0 - sim for b, sim in calib.result("block_similarity").items()}
 
 
 def block_importances_das(stats: dict[tuple[int, str], DiversityStats]) -> dict[int, float]:

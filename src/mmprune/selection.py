@@ -11,14 +11,22 @@ attention selection cover the ablation variants.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diversity import _unit_rows
 from .errors import InsufficientTokensError, ShapeError
+from .model import PROJECTION_KINDS
 
-SELECTION_KINDS = ("full", "random", "attention", "amia")
+# AMIA runs a sample's layers of one output shape (N, C) as one stack while L * N^2
+# stays within this many elements: a 48-token plain sample's 20 (N, d_model) layers in
+# one stack and its 8 (N, d_ff) layers in another, a 188-token noisy sample's layers
+# three at a time. A stack holds two L x N x N float64 buffers, 2 MB at the bound. At
+# 2**16 a noisy stack held one layer, and the stacked pick loop's per-step array calls
+# made noisy `tamp` about 10% slower than the one-layer scalar loop they replaced.
+AMIA_STACK_ELEMENTS = 2**17
 
 
 def token_contributions(attention: np.ndarray) -> np.ndarray:
@@ -223,23 +231,68 @@ def select_amia(a: np.ndarray, z: np.ndarray, thresholds: list[float],
     return reverse_select(boosted, graph_rev, kernel, thresholds, min_count=params.min_count)
 
 
-def select_tokens(kind: str, a: np.ndarray | None, z: np.ndarray, *,
-                  rng: np.random.Generator | None = None, random_count: int = 100) -> np.ndarray:
-    """Indices of the tokens a non-adaptive kind of SELECTION_KINDS keeps.
+def _layerwise(pick):
+    """A `select` from `pick(sample, params, layer, n)`: the indices of n tokens kept."""
+    return lambda sample, params, thresholds: {
+        key: (pick(sample, params, key, len(x)), None) for key, x in sample.trace.layer_inputs.items()}
 
-    `a` holds token contributions; only the row count of `z` matters. Adaptive
-    selection (amia) runs per stack of layers through `select_amia`.
-    """
-    n = np.asarray(z).shape[0]
-    if kind == "full":
-        return np.arange(n)
-    if kind == "random":
-        if rng is None:
-            raise ValueError("random selection requires an rng")
-        return np.sort(rng.choice(n, size=min(random_count, n), replace=False))
-    if kind == "attention":
-        a = np.asarray(a, dtype=np.float64)
-        chosen = np.where(a > a.mean())[0]
-        # uniform contributions leave nothing above the mean; fall back to all tokens
-        return chosen if len(chosen) else np.arange(n)
-    raise ValueError(f"unknown selection kind {kind!r}")
+
+def _pick_random(sample, params, layer, n: int) -> np.ndarray:
+    """`random_count` tokens (all, if fewer), drawn under the seed, sample and layer."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [params.seed, 7701, sample.index, layer[0], PROJECTION_KINDS.index(layer[1])]))
+    return np.sort(rng.choice(n, size=min(params.random_count, n), replace=False))
+
+
+def _pick_above_mean(sample, params, layer, n: int) -> np.ndarray:
+    """The tokens whose contribution exceeds the mean; all, where none does."""
+    a = sample.contributions[layer[0]]
+    chosen = np.where(a > a.mean())[0]
+    return chosen if len(chosen) else np.arange(n)
+
+
+def _select_adaptive(sample, params, thresholds) -> dict:
+    """AMIA selections of one sample's layers, in layer order: a stack of layers of one
+    output shape at a time, or all tokens where there are too few for a kNN graph."""
+    amia, outputs = params.amia, sample.trace.layer_outputs
+    stacks: dict[tuple[int, ...], list] = {}
+    for key, z in outputs.items():
+        stacks.setdefault(z.shape, []).append(key)
+    selected = dict.fromkeys(outputs)
+    for (n, _), keys in stacks.items():
+        if n <= amia.k:
+            selected.update((key, (np.arange(n), None)) for key in keys)
+            continue
+        size = max(1, AMIA_STACK_ELEMENTS // (n * n))
+        for i in range(0, len(keys), size):
+            stack = keys[i:i + size]
+            # looked up at call time, so a wrapper bound to the module name sees each call
+            results = select_amia(np.stack([sample.contributions[block] for block, _ in stack]),
+                                  np.stack([outputs[key] for key in stack]),
+                                  [thresholds[key] for key in stack], amia)
+            selected.update((key, (result.selected, result)) for key, result in zip(stack, results))
+    return selected
+
+
+@dataclass(frozen=True)
+class SelectionKind:
+    """`select(sample, params, thresholds)` gives one sample's {layer: (indices,
+    SelectionResult | None)}. A kind that reads `attention` reads `sample.contributions`,
+    an `adaptive` one the layer outputs and {layer: MMD threshold}s; `keeps_all`: all, in order."""
+
+    select: Callable[..., dict]
+    attention: bool = False
+    adaptive: bool = False
+    keeps_all: bool = False
+
+    @property
+    def reads(self) -> tuple[str, ...]:  # trace fields beside the layer inputs
+        return tuple(name for name, read in (("attention", self.attention), ("outputs", self.adaptive)) if read)
+
+
+SELECTION_KINDS = {
+    "full": SelectionKind(_layerwise(lambda sample, params, layer, n: np.arange(n)), keeps_all=True),
+    "random": SelectionKind(_layerwise(_pick_random)),
+    "attention": SelectionKind(_layerwise(_pick_above_mean), attention=True),
+    "amia": SelectionKind(_select_adaptive, attention=True, adaptive=True),
+}

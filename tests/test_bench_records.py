@@ -71,11 +71,17 @@ def test_the_benchmark_tracer_counts_chunked_forwards_and_stacked_selections(tmp
     assert main(["gen-synth", "--out", str(ws), "--n-calib", "3"]) == 0
     seqs = load_sequences(ws / "calib.jsonl")
     n_layers = len(list(load_checkpoint(ws / "model").iter_layers()))
-    tracer = tracing.Tracer()
-    with tracer:
-        assert main(["prune", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"),
-                     "--method", "tamp", "--out", str(tmp_path / "out")]) == 0
-    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+
+    def traced_prune(method, allocator):
+        tracer = tracing.Tracer()
+        with tracer:
+            assert main(["prune", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"),
+                         "--method", method, "--out", str(tmp_path / method)]) == 0
+        # the allocator table calls `allocate_*` by its bound name
+        assert f"allocation.{allocator}" in {name for name, *_ in tracer.spans}
+        return tracing.layer_metrics(tracer.spans, tracer.counts)
+
+    metrics = traced_prune("tamp", "allocate_das")
     # tamp runs two calibration passes: diversity, then AMIA selection
     assert metrics["model.forward.tokens"] == 2 * sum(len(seq) for seq in seqs)
     assert 0 < metrics["model.forward.calls"] < 2 * len(seqs)  # a chunk is one call
@@ -83,3 +89,9 @@ def test_the_benchmark_tracer_counts_chunked_forwards_and_stacked_selections(tmp
     assert metrics["diversity.add_layer_sample.calls"] == 2 * len(list(chunks(seqs)))
     assert 0 < metrics["selection.select_amia.calls"] < len(seqs) * n_layers  # a stack is one call
     assert metrics["selection.select_amia.s"] > 0
+    assert metrics["allocation.s"] > 0
+    assert metrics["pruner.make_mask.calls"] == n_layers
+    metrics = traced_prune("owl", "allocate_owl")
+    assert metrics["allocation.s"] > 0 and metrics["pruner.make_mask.calls"] == n_layers
+    assert metrics["model.forward.tokens"] == sum(len(seq) for seq in seqs)  # one full-token pass
+    assert metrics["selection.select_amia.calls"] == 0

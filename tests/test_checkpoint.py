@@ -1,5 +1,7 @@
 """Checkpoint round-trip and corruption handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,32 @@ def test_missing_blob_named_in_error(tmp_path):
     (tmp_path / "ckpt" / WEIGHTS_BLOB).unlink()
     with pytest.raises(FormatError, match=WEIGHTS_BLOB):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_a_failed_manifest_write_leaves_the_old_checkpoint_whole(tmp_path, monkeypatch):
+    old = init_synthetic(8, 2, 12, 2, seed=1)
+    save_checkpoint(old, tmp_path / "ckpt")
+    before = dir_bytes(tmp_path / "ckpt")
+    new = init_synthetic(8, 2, 12, 2, seed=2)
+    for layer in new.iter_layers():
+        layer.mask = np.arange(layer.weight.size).reshape(layer.weight.shape) % 2 == 0
+        layer.apply_mask()
+    real_write_bytes = Path.write_bytes
+
+    def failing_write_bytes(path, data):
+        if MANIFEST_NAME in path.name:
+            raise OSError("no space left on device")
+        return real_write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(new, tmp_path / "ckpt")
+    assert dir_bytes(tmp_path / "ckpt") == before  # no file replaced, no temporary file left
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert all(layer.mask is None for layer in loaded.iter_layers())
+    for a, b in zip(old.iter_layers(), loaded.iter_layers()):
+        assert a.weight.tobytes() == b.weight.tobytes()
+    monkeypatch.undo()
+    save_checkpoint(new, tmp_path / "ckpt")  # a later save replaces every file
+    save_checkpoint(new, tmp_path / "fresh")
+    assert dir_bytes(tmp_path / "ckpt") == dir_bytes(tmp_path / "fresh")

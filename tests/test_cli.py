@@ -10,6 +10,7 @@ from mmprune.allocation import allocate_uniform
 from mmprune.checkpoint import load_checkpoint
 from mmprune.cli import _prune_config, build_parser, main
 from mmprune.pruner import PruneConfig
+from tests.test_pruner import count_calibration_forwards
 
 
 def snapshot(directory):
@@ -367,6 +368,21 @@ def test_analyze_runs_the_diversity_pass_once(workspace, tmp_path, monkeypatch):
     assert len(passes) == 1
 
 
+@pytest.mark.parametrize("argv,passes", [
+    (["analyze", "--reports", "diversity,attention"], 1),
+    (["analyze", "--reports", "diversity,attention,selection"], 2),  # amia reads the diversity
+    (["analyze", "--reports", "diversity,attention,selection", "--selection", "full"], 1),
+    (["prune", "--structural", "shortgpt"], 1),
+], ids=["default-reports", "amia-selection", "full-selection", "shortgpt"])
+def test_each_command_forwards_the_calibration_set_once_per_dependency_level(workspace, tmp_path, monkeypatch,
+                                                                             argv, passes):
+    # on the default 128-sequence workspace: 128, 256, 128 and 128 sequences
+    calls = count_calibration_forwards(monkeypatch)
+    assert main(argv + ["--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
+                        "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == passes * 4  # the workspace's 4 calibration sequences per pass
+
+
 def test_degenerate_calibration_error_names_the_layer(tmp_path, capsys):
     ws = tmp_path / "tiny"
     assert main(["gen-synth", "--out", str(ws), "--d-model", "16", "--n-heads", "2",
@@ -457,6 +473,12 @@ def test_rerun_reproduces_outputs(workspace, tmp_path):
         replayed = snapshot(out)
         assert set(replayed) == set(original)
         assert all(replayed[name] == original[name] for name in original if name != "run.json")
+    # a record without its optional settings replays under the parser's defaults
+    record = json.loads((out / "run.json").read_text())
+    record["config"] = {key: record["config"][key] for key in ("model", "calib", "out", "method", "sparsity")}
+    run_file.write_text(json.dumps(record))
+    assert main(["rerun", str(run_file)]) == 0
+    assert snapshot(out) == original
 
 
 def rerun_error(path, capsys):
@@ -618,6 +640,34 @@ def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, no_l
 ], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
         "group", "structural-plan-out", "analyze-report", "compare-sparsity", "gen-synth-blocks"])
 def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
+    check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, lambda config: {**config, **edit}, message)
+
+
+def without(*keys):
+    return lambda config: {key: value for key, value in config.items() if key not in keys}
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("prune", lambda config: {}, "the run record has no --model setting ('model')"),
+    ("prune", without("calib"), "the run record has no --calib setting ('calib')"),
+    ("compare", without("eval"), "the run record has no --eval setting ('eval')"),
+    ("gen-synth", without("out"), "the run record has no --out setting ('out')"),
+    ("prune", lambda config: {**config, "report": 5}, "--report must be a string or null, got 5"),
+    ("prune", lambda config: {**config, "model": ["a"]}, "--model must be a string, got ['a']"),
+    ("prune", lambda config: {**config, "plan": 5}, "--plan must be a string or null, got 5"),
+    ("analyze", lambda config: {**config, "reports": None}, "--reports must be a string, got None"),
+    ("prune", lambda config: {**config, "sequential": "no"}, "--sequential must be true or false, got 'no'"),
+    ("prune", lambda config: {**config, "sequential": 1}, "--sequential must be true or false, got 1"),
+], ids=["empty", "no-calib", "no-eval", "gen-synth-no-out", "report-number", "model-list", "plan-number",
+        "reports-null", "sequential-text", "sequential-number"])
+def test_rerun_of_a_record_with_a_missing_or_mistyped_setting_is_usage_error(tmp_path, capsys, no_loads,
+                                                                           command, edit, message):
+    check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, edit, message)
+
+
+def check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
+    """`rerun` of a `command` record whose parsed config `edit` changes exits 2 with a JSON
+    UsageError ending in `message`, before anything loads or any directory is made."""
     args = {"prune": ["prune", "--model", "m", "--calib", "c"],
             "analyze": ["analyze", "--model", "m", "--calib", "c"],
             "compare": ["compare", "--model", "m", "--calib", "c", "--eval", "e"],
@@ -625,7 +675,7 @@ def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, n
     config = {k: v for k, v in vars(build_parser().parse_args(args + ["--out", str(tmp_path / "out")])).items()
               if k != "command"}
     run_file = tmp_path / "run.json"
-    run_file.write_text(json.dumps({"command": command, "config": {**config, **edit}}))
+    run_file.write_text(json.dumps({"command": command, "config": edit(config)}))
     code = main(["rerun", str(run_file)])
     err = json.loads(capsys.readouterr().err)
     assert code == 2 and err["error"] == "UsageError"

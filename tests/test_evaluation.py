@@ -9,12 +9,11 @@ import pytest
 from mmprune.allocation import allocate_uniform, PlanEntry, SparsityPlan
 from mmprune.data import ModalitySpec, generate_sequences
 from mmprune.errors import ConfigError
-from mmprune.evaluation import (attention_by_modality, reconstruction_report, rel_avg,
-                                run_comparison, sparsity_report)
+from mmprune.evaluation import reconstruction_report, rel_avg, run_comparison, sparsity_report
 from mmprune.model import (ActivationTrace, Block, CaptureFlags, LinearLayer, ModalityId, Span,
                            TokenSequence, ToyModel, forward)
-from mmprune.pruner import (METHOD_SPECS, Calibration, PruneConfig, make_mask, mask_order,
-                            prune_model)
+from mmprune.pruner import (METHOD_SPECS, Calibration, PruneConfig, _AttentionMass, _Sample, make_mask,
+                            mask_order, prune_model)
 from mmprune.model import init_synthetic
 from tests.test_model import _oracle_matvec, _oracle_rms, rng_seq
 from tests.test_pruner import count_calibration_forwards
@@ -48,7 +47,7 @@ def test_fully_pruned_nonzero_model_has_positive_error():
     model, seqs = eval_setup(seed=2)
     pruned = model.copy()
     for layer in pruned.iter_layers():
-        layer.mask = make_mask(mask_order(np.abs(layer.weight)), 1.0).keep
+        layer.mask = make_mask(mask_order(np.abs(layer.weight)), 1.0)
         layer.apply_mask()
     metrics = reconstruction_report(model, pruned, seqs)
     assert metrics.end_rel_error > 0.0
@@ -196,7 +195,15 @@ def test_rel_avg_rejects_non_positive_reference():
 
 
 # ---------------------------------------------------------------------------
-# attention_by_modality
+# attention mass per modality
+
+
+def attention_by_modality(traces):
+    """The calibration engine's per-block attention masses of `traces`, fed one at a time."""
+    acc = _AttentionMass()
+    for trace in traces:
+        acc.add([_Sample(trace, 0)])
+    return acc.finalize()
 
 
 def test_attention_single_modality_mass_one():

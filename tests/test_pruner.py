@@ -8,6 +8,7 @@ match exactly.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from mmprune.data import generate_sequences, make_noisy_modality_scenario, Modal
 from mmprune.errors import ConfigError, ShapeError
 from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, TokenSequence, forward,
                            init_synthetic)
-from mmprune.pruner import (Calibration, InputActivation, LayerSelectionStats, PruneConfig,
+from mmprune.pruner import (Calibration, LayerSelectionStats, PruneConfig,
                             block_importances_das, block_importances_shortgpt, block_prune,
                             blocks_to_remove, importance_magnitude, importance_wanda,
                             make_mask, mask_order, prune_model)
-from mmprune.selection import AmiaParams, select_amia, select_tokens, token_contributions
+from mmprune.selection import AmiaParams, select_amia, token_contributions
 from tests.test_diversity import oracle_intra, oracle_inter
 from tests.test_selection import oracle_reverse_select
 
@@ -30,12 +31,14 @@ from tests.test_selection import oracle_reverse_select
 
 
 def q_activation(rows_per_seq):
-    """Block 0's q inputs per sequence, and Calibration's full-selection activation of that layer."""
+    """Block 0's q inputs per sequence, and Calibration's full-selection norms and selected
+    token count of that layer."""
     model = init_synthetic(4, 2, 8, 1, seed=3)
     vis = ModalityId(0, "visual")
     seqs = [TokenSequence(np.array(rows, np.float32), [Span(vis, 0, len(rows))]) for rows in rows_per_seq]
     inputs = [forward(model, seq, CaptureFlags(inputs=True))[1].layer_inputs[(0, "q")] for seq in seqs]
-    return inputs, Calibration(model, seqs).activations("full")[0][(0, "q")]
+    norms, stats = Calibration(model, seqs).activations("full")
+    return inputs, SimpleNamespace(norms=norms[(0, "q")], token_count=stats[(0, "q")].selected_total)
 
 
 def test_input_activation_single_token():
@@ -68,7 +71,7 @@ def test_amia_keeps_every_token_of_a_sample_too_short_for_a_knn_graph():
     seqs = [TokenSequence(np.array(r, np.float32), [Span(vis, 0, len(r))]) for r in (rows[:3], rows[3:])]
     activations, stats = Calibration(model, seqs).activations("amia")
     short_only, _ = Calibration(model, seqs[:1]).activations("amia")
-    np.testing.assert_array_equal(short_only[(0, "q")].norms, full.norms)
+    np.testing.assert_array_equal(short_only[(0, "q")], full.norms)
     for key, entry in stats.items():
         assert entry.token_total == 8 and 3 + AmiaParams().min_count <= entry.selected_total <= 8
         assert entry.samples == 1 and sum(entry.stopped_by.values()) == 1, key
@@ -91,50 +94,55 @@ def test_importance_magnitude():
 
 def test_importance_wanda_unit_activations_is_magnitude():
     w = np.array([[1.0, -2.0], [3.0, 0.5]])
-    act = InputActivation(np.ones(2), 1, "full")
+    act = np.ones(2)
     np.testing.assert_array_equal(importance_wanda(w, act), importance_magnitude(w))
 
 
 def test_importance_wanda_elementwise_example():
     w = np.array([[1.0, -2.0], [3.0, 0.5]])
-    act = InputActivation(np.array([2.0, 1.0]), 1, "full")
+    act = np.array([2.0, 1.0])
     np.testing.assert_array_equal(importance_wanda(w, act), [[2.0, 2.0], [6.0, 0.5]])
 
 
 def test_importance_wanda_zero_channel_zeroes_column():
     w = np.random.default_rng(1).standard_normal((3, 4))
-    act = InputActivation(np.array([1.0, 0.0, 2.0, 1.0]), 1, "full")
+    act = np.array([1.0, 0.0, 2.0, 1.0])
     assert (importance_wanda(w, act)[:, 1] == 0.0).all()
 
 
 def test_importance_wanda_shape_mismatch():
     with pytest.raises(ShapeError):
-        importance_wanda(np.ones((2, 3)), InputActivation(np.ones(2), 1, "full"))
+        importance_wanda(np.ones((2, 3)), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
 # make_mask
 
 
+def achieved_ratio(keep):
+    """The share of a keep-mask's entries that it drops, as `prune_model` reports it."""
+    return float((~keep).sum()) / keep.size
+
+
 def test_mask_ratio_zero_and_one():
     imp = np.random.default_rng(0).random((4, 6))
-    assert make_mask(mask_order(imp), 0.0).keep.all()
+    assert make_mask(mask_order(imp), 0.0).all()
     full = make_mask(mask_order(imp), 1.0)
-    assert not full.keep.any()
-    assert full.achieved_ratio == 1.0
+    assert not full.any()
+    assert achieved_ratio(full) == 1.0
 
 
 def test_mask_per_row_example_with_tie_break():
     imp = np.array([[2.0, 2.0], [6.0, 0.5]])
     mask = make_mask(mask_order(imp, "per_output_row"), 0.5, "per_output_row")
-    np.testing.assert_array_equal(mask.keep, [[False, True], [True, False]])
-    assert mask.achieved_ratio == 0.5
+    np.testing.assert_array_equal(mask, [[False, True], [True, False]])
+    assert achieved_ratio(mask) == 0.5
 
 
 def test_mask_per_layer_example():
     imp = np.array([[2.0, 2.0], [6.0, 0.5]])
     mask = make_mask(mask_order(imp, "per_layer"), 0.5, "per_layer")
-    np.testing.assert_array_equal(mask.keep, [[False, True], [True, False]])
+    np.testing.assert_array_equal(mask, [[False, True], [True, False]])
 
 
 def test_mask_matches_sorting_oracle():
@@ -146,7 +154,7 @@ def test_mask_matches_sorting_oracle():
     for r in range(6):
         order = sorted(range(9), key=lambda c: (imp[r, c], c))
         drop = set(order[:n_drop])
-        np.testing.assert_array_equal(~mask.keep[r], [c in drop for c in range(9)])
+        np.testing.assert_array_equal(~mask[r], [c in drop for c in range(9)])
 
 
 def test_mask_achieved_within_one_element_per_group_fuzz():
@@ -157,10 +165,10 @@ def test_mask_achieved_within_one_element_per_group_fuzz():
         ratio = float(rng.random())
         for group, size in (("per_output_row", cols), ("per_layer", rows * cols)):
             mask = make_mask(mask_order(imp, group), ratio, group)
-            achieved = (~mask.keep).sum() / (rows * cols)
-            assert mask.achieved_ratio == achieved
+            achieved = (~mask).sum() / (rows * cols)
+            assert achieved_ratio(mask) == achieved
             if group == "per_output_row":
-                per_row = (~mask.keep).sum(axis=1) / cols
+                per_row = (~mask).sum(axis=1) / cols
                 assert (np.abs(per_row - ratio) < 1.0 / cols + 1e-12).all()
             else:
                 assert abs(achieved - ratio) < 1.0 / size + 1e-12
@@ -171,7 +179,7 @@ def test_mask_containment_monotone_in_ratio():
     imp = rng.random((8, 16))
     previous = np.zeros(imp.shape, dtype=bool)
     for ratio in (0.1, 0.25, 0.5, 0.75, 0.9):
-        dropped = ~make_mask(mask_order(imp, "per_output_row"), ratio, "per_output_row").keep
+        dropped = ~make_mask(mask_order(imp, "per_output_row"), ratio, "per_output_row")
         assert (previous <= dropped).all()
         previous = dropped
 
@@ -180,9 +188,9 @@ def test_mask_invariant_to_activation_rescaling():
     rng = np.random.default_rng(11)
     w = rng.standard_normal((12, 10))
     norms = rng.random(10) + 0.1
-    base = make_mask(mask_order(importance_wanda(w, InputActivation(norms, 1, "full"))), 0.5)
-    scaled = make_mask(mask_order(importance_wanda(w, InputActivation(4.0 * norms, 1, "full"))), 0.5)
-    np.testing.assert_array_equal(base.keep, scaled.keep)
+    base = make_mask(mask_order(importance_wanda(w, norms)), 0.5)
+    scaled = make_mask(mask_order(importance_wanda(w, 4.0 * norms)), 0.5)
+    np.testing.assert_array_equal(base, scaled)
 
 
 def test_mask_bad_args():
@@ -211,9 +219,9 @@ def test_magnitude_uniform_reproduces_classic_magnitude():
     for layer in model.iter_layers():
         expected = make_mask(mask_order(importance_magnitude(layer.weight)), 0.5)
         got = pruned.blocks[layer.block_index].layers[layer.kind]
-        np.testing.assert_array_equal(got.mask, expected.keep)
+        np.testing.assert_array_equal(got.mask, expected)
         assert (got.weight[~got.mask] == 0.0).all()
-        np.testing.assert_array_equal(got.weight[got.mask], layer.weight[expected.keep])
+        np.testing.assert_array_equal(got.weight[got.mask], layer.weight[expected])
 
 
 def test_wanda_uniform_full_selection_is_wanda():
@@ -232,7 +240,7 @@ def test_wanda_uniform_full_selection_is_wanda():
         norms = np.sqrt((rows ** 2).sum(axis=0))
         expected = make_mask(mask_order(norms[None, :] * np.abs(layer.weight.astype(np.float64))), 0.5)
         got = pruned.blocks[key[0]].layers[key[1]]
-        np.testing.assert_array_equal(got.mask, expected.keep)
+        np.testing.assert_array_equal(got.mask, expected)
 
 
 def test_pipeline_deterministic_and_thread_invariant():
@@ -298,7 +306,7 @@ def test_calibration_memoizes_and_matches_fresh_runs(monkeypatch):
 ], ids=["tamp", "noisy-tamp", "sequential-wanda", "noisy-sequential-tamp"])
 def test_prune_does_not_depend_on_chunk_or_stack_sizes(monkeypatch, config, data):
     import mmprune.model as model_module
-    import mmprune.pruner as pruner
+    import mmprune.selection as selection
     if data == "plain":
         model, seqs = calib_setup(seed=61, n_seqs=5)
     else:
@@ -308,9 +316,9 @@ def test_prune_does_not_depend_on_chunk_or_stack_sizes(monkeypatch, config, data
     runs = []
     # one sequence per chunk and one layer per AMIA stack; two sequences and the default
     # stacks; every sequence in one chunk and every layer of a shape in one stack
-    for tokens, elements in [(1, 1), (2 * len(seqs[0]), pruner.AMIA_STACK_ELEMENTS), (10**9, 10**9)]:
+    for tokens, elements in [(1, 1), (2 * len(seqs[0]), selection.AMIA_STACK_ELEMENTS), (10**9, 10**9)]:
         monkeypatch.setattr(model_module, "CHUNK_TOKENS", tokens)
-        monkeypatch.setattr(pruner, "AMIA_STACK_ELEMENTS", elements)
+        monkeypatch.setattr(selection, "AMIA_STACK_ELEMENTS", elements)
         pruned, report = prune_model(model, seqs, config)
         runs.append(([layer.weight.tobytes() + layer.mask.tobytes() for layer in pruned.iter_layers()],
                      report.to_dict()))
@@ -386,6 +394,18 @@ def test_sequential_mode_runs_and_hits_budget():
         assert layer.mask is not None
 
 
+def oracle_pick(kind, a, n, rng, random_count):
+    """The tokens of one layer's n that a non-adaptive selection kind keeps, computed on
+    their own: all, `random_count` drawn by `rng`, or those whose contribution in `a`
+    exceeds the mean (all, if none does)."""
+    if kind == "full":
+        return np.arange(n)
+    if kind == "random":
+        return np.sort(rng.choice(n, size=min(random_count, n), replace=False))
+    chosen = np.where(a > a.mean())[0]
+    return chosen if len(chosen) else np.arange(n)
+
+
 def oracle_sequential_prune(model, seqs, config, ratios):
     """Naive sequential reference: per block, a full forward of every sample
     through the progressively masked copy, then Wanda masks for that block."""
@@ -409,7 +429,7 @@ def oracle_sequential_prune(model, seqs, config, ratios):
                     result = select_amia(a[None], z[None], [thresholds[key]], config.amia)[0]
                     picks = result.selected
                 else:
-                    picks = select_tokens(kind, a, z, rng=rng, random_count=config.random_count)
+                    picks = oracle_pick(kind, a, len(z), rng, config.random_count)
                     result = None
                 sq += np.square(x[picks].astype(np.float64)).sum(axis=0)
                 entry.token_total += len(x)
@@ -424,8 +444,8 @@ def oracle_sequential_prune(model, seqs, config, ratios):
                     entry.samples += 1
             stats[key] = entry
             layer = masked.layer(*key)
-            masks[key] = make_mask(mask_order(importance_wanda(layer.weight, InputActivation(np.sqrt(sq), 0, kind))),
-                                   ratios[key]).keep
+            masks[key] = make_mask(mask_order(importance_wanda(layer.weight, np.sqrt(sq))),
+                                   ratios[key])
             achieved[key] = float((~masks[key]).sum()) / masks[key].size
         for layer_kind in PROJECTION_KINDS:
             layer = masked.layer(b, layer_kind)
@@ -688,26 +708,36 @@ def test_calibration_diversity_equals_one_sample_at_a_time_bitwise(monkeypatch, 
 
 
 def per_layer_activations(calib, kind):
-    """`Calibration.activations(kind)` computed one (sample, layer) at a time, as the
+    """`Calibration.activations(kind)` computed one (sample, layer) at a time, each
+    sample forwarded on its own and each layer's tokens selected on their own, as the
     pipeline did before it shared inputs and counted spans through one lookup."""
     sq_sums, stats = {}, {}
+    p = calib.params
     thresholds = calib.thresholds if kind == "amia" else {}
-    for traces, selected in calib._selections([kind], calib.chunk_traces):
-        for trace, by_kind in zip(traces, selected):
-            for key, (indices, result) in by_kind[kind].items():
-                x = trace.layer_inputs[key]
-                sq = np.square(x[indices].astype(np.float64)).sum(axis=0)
-                sq_sums[key] = sq_sums.get(key, 0.0) + sq
-                entry = stats.setdefault(key, LayerSelectionStats(threshold=thresholds.get(key)))
-                entry.token_total += len(x)
-                entry.selected_total += len(indices)
-                for span in trace.spans:
-                    count = int(((indices >= span.start) & (indices < span.stop)).sum())
-                    entry.by_modality[span.modality.name] = entry.by_modality.get(span.modality.name, 0) + count
-                if result is not None:
-                    entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
-                    entry.final_mmd_sum += result.mmd_trace[-1]
-                    entry.samples += 1
+    capture = CaptureFlags(inputs=True, outputs=True, attention=True)
+    for index, seq in enumerate(calib.seqs):
+        trace = forward(calib.model, seq, capture)[1]
+        for key, x in trace.layer_inputs.items():
+            a, z = token_contributions(trace.attention[key[0]]), trace.layer_outputs[key]
+            if kind == "amia" and len(z) > p.amia.k:
+                result = select_amia(a[None], z[None], [thresholds[key]], p.amia)[0]
+                indices = result.selected
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    [p.seed, 7701, index, key[0], PROJECTION_KINDS.index(key[1])]))
+                indices, result = oracle_pick(kind, a, len(x), rng, p.random_count), None
+            sq = np.square(x[indices].astype(np.float64)).sum(axis=0)
+            sq_sums[key] = sq_sums.get(key, 0.0) + sq
+            entry = stats.setdefault(key, LayerSelectionStats(threshold=thresholds.get(key)))
+            entry.token_total += len(x)
+            entry.selected_total += len(indices)
+            for span in trace.spans:
+                count = int(((indices >= span.start) & (indices < span.stop)).sum())
+                entry.by_modality[span.modality.name] = entry.by_modality.get(span.modality.name, 0) + count
+            if result is not None:
+                entry.stopped_by[result.stopped_by] = entry.stopped_by.get(result.stopped_by, 0) + 1
+                entry.final_mmd_sum += result.mmd_trace[-1]
+                entry.samples += 1
     return {key: np.sqrt(sq) for key, sq in sq_sums.items()}, stats
 
 
@@ -720,8 +750,7 @@ def test_activation_statistics_equal_a_per_layer_computation(data, kind):
     norms, expected = per_layer_activations(calib, kind)
     assert list(activations) == list(norms) and stats == expected
     for key, act in activations.items():
-        assert act.norms.tobytes() == norms[key].tobytes(), key
-        assert act.token_count == expected[key].selected_total
+        assert act.tobytes() == norms[key].tobytes(), key
     assert stats[(0, "q")].by_modality.keys() >= {span.modality.name for span in seqs[0].spans}
 
 
@@ -739,6 +768,21 @@ def test_calibration_serves_one_dependency_level_from_one_pass(monkeypatch):
     assert repr(calib.diversity) == repr(fresh.diversity)
     with pytest.raises(ConfigError, match="unknown calibration result"):
         calib.compute("banana")
+
+
+def test_amia_activations_and_records_requested_together_share_one_level_two_pass(monkeypatch):
+    model, seqs = calib_setup(seed=95, n_seqs=3)
+    calls = count_calibration_forwards(monkeypatch)
+    calib = Calibration(model, seqs)
+    calib.compute("amia", ("records", "amia"))
+    assert len(calls) == 2 * len(seqs)  # the diversity pass, then one pass for both
+    fresh = Calibration(model, seqs)
+    assert repr(calib.activations("amia")) == repr(fresh.activations("amia"))
+    records = calib.result(("records", "amia"))
+    assert records == fresh.result(("records", "amia"))
+    assert len(calls) == 2 * len(seqs) + 3 * len(seqs)  # fresh: diversity, activations, records
+    for key, entry in calib.activations("amia")[1].items():
+        assert entry.selected_total == sum(r["n_selected"] for r in records if (r["block"], r["kind"]) == key)
 
 
 def make_mask_from_importance(importance, ratio, group):
@@ -767,7 +811,7 @@ def test_memoized_mask_orders_give_make_mask_masks_in_any_cell_order(group):
             score = (importance_magnitude(layer.weight) if importance == "magnitude"
                      else importance_wanda(layer.weight, norms[key]))
             for ratio in (0.0, 0.25, 0.5, 0.7, 1.0):
-                assert np.array_equal(make_mask(orders[key], ratio, group).keep,
+                assert np.array_equal(make_mask(orders[key], ratio, group),
                                       make_mask_from_importance(score, ratio, group)), (importance, key, ratio)
     cells = [(method, ratio) for method in ("magnitude", "wanda", "das", "tamp") for ratio in (0.3, 0.5, 0.7)]
     masks = []

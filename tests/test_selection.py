@@ -5,13 +5,15 @@ pick/penalize/MMD loop, kept free of the library's incremental updates.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mmprune.errors import InsufficientTokensError, ShapeError
-from mmprune.selection import (AmiaParams, build_knn, forward_update, kernel_matrix,
-                               pairwise_cosine_distances, reverse_select, select_amia, select_tokens,
+from mmprune.model import ActivationTrace
+from mmprune.selection import (SELECTION_KINDS, AmiaParams, build_knn, forward_update, kernel_matrix,
+                               pairwise_cosine_distances, reverse_select, select_amia,
                                token_contributions)
 
 
@@ -395,31 +397,38 @@ def test_stacked_selection_rejects_a_threshold_count_that_misses_the_layers():
 # variants
 
 
+def pick(kind, a, z, seed=0):
+    """The tokens that `kind`'s entry of SELECTION_KINDS keeps of one layer with outputs
+    `z`, in block 0 of sample 0 with contributions `a`, under `seed`."""
+    sample = SimpleNamespace(trace=ActivationTrace(layer_inputs={(0, "q"): z}), index=0, contributions={0: a})
+    return SELECTION_KINDS[kind].select(sample, SimpleNamespace(seed=seed, random_count=100), {})[(0, "q")][0]
+
+
 def test_variant_full():
     z = np.ones((7, 2))
-    np.testing.assert_array_equal(select_tokens("full", None, z), np.arange(7))
+    np.testing.assert_array_equal(pick("full", None, z), np.arange(7))
 
 
 def test_variant_attention_uniform_falls_back_to_full():
     z = np.ones((5, 2))
     a = np.full(5, 0.2)
-    np.testing.assert_array_equal(select_tokens("attention", a, z), np.arange(5))
+    np.testing.assert_array_equal(pick("attention", a, z), np.arange(5))
 
 
 def test_variant_attention_above_mean():
     z = np.ones((4, 2))
     a = np.array([0.1, 0.4, 0.2, 0.3])
-    np.testing.assert_array_equal(select_tokens("attention", a, z), [1, 3])
+    np.testing.assert_array_equal(pick("attention", a, z), [1, 3])
 
 
 def test_variant_random_deterministic_and_capped():
     z = np.ones((250, 2))
-    pick1 = select_tokens("random", None, z, rng=np.random.default_rng(99))
-    pick2 = select_tokens("random", None, z, rng=np.random.default_rng(99))
+    pick1 = pick("random", None, z, seed=99)
+    pick2 = pick("random", None, z, seed=99)
     np.testing.assert_array_equal(pick1, pick2)
     assert len(pick1) == 100
     assert len(set(pick1.tolist())) == 100
-    small = select_tokens("random", None, np.ones((30, 2)), rng=np.random.default_rng(1))
+    small = pick("random", None, np.ones((30, 2)), seed=1)
     assert len(small) == 30
 
 
@@ -429,7 +438,7 @@ def test_selected_sets_within_range_fuzz():
         n = int(rng.integers(5, 40))
         z = rng.standard_normal((n, 4))
         a = rng.random(n)
-        picks = [select_tokens(kind, a, z, rng=np.random.default_rng(0))
+        picks = [pick(kind, a, z)
                  for kind in ("full", "random", "attention")]
         for idx in picks + [amia_one(a, z, threshold=0.05).selected]:
             assert len(set(idx.tolist())) == len(idx)
