@@ -10,7 +10,9 @@ Layout:
 Offsets count elements (weights) or bytes (packed masks). Save/load round
 trips are bit-exact, masks included. A weight that its mask drops must be
 stored as zero. Saves are atomic per file: each file is written under a
-temporary name, then moved into place, the blobs before the manifest.
+temporary name, then moved into place, the blobs before the manifest; then
+a blob the new manifest does not name is removed. A manifest's blob names
+are plain file names in its directory.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import blob_reader
 from .errors import FormatError, is_count
 from .model import PROJECTION_KINDS, Block, LinearLayer, ToyModel
 
@@ -95,6 +98,8 @@ def save_checkpoint(model: ToyModel, directory: str | Path) -> Path:
     finally:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+    for name in {WEIGHTS_BLOB, MASKS_BLOB} - files.keys():  # the manifest no longer names it
+        (directory / name).unlink(missing_ok=True)
     return directory
 
 
@@ -168,34 +173,14 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
             gap = next((b, name) for b in range(n_blocks) for name in names if (b, name) not in seen)
             raise FormatError(f"{manifest_path}: {section} has no record for (block, {name_field}) = {gap!r}")
 
-    blobs: dict[str, np.ndarray] = {}
-    raw_blobs: dict[str, bytes] = {}
-
-    def blob_f32(name: str) -> np.ndarray:
-        if name not in blobs:
-            path = directory / name
-            if not path.is_file():
-                raise FormatError(f"missing blob {path}")
-            data = path.read_bytes()
-            if len(data) % 4 != 0:
-                raise FormatError(f"{path}: size {len(data)} is not a multiple of 4 bytes")
-            blobs[name] = np.frombuffer(data, dtype="<f4")
-        return blobs[name]
-
-    def blob_bytes(name: str) -> bytes:
-        if name not in raw_blobs:
-            path = directory / name
-            if not path.is_file():
-                raise FormatError(f"missing blob {path}")
-            raw_blobs[name] = path.read_bytes()
-        return raw_blobs[name]
-
+    blob = blob_reader(directory)
     layer_map: dict[tuple[int, str], LinearLayer] = {}
     for i, record in enumerate(manifest["layers"]):
-        weight = _read_f32(blob_f32(record["blob"]), record["offset"], record["shape"], record["blob"])
+        where = f"{manifest_path}: layers[{i}]"
+        weight = _read_f32(blob(record["blob"], where, "<f4"), record["offset"], record["shape"], record["blob"])
         layer = LinearLayer(weight, record["kind"], record["block"])
         if "mask_blob" in record:
-            data = blob_bytes(record["mask_blob"])
+            data = blob(record["mask_blob"], where)
             n_bits = weight.size
             n_bytes = (n_bits + 7) // 8
             start = record["mask_offset"]
@@ -204,13 +189,13 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
             packed = np.frombuffer(data[start:start + n_bytes], dtype=np.uint8)
             layer.mask = np.unpackbits(packed, count=n_bits).astype(bool).reshape(weight.shape)
             if weight[~layer.mask].any():  # forward runs on the stored weights, not the mask
-                raise FormatError(f"{manifest_path}: layers[{i}] has non-zero weights where its mask drops them")
+                raise FormatError(f"{where} has non-zero weights where its mask drops them")
         layer_map[(record["block"], record["kind"])] = layer
 
     scale_map: dict[tuple[int, str], np.ndarray] = {}
-    for record in manifest["norm_scales"]:
-        scale_map[(record["block"], record["name"])] = _read_f32(
-            blob_f32(record["blob"]), record["offset"], record["shape"], record["blob"])
+    for i, record in enumerate(manifest["norm_scales"]):
+        data = blob(record["blob"], f"{manifest_path}: norm_scales[{i}]", "<f4")
+        scale_map[(record["block"], record["name"])] = _read_f32(data, record["offset"], record["shape"], record["blob"])
 
     blocks = []
     for b in range(manifest["n_blocks"]):

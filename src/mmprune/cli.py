@@ -30,7 +30,7 @@ from .data import (default_modality_specs, generate_sequences, load_sequences,
 from .errors import FormatError, MMPruneError, UsageError
 from .evaluation import run_comparison, sparsity_report
 from .model import init_synthetic
-from .pruner import (PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
+from .pruner import (METHOD_SPECS, PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
                      block_importances_shortgpt, block_prune, blocks_to_remove, prune_model)
 from .selection import SELECTION_KINDS, AmiaParams
 
@@ -146,10 +146,13 @@ def _check_config(command: str, config: dict) -> dict:
             raise UsageError(f"{_flag(key)} must be one of {[c for c in allowed if c is not None]}, "
                              f"got {config[key]!r}")
     if command == "prune" and config.get("structural"):
-        unused = [flag for flag, key in (("--plan", "plan"), ("--plan-out", "plan_out")) if config.get(key)]
+        unused = [_flag(key) for key in ("plan", "plan_out", "sequential", "selection") if config.get(key)]
         if unused:
-            raise UsageError("--structural removes whole blocks and has no sparsity plan to read or "
-                             f"write: drop {' and '.join(unused)}")
+            raise UsageError("--structural removes whole blocks by importance and reads no sparsity plan, "
+                             f"token selection or masked prefix: drop {' and '.join(unused)}")
+    if command == "prune" and config.get("sequential") and METHOD_SPECS[config["method"]].importance != "wanda":
+        raise UsageError(f"--sequential recomputes activation norms, which --method {config['method']} "
+                         "does not read: drop --sequential")
     if command == "analyze":
         reports = _names(config, "reports")
         unknown = set(reports) - set(ANALYZE_REPORTS)

@@ -5,8 +5,9 @@ On disk a dataset is a JSONL file plus one shared float32 blob:
     {"spans": [{"modality": "visual", "len": 9}, ...],
      "embeddings_file": "calib_embeddings.bin", "row_offset": 0, "dim": 64}
 
-one record per sequence, rows little-endian float32, row-major. Modality
-ids are assigned by order of first appearance in the file.
+one record per sequence, rows little-endian float32, row-major. The blob
+is a plain file name in the JSONL file's directory. Modality ids are
+assigned by order of first appearance in the file.
 """
 
 from __future__ import annotations
@@ -55,6 +56,30 @@ def write_sequences(seqs: list[TokenSequence], directory: str | Path, prefix: st
     return jsonl_path
 
 
+def blob_reader(directory: Path):
+    """`read(name, where, dtype=None)` gives the blob file `name` beside an input in
+    `directory`, read once, as bytes or as little-endian values of `dtype`. `name` must
+    be a plain file name, so an input reads only files in its own directory; otherwise
+    the FormatError starts with `where`."""
+    blobs: dict[str, bytes] = {}
+
+    def read(name: str, where: str, dtype: str | None = None):
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise FormatError(f"{where}: blob {name!r} must be a plain file name in {directory}")
+        path = directory / name
+        if name not in blobs:
+            if not path.is_file():
+                raise FormatError(f"missing blob {path}")
+            blobs[name] = path.read_bytes()
+        data = blobs[name]
+        if dtype is None:
+            return data
+        if len(data) % np.dtype(dtype).itemsize:
+            raise FormatError(f"{path}: size {len(data)} is not a multiple of {np.dtype(dtype).itemsize} bytes")
+        return np.frombuffer(data, dtype)
+    return read
+
+
 def _check_record(record, where: str) -> None:
     """Raises FormatError, prefixed with `where`, unless `record` fits the schema above."""
     if not isinstance(record, dict):
@@ -79,8 +104,6 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
     jsonl_path = Path(jsonl_path)
     if not jsonl_path.is_file():
         raise FormatError(f"missing sequence file {jsonl_path}")
-    directory = jsonl_path.parent
-
     modalities: dict[str, ModalityId] = {}
 
     def modality(name: str) -> ModalityId:
@@ -88,22 +111,11 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
             modalities[name] = ModalityId(len(modalities), name)
         return modalities[name]
 
-    blobs: dict[str, np.ndarray] = {}
-
-    def blob(name: str) -> np.ndarray:
-        if name not in blobs:
-            path = directory / name
-            if not path.is_file():
-                raise FormatError(f"missing embeddings blob {path}")
-            raw = path.read_bytes()
-            if len(raw) % 4 != 0:
-                raise FormatError(f"{path}: size {len(raw)} is not a multiple of 4 bytes")
-            blobs[name] = np.frombuffer(raw, dtype="<f4")
-        return blobs[name]
+    blob = blob_reader(jsonl_path.parent)
 
     records = []
     with open(jsonl_path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
+        for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
@@ -121,9 +133,9 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
         name = record["embeddings_file"]
         rows_per_blob[name] = max(rows_per_blob.get(name, 0), record["row_offset"] + n)
 
-    def blob_dim(name: str) -> int:
+    def blob_dim(name: str, where: str) -> int:
         total_rows = rows_per_blob[name]
-        data = blob(name)
+        data = blob(name, where, "<f4")
         if total_rows == 0 or data.size % total_rows != 0:
             raise FormatError(f"{name}: cannot infer row width from {data.size} values "
                               f"over {total_rows} rows")
@@ -133,8 +145,9 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
     for line_no, record in records:
         span_items = record["spans"]
         offset = record["row_offset"]
-        data = blob(record["embeddings_file"])
-        dim = record.get("dim") or blob_dim(record["embeddings_file"])
+        where = f"{jsonl_path}:{line_no}"
+        data = blob(record["embeddings_file"], where, "<f4")
+        dim = record.get("dim") or blob_dim(record["embeddings_file"], where)
         n = sum(item["len"] for item in span_items)
         start = offset * dim
         stop = start + n * dim

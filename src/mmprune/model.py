@@ -180,13 +180,12 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class CaptureFlags:
-    """What a forward pass records. `blocks=None` means every block."""
+    """What a forward pass records."""
 
     inputs: bool = False
     outputs: bool = False
     attention: bool = False
     hiddens: bool = False
-    blocks: frozenset[int] | None = None
 
 
 @dataclass
@@ -274,47 +273,36 @@ def chunks(seqs: list[TokenSequence]):
         yield Chunk(run)
 
 
-def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags = CaptureFlags(),
-            start: int = 0, stop: int | None = None, hidden: np.ndarray | None = None):
-    """Run blocks [start, stop) (default: all) of `model` on one sequence or on a Chunk,
-    from `hidden`, the state entering block `start` (default: the embeddings; taken as
-    float32). A chunk's S sequences run as one (S, N, d_model) stack: `hidden` and the
-    returned state are stacks, and one ActivationTrace per sequence is returned. One
-    sequence runs as a chunk of one, with N x d_model states and its one trace.
+def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags = CaptureFlags()):
+    """Run every block of `model` on one sequence or on a Chunk, from the embeddings.
+    A chunk's S sequences run as one (S, N, d_model) stack: the returned state is a
+    stack, and one ActivationTrace per sequence is returned. One sequence runs as a
+    chunk of one, with an N x d_model state and its one trace.
 
     Each trace holds exactly the requested captures: attention post-softmax and
-    head-averaged, `hiddens[j]` entering block start + j. Each captured array is a view
-    of sample s in an array shared by the chunk and is never written afterwards, so
-    q/k/v share one input array and gate/up another; `hiddens[0]` is a copy, so a
+    head-averaged, keyed by each block's `index` (so a one-block model holding block b
+    records b), and `hiddens[j]` entering the model's j-th block. Each captured array is
+    a view of sample s in an array shared by the chunk and is never written afterwards,
+    so q/k/v share one input array and gate/up another; `hiddens[0]` is a copy, so a
     trace never aliases the input. Every matmul and reduction works per sample and per
     row, so a sample's results do not depend on the chunk it runs in.
     """
     if isinstance(seq, Chunk):
-        return _forward(model, seq, capture, start, stop, hidden)
-    state, traces = _forward(model, Chunk([seq]), capture, start, stop,
-                             None if hidden is None else hidden[None])
+        return _forward(model, seq, capture)
+    state, traces = _forward(model, Chunk([seq]), capture)
     return state[0], traces[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
-def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, start: int, stop: int | None,
-             hidden: np.ndarray | None):
-    """`forward` on a chunk: (S, N, d_model) states in and out, one trace per sequence."""
+def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags):
+    """`forward` on a chunk: an (S, N, d_model) state out, one trace per sequence."""
     seqs = chunk.seqs
     n, d = len(seqs[0]), model.d_model
     for seq in seqs:
         if seq.dim != d:
             raise ShapeError(f"sequence dim {seq.dim} != model d_model {d}")
-    stop = model.n_blocks if stop is None else stop
-    if not 0 <= start <= stop <= model.n_blocks:
-        raise ConfigError(f"block range [{start}, {stop}) is outside [0, {model.n_blocks}]")
     s, h, dh = len(seqs), model.n_heads, model.head_dim
-    if hidden is None:
-        x = seqs[0].embeddings[None] if s == 1 else np.stack([seq.embeddings for seq in seqs])
-    else:
-        x = hidden.astype(np.float32, copy=False)
-        if x.shape != (s, n, d):
-            raise ShapeError(f"hidden state shape {x.shape} != chunk shape {(s, n, d)}")
+    x = seqs[0].embeddings[None] if s == 1 else np.stack([seq.embeddings for seq in seqs])
     traces = [ActivationTrace(spans=list(seq.spans)) for seq in seqs]
 
     # per trace field, the last stacked array recorded and its per-sample views, so the
@@ -332,17 +320,16 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, start: int, s
             trace.hiddens.append(one)
     scores = np.empty((s, h, n, n), dtype=np.float32)  # every block's attention; captures copy it
 
-    for block in model.blocks[start:stop]:
+    for block in model.blocks:
         b = block.index
-        keep = capture.blocks is None or b in capture.blocks
 
         def project(kind: str, inp: np.ndarray) -> np.ndarray:
             layer = block.layers[kind]
             out = inp @ layer.weight.T
             _check_finite(out, layer.name)
-            if keep and capture.inputs:
+            if capture.inputs:
                 record("layer_inputs", (b, kind), inp)
-            if keep and capture.outputs:
+            if capture.outputs:
                 record("layer_outputs", (b, kind), out)
             return out
 
@@ -358,7 +345,7 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, start: int, s
         np.matmul(qh, kh.transpose(0, 1, 3, 2), out=scores)
         scores /= np.float32(np.sqrt(dh))
         _check_finite(_causal_softmax(scores), f"block{b}.attention")
-        if keep and capture.attention:
+        if capture.attention:
             record("attention", b, scores.mean(axis=1).astype(np.float32, copy=False))
 
         context = (scores @ vh).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32, copy=False)

@@ -11,7 +11,7 @@ half-masked model. Structural pruning removes whole blocks by importance.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -325,34 +325,12 @@ class Calibration:
         adaptive = [r for r in missing if RESULTS[r][0] is not None and SELECTION_KINDS[RESULTS[r][0]].adaptive]
         for level in ([r for r in missing if r not in adaptive], adaptive):
             if level:
-                self._cache.update(self._pass(level, self.chunk_traces))
+                self._cache.update(self._pass(level, self.model, self.seqs))
 
     def result(self, name):
         """The result `name` (as in RESULTS), computed if it is not cached."""
         self.compute(name)
         return self._cache[name]
-
-    def chunk_traces(self, capture: CaptureFlags):
-        """Per chunk of sequences, its traces from one forward of the calibrated model."""
-        for chunk in chunks(self.seqs):
-            yield forward(self.model, chunk, capture)[1]
-
-    def prefix_traces(self, capture: CaptureFlags, model: ToyModel, block: int, states: list[np.ndarray]):
-        """Per chunk, its traces from one forward that advances each sample's `states[i]`
-        (the embeddings, then the state entering block `block - 1`) through that block of
-        `model`, then records `block`."""
-        capture = replace(capture, hiddens=block > 0, blocks=frozenset({block}))
-        i = 0
-        for chunk in chunks(self.seqs):
-            s = len(chunk.seqs)
-            hidden = states[i][None] if s == 1 else np.stack(states[i:i + s])
-            traces = forward(model, chunk, capture, max(block - 1, 0), block + 1, hidden)[1]
-            if block:
-                states[i:i + s] = [trace.hiddens[1] for trace in traces]
-            i += s
-            del hidden
-            yield traces
-            del traces  # free the chunk before the next forward, as `_pass` says
 
     @property
     def diversity(self) -> dict[tuple[int, str], DiversityStats]:
@@ -365,10 +343,12 @@ class Calibration:
         coefficient = self.params.amia.mmd_coefficient
         return {key: coefficient * float(np.sqrt(st.importance)) for key, st in self.diversity.items()}
 
-    def _pass(self, results: list, chunk_traces) -> dict:
+    def _pass(self, results: list, model: ToyModel, seqs: list[TokenSequence]) -> dict:
         """The one loop over calibration chunks: computes `results`, all of one dependency
-        level, from the chunks `chunk_traces(capture)` yields, capturing what their
-        accumulators and selection kinds read. It selects each sample's tokens once per
+        level, from one forward of `model` per chunk of `seqs` (the calibrated model and
+        sequences, or a `--sequential` step's one-block view and carried samples),
+        capturing what their accumulators and selection kinds read. Adaptive kinds read
+        the thresholds of the calibrated model. It selects each sample's tokens once per
         kind, then feeds every accumulator the chunk. Each chunk is dropped before the
         next forward: with two noisy traces alive, AMIA's N x N temporaries land in fresh
         pages and noisy `tamp` runs ~5% slower."""
@@ -379,7 +359,9 @@ class Calibration:
         reads = {name for reader in [*accs.values(), *kinds.values()] for name in reader.reads}
         thresholds = self.thresholds if any(entry.adaptive for entry in kinds.values()) else {}
         index = 0
-        for traces in chunk_traces(CaptureFlags(**dict.fromkeys(reads, True))):
+        capture = CaptureFlags(**dict.fromkeys(reads, True))
+        for chunk in chunks(seqs):
+            traces = forward(model, chunk, capture)[1]
             samples = []
             for trace in traces:
                 sample = _Sample(trace, index)
@@ -392,11 +374,8 @@ class Calibration:
             del traces, trace, samples, sample
         return {result: acc.finalize() for result, acc in accs.items()}
 
-    def activations(self, kind: str, chunk_traces=None):
-        """(norms, LayerSelectionStats) per layer over the tokens `kind` selects, cached
-        unless `chunk_traces` (as in `_pass`, e.g. `prefix_traces`) is given."""
-        if chunk_traces is not None:
-            return self._pass([kind], chunk_traces)[kind]
+    def activations(self, kind: str):
+        """(norms, LayerSelectionStats) per layer over the tokens `kind` selects."""
         return self.result(kind)
 
     def mask_orders(self, importance: str, selection: str, group: str) -> dict[tuple[int, str], np.ndarray]:
@@ -572,17 +551,26 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
             achieved[key] = float((~keep).sum()) / keep.size
 
     if config.sequential and spec.importance == "wanda":
-        # Carry each sample's hidden state through the masked prefix, one block per step;
-        # each block's norms, and so its orders, come from the masked prefix.
+        # Each block's norms, and so its orders, come from the samples carried through the
+        # blocks already masked: one pass over a one-block view of the block, which, once
+        # masked, advances them. They are replaced chunk by chunk in the one list: a second
+        # list would hold every state twice (about 6 MB more on the noisy workspace).
         sel_stats = {}
-        states = [seq.embeddings for seq in calib.seqs]
+        carried = list(calib.seqs)
         for block in pruned.blocks:
-            block_norms, block_stats = calib.activations(
-                selection, partial(calib.prefix_traces, model=pruned, block=block.index, states=states))
+            view = ToyModel([block], model.n_heads, model.d_model, model.d_ff, model.seed)
+            block_norms, block_stats = calib._pass([selection], view, carried)[selection]
             sel_stats.update(block_stats)
             orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, norms), config.group)
                       for key, norms in block_norms.items()}
             mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], orders)
+            if block is pruned.blocks[-1]:
+                break
+            i = 0
+            for chunk in chunks(carried):
+                states = forward(view, chunk)[0]
+                carried[i:i + len(states)] = [TokenSequence(x, seq.spans) for x, seq in zip(states, chunk.seqs)]
+                i += len(states)
     else:
         mask_layers(list(pruned.iter_layers()), calib.mask_orders(spec.importance, selection, config.group))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmprune.checkpoint import MANIFEST_NAME, WEIGHTS_BLOB, load_checkpoint, save_checkpoint
+from mmprune.checkpoint import MANIFEST_NAME, MASKS_BLOB, WEIGHTS_BLOB, load_checkpoint, save_checkpoint
 from mmprune.errors import FormatError
 from mmprune.model import forward, init_synthetic
 from tests.test_model import rng_seq
@@ -48,6 +48,23 @@ def test_masked_model_round_trips_masks_and_zeros(tmp_path):
     # behaviour identical too
     seq = rng_seq(6, 8, seed=1)
     assert forward(model, seq)[0].tobytes() == forward(loaded, seq)[0].tobytes()
+
+
+def test_a_save_over_a_masked_checkpoint_leaves_what_a_fresh_save_leaves(tmp_path):
+    masked = init_synthetic(8, 2, 12, 1, seed=1)
+    for layer in masked.iter_layers():
+        layer.mask = np.zeros(layer.weight.shape, dtype=bool)
+        layer.apply_mask()
+    save_checkpoint(masked, tmp_path / "ckpt")
+    assert (tmp_path / "ckpt" / MASKS_BLOB).exists()
+    dense = init_synthetic(8, 2, 12, 1, seed=2)
+    save_checkpoint(dense, tmp_path / "ckpt")
+    save_checkpoint(dense, tmp_path / "fresh")
+    assert dir_bytes(tmp_path / "ckpt") == dir_bytes(tmp_path / "fresh")  # no stale masks.bin
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert all(layer.mask is None for layer in loaded.iter_layers())
+    for a, b in zip(dense.iter_layers(), loaded.iter_layers()):
+        assert a.weight.tobytes() == b.weight.tobytes()
 
 
 def test_truncated_blob_raises_format_error(tmp_path):

@@ -154,9 +154,15 @@ def test_prune_non_positive_model_dimension_is_format_error(workspace, tmp_path,
     (lambda m: m["layers"].pop(), "layers has no record for (block, kind) = (1, 'down')"),
     (lambda m: m["norm_scales"][1].update(name="attn"), "norm_scales[1] repeats (block, name) = (0, 'attn')"),
     (lambda m: m.update(n_blocks=10**12), "layers has no record for (block, kind) = (2, 'q')"),
+    (lambda m: m["layers"][2].update(blob="../model/weights.bin"),
+     "layers[2]: blob '../model/weights.bin' must be a plain file name"),
+    (lambda m: m["norm_scales"][1].update(blob=".."), "norm_scales[1]: blob '..' must be a plain file name"),
+    (lambda m: m["layers"][3].update(mask_blob="/masks.bin", mask_offset=0),
+     "layers[3]: blob '/masks.bin' must be a plain file name"),
 ], ids=["layer-without-offset", "string-shape", "float-offset", "string-n-blocks", "short-norm-scale",
         "format-version-99", "no-format-version", "duplicate-layer", "block-out-of-range",
-        "n-blocks-below-records", "missing-layer", "duplicate-norm-scale", "huge-n-blocks"])
+        "n-blocks-below-records", "missing-layer", "duplicate-norm-scale", "huge-n-blocks",
+        "blob-outside-directory", "norm-scale-blob-parent", "absolute-mask-blob"])
 def test_prune_malformed_manifest_record_is_format_error(workspace, tmp_path, capsys, edit, record):
     path = rewrite_manifest(workspace, edit)
     prune_format_error(workspace, tmp_path, capsys, f"{path}: {record}")
@@ -278,7 +284,11 @@ def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys, monkeyp
      "drop --plan and --plan-out"),
     (["analyze", "--reports", "diversity,selection", "--plan", "PLAN"],
      "add sparsity to --reports or drop --plan"),
-], ids=["structural-plan-out", "structural-plan", "structural-both", "analyze-plan-without-sparsity"])
+    (["prune", "--structural", "das", "--sequential"], "drop --sequential"),
+    (["prune", "--structural", "shortgpt", "--selection", "random"], "drop --selection"),
+    (["prune", "--method", "magnitude", "--sequential"], "--method magnitude does not read: drop --sequential"),
+], ids=["structural-plan-out", "structural-plan", "structural-both", "analyze-plan-without-sparsity",
+        "structural-sequential", "structural-selection", "magnitude-sequential"])
 def test_unused_plan_flag_is_usage_error(workspace, tmp_path, capsys, monkeypatch, argv, message):
     import mmprune.cli as cli
     loads = []
@@ -634,11 +644,15 @@ def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, no_l
     ("prune", {"sparsity": "0.5"}, "--sparsity must be in (0, 1), got '0.5'"),
     ("prune", {"group": "banana"}, "--group must be one of ['layer', 'row'], got 'banana'"),
     ("prune", {"structural": "das", "plan_out": "p.json"}, "drop --plan-out"),
+    ("prune", {"structural": "das", "sequential": True}, "drop --sequential"),
+    ("prune", {"structural": "shortgpt", "selection": "random"}, "drop --selection"),
+    ("prune", {"method": "magnitude", "sequential": True}, "drop --sequential"),
     ("analyze", {"reports": "diversity,banana"}, "unknown analyze reports: ['banana']"),
     ("compare", {"sparsities": "0.5,1.0"}, "bad --sparsities value: --sparsity must be in (0, 1), got 1.0"),
     ("gen-synth", {"n_blocks": 0}, "--n-blocks must be an integer >= 1, got 0"),
 ], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
-        "group", "structural-plan-out", "analyze-report", "compare-sparsity", "gen-synth-blocks"])
+        "group", "structural-plan-out", "structural-sequential", "structural-selection", "magnitude-sequential",
+        "analyze-report", "compare-sparsity", "gen-synth-blocks"])
 def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
     check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, lambda config: {**config, **edit}, message)
 

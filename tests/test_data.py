@@ -109,11 +109,17 @@ def test_records_without_dim_field_load_via_inference(tmp_path):
     '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": 7, "row_offset": 0}',
     '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "calib_embeddings.bin", "row_offset": true}',
     '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "calib_embeddings.bin", "row_offset": 0, "dim": -8}',
+    # blob names that reach the real blob, or a directory, by a path: only a plain file name is read
+    '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "DIR/calib_embeddings.bin", "row_offset": 0}',
+    '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "../NAME/calib_embeddings.bin", "row_offset": 0}',
+    '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "..", "row_offset": 0}',
+    '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "", "row_offset": 0}',
 ])
 def test_malformed_record_names_file_and_line(tmp_path, line):
     seqs = generate_sequences(2, 8, make_specs(), seed=1)
     path = write_sequences(seqs, tmp_path, "calib")
     lines = path.read_text().splitlines()
+    line = line.replace("DIR", str(tmp_path)).replace("NAME", tmp_path.name)
     path.write_text(lines[0] + "\n" + line + "\n")
     with pytest.raises(FormatError, match=f"{path}:2"):
         load_sequences(path)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from mmprune import model as model_module
 from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError, ShapeError
-from mmprune.model import (RMS_EPS, Block, CaptureFlags, Chunk, LinearLayer, ModalityId, Span,
-                           TokenSequence, ToyModel, _causal_softmax, chunks, forward, init_synthetic)
+from mmprune.model import (RMS_EPS, ActivationTrace, Block, CaptureFlags, Chunk, LinearLayer, ModalityId,
+                           Span, TokenSequence, ToyModel, _causal_softmax, chunks, forward, init_synthetic)
 
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
@@ -100,8 +100,6 @@ def test_capture_flags_control_trace_contents():
     seq = rng_seq(5, 8)
     _, trace = forward(model, seq, CaptureFlags(inputs=True))
     assert trace.layer_inputs and not trace.layer_outputs and not trace.attention
-    _, trace = forward(model, seq, CaptureFlags(attention=True, blocks=frozenset({1})))
-    assert list(trace.attention) == [1]
     _, trace = forward(model, seq)
     assert not trace.layer_inputs and not trace.attention and not trace.hiddens
 
@@ -265,37 +263,6 @@ def test_residual_stream_shape_preserved_through_blocks():
     assert all(h.shape == (7, 16) for h in trace.hiddens)
 
 
-def test_forward_block_range_continues_from_a_carried_state():
-    model = init_synthetic(8, 2, 12, 3, seed=8)
-    seq = rng_seq(6, 8, seed=4)
-    capture = CaptureFlags(inputs=True, attention=True, hiddens=True)
-    full, trace = forward(model, seq, capture)
-    h1, _ = forward(model, seq, stop=1)
-    assert h1.tobytes() == trace.hiddens[1].tobytes()
-    rest, part = forward(model, seq, capture, start=1, hidden=h1)
-    assert rest.tobytes() == full.tobytes()
-    assert forward(model, seq, start=1, hidden=h1.astype(np.float64))[0].tobytes() == full.tobytes()
-    assert sorted(part.layer_inputs) == [key for key in sorted(trace.layer_inputs) if key[0] >= 1]
-    for key, x in part.layer_inputs.items():
-        assert x.tobytes() == trace.layer_inputs[key].tobytes()
-    assert list(part.attention) == [1, 2]
-    assert [h.tobytes() for h in part.hiddens] == [h.tobytes() for h in trace.hiddens[1:]]
-    _, one = forward(model, seq, CaptureFlags(inputs=True, blocks=frozenset({2})),
-                     start=1, stop=3, hidden=h1)
-    assert sorted({block for block, _ in one.layer_inputs}) == [2]
-
-
-def test_forward_rejects_bad_block_ranges_and_states():
-    model = init_synthetic(8, 2, 12, 3, seed=8)
-    seq = rng_seq(6, 8, seed=4)
-    with pytest.raises(ConfigError):
-        forward(model, seq, start=2, stop=1, hidden=seq.embeddings)
-    with pytest.raises(ConfigError):
-        forward(model, seq, stop=4)
-    with pytest.raises(ShapeError):
-        forward(model, seq, start=1, hidden=seq.embeddings[:3])
-
-
 def test_trace_shares_projection_inputs_and_never_aliases_the_sequence():
     model = init_synthetic(8, 2, 12, 2, seed=4)
     seq = rng_seq(5, 8)
@@ -422,28 +389,34 @@ def test_chunked_forward_matches_per_sequence_forward_bitwise(size):
                     assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
 
-def test_chunked_forward_carries_stacked_states_through_block_ranges():
+def _block_captures(trace, b):
+    """The captures of block b in a full forward's trace, as a one-block view records them."""
+    return ActivationTrace(trace.spans, {key: x for key, x in trace.layer_inputs.items() if key[0] == b},
+                           {key: z for key, z in trace.layer_outputs.items() if key[0] == b},
+                           {b: trace.attention[b]}, trace.hiddens[b:b + 2])
+
+
+def test_one_block_views_over_carried_states_chain_into_the_full_forward():
+    # as `--sequential` runs a model: block by block, each chunk's samples replaced by
+    # sequences of their states and spans
     for model, seqs in _chunk_cases():
-        capture = CaptureFlags(inputs=True, hiddens=True, blocks=frozenset({1}))
-        entering = [forward(model, seq, stop=1)[0] for seq in seqs]
-        expected = [forward(model, seq, capture, start=1, hidden=h) for seq, h in zip(seqs, entering)]
+        expected = [forward(model, seq, CAPTURE_ALL) for seq in seqs]
         for size in (1, 2, len(seqs)):
-            for start in range(0, len(seqs), size):
-                hidden = np.stack(entering[start:start + size]).astype(np.float64)  # taken as float32
-                state, traces = forward(model, Chunk(seqs[start:start + size]), capture,
-                                        start=1, hidden=hidden)
-                for i, trace in enumerate(traces):
-                    assert state[i].tobytes() == expected[start + i][0].tobytes()
-                    _assert_same_trace(trace, expected[start + i][1])
+            carried = list(seqs)
+            for block in model.blocks:
+                view = ToyModel([block], model.n_heads, model.d_model, model.d_ff, model.seed)
+                for start in range(0, len(seqs), size):
+                    chunk = carried[start:start + size]
+                    state, traces = forward(view, Chunk(chunk), CAPTURE_ALL)
+                    for i, trace in enumerate(traces):
+                        _assert_same_trace(trace, _block_captures(expected[start + i][1], block.index))
+                    carried[start:start + size] = [TokenSequence(x, seq.spans) for x, seq in zip(state, chunk)]
+            assert [seq.embeddings.tobytes() for seq in carried] == [state.tobytes() for state, _ in expected]
 
 
-def test_chunked_forward_rejects_mixed_lengths_and_mis_shaped_states():
-    model = init_synthetic(8, 2, 12, 2, seed=8)
+def test_chunk_rejects_mixed_lengths():
     with pytest.raises(ShapeError, match="sequences of 6 and 5 tokens"):
         Chunk([rng_seq(6, 8), rng_seq(5, 8)])
-    seqs = [rng_seq(6, 8, seed=1), rng_seq(6, 8, seed=2)]
-    with pytest.raises(ShapeError, match=r"chunk shape \(2, 6, 8\)"):
-        forward(model, Chunk(seqs), start=1, hidden=np.zeros((1, 6, 8), np.float32))
 
 
 def test_chunks_keep_order_and_equal_lengths_within_the_token_budget(monkeypatch):
