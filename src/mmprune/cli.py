@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import errno
 import json
 import math
@@ -30,7 +31,7 @@ from .data import (default_modality_specs, generate_sequences, load_sequences,
 from .errors import FormatError, MMPruneError, UsageError
 from .evaluation import run_comparison, sparsity_report
 from .model import init_synthetic
-from .pruner import (METHOD_SPECS, PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
+from .pruner import (ALLOCATORS, METHOD_SPECS, PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
                      block_importances_shortgpt, block_prune, blocks_to_remove, prune_model)
 from .selection import SELECTION_KINDS, AmiaParams
 
@@ -150,9 +151,14 @@ def _check_config(command: str, config: dict) -> dict:
         if unused:
             raise UsageError("--structural removes whole blocks by importance and reads no sparsity plan, "
                              f"token selection or masked prefix: drop {' and '.join(unused)}")
-    if command == "prune" and config.get("sequential") and METHOD_SPECS[config["method"]].importance != "wanda":
+    spec = METHOD_SPECS[config["method"]] if command == "prune" else None
+    if spec and config["sequential"] and spec.importance != "wanda":
         raise UsageError(f"--sequential recomputes activation norms, which --method {config['method']} "
                          "does not read: drop --sequential")
+    # wanda importance and OWL's ratios read the norms over the selected tokens
+    if spec and config["selection"] and spec.importance != "wanda" and not ALLOCATORS[spec.allocator].norms:
+        raise UsageError(f"--selection picks the tokens of the activation norms, which --method {config['method']} "
+                         "does not read: drop --selection")
     if command == "analyze":
         reports = _names(config, "reports")
         unknown = set(reports) - set(ANALYZE_REPORTS)
@@ -161,6 +167,9 @@ def _check_config(command: str, config: dict) -> dict:
         if config.get("plan") and "sparsity" not in reports:
             raise UsageError("--plan is read only by the sparsity report: "
                              "add sparsity to --reports or drop --plan")
+        if config.get("selection") and "selection" not in reports:
+            raise UsageError("--selection is read only by the selection report: "
+                             "add selection to --reports or drop --selection")
     if command == "compare":
         methods = _names(config, "methods")
         unknown = [m for m in methods if m not in PRUNE_METHODS]
@@ -477,7 +486,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def _keep_freed_heap() -> None:
+    """Has glibc's malloc serve arrays of up to 8 MB from the heap and keep up to 16 MB
+    of it free for reuse; without glibc, does nothing.
+
+    Each calibration chunk allocates and frees several MB of traces and stacks. By
+    default glibc hands the heap's free top back to the system once it passes twice
+    the largest block freed so far, so every chunk faults the same pages in again: a
+    noisy-modality `tamp` prune took about 280,000 minor faults and a fifth more time
+    when no block of several MB had been freed before it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(M_TRIM_THRESHOLD, 16 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k != "command"}

@@ -35,49 +35,56 @@ def write_sequences(seqs: list[TokenSequence], directory: str | Path, prefix: st
     blob_name = f"{prefix}_embeddings.bin"
     jsonl_path = directory / f"{prefix}.jsonl"
 
-    rows = []
     records = []
     row_offset = 0
-    for seq in seqs:
-        records.append({
-            "spans": [{"modality": s.modality.name, "len": s.length} for s in seq.spans],
-            "embeddings_file": blob_name,
-            "row_offset": row_offset,
-            "dim": seq.dim,
-        })
-        rows.append(np.ascontiguousarray(seq.embeddings, dtype="<f4"))
-        row_offset += len(seq)
-
-    (directory / blob_name).write_bytes(
-        np.concatenate(rows).tobytes() if rows else b"")
+    with open(directory / blob_name, "wb") as blob:  # one sequence's rows at a time
+        for seq in seqs:
+            records.append({
+                "spans": [{"modality": s.modality.name, "len": s.length} for s in seq.spans],
+                "embeddings_file": blob_name,
+                "row_offset": row_offset,
+                "dim": seq.dim,
+            })
+            blob.write(np.ascontiguousarray(seq.embeddings, dtype="<f4"))
+            row_offset += len(seq)
     with open(jsonl_path, "w", encoding="utf-8") as f:
         for record in records:
             f.write(json.dumps(record, sort_keys=True) + "\n")
     return jsonl_path
 
 
+def blob_path(directory: Path, name: str, where: str) -> Path:
+    """The blob file `name` beside an input in `directory`. `name` must be a plain file
+    name, so an input reads only files in its own directory; otherwise the FormatError
+    starts with `where`."""
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise FormatError(f"{where}: blob {name!r} must be a plain file name in {directory}")
+    path = directory / name
+    if not path.is_file():
+        raise FormatError(f"missing blob {path}")
+    return path
+
+
 def blob_reader(directory: Path):
-    """`read(name, where, dtype=None)` gives the blob file `name` beside an input in
-    `directory`, read once, as bytes or as little-endian values of `dtype`. `name` must
-    be a plain file name, so an input reads only files in its own directory; otherwise
-    the FormatError starts with `where`."""
+    """`read(name, where, dtype=None)` gives the blob file `name` (see `blob_path`),
+    read once, as bytes or as little-endian values of `dtype`."""
     blobs: dict[str, bytes] = {}
 
     def read(name: str, where: str, dtype: str | None = None):
-        if name in ("", ".", "..") or Path(name).name != name:
-            raise FormatError(f"{where}: blob {name!r} must be a plain file name in {directory}")
-        path = directory / name
+        path = blob_path(directory, name, where)
         if name not in blobs:
-            if not path.is_file():
-                raise FormatError(f"missing blob {path}")
             blobs[name] = path.read_bytes()
         data = blobs[name]
         if dtype is None:
             return data
-        if len(data) % np.dtype(dtype).itemsize:
-            raise FormatError(f"{path}: size {len(data)} is not a multiple of {np.dtype(dtype).itemsize} bytes")
+        _check_size(path, len(data), np.dtype(dtype).itemsize)
         return np.frombuffer(data, dtype)
     return read
+
+
+def _check_size(path: Path, size: int, itemsize: int) -> None:
+    if size % itemsize:
+        raise FormatError(f"{path}: size {size} is not a multiple of {itemsize} bytes")
 
 
 def _check_record(record, where: str) -> None:
@@ -111,8 +118,6 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
             modalities[name] = ModalityId(len(modalities), name)
         return modalities[name]
 
-    blob = blob_reader(jsonl_path.parent)
-
     records = []
     with open(jsonl_path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
@@ -133,35 +138,39 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
         name = record["embeddings_file"]
         rows_per_blob[name] = max(rows_per_blob.get(name, 0), record["row_offset"] + n)
 
-    def blob_dim(name: str, where: str) -> int:
-        total_rows = rows_per_blob[name]
-        data = blob(name, where, "<f4")
-        if total_rows == 0 or data.size % total_rows != 0:
-            raise FormatError(f"{name}: cannot infer row width from {data.size} values "
-                              f"over {total_rows} rows")
-        return data.size // total_rows
-
+    # Each record's rows are read from its blob into an array of their own, so a load
+    # holds one copy of the embeddings; a blob's size comes from its file's stat.
+    blobs: dict[str, tuple[Path, int]] = {}  # name -> (path, float32 values it holds)
     seqs = []
     for line_no, record in records:
         span_items = record["spans"]
         offset = record["row_offset"]
-        where = f"{jsonl_path}:{line_no}"
-        data = blob(record["embeddings_file"], where, "<f4")
-        dim = record.get("dim") or blob_dim(record["embeddings_file"], where)
+        name = record["embeddings_file"]
+        if name not in blobs:
+            path = blob_path(jsonl_path.parent, name, f"{jsonl_path}:{line_no}")
+            size = path.stat().st_size
+            _check_size(path, size, 4)
+            blobs[name] = (path, size // 4)
+        path, values = blobs[name]
+        total_rows = rows_per_blob[name]
+        if not record.get("dim") and (total_rows == 0 or values % total_rows != 0):
+            raise FormatError(f"{name}: cannot infer row width from {values} values "
+                              f"over {total_rows} rows")
+        dim = record.get("dim") or values // total_rows
         n = sum(item["len"] for item in span_items)
-        start = offset * dim
-        stop = start + n * dim
-        if stop > data.size:
+        if (offset + n) * dim > values:
             raise FormatError(
-                f"{record['embeddings_file']}: sequence at line {line_no} needs rows "
-                f"[{offset}, {offset + n}) of dim {dim}, blob has {data.size // dim} rows")
-        embeddings = data[start:stop].reshape(n, dim).copy()
+                f"{name}: sequence at line {line_no} needs rows "
+                f"[{offset}, {offset + n}) of dim {dim}, blob has {values // dim} rows")
+        embeddings = np.fromfile(path, "<f4", n * dim, offset=offset * dim * 4)
+        if embeddings.size != n * dim:
+            raise FormatError(f"{path} changed while line {line_no} was read")
         spans = []
         cursor = 0
         for item in span_items:
             spans.append(Span(modality(item["modality"]), cursor, item["len"]))
             cursor += item["len"]
-        seqs.append(TokenSequence(embeddings, spans))
+        seqs.append(TokenSequence(embeddings.reshape(n, dim), spans))
     return seqs
 
 
@@ -268,7 +277,9 @@ def make_noisy_modality_scenario(
     struct_rng = np.random.default_rng(root.spawn(1)[0])
 
     channels = struct_rng.permutation(d_model)[:SIGNAL_CHANNELS]
-    complement = np.setdiff1d(np.arange(d_model), channels)
+    outside = np.ones(d_model, dtype=bool)
+    outside[channels] = False
+    complement = np.flatnonzero(outside)  # the other channels, ascending
     mu = np.zeros(d_model)
     mu[channels] = struct_rng.standard_normal(SIGNAL_CHANNELS)
     mu /= np.linalg.norm(mu)

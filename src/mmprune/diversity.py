@@ -27,11 +27,20 @@ from .errors import DegenerateInputError, ShapeError
 from .model import Span
 
 NORM_FLOOR = 1e-12
+NORM_BLOCK_ELEMENTS = 2**15  # 256 KB of float64
 
 
-def _unit_rows(z: np.ndarray) -> np.ndarray:
-    unit = np.array(z, dtype=np.float64)  # one new array, whatever the input's type
-    unit /= np.maximum(np.linalg.norm(unit, axis=-1, keepdims=True), NORM_FLOOR)
+def _unit_rows(z) -> np.ndarray:
+    """z's rows over their norms (floored at NORM_FLOOR), as one new float64 array,
+    whatever z's type: an array, or nested lists of arrays, filled straight from them.
+    The norms are `np.linalg.norm`'s, taken over blocks of rows of at most
+    NORM_BLOCK_ELEMENTS values, so no temporary is larger than one block."""
+    unit = np.array(z, dtype=np.float64)
+    rows = unit.reshape(int(np.prod(unit.shape[:-1])), unit.shape[-1])
+    step = max(1, NORM_BLOCK_ELEMENTS // max(1, rows.shape[1]))
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        block /= np.maximum(np.sqrt(np.add.reduce(np.square(block), axis=-1, keepdims=True)), NORM_FLOOR)
     return unit
 
 
@@ -122,20 +131,19 @@ class DiversityAccumulator:
                 self._entry(key)
                 by_shape.setdefault(z.shape, []).append(key)
             for keys in by_shape.values():
-                self.add_layer_sample(keys, np.array([[trace.layer_outputs[key] for trace in run] for key in keys]),
-                                      spans)
+                # nested lists, so that `_unit_rows` makes the one float64 stack
+                self.add_layer_sample(keys, [[trace.layer_outputs[key] for trace in run] for key in keys], spans)
 
-    def add_layer_sample(self, keys, z: np.ndarray, spans: list[Span]) -> None:
+    def add_layer_sample(self, keys, z, spans: list[Span]) -> None:
         """Adds the outputs z of layers `keys` on samples that share the span layout
-        `spans`: an (L, S, N, C) stack holding layer keys[l] of S samples, in sample
-        order. One sample's (N, C) outputs of one layer, under one key, are a stack
-        of one."""
-        z = np.asarray(z)
-        if z.ndim == 2:
-            keys, z = [keys], z[None, None]
-        if z.ndim != 4 or len(keys) != z.shape[0] or not z.shape[1]:
-            raise ShapeError(f"{len(keys)} layer keys for an output stack of shape {z.shape}")
+        `spans`: an (L, S, N, C) stack, or L lists of S (N, C) arrays, holding layer
+        keys[l] of S samples, in sample order. One sample's (N, C) outputs of one
+        layer, under one key, are a stack of one."""
         unit = _unit_rows(z)
+        if unit.ndim == 2:
+            keys, unit = [keys], unit[None, None]
+        if unit.ndim != 4 or len(keys) != unit.shape[0] or not unit.shape[1]:
+            raise ShapeError(f"{len(keys)} layer keys for an output stack of shape {unit.shape}")
 
         ids: dict[str, int] = {}
         sums: dict[str, tuple] = {}  # name -> (row sums (L, S, C), squared norms (L, S), rows)
@@ -156,7 +164,7 @@ class DiversityAccumulator:
                 (total_a, _, n_a), (total_b, _, n_b) = sums[name_a], sums[name_b]
                 if n_a and n_b:
                     terms.append(("inter", (name_a, name_b), _cross_mean(total_a, n_a, total_b, n_b)))
-        n = z.shape[2]
+        n = unit.shape[2]
         if n >= 2:
             terms.append(("all", None, _pair_mean(*_row_sums(unit, 0, n), n)))
 

@@ -1,7 +1,12 @@
 """CLI behaviour: artifacts, exit codes, reproducibility."""
 
 import csv
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,8 +292,12 @@ def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys, monkeyp
     (["prune", "--structural", "das", "--sequential"], "drop --sequential"),
     (["prune", "--structural", "shortgpt", "--selection", "random"], "drop --selection"),
     (["prune", "--method", "magnitude", "--sequential"], "--method magnitude does not read: drop --sequential"),
+    (["prune", "--method", "magnitude", "--selection", "random"], "--method magnitude does not read: drop --selection"),
+    (["analyze", "--reports", "diversity", "--selection", "random"],
+     "add selection to --reports or drop --selection"),
 ], ids=["structural-plan-out", "structural-plan", "structural-both", "analyze-plan-without-sparsity",
-        "structural-sequential", "structural-selection", "magnitude-sequential"])
+        "structural-sequential", "structural-selection", "magnitude-sequential", "magnitude-selection",
+        "analyze-selection-without-selection-report"])
 def test_unused_plan_flag_is_usage_error(workspace, tmp_path, capsys, monkeypatch, argv, message):
     import mmprune.cli as cli
     loads = []
@@ -647,12 +656,14 @@ def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, no_l
     ("prune", {"structural": "das", "sequential": True}, "drop --sequential"),
     ("prune", {"structural": "shortgpt", "selection": "random"}, "drop --selection"),
     ("prune", {"method": "magnitude", "sequential": True}, "drop --sequential"),
+    ("prune", {"method": "magnitude", "selection": "amia"}, "drop --selection"),
     ("analyze", {"reports": "diversity,banana"}, "unknown analyze reports: ['banana']"),
+    ("analyze", {"reports": "diversity,attention", "selection": "full"}, "drop --selection"),
     ("compare", {"sparsities": "0.5,1.0"}, "bad --sparsities value: --sparsity must be in (0, 1), got 1.0"),
     ("gen-synth", {"n_blocks": 0}, "--n-blocks must be an integer >= 1, got 0"),
 ], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
         "group", "structural-plan-out", "structural-sequential", "structural-selection", "magnitude-sequential",
-        "analyze-report", "compare-sparsity", "gen-synth-blocks"])
+        "magnitude-selection", "analyze-report", "analyze-selection", "compare-sparsity", "gen-synth-blocks"])
 def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
     check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, lambda config: {**config, **edit}, message)
 
@@ -695,3 +706,27 @@ def check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, edit, messag
     assert code == 2 and err["error"] == "UsageError"
     assert err["message"].endswith(message)
     assert no_loads == [] and not (tmp_path / "out").exists()
+
+
+FAULTS_OF_REPEATED_TEMPORARIES = """
+import resource, sys
+import numpy as np
+from mmprune.cli import main
+main(["gen-synth", "--out", sys.argv[1], "--d-model", "8", "--n-heads", "1", "--d-ff", "8", "--n-blocks", "1",
+      "--n-calib", "1", "--n-eval", "1", "--modalities", "1", "--tokens-per-modality", "2"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    temporaries = [np.ones(2**17) for _ in range(4)]  # 4 MB, as a calibration chunk's traces and stacks
+    del temporaries
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc")
+def test_after_main_freed_temporaries_stay_in_the_heap_for_reuse(tmp_path):
+    # In a fresh process. The first round faults its 4 MB in, about 1,000 pages; had
+    # each round's frees gone back to the system, the 20 rounds would fault about 20,000.
+    src = str(Path(main.__code__.co_filename).parents[1])
+    out = subprocess.run([sys.executable, "-c", FAULTS_OF_REPEATED_TEMPORARIES, str(tmp_path / "ws")],
+                         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout.splitlines()[-1]) < 3000

@@ -1,6 +1,11 @@
 """Sequence file IO and synthetic generators."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,15 @@ import pytest
 from mmprune.data import (ModalitySpec, generate_sequences, load_sequences,
                           make_noisy_modality_scenario, write_sequences)
 from mmprune.errors import FormatError
+
+
+def traced_peak(call):
+    """(call(), the peak bytes that tracemalloc saw it allocate)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_specs():
@@ -35,6 +49,22 @@ def test_record_schema_matches_contract(tmp_path):
     assert records[1]["row_offset"] == 8
     blob = (tmp_path / "calib_embeddings.bin").read_bytes()
     assert len(blob) == 2 * 8 * 8 * 4  # 2 sequences x 8 tokens x dim 8 x float32
+
+
+def test_write_sequences_holds_at_most_one_sequence_beyond_its_input(tmp_path):
+    seqs = make_noisy_modality_scenario(0, n_calib=16, n_eval=1).calib
+    _, peak = traced_peak(lambda: write_sequences(seqs, tmp_path, "calib"))
+    # a copy of the whole set, as a concatenation or its bytes would be, is 16 sequences
+    assert peak <= seqs[0].embeddings.nbytes
+
+
+def test_load_sequences_holds_one_copy_of_the_embeddings(tmp_path):
+    path = write_sequences(make_noisy_modality_scenario(0, n_calib=16, n_eval=1).calib, tmp_path, "calib")
+    loaded, peak = traced_peak(lambda: load_sequences(path))
+    embeddings = [seq.embeddings for seq in loaded]
+    assert peak <= 1.1 * sum(e.nbytes for e in embeddings)  # the blob held as well would double it
+    assert all(e.flags.aligned and e.flags.c_contiguous for e in embeddings)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(embeddings) for b in embeddings[i + 1:])
 
 
 def test_truncated_blob_raises(tmp_path):
@@ -85,6 +115,16 @@ def test_noisy_scenario_shape_and_determinism():
     noise = a.calib[0].embeddings[noise_span.start:noise_span.stop]
     signal = a.calib[0].embeddings[signal_span.start:signal_span.stop]
     assert np.abs(noise).mean() > 2 * np.abs(signal).mean()
+
+
+def test_noisy_scenario_does_not_import_numpy_ma():
+    # numpy.ma takes tens of milliseconds to import, on every noisy gen-synth
+    code = ("import sys; from mmprune.data import make_noisy_modality_scenario; "
+            "make_noisy_modality_scenario(0, n_calib=1, n_eval=1); print('numpy.ma' in sys.modules)")
+    src = str(Path(make_noisy_modality_scenario.__code__.co_filename).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_records_without_dim_field_load_via_inference(tmp_path):

@@ -1,13 +1,16 @@
 """Diversity statistics, through the streaming accumulator, against exhaustive pair-loop oracles."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mmprune.diversity import DiversityAccumulator, block_input_output_similarity, layer_importance
+from mmprune.diversity import (NORM_BLOCK_ELEMENTS, DiversityAccumulator, block_input_output_similarity,
+                               layer_importance)
 from mmprune.errors import DegenerateInputError, ShapeError
-from mmprune.model import ModalityId, Span
+from mmprune.model import PROJECTION_KINDS, ActivationTrace, ModalityId, Span
 
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
@@ -376,3 +379,21 @@ def test_one_token_samples_have_no_terms_stacked_or_alone():
 def test_stack_needs_one_key_per_layer_and_a_sample(keys, shape):
     with pytest.raises(ShapeError):
         DiversityAccumulator().add_layer_sample(keys, np.ones(shape), [Span(VIS, 0, 3)])
+
+
+def test_noisy_add_holds_its_float64_stack_and_one_norm_block():
+    # the noisy workspace's shapes: 4 blocks, 188 tokens, outputs 64 wide but gate and up
+    rng = np.random.default_rng(7)
+    widths = {"gate": 128, "up": 128}
+    outputs = {(b, kind): rng.standard_normal((188, widths.get(kind, 64))).astype(np.float32)
+               for b in range(4) for kind in PROJECTION_KINDS}
+    trace = ActivationTrace(spans=[Span(VIS, 0, 160), Span(LANG, 160, 28)], layer_outputs=outputs)
+    tracemalloc.start()
+    try:
+        DiversityAccumulator().add([SimpleNamespace(trace=trace)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 20 * 188 * 64 * 8  # the largest stack: 20 layers of 64-wide outputs, as float64
+    # a float32 stack beside it, or norms over the whole stack, would add half a stack or more
+    assert peak <= stack + NORM_BLOCK_ELEMENTS * 8 + 64 * 1024
