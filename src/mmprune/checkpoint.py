@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import blob_reader
+from .data import BlobReader
 from .errors import FormatError, is_count
 from .model import PROJECTION_KINDS, Block, LinearLayer, ToyModel
 
@@ -103,13 +103,6 @@ def save_checkpoint(model: ToyModel, directory: str | Path) -> Path:
     return directory
 
 
-def _read_f32(blob: np.ndarray, offset: int, shape: list[int], blob_name: str) -> np.ndarray:
-    count = int(np.prod(shape))
-    if offset < 0 or offset + count > blob.size:
-        raise FormatError(f"{blob_name}: needed {count} float32 values at offset {offset}, blob has {blob.size}")
-    return blob[offset:offset + count].reshape(shape).copy()
-
-
 def _record_problem(record, name_field: str) -> str | None:
     """What is wrong with one layer or norm-scale record, or None."""
     if not isinstance(record, dict):
@@ -173,20 +166,20 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
             gap = next((b, name) for b in range(n_blocks) for name in names if (b, name) not in seen)
             raise FormatError(f"{manifest_path}: {section} has no record for (block, {name_field}) = {gap!r}")
 
-    blob = blob_reader(directory)
+    blobs = BlobReader(directory)
+
+    def read_f32(record, where: str) -> np.ndarray:
+        shape = record["shape"]
+        return blobs.read(record["blob"], where, "<f4", record["offset"], int(np.prod(shape))).reshape(shape)
+
     layer_map: dict[tuple[int, str], LinearLayer] = {}
     for i, record in enumerate(manifest["layers"]):
         where = f"{manifest_path}: layers[{i}]"
-        weight = _read_f32(blob(record["blob"], where, "<f4"), record["offset"], record["shape"], record["blob"])
+        weight = read_f32(record, where)
         layer = LinearLayer(weight, record["kind"], record["block"])
         if "mask_blob" in record:
-            data = blob(record["mask_blob"], where)
             n_bits = weight.size
-            n_bytes = (n_bits + 7) // 8
-            start = record["mask_offset"]
-            if start < 0 or start + n_bytes > len(data):
-                raise FormatError(f"{record['mask_blob']}: needed {n_bytes} bytes at offset {start}, blob has {len(data)}")
-            packed = np.frombuffer(data[start:start + n_bytes], dtype=np.uint8)
+            packed = blobs.read(record["mask_blob"], where, "u1", record["mask_offset"], (n_bits + 7) // 8)
             layer.mask = np.unpackbits(packed, count=n_bits).astype(bool).reshape(weight.shape)
             if weight[~layer.mask].any():  # forward runs on the stored weights, not the mask
                 raise FormatError(f"{where} has non-zero weights where its mask drops them")
@@ -194,8 +187,7 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
 
     scale_map: dict[tuple[int, str], np.ndarray] = {}
     for i, record in enumerate(manifest["norm_scales"]):
-        data = blob(record["blob"], f"{manifest_path}: norm_scales[{i}]", "<f4")
-        scale_map[(record["block"], record["name"])] = _read_f32(data, record["offset"], record["shape"], record["blob"])
+        scale_map[(record["block"], record["name"])] = read_f32(record, f"{manifest_path}: norm_scales[{i}]")
 
     blocks = []
     for b in range(manifest["n_blocks"]):

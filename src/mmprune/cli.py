@@ -31,7 +31,7 @@ from .data import (default_modality_specs, generate_sequences, load_sequences,
 from .errors import FormatError, MMPruneError, UsageError
 from .evaluation import run_comparison, sparsity_report
 from .model import init_synthetic
-from .pruner import (ALLOCATORS, METHOD_SPECS, PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
+from .pruner import (METHOD_SPECS, PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
                      block_importances_shortgpt, block_prune, blocks_to_remove, prune_model)
 from .selection import SELECTION_KINDS, AmiaParams
 
@@ -151,14 +151,11 @@ def _check_config(command: str, config: dict) -> dict:
         if unused:
             raise UsageError("--structural removes whole blocks by importance and reads no sparsity plan, "
                              f"token selection or masked prefix: drop {' and '.join(unused)}")
-    spec = METHOD_SPECS[config["method"]] if command == "prune" else None
-    if spec and config["sequential"] and spec.importance != "wanda":
-        raise UsageError(f"--sequential recomputes activation norms, which --method {config['method']} "
-                         "does not read: drop --sequential")
-    # wanda importance and OWL's ratios read the norms over the selected tokens
-    if spec and config["selection"] and spec.importance != "wanda" and not ALLOCATORS[spec.allocator].norms:
-        raise UsageError(f"--selection picks the tokens of the activation norms, which --method {config['method']} "
-                         "does not read: drop --selection")
+    if command == "prune" and METHOD_SPECS[config["method"]].importance != "wanda":
+        unused = [_flag(key) for key in ("sequential", "selection") if config.get(key)]
+        if unused:
+            raise UsageError("--sequential and --selection serve the activation norms, which "
+                             f"--method {config['method']} does not read: drop {' and '.join(unused)}")
     if command == "analyze":
         reports = _names(config, "reports")
         unknown = set(reports) - set(ANALYZE_REPORTS)
@@ -490,21 +487,26 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (mallo
 
 
 def _keep_freed_heap() -> None:
-    """Has glibc's malloc serve arrays of up to 8 MB from the heap and keep up to 16 MB
-    of it free for reuse; without glibc, does nothing.
+    """On glibc, sets malloc's mmap threshold to the highest value its dynamic
+    adjustment reaches (32 MB on 64-bit) and the trim threshold to twice that; without
+    glibc, does nothing.
 
-    Each calibration chunk allocates and frees several MB of traces and stacks. By
-    default glibc hands the heap's free top back to the system once it passes twice
-    the largest block freed so far, so every chunk faults the same pages in again: a
-    noisy-modality `tamp` prune took about 280,000 minor faults and a fifth more time
-    when no block of several MB had been freed before it."""
+    Each calibration chunk allocates and frees several MB of traces and stacks. glibc
+    starts with a 128 KB mmap threshold and hands the heap's free top back to the system
+    once it passes twice the largest block freed so far, so until some block of several
+    MB has been freed, every chunk faults the same pages in again: a noisy-modality
+    `tamp` prune took about 280,000 minor faults and a fifth more time. Setting the
+    thresholds turns their adjustment off, so they are set where it would end."""
     try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
+    except (AttributeError, OSError, ValueError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, 8 << 20)
-    mallopt(M_TRIM_THRESHOLD, 16 << 20)
+    mmap_threshold = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)  # DEFAULT_MMAP_THRESHOLD_MAX
+    mallopt(M_MMAP_THRESHOLD, mmap_threshold)
+    mallopt(M_TRIM_THRESHOLD, 2 * mmap_threshold)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -53,38 +53,44 @@ def write_sequences(seqs: list[TokenSequence], directory: str | Path, prefix: st
     return jsonl_path
 
 
-def blob_path(directory: Path, name: str, where: str) -> Path:
-    """The blob file `name` beside an input in `directory`. `name` must be a plain file
-    name, so an input reads only files in its own directory; otherwise the FormatError
-    starts with `where`."""
-    if name in ("", ".", "..") or Path(name).name != name:
-        raise FormatError(f"{where}: blob {name!r} must be a plain file name in {directory}")
-    path = directory / name
-    if not path.is_file():
-        raise FormatError(f"missing blob {path}")
-    return path
+class BlobReader:
+    """Reads the blob files beside an input in `directory`. A blob name must be a plain
+    file name, so an input reads only files in its own directory. A blob's size comes
+    from its file's stat, and each read takes only the values asked for into an array
+    of its own, so a load holds one copy of what it reads."""
 
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self._files: dict[str, tuple[Path, int]] = {}  # name -> (path, size in bytes)
 
-def blob_reader(directory: Path):
-    """`read(name, where, dtype=None)` gives the blob file `name` (see `blob_path`),
-    read once, as bytes or as little-endian values of `dtype`."""
-    blobs: dict[str, bytes] = {}
+    def size(self, name: str, where: str, dtype: str | np.dtype) -> int:
+        """How many little-endian `dtype` values the blob `name` holds. A FormatError
+        about the name itself starts with `where`."""
+        if name not in self._files:
+            if name in ("", ".", "..") or Path(name).name != name:
+                raise FormatError(f"{where}: blob {name!r} must be a plain file name in {self.directory}")
+            path = self.directory / name
+            if not path.is_file():
+                raise FormatError(f"missing blob {path}")
+            self._files[name] = (path, path.stat().st_size)
+        path, size = self._files[name]
+        itemsize = np.dtype(dtype).itemsize
+        if size % itemsize:
+            raise FormatError(f"{path}: size {size} is not a multiple of {itemsize} bytes")
+        return size // itemsize
 
-    def read(name: str, where: str, dtype: str | None = None):
-        path = blob_path(directory, name, where)
-        if name not in blobs:
-            blobs[name] = path.read_bytes()
-        data = blobs[name]
-        if dtype is None:
-            return data
-        _check_size(path, len(data), np.dtype(dtype).itemsize)
-        return np.frombuffer(data, dtype)
-    return read
-
-
-def _check_size(path: Path, size: int, itemsize: int) -> None:
-    if size % itemsize:
-        raise FormatError(f"{path}: size {size} is not a multiple of {itemsize} bytes")
+    def read(self, name: str, where: str, dtype: str, offset: int, count: int) -> np.ndarray:
+        """`count` little-endian `dtype` values of the blob `name`, from value `offset` on."""
+        dtype = np.dtype(dtype)
+        values = self.size(name, where, dtype)
+        if offset < 0 or offset + count > values:
+            unit = "bytes" if dtype.itemsize == 1 else f"{dtype.name} values"
+            raise FormatError(f"{name}: needed {count} {unit} at offset {offset}, blob has {values}")
+        path = self._files[name][0]
+        data = np.fromfile(path, dtype, count, offset=offset * dtype.itemsize)
+        if data.size != count:
+            raise FormatError(f"{path} changed while {where} was read")
+        return data
 
 
 def _check_record(record, where: str) -> None:
@@ -138,20 +144,14 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
         name = record["embeddings_file"]
         rows_per_blob[name] = max(rows_per_blob.get(name, 0), record["row_offset"] + n)
 
-    # Each record's rows are read from its blob into an array of their own, so a load
-    # holds one copy of the embeddings; a blob's size comes from its file's stat.
-    blobs: dict[str, tuple[Path, int]] = {}  # name -> (path, float32 values it holds)
+    blobs = BlobReader(jsonl_path.parent)
     seqs = []
     for line_no, record in records:
         span_items = record["spans"]
         offset = record["row_offset"]
         name = record["embeddings_file"]
-        if name not in blobs:
-            path = blob_path(jsonl_path.parent, name, f"{jsonl_path}:{line_no}")
-            size = path.stat().st_size
-            _check_size(path, size, 4)
-            blobs[name] = (path, size // 4)
-        path, values = blobs[name]
+        where = f"{jsonl_path}:{line_no}"
+        values = blobs.size(name, where, "<f4")
         total_rows = rows_per_blob[name]
         if not record.get("dim") and (total_rows == 0 or values % total_rows != 0):
             raise FormatError(f"{name}: cannot infer row width from {values} values "
@@ -162,9 +162,7 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
             raise FormatError(
                 f"{name}: sequence at line {line_no} needs rows "
                 f"[{offset}, {offset + n}) of dim {dim}, blob has {values // dim} rows")
-        embeddings = np.fromfile(path, "<f4", n * dim, offset=offset * dim * 4)
-        if embeddings.size != n * dim:
-            raise FormatError(f"{path} changed while line {line_no} was read")
+        embeddings = blobs.read(name, where, "<f4", offset * dim, n * dim)
         spans = []
         cursor = 0
         for item in span_items:

@@ -1,5 +1,6 @@
 """Checkpoint round-trip and corruption handling."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,18 @@ def test_a_save_over_a_masked_checkpoint_leaves_what_a_fresh_save_leaves(tmp_pat
     assert all(layer.mask is None for layer in loaded.iter_layers())
     for a, b in zip(dense.iter_layers(), loaded.iter_layers()):
         assert a.weight.tobytes() == b.weight.tobytes()
+
+
+def test_load_holds_one_copy_of_the_weights(tmp_path):
+    save_checkpoint(init_synthetic(64, 4, 128, 4, seed=2), tmp_path / "ckpt")
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = sum(layer.weight.nbytes for layer in loaded.iter_layers())
+    assert peak <= 1.1 * weights  # the blob held whole as well would double it
 
 
 def test_truncated_blob_raises_format_error(tmp_path):

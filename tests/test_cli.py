@@ -1,9 +1,9 @@
 """CLI behaviour: artifacts, exit codes, reproducibility."""
 
 import csv
-import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -714,19 +714,23 @@ import numpy as np
 from mmprune.cli import main
 main(["gen-synth", "--out", sys.argv[1], "--d-model", "8", "--n-heads", "1", "--d-ff", "8", "--n-blocks", "1",
       "--n-calib", "1", "--n-eval", "1", "--modalities", "1", "--tokens-per-modality", "2"])
+count, size = int(sys.argv[2]), int(sys.argv[3])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    temporaries = [np.ones(2**17) for _ in range(4)]  # 4 MB, as a calibration chunk's traces and stacks
+    temporaries = [np.ones(size // 8) for _ in range(count)]
     del temporaries
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc")
-def test_after_main_freed_temporaries_stay_in_the_heap_for_reuse(tmp_path):
-    # In a fresh process. The first round faults its 4 MB in, about 1,000 pages; had
-    # each round's frees gone back to the system, the 20 rounds would fault about 20,000.
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+@pytest.mark.parametrize("count, size", [(4, 2**20), (1, 12 * 2**20)],
+                         ids=["4x1MB-as-a-noisy-chunk", "12MB-past-a-fixed-8MB-threshold"])
+def test_after_main_freed_temporaries_stay_in_the_heap_for_reuse(tmp_path, count, size):
+    # In a fresh process. The first round faults its pages in, count * size / 4 KB of
+    # them; had each round's frees gone back to the system, 20 rounds would fault 20 times that.
     src = str(Path(main.__code__.co_filename).parents[1])
-    out = subprocess.run([sys.executable, "-c", FAULTS_OF_REPEATED_TEMPORARIES, str(tmp_path / "ws")],
+    out = subprocess.run([sys.executable, "-c", FAULTS_OF_REPEATED_TEMPORARIES, str(tmp_path / "ws"),
+                          str(count), str(size)],
                          capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert int(out.stdout.splitlines()[-1]) < 3000
+    assert int(out.stdout.splitlines()[-1]) < 3 * count * size // 4096
