@@ -13,6 +13,7 @@ import argparse
 import csv
 import ctypes
 import errno
+import functools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .allocation import SparsityPlan
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (default_modality_specs, generate_sequences, load_sequences,
+from .data import (default_modality_specs, draw_sequences, load_sequences,
                    make_noisy_modality_scenario, write_sequences)
 from .errors import FormatError, MMPruneError, UsageError
 from .evaluation import run_comparison, sparsity_report
@@ -115,10 +116,11 @@ def _sparsities(config: dict) -> list[float]:
     return sparsities
 
 
-def _settings(command: str) -> list[argparse.Action]:
+@functools.cache  # built once per process: a parser is cyclic garbage that costs about 3 ms to build
+def _settings(command: str) -> tuple[argparse.Action, ...]:
     """The settings of `command`, as `build_parser` declares them."""
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [action for action in commands.choices[command]._actions if action.dest != "help"]
+    return tuple(action for action in commands.choices[command]._actions if action.dest != "help")
 
 
 def _check_config(command: str, config: dict) -> dict:
@@ -151,11 +153,19 @@ def _check_config(command: str, config: dict) -> dict:
         if unused:
             raise UsageError("--structural removes whole blocks by importance and reads no sparsity plan, "
                              f"token selection or masked prefix: drop {' and '.join(unused)}")
-    if command == "prune" and METHOD_SPECS[config["method"]].importance != "wanda":
-        unused = [_flag(key) for key in ("sequential", "selection") if config.get(key)]
-        if unused:
-            raise UsageError("--sequential and --selection serve the activation norms, which "
-                             f"--method {config['method']} does not read: drop {' and '.join(unused)}")
+    if command == "compare":
+        methods = _names(config, "methods")
+        unknown = [m for m in methods if m not in PRUNE_METHODS]
+        if unknown or not methods:
+            raise UsageError(f"unknown methods: {unknown}" if unknown else "no methods given")
+        _sparsities(config)
+    if command in ("prune", "compare"):
+        key = "method" if command == "prune" else "methods"
+        if all(METHOD_SPECS[m].importance != "wanda" for m in _names(config, key)):
+            unused = [_flag(flag) for flag in ("sequential", "selection") if config.get(flag)]
+            if unused:
+                raise UsageError("--sequential and --selection serve the activation norms, which "
+                                 f"{_flag(key)} {config[key]} does not read: drop {' and '.join(unused)}")
     if command == "analyze":
         reports = _names(config, "reports")
         unknown = set(reports) - set(ANALYZE_REPORTS)
@@ -167,12 +177,6 @@ def _check_config(command: str, config: dict) -> dict:
         if config.get("selection") and "selection" not in reports:
             raise UsageError("--selection is read only by the selection report: "
                              "add selection to --reports or drop --selection")
-    if command == "compare":
-        methods = _names(config, "methods")
-        unknown = [m for m in methods if m not in PRUNE_METHODS]
-        if unknown or not methods:
-            raise UsageError(f"unknown methods: {unknown}" if unknown else "no methods given")
-        _sparsities(config)
     return config
 
 
@@ -239,18 +243,18 @@ def cmd_gen_synth(config: dict) -> None:
             d_ff=config["d_ff"], n_blocks=config["n_blocks"],
             n_calib=config["n_calib"], n_eval=config["n_eval"],
         )
-        model, calib, eval_seqs = scenario.model, scenario.calib, scenario.eval
+        model, calib, eval_seqs = scenario.model, scenario.draw_calib(), scenario.draw_eval()
     else:
         model = init_synthetic(config["d_model"], config["n_heads"], config["d_ff"],
                                config["n_blocks"], seed)
         specs = default_modality_specs(config["modalities"], config["tokens_per_modality"])
-        calib = generate_sequences(config["n_calib"], config["d_model"], specs, seed, domain=0)
-        eval_seqs = generate_sequences(config["n_eval"], config["d_model"], specs, seed, domain=1)
+        calib = draw_sequences(config["n_calib"], config["d_model"], specs, seed, domain=0)
+        eval_seqs = draw_sequences(config["n_eval"], config["d_model"], specs, seed, domain=1)
     save_checkpoint(model, out_dir / "model")
-    write_sequences(calib, out_dir, "calib")
+    write_sequences(calib, out_dir, "calib")  # each sequence is written as it is drawn
     write_sequences(eval_seqs, out_dir, "eval")
     _write_run_record(out_dir, "gen-synth", config)
-    print(f"wrote model + {len(calib)} calib / {len(eval_seqs)} eval sequences to {out_dir}")
+    print(f"wrote model + {config['n_calib']} calib / {config['n_eval']} eval sequences to {out_dir}")
 
 
 def cmd_prune(config: dict) -> None:

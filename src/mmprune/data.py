@@ -13,12 +13,15 @@ assigned by order of first appearance in the file.
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, is_count
+from .errors import ConfigError, FormatError, NumericError, ShapeError, is_count
 from .model import ModalityId, Span, TokenSequence, ToyModel, init_synthetic
 
 DEFAULT_MODALITY_NAMES = ("visual", "language", "audio")
@@ -28,40 +31,48 @@ SIGNAL_CHANNELS = 16
 OUTLIER_CHANNELS = 8
 
 
-def write_sequences(seqs: list[TokenSequence], directory: str | Path, prefix: str) -> Path:
-    """Write `<prefix>.jsonl` plus `<prefix>_embeddings.bin`; returns the JSONL path."""
+def write_sequences(seqs: Iterable[TokenSequence], directory: str | Path, prefix: str) -> Path:
+    """Write `<prefix>.jsonl` plus `<prefix>_embeddings.bin`, taking one sequence of
+    `seqs` at a time; returns the JSONL path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    blob_name = f"{prefix}_embeddings.bin"
+    blob_path = directory / f"{prefix}_embeddings.bin"
     jsonl_path = directory / f"{prefix}.jsonl"
+    temps = {path: path.with_name(f".{path.name}.tmp") for path in (blob_path, jsonl_path)}
 
-    records = []
     row_offset = 0
-    with open(directory / blob_name, "wb") as blob:  # one sequence's rows at a time
-        for seq in seqs:
-            records.append({
-                "spans": [{"modality": s.modality.name, "len": s.length} for s in seq.spans],
-                "embeddings_file": blob_name,
-                "row_offset": row_offset,
-                "dim": seq.dim,
-            })
-            blob.write(np.ascontiguousarray(seq.embeddings, dtype="<f4"))
-            row_offset += len(seq)
-    with open(jsonl_path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+    # Sequences loaded from the files being replaced read them until the end, and a
+    # failed write leaves them whole and no temporary file behind.
+    try:
+        with open(temps[blob_path], "wb") as blob, open(temps[jsonl_path], "w", encoding="utf-8") as f:
+            for seq in seqs:
+                record = {
+                    "spans": [{"modality": s.modality.name, "len": s.length} for s in seq.spans],
+                    "embeddings_file": blob_path.name,
+                    "row_offset": row_offset,
+                    "dim": seq.dim,
+                }
+                f.write(json.dumps(record, sort_keys=True) + "\n")
+                blob.write(np.ascontiguousarray(seq.embeddings, dtype="<f4"))
+                row_offset += len(seq)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
     return jsonl_path
 
 
 class BlobReader:
     """Reads the blob files beside an input in `directory`. A blob name must be a plain
-    file name, so an input reads only files in its own directory. A blob's size comes
-    from its file's stat, and each read takes only the values asked for into an array
-    of its own, so a load holds one copy of what it reads."""
+    file name, so an input reads only files in its own directory. A blob's size and
+    mtime come from its file's stat at the first use of its name. Each read checks them
+    again, so a blob that changed since is a FormatError, and takes only the values
+    asked for into an array of its own, so a load holds one copy of what it reads."""
 
     def __init__(self, directory: Path):
         self.directory = directory
-        self._files: dict[str, tuple[Path, int]] = {}  # name -> (path, size in bytes)
+        self._files: dict[str, tuple[Path, tuple[int, int]]] = {}  # name -> (path, (bytes, mtime in ns))
 
     def size(self, name: str, where: str, dtype: str | np.dtype) -> int:
         """How many little-endian `dtype` values the blob `name` holds. A FormatError
@@ -72,8 +83,9 @@ class BlobReader:
             path = self.directory / name
             if not path.is_file():
                 raise FormatError(f"missing blob {path}")
-            self._files[name] = (path, path.stat().st_size)
-        path, size = self._files[name]
+            stat = path.stat()
+            self._files[name] = (path, (stat.st_size, stat.st_mtime_ns))
+        path, (size, _) = self._files[name]
         itemsize = np.dtype(dtype).itemsize
         if size % itemsize:
             raise FormatError(f"{path}: size {size} is not a multiple of {itemsize} bytes")
@@ -86,11 +98,47 @@ class BlobReader:
         if offset < 0 or offset + count > values:
             unit = "bytes" if dtype.itemsize == 1 else f"{dtype.name} values"
             raise FormatError(f"{name}: needed {count} {unit} at offset {offset}, blob has {values}")
-        path = self._files[name][0]
-        data = np.fromfile(path, dtype, count, offset=offset * dtype.itemsize)
+        path, stamp = self._files[name]
+        with open(path, "rb") as f:
+            stat = os.fstat(f.fileno())
+            if (stat.st_size, stat.st_mtime_ns) != stamp:
+                raise FormatError(f"blob {path} changed since it was loaded: {where} cannot be read again")
+            f.seek(offset * dtype.itemsize)
+            data = np.fromfile(f, dtype, count)
         if data.size != count:
             raise FormatError(f"{path} changed while {where} was read")
         return data
+
+
+class BlobSequence(TokenSequence):
+    """A TokenSequence whose rows stay in its blob. `len` and `dim` come from its record;
+    `embeddings` reads the rows through the load's BlobReader on each access, so a blob
+    changed since the load is a FormatError, and checks them as a TokenSequence does."""
+
+    def __init__(self, embeddings: np.ndarray, spans: list[Span], blobs: BlobReader, name: str,
+                 where: str, offset: int):
+        self.spans = list(spans)
+        self.where = where
+        self._shape = n, dim = self.checked(embeddings).shape  # the rows are checked here, never kept
+        self._read = partial(blobs.read, name, where, "<f4", offset * dim, n * dim)
+
+    def checked(self, embeddings: np.ndarray) -> np.ndarray:
+        """TokenSequence's checks, failing as a FormatError that names the record."""
+        try:
+            return super().checked(embeddings)
+        except (ShapeError, NumericError) as err:
+            raise FormatError(f"{self.where}: {err}") from err
+
+    def __len__(self) -> int:
+        return self._shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self._shape[1]
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        return self.checked(self._read().reshape(self._shape))
 
 
 def _check_record(record, where: str) -> None:
@@ -105,6 +153,8 @@ def _check_record(record, where: str) -> None:
             isinstance(s, dict) and isinstance(s.get("modality"), str) and is_count(s.get("len"))
             for s in spans):
         raise FormatError(f"{where}: 'spans' must be a list of {{'modality': str, 'len': int >= 0}}")
+    if not sum(s["len"] for s in spans):
+        raise FormatError(f"{where}: 'spans' cover no tokens")
     if not isinstance(record["embeddings_file"], str):
         raise FormatError(f"{where}: 'embeddings_file' must be a string")
     if not is_count(record["row_offset"]):
@@ -113,7 +163,9 @@ def _check_record(record, where: str) -> None:
         raise FormatError(f"{where}: 'dim' must be a non-negative integer, got {record['dim']!r}")
 
 
-def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
+def load_sequences(jsonl_path: str | Path) -> list[BlobSequence]:
+    """The sequences of a JSONL file, each record checked and its rows read once, as
+    BlobSequences that hold no rows: each pass over them reads the blob again."""
     jsonl_path = Path(jsonl_path)
     if not jsonl_path.is_file():
         raise FormatError(f"missing sequence file {jsonl_path}")
@@ -124,51 +176,47 @@ def load_sequences(jsonl_path: str | Path) -> list[TokenSequence]:
             modalities[name] = ModalityId(len(modalities), name)
         return modalities[name]
 
-    records = []
-    with open(jsonl_path, encoding="utf-8") as f:
+    records = []  # per record: (line number, spans, blob name, row offset, dim or None)
+    with open(jsonl_path, "rb") as f:  # json decodes each line, so bad UTF-8 names its line
         for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as err:
+            except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deep
                 raise FormatError(f"{jsonl_path}:{line_no}: bad JSON: {err}") from err
             _check_record(record, f"{jsonl_path}:{line_no}")
-            records.append((line_no, record))
+            spans = []
+            cursor = 0
+            for item in record["spans"]:
+                spans.append(Span(modality(item["modality"]), cursor, item["len"]))
+                cursor += item["len"]
+            records.append((line_no, spans, record["embeddings_file"], record["row_offset"], record.get("dim")))
 
     # records may omit "dim"; infer it from total rows referenced per blob
     rows_per_blob: dict[str, int] = {}
-    for _, record in records:
-        n = sum(item["len"] for item in record["spans"])
-        name = record["embeddings_file"]
-        rows_per_blob[name] = max(rows_per_blob.get(name, 0), record["row_offset"] + n)
+    for _, spans, name, offset, _ in records:
+        rows_per_blob[name] = max(rows_per_blob.get(name, 0), offset + sum(s.length for s in spans))
 
     blobs = BlobReader(jsonl_path.parent)
     seqs = []
-    for line_no, record in records:
-        span_items = record["spans"]
-        offset = record["row_offset"]
-        name = record["embeddings_file"]
+    for line_no, spans, name, offset, dim in records:
         where = f"{jsonl_path}:{line_no}"
         values = blobs.size(name, where, "<f4")
         total_rows = rows_per_blob[name]
-        if not record.get("dim") and (total_rows == 0 or values % total_rows != 0):
+        if not dim and (values < total_rows or values % total_rows):  # a record covers >= 1 row
             raise FormatError(f"{name}: cannot infer row width from {values} values "
                               f"over {total_rows} rows")
-        dim = record.get("dim") or values // total_rows
-        n = sum(item["len"] for item in span_items)
+        dim = dim or values // total_rows
+        n = sum(s.length for s in spans)
         if (offset + n) * dim > values:
             raise FormatError(
                 f"{name}: sequence at line {line_no} needs rows "
                 f"[{offset}, {offset + n}) of dim {dim}, blob has {values // dim} rows")
-        embeddings = blobs.read(name, where, "<f4", offset * dim, n * dim)
-        spans = []
-        cursor = 0
-        for item in span_items:
-            spans.append(Span(modality(item["modality"]), cursor, item["len"]))
-            cursor += item["len"]
-        seqs.append(TokenSequence(embeddings.reshape(n, dim), spans))
+        rows = blobs.read(name, where, "<f4", offset * dim, n * dim).reshape(n, dim)
+        seqs.append(BlobSequence(rows, spans, blobs, name, where, offset))
+        del rows  # before the next record's read: a load holds one record's rows
     return seqs
 
 
@@ -198,8 +246,14 @@ def default_modality_specs(n_modalities: int, tokens_per_modality: int) -> list[
 
 def generate_sequences(n_sequences: int, d_model: int, specs: list[ModalitySpec],
                        seed: int, domain: int = 0) -> list[TokenSequence]:
-    """Seeded sequences with one span per spec. `domain` separates calibration
-    from eval draws while keeping the per-modality cluster directions shared."""
+    """`draw_sequences` as a list."""
+    return list(draw_sequences(n_sequences, d_model, specs, seed, domain))
+
+
+def draw_sequences(n_sequences: int, d_model: int, specs: list[ModalitySpec],
+                   seed: int, domain: int = 0) -> Iterator[TokenSequence]:
+    """Seeded sequences with one span per spec, drawn one at a time. `domain` separates
+    calibration from eval draws while keeping the per-modality cluster directions shared."""
     directions = {}
     for m, spec in enumerate(specs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1013, m]))
@@ -207,8 +261,8 @@ def generate_sequences(n_sequences: int, d_model: int, specs: list[ModalitySpec]
         directions[spec.name] = mu / np.linalg.norm(mu)
 
     mods = {spec.name: ModalityId(m, spec.name) for m, spec in enumerate(specs)}
-    seqs = []
-    for i in range(n_sequences):
+
+    def one(i: int) -> TokenSequence:
         rng = np.random.default_rng(np.random.SeedSequence([seed, domain, i]))
         parts = []
         spans = []
@@ -219,8 +273,9 @@ def generate_sequences(n_sequences: int, d_model: int, specs: list[ModalitySpec]
             spans.append(Span(mods[spec.name], cursor, spec.tokens))
             cursor += spec.tokens
         embeddings = np.concatenate(parts).astype(np.float32) if parts else np.zeros((0, d_model), np.float32)
-        seqs.append(TokenSequence(embeddings, spans))
-    return seqs
+        return TokenSequence(embeddings, spans)
+
+    return map(one, range(n_sequences))  # a draw's temporaries end with `one`, before the next draw
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +284,20 @@ def generate_sequences(n_sequences: int, d_model: int, specs: list[ModalitySpec]
 
 @dataclass
 class NoisyScenario:
+    """The scenario's model and data: `draw_calib()` and `draw_eval()` draw the sequences
+    one at a time, and `calib` and `eval` list them, drawn on first use."""
+
     model: ToyModel
-    calib: list[TokenSequence]
-    eval: list[TokenSequence]
+    draw_calib: Callable[[], Iterator[TokenSequence]]
+    draw_eval: Callable[[], Iterator[TokenSequence]]
+
+    @cached_property
+    def calib(self) -> list[TokenSequence]:
+        return list(self.draw_calib())
+
+    @cached_property
+    def eval(self) -> list[TokenSequence]:
+        return list(self.draw_eval())
 
 
 def _signal_tokens(rng: np.random.Generator, n_tokens: int, mu: np.ndarray,
@@ -320,25 +386,23 @@ def make_noisy_modality_scenario(
     noise_mod = ModalityId(0, "visual")
     signal_mod = ModalityId(1, "language")
 
-    def build(n_sequences: int, domain, with_noise: bool) -> list[TokenSequence]:
-        out = []
-        for i in range(n_sequences):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 90210, *domain, i]))
-            n_noise = 160 if with_noise else 0
-            # each draw puts its outlier energy on a different channel subset,
-            # so whole-set channel norms depend heavily on the calibration draw
-            scales = np.ones(len(complement))
-            scales[rng.choice(len(complement), size=OUTLIER_CHANNELS, replace=False)] = 5.0
-            noise = np.zeros((n_noise, d_model))
-            noise[:, complement] = 8.0 * scales * rng.standard_normal((n_noise, len(complement)))
-            signal = _signal_tokens(rng, 28, mu, basis)
-            embeddings = np.concatenate([noise, signal]).astype(np.float32)
-            spans = [Span(noise_mod, 0, n_noise), Span(signal_mod, n_noise, 28)]
-            out.append(TokenSequence(embeddings, spans))
-        return out
+    def one(domain: tuple, with_noise: bool, i: int) -> TokenSequence:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 90210, *domain, i]))
+        n_noise = 160 if with_noise else 0
+        # each draw puts its outlier energy on a different channel subset,
+        # so whole-set channel norms depend heavily on the calibration draw
+        scales = np.ones(len(complement))
+        scales[rng.choice(len(complement), size=OUTLIER_CHANNELS, replace=False)] = 5.0
+        noise = np.zeros((n_noise, d_model))
+        noise[:, complement] = 8.0 * scales * rng.standard_normal((n_noise, len(complement)))
+        signal = _signal_tokens(rng, 28, mu, basis)
+        embeddings = np.concatenate([noise, signal]).astype(np.float32)
+        spans = [Span(noise_mod, 0, n_noise), Span(signal_mod, n_noise, 28)]
+        return TokenSequence(embeddings, spans)
 
+    # `map` draws each sequence when it is reached; a draw's temporaries end with `one`
     return NoisyScenario(
         model=model,
-        calib=build(n_calib, domain=(0, calib_variant), with_noise=True),
-        eval=build(n_eval, domain=(1,), with_noise=False),
+        draw_calib=lambda: map(partial(one, (0, calib_variant), True), range(n_calib)),
+        draw_eval=lambda: map(partial(one, (1,), False), range(n_eval)),
     )

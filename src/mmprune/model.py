@@ -41,6 +41,12 @@ class TokenSequence:
     """Pre-embedded tokens (N x C float32) with contiguous modality spans."""
 
     def __init__(self, embeddings: np.ndarray, spans: list[Span]):
+        self.spans = list(spans)
+        self.embeddings = self.checked(embeddings)
+
+    def checked(self, embeddings: np.ndarray) -> np.ndarray:
+        """`embeddings` as float32 if they are finite, non-empty N x C rows that the
+        spans cover; else a ShapeError or NumericError."""
         embeddings = np.asarray(embeddings, dtype=np.float32)
         if embeddings.ndim != 2 or embeddings.shape[0] < 1:
             raise ShapeError(f"embeddings must be a non-empty 2-D matrix, got shape {embeddings.shape}")
@@ -48,7 +54,7 @@ class TokenSequence:
             raise NumericError("embeddings contain non-finite values")
         n = embeddings.shape[0]
         cursor = 0
-        for span in spans:
+        for span in self.spans:
             if span.length < 0:
                 raise ShapeError(f"span for {span.modality.name} has negative length")
             if span.start != cursor:
@@ -56,8 +62,7 @@ class TokenSequence:
             cursor = span.stop
         if cursor != n:
             raise ShapeError(f"spans cover [0, {cursor}) but the sequence has {n} tokens")
-        self.embeddings = embeddings
-        self.spans = list(spans)
+        return embeddings
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]

@@ -554,7 +554,8 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
         # Each block's norms, and so its orders, come from the samples carried through the
         # blocks already masked: one pass over a one-block view of the block, which, once
         # masked, advances them. They are replaced chunk by chunk in the one list: a second
-        # list would hold every state twice (about 6 MB more on the noisy workspace).
+        # list would hold every state twice (about 6 MB more on the noisy workspace). The
+        # list starts as the calibration sequences, which, loaded from a blob, hold no rows.
         sel_stats = {}
         carried = list(calib.seqs)
         for block in pruned.blocks:

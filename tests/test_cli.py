@@ -295,15 +295,17 @@ def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys, monkeyp
     (["prune", "--method", "magnitude", "--selection", "random"], "--method magnitude does not read: drop --selection"),
     (["analyze", "--reports", "diversity", "--selection", "random"],
      "add selection to --reports or drop --selection"),
+    (["compare", "--eval", "EVAL", "--methods", "magnitude", "--selection", "random"],
+     "--methods magnitude does not read: drop --selection"),
 ], ids=["structural-plan-out", "structural-plan", "structural-both", "analyze-plan-without-sparsity",
         "structural-sequential", "structural-selection", "magnitude-sequential", "magnitude-selection",
-        "analyze-selection-without-selection-report"])
+        "analyze-selection-without-selection-report", "compare-magnitude-selection"])
 def test_unused_plan_flag_is_usage_error(workspace, tmp_path, capsys, monkeypatch, argv, message):
     import mmprune.cli as cli
     loads = []
     monkeypatch.setattr(cli, "load_checkpoint", lambda *args: loads.append(args))
     plan = str(tmp_path / "missing" / "plan.json")  # never opened, never created
-    code = main([arg.replace("PLAN", plan) for arg in argv] + [
+    code = main([arg.replace("PLAN", plan).replace("EVAL", str(workspace / "eval.jsonl")) for arg in argv] + [
         "--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
         "--out", str(tmp_path / "out")])
     err = json.loads(capsys.readouterr().err)
@@ -660,10 +662,12 @@ def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, no_l
     ("analyze", {"reports": "diversity,banana"}, "unknown analyze reports: ['banana']"),
     ("analyze", {"reports": "diversity,attention", "selection": "full"}, "drop --selection"),
     ("compare", {"sparsities": "0.5,1.0"}, "bad --sparsities value: --sparsity must be in (0, 1), got 1.0"),
+    ("compare", {"methods": "magnitude", "selection": "random"}, "--methods magnitude does not read: drop --selection"),
     ("gen-synth", {"n_blocks": 0}, "--n-blocks must be an integer >= 1, got 0"),
 ], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
         "group", "structural-plan-out", "structural-sequential", "structural-selection", "magnitude-sequential",
-        "magnitude-selection", "analyze-report", "analyze-selection", "compare-sparsity", "gen-synth-blocks"])
+        "magnitude-selection", "analyze-report", "analyze-selection", "compare-sparsity", "compare-magnitude-selection",
+        "gen-synth-blocks"])
 def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
     check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, lambda config: {**config, **edit}, message)
 

@@ -1,5 +1,8 @@
 """Sequence file IO and synthetic generators."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -9,10 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mmprune.cli as cli
+from mmprune.checkpoint import save_checkpoint
 from mmprune.data import (ModalitySpec, generate_sequences, load_sequences,
                           make_noisy_modality_scenario, write_sequences)
 from mmprune.errors import FormatError
+from mmprune.model import CHUNK_TOKENS, init_synthetic
+from mmprune.pruner import Calibration, PruneConfig, prune_model
 
 
 def traced_peak(call):
@@ -58,13 +67,114 @@ def test_write_sequences_holds_at_most_one_sequence_beyond_its_input(tmp_path):
     assert peak <= seqs[0].embeddings.nbytes
 
 
+def test_write_sequences_replaces_the_files_its_sequences_were_loaded_from(tmp_path):
+    path = write_sequences(generate_sequences(3, 8, make_specs(), seed=2), tmp_path, "calib")
+    before = {file.name: file.read_bytes() for file in tmp_path.iterdir()}
+
+    def failing():
+        yield from load_sequences(path)[:2]
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        write_sequences(failing(), tmp_path, "calib")
+    assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
+    write_sequences(load_sequences(path), tmp_path, "calib")  # reads the blob it replaces
+    assert {file.name: file.read_bytes() for file in tmp_path.iterdir()} == before
+
+
 def test_load_sequences_holds_one_copy_of_the_embeddings(tmp_path):
-    path = write_sequences(make_noisy_modality_scenario(0, n_calib=16, n_eval=1).calib, tmp_path, "calib")
-    loaded, peak = traced_peak(lambda: load_sequences(path))
-    embeddings = [seq.embeddings for seq in loaded]
-    assert peak <= 1.1 * sum(e.nbytes for e in embeddings)  # the blob held as well would double it
-    assert all(e.flags.aligned and e.flags.c_contiguous for e in embeddings)
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(embeddings) for b in embeddings[i + 1:])
+    seqs = make_noisy_modality_scenario(0, n_calib=16, n_eval=1).calib
+    path = write_sequences(seqs, tmp_path, "calib")
+    one_record = seqs[0].embeddings.nbytes
+    tracemalloc.start()
+    try:
+        loaded = load_sequences(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the load reads one record's rows at a time and keeps none: the 16 records' rows are 16 of them
+    assert kept <= one_record
+    assert peak - kept <= 1.5 * one_record  # the rows read, plus their finiteness check
+    assert not any(isinstance(value, np.ndarray) for seq in loaded for value in vars(seq).values())
+    assert [(len(seq), seq.dim) for seq in loaded] == [(len(seq), seq.dim) for seq in seqs]
+
+
+def test_loaded_sequences_read_their_rows_on_each_access(tmp_path):
+    seqs = generate_sequences(3, 8, make_specs(), seed=4)
+    loaded = load_sequences(write_sequences(seqs, tmp_path, "calib"))
+    for seq, stored in zip(seqs, loaded):
+        first, second = stored.embeddings, stored.embeddings
+        assert first.tobytes() == second.tobytes() == seq.embeddings.tobytes()
+        assert first.dtype == np.float32 and first.flags.c_contiguous and first.flags.writeable
+        assert not np.shares_memory(first, second)
+
+
+def rewrite_in_place(blob: Path, value: float, mtime_step_ns: int) -> None:
+    """Rewrites the start of every row of `blob` with `value`, at its size, and sets its
+    mtime `mtime_step_ns` past the old one."""
+    stat = blob.stat()
+    rows = np.fromfile(blob, "<f4").reshape(-1, 64)
+    rows[:, :4] = value
+    with open(blob, "r+b") as f:
+        f.write(rows.tobytes())
+    os.utime(blob, ns=(stat.st_atime_ns, stat.st_mtime_ns + mtime_step_ns))
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda blob: os.truncate(blob, blob.stat().st_size // 2), "changed since it was loaded"),
+    (lambda blob: rewrite_in_place(blob, 0.5, 10**9), "changed since it was loaded"),
+    # a rewrite within the file system's timestamp granularity keeps its mtime, and a
+    # size-and-mtime check cannot see it; each read still checks the rows themselves
+    (lambda blob: rewrite_in_place(blob, np.nan, 0), "non-finite"),
+], ids=["truncated", "rewritten-in-place", "rewritten-keeping-its-mtime"])
+def test_a_blob_changed_after_the_load_is_a_format_error(tmp_path, change, message):
+    scenario = make_noisy_modality_scenario(0, n_calib=2, n_eval=1)
+    calib = load_sequences(write_sequences(scenario.calib, tmp_path, "calib"))
+    blob = tmp_path / "calib_embeddings.bin"
+    change(blob)
+    with pytest.raises(FormatError, match=f"{tmp_path}.* {message}"):
+        prune_model(scenario.model, calib, PruneConfig(method="wanda"))
+    with pytest.raises(FormatError, match=f"{tmp_path}.* {message}"):
+        calib[1].embeddings
+    assert len(calib[1]) == 188 and calib[1].dim == 64  # read from the record, not the blob
+
+
+def test_a_calibration_pass_holds_at_most_one_chunk_of_embeddings(tmp_path):
+    scenario = make_noisy_modality_scenario(0, n_calib=16, n_eval=1)
+    seqs = load_sequences(write_sequences(scenario.calib, tmp_path, "calib"))
+    assert 2 * len(seqs[0]) > CHUNK_TOKENS  # so each noisy sample is a chunk of its own
+
+    def one_pass(n):
+        Calibration(scenario.model, seqs[:n]).compute("diversity", "full")
+    one_pass(1)  # module-level buffers, such as the causal mask, are made once
+    peaks = [traced_peak(lambda: one_pass(n))[1] for n in (4, 16)]
+    # rows kept past their chunk would add 12 chunks of embeddings
+    assert peaks[1] - peaks[0] <= seqs[0].embeddings.nbytes
+
+
+def test_gen_synth_holds_at_most_one_calibration_sequence(tmp_path, monkeypatch):
+    scenario = make_noisy_modality_scenario(0, n_calib=1, n_eval=1)
+    seq, one_draw = traced_peak(lambda: next(scenario.draw_calib()))
+    writes = {}  # n_calib -> (bytes held as the calibration write starts, its peak above that)
+
+    def traced_write(seqs, directory, prefix):
+        gc.collect()  # the parsers `main` built are cyclic garbage, collected at no fixed point
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        path = write_sequences(seqs, directory, prefix)
+        if prefix == "calib":
+            writes[n_calib] = (start, tracemalloc.get_traced_memory()[1] - start)
+        return path
+    monkeypatch.setattr(cli, "write_sequences", traced_write)
+    for n_calib in (4, 16):
+        out = tmp_path / str(n_calib)
+        argv = ["gen-synth", "--scenario", "noisy-modality", "--n-calib", str(n_calib), "--n-eval", "1",
+                "--out", str(out)]
+        code, _ = traced_peak(lambda: cli.main(argv))
+        assert code == 0 and len(load_sequences(out / "calib.jsonl")) == n_calib
+    # nothing is drawn ahead of the write: 12 more sequences held would be 12 x 48 KB
+    assert writes[16][0] - writes[4][0] <= seq.embeddings.nbytes
+    # while a sequence is drawn, the one written before it is the only one alive
+    assert writes[16][1] <= one_draw + 1.5 * seq.embeddings.nbytes
 
 
 def test_truncated_blob_raises(tmp_path):
@@ -74,6 +184,15 @@ def test_truncated_blob_raises(tmp_path):
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(FormatError):
         load_sequences(path)
+
+
+def test_an_empty_blob_gives_no_row_width(tmp_path):
+    (tmp_path / "empty.bin").write_bytes(b"")
+    path = tmp_path / "calib.jsonl"
+    path.write_text(json.dumps({"spans": [{"modality": "visual", "len": 4}], "embeddings_file": "empty.bin",
+                                "row_offset": 0}) + "\n")
+    with pytest.raises(FormatError, match="cannot infer row width from 0 values over 4 rows"):
+        load_sequences(path)  # not 4 rows of width 0
 
 
 def test_missing_jsonl_raises():
@@ -154,12 +273,78 @@ def test_records_without_dim_field_load_via_inference(tmp_path):
     '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "../NAME/calib_embeddings.bin", "row_offset": 0}',
     '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "..", "row_offset": 0}',
     '{"spans": [{"modality": "visual", "len": 8}], "embeddings_file": "", "row_offset": 0}',
+    # no tokens: no row width is read, so a huge one must not reach numpy
+    pytest.param('{"spans": [], "embeddings_file": "calib_embeddings.bin", "row_offset": 0, "dim": 1%s}' % ("0" * 21),
+                 id="no-tokens-huge-dim"),
+    pytest.param('{"spans": [{"modality": "visual", "len": 0}], "embeddings_file": "calib_embeddings.bin", '
+                 '"row_offset": 0}', id="zero-length-span"),
+    pytest.param('[' * 100000, id="nested-too-deep"),  # past the JSON decoder's recursion limit
+    pytest.param(b'{"spans": "\xff"}'.decode("latin-1"), id="not-utf-8"),  # as written below
 ])
 def test_malformed_record_names_file_and_line(tmp_path, line):
     seqs = generate_sequences(2, 8, make_specs(), seed=1)
     path = write_sequences(seqs, tmp_path, "calib")
     lines = path.read_text().splitlines()
     line = line.replace("DIR", str(tmp_path)).replace("NAME", tmp_path.name)
-    path.write_text(lines[0] + "\n" + line + "\n")
+    path.write_text(lines[0] + "\n" + line + "\n", encoding="latin-1")  # one byte per character
     with pytest.raises(FormatError, match=f"{path}:2"):
         load_sequences(path)
+
+
+# blob names a fuzzed record may give: the real blob, one holding NaN, a missing file,
+# a directory, and names that are not plain file names
+BLOB_NAMES = ["calib_embeddings.bin", "nan_embeddings.bin", "absent.bin", "model", "", "..",
+              "model/manifest.json"]
+# text from a fixed alphabet: hypothesis then builds no Unicode table, which took about 2 s
+# in a checkout without a `.hypothesis` cache
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.integers(), st.floats(),
+                         st.text("az./\"\u00e9", max_size=4), st.sampled_from(BLOB_NAMES))
+span_items = st.fixed_dictionaries({}, optional={
+    "modality": st.one_of(st.sampled_from(["visual", "language"]), json_scalars),
+    "len": st.one_of(st.integers(-1, 12), json_scalars)})
+records = st.fixed_dictionaries({}, optional={
+    "spans": st.one_of(st.lists(span_items, max_size=3), json_scalars),
+    "embeddings_file": st.one_of(st.sampled_from(BLOB_NAMES), json_scalars),
+    "row_offset": st.one_of(st.integers(-1, 20), json_scalars),
+    "dim": st.one_of(st.integers(-1, 12), json_scalars),
+    "note": json_scalars})
+# records of the right shape, so that blob names, offsets, widths and rows are reached
+shaped_records = st.fixed_dictionaries({
+    "spans": st.lists(st.fixed_dictionaries({"modality": st.sampled_from(["visual", "language"]),
+                                             "len": st.integers(0, 9)}), min_size=1, max_size=3),
+    "embeddings_file": st.sampled_from(BLOB_NAMES[:3]),
+    "row_offset": st.integers(0, 17)}, optional={"dim": st.one_of(st.just(8), st.none(), st.integers(0, 12))})
+lines = st.one_of(records.map(json.dumps).map(str.encode), st.lists(json_scalars, max_size=2).map(json.dumps).map(str.encode),
+                  st.binary(max_size=12))
+# a file of shaped records, or of any lines
+files = st.one_of(st.lists(shaped_records.map(json.dumps).map(str.encode), min_size=1, max_size=3),
+                  st.lists(lines, min_size=1, max_size=3))
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A d_model 8 model, and two blobs of 2 x 8 rows of width 8: one finite, one NaN."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    save_checkpoint(init_synthetic(8, 2, 8, 1, seed=0), directory / "model")
+    write_sequences(generate_sequences(2, 8, make_specs(), seed=1), directory, "calib")
+    (directory / "nan_embeddings.bin").write_bytes(np.full(2 * 8 * 8, np.nan, "<f4").tobytes())
+    return directory
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(content=files)
+def test_fuzzed_sequence_records_fail_only_as_format_errors(fuzz_workspace, content):
+    path = fuzz_workspace / "fuzzed.jsonl"
+    path.write_bytes(b"\n".join(content) + b"\n")
+    try:
+        for seq in load_sequences(path):
+            assert seq.embeddings.shape == (len(seq), seq.dim)  # each access reads and checks the rows
+        return
+    except FormatError:
+        pass
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["prune", "--model", str(fuzz_workspace / "model"), "--calib", str(path),
+                         "--method", "magnitude", "--out", str(fuzz_workspace / "out")])
+    assert code == 1
+    assert json.loads(err.getvalue())["error"] == "FormatError"
