@@ -80,7 +80,7 @@ class SparsityPlan:
         try:
             with open(path, encoding="utf-8") as f:
                 payload = json.load(f)
-        except (OSError, ValueError) as err:  # missing, unreadable, or not JSON
+        except (OSError, ValueError, RecursionError) as err:  # missing, unreadable, not JSON, or nested too deep
             raise FormatError(f"{path}: cannot read sparsity plan: {err}") from err
         if not (isinstance(payload, dict) and _is_number(payload.get("target"))
                 and _is_number(payload.get("lambda")) and isinstance(payload.get("entries"), list)
@@ -116,8 +116,9 @@ def _entry_problem(record) -> str | None:
         return "is not a JSON object"
     layer, count, ratio = record.get("layer"), record.get("param_count"), record.get("ratio")
     block, _, kind = layer.partition(":") if isinstance(layer, str) else ("", "", "")
-    if not (block.isascii() and block.isdecimal() and kind in PROJECTION_KINDS):
-        return f"'layer' must be BLOCK:KIND with KIND one of {PROJECTION_KINDS}, got {layer!r}"
+    if not (block.isascii() and block.isdecimal() and len(block) <= 18 and kind in PROJECTION_KINDS):
+        return (f"'layer' must be BLOCK:KIND, BLOCK of at most 18 digits and KIND one of {PROJECTION_KINDS}, "
+                f"got {layer!r}")
     if not (is_count(count, 1) and count <= sys.maxsize):
         return f"'param_count' must be a positive array size, got {count!r}"
     if not _is_number(ratio):

@@ -18,6 +18,7 @@ are plain file names in its directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -128,7 +129,7 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
     try:
         with open(manifest_path, encoding="utf-8") as f:
             manifest = json.load(f)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deep
         raise FormatError(f"corrupt {manifest_path}: {err}") from err
 
     if not isinstance(manifest, dict):
@@ -136,9 +137,9 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
     for key in ("d_model", "n_heads", "d_ff", "n_blocks", "seed", "layers", "norm_scales"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing field {key!r}")
-    for key in ("d_model", "n_heads", "d_ff", "n_blocks"):
-        if not is_count(manifest[key], 1):
-            raise FormatError(f"{manifest_path}: {key!r} must be a positive integer, got {manifest[key]!r}")
+    for key, low in (("d_model", 1), ("n_heads", 1), ("d_ff", 1), ("n_blocks", 1), ("seed", 0)):
+        if not is_count(manifest[key], low):
+            raise FormatError(f"{manifest_path}: {key!r} must be an integer >= {low}, got {manifest[key]!r}")
     version = manifest.get("format_version")
     if not (is_count(version) and version == FORMAT_VERSION):
         raise FormatError(f"{manifest_path}: 'format_version' must be {FORMAT_VERSION}, got {version!r}")
@@ -170,7 +171,7 @@ def load_checkpoint(directory: str | Path) -> ToyModel:
 
     def read_f32(record, where: str) -> np.ndarray:
         shape = record["shape"]
-        return blobs.read(record["blob"], where, "<f4", record["offset"], int(np.prod(shape))).reshape(shape)
+        return blobs.read(record["blob"], where, "<f4", record["offset"], math.prod(shape)).reshape(shape)
 
     layer_map: dict[tuple[int, str], LinearLayer] = {}
     for i, record in enumerate(manifest["layers"]):

@@ -3,8 +3,8 @@
 Every run writes a `run.json` with the fully resolved configuration and
 tool versions into its output directory; `rerun` replays one. Outputs are
 deterministic: identical configurations produce byte-identical files.
-Usage errors exit with code 2, runtime failures with 1 (plus a JSON error
-record on stderr).
+Usage errors, argparse's own among them, exit with code 2 and runtime
+failures with 1, each with a JSON error record on stderr; `--help` exits 0.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def _count(value) -> bool:
 
 
 # Every numeric setting a command reads: (type, test, what the test asks). argparse
-# parses flags with these tests, and `_check_config` applies them to every config,
-# a `rerun` record's included, before anything loads.
+# parses each flag with the type, and `_check_config` applies the tests to every
+# config, a `rerun` record's included, before anything loads.
 NUMERIC_SETTINGS = {
     "sparsity": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "lam": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
@@ -88,18 +88,6 @@ def _numeric_setting(key: str, value):
     if not (number and test(value)):
         raise UsageError(f"{_flag(key)} must be {rule}, got {value!r}")
     return value
-
-
-def _arg_type(key: str):
-    """An argparse type that parses a flag's text and checks it as `_numeric_setting` does."""
-    kind, _, rule = NUMERIC_SETTINGS[key]
-
-    def parse(text: str):
-        try:
-            return _numeric_setting(key, kind(text))
-        except (ValueError, UsageError) as err:
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}") from err
-    return parse
 
 
 def _names(config: dict, key: str) -> list[str]:
@@ -403,7 +391,7 @@ def cmd_rerun(config: dict) -> None:
     try:
         with open(path, encoding="utf-8") as f:
             record = json.load(f)
-    except (OSError, ValueError) as err:  # missing, unreadable, or not JSON
+    except (OSError, ValueError, RecursionError) as err:  # missing, unreadable, not JSON, or nested too deep
         raise FormatError(f"{path}: cannot read run record: {err}") from err
     if not isinstance(record, dict) or not isinstance(record.get("config"), dict):
         raise FormatError(f"{path}: run record has no \"config\" object")
@@ -413,45 +401,55 @@ def cmd_rerun(config: dict) -> None:
     _run(command, record["config"])
 
 
-def _add_common_prune_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lam", "--lambda", type=_arg_type("lam"), default=DEFAULTS.lam,
-                        help="sparsity deviation half-width")
-    parser.add_argument("--owl-m", type=_arg_type("owl_m"), default=DEFAULTS.owl_m)
-    parser.add_argument("--owl-lambda", dest="owl_lam", type=_arg_type("owl_lam"), default=DEFAULTS.owl_lam)
+def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--selection", choices=CHOICES["selection"][1:], default=DEFAULTS.selection)
+    parser.add_argument("--k", type=int, default=DEFAULTS.amia.k, help="nearest neighbors")
+    parser.add_argument("--gamma-forward", type=float, default=DEFAULTS.amia.gamma_forward)
+    parser.add_argument("--gamma-reverse", type=float, default=DEFAULTS.amia.gamma_reverse)
+    parser.add_argument("--mmd-coefficient", type=float, default=DEFAULTS.amia.mmd_coefficient)
+    parser.add_argument("--random-count", type=int, default=DEFAULTS.random_count)
+    parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
+
+
+def _add_prune_flags(parser: argparse.ArgumentParser) -> None:
+    """The calibration flags, and those of the sparsity allocation and the masks."""
+    parser.add_argument("--lam", "--lambda", type=float, default=DEFAULTS.lam, help="sparsity deviation half-width")
+    parser.add_argument("--owl-m", type=float, default=DEFAULTS.owl_m)
+    parser.add_argument("--owl-lambda", dest="owl_lam", type=float, default=DEFAULTS.owl_lam)
     parser.add_argument("--group", choices=CHOICES["group"],
                         default={v: k for k, v in GROUP_FLAGS.items()}[DEFAULTS.group])
-    parser.add_argument("--selection", choices=CHOICES["selection"][1:], default=DEFAULTS.selection)
-    parser.add_argument("--k", type=_arg_type("k"), default=DEFAULTS.amia.k, help="nearest neighbors")
-    parser.add_argument("--gamma-forward", type=_arg_type("gamma_forward"), default=DEFAULTS.amia.gamma_forward)
-    parser.add_argument("--gamma-reverse", type=_arg_type("gamma_reverse"), default=DEFAULTS.amia.gamma_reverse)
-    parser.add_argument("--mmd-coefficient", type=_arg_type("mmd_coefficient"), default=DEFAULTS.amia.mmd_coefficient)
-    parser.add_argument("--random-count", type=_arg_type("random_count"), default=DEFAULTS.random_count)
-    parser.add_argument("--seed", type=_arg_type("seed"), default=DEFAULTS.seed)
+    _add_calibration_flags(parser)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors, so that `main` reports them as JSON."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mmprune",
-                                     description="Token-adaptive pruning toolkit for toy multimodal transformers")
+    parser = _Parser(prog="mmprune", description="Token-adaptive pruning toolkit for toy multimodal transformers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synth", help="generate a synthetic model plus calibration/eval data")
     p.add_argument("--out", required=True)
     p.add_argument("--scenario", choices=CHOICES["scenario"], default="plain")
-    p.add_argument("--d-model", dest="d_model", type=_arg_type("d_model"), default=64)
-    p.add_argument("--n-heads", dest="n_heads", type=_arg_type("n_heads"), default=4)
-    p.add_argument("--d-ff", dest="d_ff", type=_arg_type("d_ff"), default=128)
-    p.add_argument("--n-blocks", dest="n_blocks", type=_arg_type("n_blocks"), default=4)
-    p.add_argument("--modalities", type=_arg_type("modalities"), default=2)
-    p.add_argument("--tokens-per-modality", dest="tokens_per_modality", type=_arg_type("tokens_per_modality"), default=24)
-    p.add_argument("--n-calib", dest="n_calib", type=_arg_type("n_calib"), default=128)
-    p.add_argument("--n-eval", dest="n_eval", type=_arg_type("n_eval"), default=16)
-    p.add_argument("--seed", type=_arg_type("seed"), default=0)
+    p.add_argument("--d-model", dest="d_model", type=int, default=64)
+    p.add_argument("--n-heads", dest="n_heads", type=int, default=4)
+    p.add_argument("--d-ff", dest="d_ff", type=int, default=128)
+    p.add_argument("--n-blocks", dest="n_blocks", type=int, default=4)
+    p.add_argument("--modalities", type=int, default=2)
+    p.add_argument("--tokens-per-modality", dest="tokens_per_modality", type=int, default=24)
+    p.add_argument("--n-calib", dest="n_calib", type=int, default=128)
+    p.add_argument("--n-eval", dest="n_eval", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("prune", help="prune a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
     p.add_argument("--method", choices=CHOICES["method"], default=DEFAULTS.method)
-    p.add_argument("--sparsity", type=_arg_type("sparsity"), default=DEFAULTS.sparsity)
+    p.add_argument("--sparsity", type=float, default=DEFAULTS.sparsity)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="write a JSON prune report here")
     p.add_argument("--sequential", action="store_true",
@@ -461,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default=None, help="use a precomputed sparsity plan JSON")
     p.add_argument("--plan-out", dest="plan_out", default=None,
                    help="write the resolved sparsity plan JSON here")
-    _add_common_prune_flags(p)
+    _add_prune_flags(p)
 
     p = sub.add_parser("analyze", help="emit diversity/attention/selection/sparsity reports")
     p.add_argument("--model", required=True)
@@ -470,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reports", default="diversity,attention",
                    help="comma list: diversity,attention,selection,sparsity")
     p.add_argument("--plan", default=None, help="sparsity plan JSON for the sparsity report")
-    _add_common_prune_flags(p)
+    _add_calibration_flags(p)
 
     p = sub.add_parser("compare", help="run a method x sparsity grid and emit the comparison matrix")
     p.add_argument("--model", required=True)
@@ -479,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="magnitude,wanda,owl,das,amia,tamp")
     p.add_argument("--sparsities", default="0.5")
     p.add_argument("--out", required=True)
-    _add_common_prune_flags(p)
+    _add_prune_flags(p)
 
     p = sub.add_parser("rerun", help="replay a saved run.json")
     p.add_argument("run_file")
@@ -515,10 +513,9 @@ def _keep_freed_heap() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    try:
+    try:  # `--help` still exits 0 through SystemExit
+        args = build_parser().parse_args(argv)
+        config = {k: v for k, v in vars(args).items() if k != "command"}
         if args.command == "rerun":
             cmd_rerun(config)
         else:

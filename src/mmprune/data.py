@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -97,7 +98,7 @@ class BlobReader:
         values = self.size(name, where, dtype)
         if offset < 0 or offset + count > values:
             unit = "bytes" if dtype.itemsize == 1 else f"{dtype.name} values"
-            raise FormatError(f"{name}: needed {count} {unit} at offset {offset}, blob has {values}")
+            raise FormatError(f"{where}: needs {count} {unit} of blob {name} at offset {offset}, it has {values}")
         path, stamp = self._files[name]
         with open(path, "rb") as f:
             stat = os.fstat(f.fileno())
@@ -112,14 +113,18 @@ class BlobReader:
 
 class BlobSequence(TokenSequence):
     """A TokenSequence whose rows stay in its blob. `len` and `dim` come from its record;
-    `embeddings` reads the rows through the load's BlobReader on each access, so a blob
-    changed since the load is a FormatError, and checks them as a TokenSequence does."""
+    `embeddings` reads the rows through the load's BlobReader on each access, checks them
+    as a TokenSequence does, and compares their crc32 with the load's, so rows changed
+    since the load are a FormatError even where the blob's size and mtime are not."""
 
     def __init__(self, embeddings: np.ndarray, spans: list[Span], blobs: BlobReader, name: str,
                  where: str, offset: int):
         self.spans = list(spans)
         self.where = where
-        self._shape = n, dim = self.checked(embeddings).shape  # the rows are checked here, never kept
+        rows = self.checked(embeddings)  # the rows are checked here, never kept
+        self._shape = n, dim = rows.shape
+        self._crc = zlib.crc32(rows)
+        self._blob = blobs.directory / name
         self._read = partial(blobs.read, name, where, "<f4", offset * dim, n * dim)
 
     def checked(self, embeddings: np.ndarray) -> np.ndarray:
@@ -138,7 +143,10 @@ class BlobSequence(TokenSequence):
 
     @property
     def embeddings(self) -> np.ndarray:
-        return self.checked(self._read().reshape(self._shape))
+        rows = self.checked(self._read().reshape(self._shape))
+        if zlib.crc32(rows) != self._crc:
+            raise FormatError(f"blob {self._blob} changed since it was loaded: {self.where} cannot be read again")
+        return rows
 
 
 def _check_record(record, where: str) -> None:

@@ -61,49 +61,20 @@ def pairwise_cosine_distances(z: np.ndarray) -> np.ndarray:
     return d
 
 
-def kernel_matrix(distances: np.ndarray, gamma: float) -> np.ndarray:
-    kernel = -gamma * distances
-    return np.exp(kernel, out=kernel)
-
-
-@dataclass
-class NeighborGraph:
-    """k nearest neighbors per token (cosine distance, ties to lower index), per layer
-    of a stack when the arrays have a leading layer axis."""
-
-    neighbors: np.ndarray  # (..., N, k) int
-    distances: np.ndarray  # (..., N, k)
-    gamma: float
-    k: int
-
-    def __post_init__(self):
-        self.weights = np.exp(-self.gamma * self.distances)
-
-    @property
-    def n_tokens(self) -> int:
-        return self.neighbors.shape[-2]
-
-    def with_gamma(self, gamma: float) -> "NeighborGraph":
-        return NeighborGraph(self.neighbors, self.distances, gamma, self.k)
-
-
-def build_knn(z: np.ndarray, k: int = 3, gamma: float = 1.0,
-              distances: np.ndarray | None = None) -> NeighborGraph:
-    """k nearest neighbors per row, nearest first, in O(k * N^2), per layer of a
-    (..., N, C) stack.
+def build_knn(distances: np.ndarray, k: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """k nearest neighbors per token, nearest first, in O(k * N^2), per layer of a
+    contiguous (..., N, N) stack from `pairwise_cosine_distances`, which the passes mask
+    in place: a caller that still needs it passes a copy. Returns the (..., N, k) neighbor
+    indices and their distances.
 
     Each of k passes takes every row's argmin and masks it with inf.
     `argmin` returns the first minimum, so equal distances go to the lower
-    index: the order of a stable argsort's first k columns. Given `distances`
-    (from `pairwise_cosine_distances(z)`), the passes mask it in place: a caller
-    that still needs it passes a copy.
+    index: the order of a stable argsort's first k columns.
     """
-    n = np.asarray(z).shape[-2]
+    n = distances.shape[-1]
     if n <= k:
         raise InsufficientTokensError(f"kNN graph needs more than k={k} tokens, got {n}")
-    if distances is None:
-        distances = pairwise_cosine_distances(z)
-    ranked = np.ascontiguousarray(distances).reshape(-1, n)  # one row per (layer, token)
+    ranked = distances.reshape(-1, n)  # one row per (layer, token)
     _fill_diagonals(ranked.reshape(-1, n, n), np.inf)  # no self-neighbors
     flat = ranked.reshape(-1)
     starts = np.arange(0, flat.size, n)  # where each row starts in `flat`
@@ -115,17 +86,17 @@ def build_knn(z: np.ndarray, k: int = 3, gamma: float = 1.0,
         nearest[:, j] = flat.take(picked)
         flat.put(picked, np.inf)
     shape = distances.shape[:-1] + (k,)
-    return NeighborGraph(order.reshape(shape), nearest.reshape(shape), gamma, k)
+    return order.reshape(shape), nearest.reshape(shape)
 
 
-def forward_update(a: np.ndarray, graph: NeighborGraph) -> np.ndarray:
-    """One synchronous pass of neighbor reinforcement; reads only the input a."""
+def forward_update(a: np.ndarray, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One synchronous pass of neighbor reinforcement, `a_i + sum_j w_ij a_j` over each
+    token's (..., N, k) neighbors; reads only the input a."""
     a = np.asarray(a, dtype=np.float64)
-    if a.shape != graph.neighbors.shape[:-1]:
-        raise ShapeError(f"contributions shape {a.shape} != token shape {graph.neighbors.shape[:-1]}")
-    n = graph.n_tokens
-    layers = np.arange(0, a.size, n).reshape(a.shape[:-1] + (1, 1))  # where each layer starts in a.flat
-    return a + (graph.weights * a.reshape(-1).take(graph.neighbors + layers)).sum(axis=-1)
+    if a.shape != neighbors.shape[:-1]:
+        raise ShapeError(f"contributions shape {a.shape} != token shape {neighbors.shape[:-1]}")
+    layers = np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1] + (1, 1))  # where each layer starts in a.flat
+    return a + (weights * a.reshape(-1).take(neighbors + layers)).sum(axis=-1)
 
 
 @dataclass
@@ -136,24 +107,24 @@ class SelectionResult:
     stopped_by: str               # "threshold" | "exhausted"
 
 
-def reverse_select(contributions: np.ndarray, graph: NeighborGraph, kernel: np.ndarray,
+def reverse_select(contributions: np.ndarray, neighbors: np.ndarray, kernel: np.ndarray,
                    thresholds: list[float], min_count: int = 4) -> list[SelectionResult]:
     """Greedy pick-and-penalize selection with an MMD stopping rule, per layer of a stack.
 
     Each step picks the highest remaining contribution (ties to the lowest
-    index), subtracts `e_ij * a_i` from the picked token's graph neighbors,
-    and updates MMD(all tokens, picked) from the full kernel. A layer stops when
+    index), subtracts `K_ij * a_i` from the picked token i's kNN neighbors j,
+    and updates MMD(all tokens, picked) from the full kernel K. A layer stops when
     its MMD < its threshold (after min_count picks) or all its tokens are picked.
-    The kernel must be symmetric, as `kernel_matrix` of `pairwise_cosine_distances`
+    The kernel must be symmetric, as `exp(-gamma * d)` of `pairwise_cosine_distances`
     is exactly: a picked token's kernel row stands for its column.
 
-    Contributions (L, N), the graph's (L, N, k) arrays, the (L, N, N) kernel and L
+    Contributions (L, N), the (L, N, k) neighbor indices, the (L, N, N) kernel and L
     thresholds give one result per layer. A step's array work runs on all L layers
     at once; each running layer's MMD then takes a few float operations.
     """
     a = np.array(contributions, dtype=np.float64)  # a copy: picks penalize it in place
-    if a.ndim != 2 or a.shape != graph.neighbors.shape[:-1]:
-        raise ShapeError(f"contributions shape {a.shape} != token shape (L, N) {graph.neighbors.shape[:-1]}")
+    if a.ndim != 2 or a.shape != neighbors.shape[:-1]:
+        raise ShapeError(f"contributions shape {a.shape} != token shape (L, N) {neighbors.shape[:-1]}")
     n_layers, n = a.shape
     if kernel.shape != (n_layers, n, n):
         raise ShapeError(f"kernel shape {kernel.shape} != {(n_layers, n, n)}")
@@ -164,8 +135,8 @@ def reverse_select(contributions: np.ndarray, graph: NeighborGraph, kernel: np.n
 
     base = np.arange(0, n_layers * n, n)  # token j of layer i is row i * n + j of the flat arrays
     flat = a.reshape(-1)
-    neighbors = (graph.neighbors.reshape(n_layers, n, -1) + base[:, None, None]).reshape(n_layers * n, -1)
-    weights = graph.weights.reshape(n_layers * n, -1)
+    weights = np.take_along_axis(kernel, neighbors, -1).reshape(n_layers * n, -1)  # the penalty e_ij = K_ij
+    neighbors = (neighbors + base[:, None, None]).reshape(n_layers * n, -1)
     rows = kernel.reshape(n_layers * n, n)
     total_means = kernel.reshape(n_layers, n * n).mean(axis=1).tolist()
     cross = np.zeros((n_layers, n))   # per-token kernel sum to the picked set
@@ -224,11 +195,11 @@ def select_amia(a: np.ndarray, z: np.ndarray, thresholds: list[float],
     result per layer, the same whatever else the stack holds; the layers' N x N
     buffers are allocated once."""
     distances = pairwise_cosine_distances(z)
-    kernel = kernel_matrix(distances, params.gamma_reverse)  # before build_knn masks distances
-    graph_fwd = build_knn(z, params.k, params.gamma_forward, distances=distances)
-    boosted = forward_update(a, graph_fwd)
-    graph_rev = graph_fwd.with_gamma(params.gamma_reverse)
-    return reverse_select(boosted, graph_rev, kernel, thresholds, min_count=params.min_count)
+    kernel = -params.gamma_reverse * distances  # before build_knn masks the distances
+    np.exp(kernel, out=kernel)
+    neighbors, nearest = build_knn(distances, params.k)
+    boosted = forward_update(a, neighbors, np.exp(-params.gamma_forward * nearest))
+    return reverse_select(boosted, neighbors, kernel, thresholds, min_count=params.min_count)
 
 
 def _layerwise(pick):

@@ -23,7 +23,7 @@ from mmprune.selection import AmiaParams
 from tests.test_diversity import intra, oracle_intra
 from tests.test_model import rng_seq
 from tests.test_pruner import achieved_ratio, q_activation
-from tests.test_selection import amia_one, oracle_reverse_select, two_cluster_tokens
+from tests.test_selection import amia_one, knn_weights, oracle_reverse_select, two_cluster_tokens
 
 
 def report(criterion: int, message: str) -> None:
@@ -52,8 +52,8 @@ def test_criterion_1_oracle_equivalence():
     z = two_cluster_tokens()
     params = AmiaParams()
     result = amia_one(np.full(6, 1 / 6), z, threshold=0.05, params=params)
-    from mmprune.selection import build_knn, forward_update
-    boosted = forward_update(np.full(6, 1 / 6), build_knn(z, params.k, params.gamma_forward))
+    from mmprune.selection import forward_update
+    boosted = forward_update(np.full(6, 1 / 6), *knn_weights(z, params.k, params.gamma_forward))
     picks, trace, _ = oracle_reverse_select(boosted, z, params.k, params.gamma_reverse,
                                             0.05, params.min_count)
     assert list(result.selected) == picks

@@ -1,11 +1,16 @@
 """Sparsity allocation: budget exactness, monotonicity, oracle checks."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmprune.allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
                                 allocate_owl, allocate_uniform, owl_outlier_ratio)
-from mmprune.errors import ConfigError, InfeasibleBudgetError
+from mmprune.errors import ConfigError, InfeasibleBudgetError, MMPruneError
+from tests.test_data import edited_json
 
 
 def weighted_mean(plan):
@@ -235,3 +240,30 @@ def test_lambda_zero_uniform_for_every_allocator():
                  allocate_blockwise_das(imp, counts, 0.4, 0.0),
                  allocate_owl({k: min(v, 1.0) for k, v in imp.items()}, counts, 0.4, 0.0)):
         assert all(e.ratio == pytest.approx(0.4, abs=1e-12) for e in plan.entries)
+
+
+PLAN_PATHS = ([(key,) for key in ("target", "lambda", "entries")]
+              + [("entries", i, key) for i in range(3) for key in ("layer", "param_count", "ratio")])
+# values near the valid ones, so that edits reach the entry checks and the budget
+PLAN_VALUES = st.sampled_from([0, 1, 16, 2**63, -1, 0.5, 1.5, 1e308, True, "0:q", "1:down", "0:x", "٣:q", ":q",
+                               "1" * 5000 + ":q", [], {}])
+
+
+@pytest.fixture(scope="module")
+def fuzz_plan(tmp_path_factory):
+    """A file to write fuzzed plans into, and a valid 3-entry plan as JSON."""
+    path = tmp_path_factory.mktemp("fuzz_plan") / "plan.json"
+    allocate_das({(0, "q"): 1.0, (0, "v"): 2.0, (1, "down"): 0.5},
+                 {(0, "q"): 16, (0, "v"): 16, (1, "down"): 32}, 0.5, 0.1).to_json(path)
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_fuzzed_plans_fail_only_as_mmprune_errors(fuzz_plan, data):
+    path, plan = fuzz_plan
+    path.write_bytes(data.draw(edited_json(plan, PLAN_PATHS, PLAN_VALUES)))
+    try:
+        SparsityPlan.from_json(path)
+    except MMPruneError:
+        pass

@@ -1,14 +1,18 @@
 """Checkpoint round-trip and corruption handling."""
 
+import json
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmprune.checkpoint import MANIFEST_NAME, MASKS_BLOB, WEIGHTS_BLOB, load_checkpoint, save_checkpoint
-from mmprune.errors import FormatError
-from mmprune.model import forward, init_synthetic
+from mmprune.errors import FormatError, MMPruneError
+from mmprune.model import PROJECTION_KINDS, forward, init_synthetic
+from tests.test_data import edited_json
 from tests.test_model import rng_seq
 
 
@@ -97,11 +101,13 @@ def test_missing_manifest_raises_format_error(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_corrupt_manifest_raises_format_error(tmp_path):
+@pytest.mark.parametrize("content", [b"{not json", b"[" * 100_000, b"\xff{}", b"1" * 5000],
+                         ids=["not-json", "nested-too-deep", "not-utf-8", "int-of-5000-digits"])
+def test_corrupt_manifest_raises_format_error(tmp_path, content):
     model = init_synthetic(8, 2, 12, 1, seed=1)
     save_checkpoint(model, tmp_path / "ckpt")
-    (tmp_path / "ckpt" / MANIFEST_NAME).write_text("{not json")
-    with pytest.raises(FormatError):
+    (tmp_path / "ckpt" / MANIFEST_NAME).write_bytes(content)
+    with pytest.raises(FormatError, match=f"corrupt {tmp_path / 'ckpt' / MANIFEST_NAME}"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -140,3 +146,38 @@ def test_a_failed_manifest_write_leaves_the_old_checkpoint_whole(tmp_path, monke
     save_checkpoint(new, tmp_path / "ckpt")  # a later save replaces every file
     save_checkpoint(new, tmp_path / "fresh")
     assert dir_bytes(tmp_path / "ckpt") == dir_bytes(tmp_path / "fresh")
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A saved 1-block, d_model 8 model whose q layer is masked, and its manifest."""
+    directory = tmp_path_factory.mktemp("fuzz_checkpoint")
+    model = init_synthetic(8, 2, 8, 1, seed=0)
+    layer = model.layer(0, "q")
+    layer.mask = np.arange(layer.weight.size).reshape(layer.weight.shape) % 3 > 0
+    layer.apply_mask()
+    save_checkpoint(model, directory)
+    return directory, json.loads((directory / MANIFEST_NAME).read_text())
+
+
+RECORD_FIELDS = ("block", "kind", "name", "shape", "blob", "offset", "mask_blob", "mask_offset")
+MANIFEST_PATHS = ([(key,) for key in ("format_version", "d_model", "n_heads", "d_ff", "n_blocks", "seed",
+                                      "layers", "norm_scales")]
+                  + [("layers", i, key) for i in range(len(PROJECTION_KINDS)) for key in RECORD_FIELDS]
+                  + [("norm_scales", i, key) for i in range(2) for key in RECORD_FIELDS]
+                  + [("layers", i, "shape", axis) for i in range(len(PROJECTION_KINDS)) for axis in (0, 1)])
+# values near the valid ones, so that edits reach the blob reads and the model's checks
+MANIFEST_VALUES = st.sampled_from([0, 1, 2, 4, 7, 8, 64, 2**40, 2**63, -1, 1.0, True, "q", "down", "attn",
+                                   WEIGHTS_BLOB, MASKS_BLOB, MANIFEST_NAME, "..", [8, 8], [8], [0, 8], [],
+                                   [2**40, 2**40], [2**32, 2**32, 0]])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifests_fail_only_as_mmprune_errors(fuzz_checkpoint, data):
+    directory, manifest = fuzz_checkpoint
+    (directory / MANIFEST_NAME).write_bytes(data.draw(edited_json(manifest, MANIFEST_PATHS, MANIFEST_VALUES)))
+    try:
+        load_checkpoint(directory)
+    except MMPruneError:
+        pass

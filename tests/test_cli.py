@@ -80,12 +80,44 @@ def test_noisy_scenario_at_its_channel_count(tmp_path):
     assert load_checkpoint(tmp_path / "ws" / "model").d_model == 24
 
 
-def test_prune_usage_error_on_bad_sparsity(workspace, tmp_path):
+def usage_error(argv, capsys) -> str:
+    """The message of the JSON UsageError record that `main(argv)` writes, exiting 2."""
+    code = main(argv)
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "UsageError"
+    return err["message"]
+
+
+def test_prune_usage_error_on_bad_sparsity(workspace, tmp_path, capsys):
+    message = usage_error(["prune", "--model", str(workspace / "model"), "--calib",
+                           str(workspace / "calib.jsonl"), "--sparsity", "1.5",
+                           "--out", str(tmp_path / "out")], capsys)
+    assert message == "--sparsity must be in (0, 1), got 1.5"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "mmprune: the following arguments are required: command"),
+    (["banana"], "mmprune: argument command: invalid choice: 'banana'"),
+    (["prune", "--out", "o"], "mmprune prune: the following arguments are required: --model, --calib"),
+    (["prune", "--model", "m", "--calib", "c", "--out", "o", "--k", "two"],
+     "mmprune prune: argument --k: invalid int value: 'two'"),
+    (["prune", "--model", "m", "--calib", "c", "--out", "o", "--banana"], "mmprune: unrecognized arguments: --banana"),
+    *[(["analyze", "--model", "m", "--calib", "c", "--out", "o", flag, value],
+       f"mmprune: unrecognized arguments: {flag} {value}")  # analyze reads only the calibration flags
+      for flag, value in (("--lam", "0.1"), ("--lambda", "0.1"), ("--owl-m", "5"), ("--owl-lambda", "0.08"),
+                          ("--group", "layer"))],
+], ids=["no-command", "unknown-command", "missing-flags", "bad-int", "unknown-flag", "analyze-lam",
+        "analyze-lambda", "analyze-owl-m", "analyze-owl-lambda", "analyze-group"])
+def test_argparse_errors_are_json_usage_errors(tmp_path, capsys, no_loads, argv, message):
+    assert usage_error(argv, capsys).startswith(message)
+    assert no_loads == []
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["prune", "--model", str(workspace / "model"), "--calib",
-              str(workspace / "calib.jsonl"), "--sparsity", "1.5",
-              "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
+        main(["prune", "--help"])
+    assert exc.value.code == 0
+    assert "--gamma-reverse" in capsys.readouterr().out
 
 
 def test_prune_missing_model_is_runtime_error(workspace, tmp_path, capsys):
@@ -150,6 +182,7 @@ def test_prune_non_positive_model_dimension_is_format_error(workspace, tmp_path,
     (lambda m: m["layers"][1].update(shape="16x16"), "layers[1] 'shape'"),
     (lambda m: m["norm_scales"][0].update(offset=2.5), "norm_scales[0] 'offset'"),
     (lambda m: m.update(n_blocks="2"), "'n_blocks'"),
+    (lambda m: m.update(seed={"not": "a seed"}), "'seed' must be an integer >= 0, got {'not': 'a seed'}"),
     (lambda m: m["norm_scales"][3].update(shape=[4]), "norm_scales[3] 'shape'"),
     (lambda m: m.update(format_version=99), "'format_version'"),
     (lambda m: m.pop("format_version"), "'format_version'"),
@@ -164,10 +197,12 @@ def test_prune_non_positive_model_dimension_is_format_error(workspace, tmp_path,
     (lambda m: m["norm_scales"][1].update(blob=".."), "norm_scales[1]: blob '..' must be a plain file name"),
     (lambda m: m["layers"][3].update(mask_blob="/masks.bin", mask_offset=0),
      "layers[3]: blob '/masks.bin' must be a plain file name"),
-], ids=["layer-without-offset", "string-shape", "float-offset", "string-n-blocks", "short-norm-scale",
+    # a product of Python ints: numpy's int64 product wraps to 0 and reads an empty layer
+    (lambda m: m["layers"][0].update(shape=[2**40, 2**40]), f"layers[0]: needs {2**80} float32 values"),
+], ids=["layer-without-offset", "string-shape", "float-offset", "string-n-blocks", "object-seed", "short-norm-scale",
         "format-version-99", "no-format-version", "duplicate-layer", "block-out-of-range",
         "n-blocks-below-records", "missing-layer", "duplicate-norm-scale", "huge-n-blocks",
-        "blob-outside-directory", "norm-scale-blob-parent", "absolute-mask-blob"])
+        "blob-outside-directory", "norm-scale-blob-parent", "absolute-mask-blob", "huge-shape"])
 def test_prune_malformed_manifest_record_is_format_error(workspace, tmp_path, capsys, edit, record):
     path = rewrite_manifest(workspace, edit)
     prune_format_error(workspace, tmp_path, capsys, f"{path}: {record}")
@@ -212,6 +247,9 @@ def write_plan(workspace, path, edit):
     ("analyze", lambda p: p["entries"].append({"layer": "extra", "param_count": 1, "ratio": 0.5}),
      "FormatError", "entries[14] 'layer' must be BLOCK:KIND"),
     ("prune", lambda p: p["entries"][5].update(layer="0:proj"), "FormatError", "entries[5] 'layer'"),
+    # `int` refuses a string of more than 4300 digits with a ValueError
+    ("prune", lambda p: p["entries"][5].update(layer="1" * 5000 + ":q"), "FormatError", "entries[5] 'layer'"),
+    ("prune", "[" * 100_000, "FormatError", "cannot read sparsity plan: maximum recursion depth"),
     ("prune", lambda p: p["entries"].append(dict(p["entries"][0])), "FormatError",
      "entries[14] repeats layer '0:q'"),
     ("prune", lambda p: [e.update(param_count=1) for e in p["entries"] if e["layer"].endswith(":q")],
@@ -230,7 +268,7 @@ def write_plan(workspace, path, edit):
         "analyze-bad-layer", "ratios-miss-target", "not-an-object", "no-target", "string-target",
         "no-lambda", "bool-lambda", "non-object-entry", "zero-param-count", "bool-param-count",
         "huge-param-count", "infinite-ratio", "string-ratio", "extra-layer", "analyze-extra-layer",
-        "unknown-kind", "repeated-layer", "q-param-count-1", "missing-layer",
+        "unknown-kind", "block-of-5000-digits", "nested-too-deep", "repeated-layer", "q-param-count-1", "missing-layer",
         "analyze-q-param-count-1", "analyze-missing-layer", "four-block-plan", "analyze-four-block-plan"])
 def test_bad_plan_is_runtime_error(workspace, tmp_path, capsys, command, edit, error, record):
     path = tmp_path / "plan.json"
@@ -510,13 +548,33 @@ def rerun_error(path, capsys):
     assert str(path) in err["message"]
 
 
+def test_older_analyze_records_with_prune_flags_still_replay(workspace, tmp_path):
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
+                 "--out", str(out), "--reports", "diversity,selection"]) == 0
+    original = snapshot(out)
+    assert not {"lam", "owl_m", "owl_lam", "group"} & json.loads(original["run.json"])["config"].keys()
+    # analyze declared the allocation flags until it was seen that it never read them
+    record = json.loads(original["run.json"])
+    record["config"].update(lam=0.2, owl_m=5.0, owl_lam=0.08, group="row")
+    run_file = tmp_path / "older_run.json"
+    run_file.write_text(json.dumps(record))
+    for path in out.iterdir():
+        path.unlink()
+    assert main(["rerun", str(run_file)]) == 0
+    replayed = snapshot(out)
+    assert set(replayed) == set(original)
+    assert all(replayed[name] == original[name] for name in original if name != "run.json")
+
+
 def test_rerun_missing_file_is_format_error(tmp_path, capsys):
     rerun_error(tmp_path / "absent_run.json", capsys)
 
 
-def test_rerun_non_json_file_is_format_error(tmp_path, capsys):
+@pytest.mark.parametrize("content", ["not json {", "[" * 100_000], ids=["not-json", "nested-too-deep"])
+def test_rerun_non_json_file_is_format_error(tmp_path, capsys, content):
     path = tmp_path / "run.json"
-    path.write_text("not json {")
+    path.write_text(content)
     rerun_error(path, capsys)
 
 
@@ -535,12 +593,11 @@ def test_lambda_flag_alias(workspace, tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["lambda"] == 0.2
 
 
-def test_invalid_gamma_is_usage_error(workspace, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["prune", "--model", str(workspace / "model"), "--calib",
-              str(workspace / "calib.jsonl"), "--gamma-reverse", "-1",
-              "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
+def test_invalid_gamma_is_usage_error(workspace, tmp_path, capsys):
+    message = usage_error(["prune", "--model", str(workspace / "model"), "--calib",
+                           str(workspace / "calib.jsonl"), "--gamma-reverse", "-1",
+                           "--out", str(tmp_path / "o")], capsys)
+    assert message == "--gamma-reverse must be a finite number > 0, got -1.0"
 
 
 def test_plan_round_trip_through_cli(workspace, tmp_path):
@@ -596,14 +653,6 @@ def test_selection_report_with_full_kind(workspace, tmp_path):
     assert rows[0]["stopped_by"] == ""
 
 
-def exit_code(argv):
-    """main's exit code, also where argparse rejects a flag by exiting."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.fixture()
 def no_loads(monkeypatch):
     """Records every model or sequence load, and every synthetic workspace generated."""
@@ -638,10 +687,10 @@ def no_loads(monkeypatch):
         "lam-nan", "lam-dashes", "owl-lambda-nan", "owl-lambda-negative", "seed-negative", "k-zero",
         "random-count-zero", "unknown-method", "no-methods", "sparsities-nan", "sparsities-above-1", "no-sparsities",
         "gen-synth-seed-negative", "gen-synth-no-calib"])
-def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, no_loads, argv):
+def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, capsys, no_loads, argv):
     paths = {"prune": ["--model", "m", "--calib", "c"], "analyze": ["--model", "m", "--calib", "c"],
              "compare": ["--model", "m", "--calib", "c", "--eval", "e"], "gen-synth": []}[argv[0]]
-    assert exit_code(argv + paths + ["--out", str(tmp_path / "out")]) == 2
+    usage_error(argv + paths + ["--out", str(tmp_path / "out")], capsys)
     assert no_loads == [] and not (tmp_path / "out").exists()
 
 

@@ -125,7 +125,9 @@ def rewrite_in_place(blob: Path, value: float, mtime_step_ns: int) -> None:
     # a rewrite within the file system's timestamp granularity keeps its mtime, and a
     # size-and-mtime check cannot see it; each read still checks the rows themselves
     (lambda blob: rewrite_in_place(blob, np.nan, 0), "non-finite"),
-], ids=["truncated", "rewritten-in-place", "rewritten-keeping-its-mtime"])
+    # finite rows of the same size: the crc32 the load took of each record's rows
+    (lambda blob: rewrite_in_place(blob, 0.5, 0), "changed since it was loaded"),
+], ids=["truncated", "rewritten-in-place", "rewritten-keeping-its-mtime", "rewritten-finite-keeping-its-mtime"])
 def test_a_blob_changed_after_the_load_is_a_format_error(tmp_path, change, message):
     scenario = make_noisy_modality_scenario(0, n_calib=2, n_eval=1)
     calib = load_sequences(write_sequences(scenario.calib, tmp_path, "calib"))
@@ -319,6 +321,49 @@ lines = st.one_of(records.map(json.dumps).map(str.encode), st.lists(json_scalars
 # a file of shaped records, or of any lines
 files = st.one_of(st.lists(shaped_records.map(json.dumps).map(str.encode), min_size=1, max_size=3),
                   st.lists(lines, min_size=1, max_size=3))
+
+# JSON values of any shape an edit may put anywhere: scalars, short lists and small objects
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text("abk", max_size=2), inner, max_size=2)), max_leaves=4)
+DROP = object()  # an edit that removes its key or list item
+# whole files that no edit makes: too deeply nested for the parser, an int past
+# Python's 4300-digit limit, bytes that are not UTF-8, and JSON of the wrong type
+odd_files = st.one_of(st.binary(max_size=12), st.sampled_from(
+    [b"[" * 100_000, b"1" * 5000, b'{"target": ' + b"9" * 5000 + b"}", b"\xff\xfe{}", b"{}", b"[]", b"null"]))
+
+
+def _edit(document, path: tuple, value):
+    """Sets the value at `path` (dict keys and list indices) of `document` in place, or
+    drops it; an edit whose path no longer leads anywhere does nothing."""
+    node = document
+    for key in path[:-1]:
+        if isinstance(node, dict):
+            node = node.get(key)
+        elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+            node = node[key]
+        else:
+            return
+    last = path[-1]
+    if isinstance(node, dict) and isinstance(last, str):
+        node.pop(last, None) if value is DROP else node.update({last: value})
+    elif isinstance(node, list) and isinstance(last, int) and last < len(node):
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+
+
+def edited_json(document: dict, paths: list[tuple], values) -> st.SearchStrategy[bytes]:
+    """`document` as JSON after up to 3 edits, each of which sets one of `paths` to one of
+    `values` or drops it; or, one time in 8, one of `odd_files`."""
+    def edited(edits) -> bytes:
+        copy = json.loads(json.dumps(document))
+        for path, value in edits:
+            _edit(copy, path, value)
+        return json.dumps(copy).encode()
+    edits = st.lists(st.tuples(st.sampled_from(paths), st.one_of(values, json_values, st.just(DROP))),
+                     min_size=1, max_size=3)
+    return st.integers(0, 7).flatmap(lambda i: edits.map(edited) if i else odd_files)
 
 
 @pytest.fixture(scope="module")

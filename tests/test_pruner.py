@@ -23,7 +23,7 @@ from mmprune.pruner import (Calibration, LayerSelectionStats, PruneConfig,
                             make_mask, mask_order, prune_model)
 from mmprune.selection import AmiaParams, select_amia, token_contributions
 from tests.test_diversity import oracle_intra, oracle_inter
-from tests.test_selection import oracle_reverse_select
+from tests.test_selection import knn_weights, oracle_reverse_select
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +558,12 @@ def test_tamp_masks_match_scripted_composition_oracle():
             a0 = trace.attention[key[0]][-1, :].astype(np.float64)
             z = trace.layer_outputs[key].astype(np.float64)
             # forward update with original-value semantics
-            from mmprune.selection import build_knn
-            graph = build_knn(z, params.k, params.gamma_forward)
+            neighbors, weights = knn_weights(z, params.k, params.gamma_forward)
             boosted = []
             for i in range(len(a0)):
                 total = a0[i]
-                for slot, j in enumerate(graph.neighbors[i]):
-                    total += graph.weights[i, slot] * a0[j]
+                for slot, j in enumerate(neighbors[i]):
+                    total += weights[i, slot] * a0[j]
                 boosted.append(total)
             picks, _, _ = oracle_reverse_select(
                 np.array(boosted), z, params.k, params.gamma_reverse, threshold, params.min_count)

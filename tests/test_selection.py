@@ -10,9 +10,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mmprune import selection
 from mmprune.errors import InsufficientTokensError, ShapeError
 from mmprune.model import ActivationTrace
-from mmprune.selection import (SELECTION_KINDS, AmiaParams, build_knn, forward_update, kernel_matrix,
+from mmprune.selection import (SELECTION_KINDS, AmiaParams, build_knn, forward_update,
                                pairwise_cosine_distances, reverse_select, select_amia,
                                token_contributions)
 
@@ -20,6 +21,18 @@ from mmprune.selection import (SELECTION_KINDS, AmiaParams, build_knn, forward_u
 def amia_one(a, z, threshold, params=AmiaParams()):
     """`select_amia` on one layer: a stack of one."""
     return select_amia(np.asarray(a)[None], np.asarray(z)[None], [threshold], params)[0]
+
+
+def knn(z, k):
+    """build_knn of z's tokens: (neighbors, distances to them)."""
+    return build_knn(pairwise_cosine_distances(z), k)
+
+
+def knn_weights(z, k, gamma):
+    """z's kNN neighbors and their weights exp(-gamma * d), computed from the neighbor
+    distances alone, apart from any kernel matrix."""
+    neighbors, nearest = knn(z, k)
+    return neighbors, np.exp(-gamma * nearest)
 
 
 # ---------------------------------------------------------------------------
@@ -59,22 +72,22 @@ def test_contributions_reject_non_square():
 
 def test_knn_identical_tokens_unit_weights():
     z = np.tile([1.0, 2.0], (4, 1))
-    graph = build_knn(z, k=3, gamma=1.0)
-    np.testing.assert_allclose(graph.weights, 1.0, atol=1e-12)
+    neighbors, weights = knn_weights(z, 3, 1.0)
+    np.testing.assert_allclose(weights, 1.0, atol=1e-12)
     for i in range(4):
-        assert i not in graph.neighbors[i]
+        assert i not in neighbors[i]
 
 
 def test_knn_orthogonal_axes_kernel_value():
     z = np.eye(4)
-    graph = build_knn(z, k=3, gamma=1.0)
-    np.testing.assert_allclose(graph.weights, math.exp(-1.0), rtol=1e-9)
+    _, weights = knn_weights(z, 3, 1.0)
+    np.testing.assert_allclose(weights, math.exp(-1.0), rtol=1e-9)
 
 
 def test_knn_matches_exhaustive_sort_oracle():
     rng = np.random.default_rng(23)
     z = rng.standard_normal((10, 5))
-    graph = build_knn(z, k=3, gamma=1.0)
+    neighbors, _ = knn(z, 3)
 
     def unit(v):
         return v / math.sqrt(sum(x * x for x in v))
@@ -87,15 +100,15 @@ def test_knn_matches_exhaustive_sort_oracle():
             d = 1.0 - sum(a * b for a, b in zip(unit(z[i]), unit(z[j])))
             dists.append((d, j))
         expected = [j for _, j in sorted(dists)[:3]]
-        assert sorted(graph.neighbors[i]) == sorted(expected)
+        assert sorted(neighbors[i]) == sorted(expected)
 
 
 def test_knn_tie_break_prefers_lower_index():
     # tokens 1, 2, 3 identical; token 0's three neighbors are all at the same
     # distance, so they are taken in index order
     z = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-    graph = build_knn(z, k=3, gamma=1.0)
-    assert list(graph.neighbors[0]) == [1, 2, 3]
+    neighbors, _ = knn(z, 3)
+    assert list(neighbors[0]) == [1, 2, 3]
 
 
 def test_knn_order_matches_stable_argsort_on_ties():
@@ -114,18 +127,19 @@ def test_knn_order_matches_stable_argsort_on_ties():
         np.fill_diagonal(ranked, np.inf)
         for k in range(1, min(4, n - 1) + 1):
             expected = np.argsort(ranked, axis=1, kind="stable")[:, :k]
-            graph = build_knn(z, k=k, gamma=1.0)
-            np.testing.assert_array_equal(graph.neighbors, expected)
-            np.testing.assert_array_equal(graph.distances,
-                                          np.take_along_axis(distances, expected, axis=1))
+            neighbors, nearest = build_knn(distances.copy(), k)
+            np.testing.assert_array_equal(neighbors, expected)
+            np.testing.assert_array_equal(nearest, np.take_along_axis(distances, expected, axis=1))
 
 
 def test_knn_needs_more_tokens_than_k():
     with pytest.raises(InsufficientTokensError):
-        build_knn(np.ones((3, 2)), k=3)
+        knn(np.ones((3, 2)), 3)
 
 
-def test_in_place_kernels_equal_their_out_of_place_formulas_bitwise():
+def test_in_place_kernels_equal_their_out_of_place_formulas_bitwise(monkeypatch):
+    kernels = []  # the kernel select_amia hands to reverse_select
+    monkeypatch.setattr(selection, "reverse_select", lambda a, neighbors, kernel, *rest, **kw: kernels.append(kernel))
     rng = np.random.default_rng(43)
     for n, d in [(1, 3), (2, 1), (9, 4), (64, 16), (188, 64)]:
         z = rng.standard_normal((n, d)) * rng.random(d) * 3.0
@@ -138,10 +152,16 @@ def test_in_place_kernels_equal_their_out_of_place_formulas_bitwise():
         np.fill_diagonal(expected, 0.0)
         distances = pairwise_cosine_distances(z)
         assert distances.tobytes() == expected.tobytes()
-        before = distances.copy()
+        if n <= AmiaParams().k:
+            continue
+        neighbors, nearest = build_knn(distances, AmiaParams().k)
         for gamma in (0.2, 1.0, 1e4):
-            assert kernel_matrix(distances, gamma).tobytes() == np.exp(-gamma * expected).tobytes()
-        assert distances.tobytes() == before.tobytes()  # the kernel leaves its input alone
+            select_amia(rng.random((1, n)), z[None], [0.1], AmiaParams(gamma_reverse=gamma))
+            kernel = kernels.pop()[0]
+            assert kernel.tobytes() == np.exp(-gamma * expected).tobytes()
+            # reverse_select's penalty weights are kernel entries: those of the kNN weights formula
+            weights = np.take_along_axis(kernel, neighbors, -1)
+            assert weights.tobytes() == np.exp(-gamma * nearest).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -150,37 +170,36 @@ def test_in_place_kernels_equal_their_out_of_place_formulas_bitwise():
 
 def test_forward_update_mutual_neighbors():
     z = np.tile([1.0, 0.0], (2, 1))
-    graph = build_knn(z, k=1, gamma=1.0)
-    out = forward_update(np.array([0.6, 0.4]), graph)
+    out = forward_update(np.array([0.6, 0.4]), *knn_weights(z, 1, 1.0))
     np.testing.assert_allclose(out, [1.0, 1.0], rtol=1e-9)
 
 
 def test_forward_update_vanishing_kernel_is_noop():
     z = np.eye(3)
-    graph = build_knn(z, k=2, gamma=1e4)  # e^{-1e4} == 0 in float
+    neighbors, weights = knn_weights(z, 2, 1e4)  # e^{-1e4} == 0 in float
     a = np.array([0.5, 0.3, 0.2])
-    np.testing.assert_allclose(forward_update(a, graph), a, atol=1e-9)
+    np.testing.assert_allclose(forward_update(a, neighbors, weights), a, atol=1e-9)
 
 
 def test_forward_update_matches_original_value_loop():
     rng = np.random.default_rng(31)
     z = rng.standard_normal((5, 4))
     a = rng.random(5)
-    graph = build_knn(z, k=2, gamma=1.0)
+    neighbors, weights = knn_weights(z, 2, 1.0)
     expected = []
     for i in range(5):
         total = a[i]
-        for slot, j in enumerate(graph.neighbors[i]):
-            total += graph.weights[i, slot] * a[j]  # reads the ORIGINAL a
+        for slot, j in enumerate(neighbors[i]):
+            total += weights[i, slot] * a[j]  # reads the ORIGINAL a
         expected.append(total)
-    np.testing.assert_allclose(forward_update(a, graph), expected, rtol=1e-9)
+    np.testing.assert_allclose(forward_update(a, neighbors, weights), expected, rtol=1e-9)
 
 
 def test_forward_update_never_decreases():
     rng = np.random.default_rng(37)
     z = rng.standard_normal((8, 3))
     a = rng.random(8)
-    out = forward_update(a, build_knn(z, k=3, gamma=1.0))
+    out = forward_update(a, *knn_weights(z, 3, 1.0))
     assert (out >= a - 1e-12).all()
 
 
@@ -230,13 +249,12 @@ def test_reverse_select_matches_scalar_simulation():
     z = two_cluster_tokens()[None]  # a stack of one layer
     a0 = np.full((1, 6), 1.0 / 6.0)
     params = AmiaParams()
-    graph_fwd = build_knn(z, params.k, params.gamma_forward)
-    boosted = forward_update(a0, graph_fwd)
-    kernel = kernel_matrix(pairwise_cosine_distances(z), params.gamma_reverse)
-    graph_rev = graph_fwd.with_gamma(params.gamma_reverse)
+    neighbors, weights = knn_weights(z, params.k, params.gamma_forward)
+    boosted = forward_update(a0, neighbors, weights)
+    kernel = np.exp(-params.gamma_reverse * pairwise_cosine_distances(z))
 
     threshold = 0.05
-    result, = reverse_select(boosted, graph_rev, kernel, [threshold], min_count=params.min_count)
+    result, = reverse_select(boosted, neighbors, kernel, [threshold], min_count=params.min_count)
     picks, trace, stopped = oracle_reverse_select(
         boosted[0], z[0], params.k, params.gamma_reverse, threshold, params.min_count)
     assert list(result.selected) == picks
@@ -310,9 +328,12 @@ def test_mmd_trace_length_matches_selection():
 # layer stacks
 
 
-def incremental_reverse_select(a, graph, kernel, threshold, min_count):
+def incremental_reverse_select(a, z, k, gamma_rev, threshold, min_count):
     """The one-layer loop that stacked selection replaced, kept as its bitwise reference:
-    one pick and one incremental MMD update per step, reading the picked kernel column."""
+    one pick and one incremental MMD update per step, reading the picked kernel column.
+    Its penalty weights come from the neighbor distances, not from the kernel."""
+    neighbors, weights = knn_weights(z, k, gamma_rev)
+    kernel = np.exp(-gamma_rev * pairwise_cosine_distances(z))
     a = np.array(a, dtype=np.float64)
     n = len(a)
     min_count = min(n, max(min_count, 1))
@@ -324,7 +345,7 @@ def incremental_reverse_select(a, graph, kernel, threshold, min_count):
         value = a[candidate]
         picked.append(candidate)
         picked_mask[candidate] = True
-        a[graph.neighbors[candidate]] -= graph.weights[candidate] * value
+        a[neighbors[candidate]] -= weights[candidate] * value
         column = kernel[:, candidate]
         sum_selected += 2.0 * cross_cols[candidate] + column[candidate]
         cross_cols += column
@@ -345,37 +366,34 @@ def layer_stack(seed, n_layers=5, n=24, c=6):
 def test_stacked_kernels_equal_each_layer_alone_bitwise():
     _, z = layer_stack(51)
     distances = pairwise_cosine_distances(z)
-    graph = build_knn(z, 3, 1.0)
+    neighbors, nearest = build_knn(distances.copy(), 3)
     for i in range(len(z)):
         alone = pairwise_cosine_distances(z[i])
         assert distances[i].tobytes() == alone.tobytes()
         assert (alone == alone.T).all()  # reverse_select reads kernel rows for columns
-        one = build_knn(z[i], 3, 1.0)
-        assert graph.neighbors[i].tobytes() == one.neighbors.tobytes()
-        assert graph.distances[i].tobytes() == one.distances.tobytes()
+        one = build_knn(alone, 3)
+        assert neighbors[i].tobytes() == one[0].tobytes()
+        assert nearest[i].tobytes() == one[1].tobytes()
     a = np.random.default_rng(52).random(z.shape[:2])
-    boosted = forward_update(a, graph)
+    boosted = forward_update(a, neighbors, np.exp(-nearest))
     for i in range(len(z)):
-        assert boosted[i].tobytes() == forward_update(a[i], build_knn(z[i], 3, 1.0)).tobytes()
-    assert kernel_matrix(distances, 0.2)[2].tobytes() == kernel_matrix(distances[2], 0.2).tobytes()
+        assert boosted[i].tobytes() == forward_update(a[i], *knn_weights(z[i], 3, 1.0)).tobytes()
 
 
 @pytest.mark.parametrize("seed", [61, 62, 63])
 def test_stacked_selection_equals_the_one_layer_loop_with_its_own_stop_per_layer(seed):
     a, z = layer_stack(seed)
     params = AmiaParams()
-    graphs = [build_knn(z[i], params.k, params.gamma_reverse) for i in range(len(z))]
-    kernels = [kernel_matrix(pairwise_cosine_distances(z[i]), params.gamma_reverse) for i in range(len(z))]
-    boosted = [forward_update(a[i], build_knn(z[i], params.k, params.gamma_forward)) for i in range(len(z))]
+    boosted = [forward_update(a[i], *knn_weights(z[i], params.k, params.gamma_forward)) for i in range(len(z))]
     # the full MMD trace of each layer sets thresholds that stop the layers at different t
-    full = [incremental_reverse_select(boosted[i], graphs[i], kernels[i], 0.0, params.min_count)[1]
+    full = [incremental_reverse_select(boosted[i], z[i], params.k, params.gamma_reverse, 0.0, params.min_count)[1]
             for i in range(len(z))]
     thresholds = [np.inf, 0.0] + [full[i][t] * (1 + 1e-9) for i, t in ((2, 6), (3, 12), (4, 17))]
     stacked = select_amia(a, z, thresholds, params)
     stops = set()
     for i, result in enumerate(stacked):
         picks, trace, stopped_by = incremental_reverse_select(
-            boosted[i], graphs[i], kernels[i], thresholds[i], params.min_count)
+            boosted[i], z[i], params.k, params.gamma_reverse, thresholds[i], params.min_count)
         assert result.selected.tolist() == picks
         assert result.mmd_trace == trace  # bitwise: same floats in the same order
         assert result.stopped_by == stopped_by
