@@ -396,7 +396,7 @@ def cmd_rerun(config: dict) -> None:
     if not isinstance(record, dict) or not isinstance(record.get("config"), dict):
         raise FormatError(f"{path}: run record has no \"config\" object")
     command = record.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:  # a list or object is unhashable
         raise MMPruneError(f"{path}: run record has unknown command {command!r}")
     _run(command, record["config"])
 

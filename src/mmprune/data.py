@@ -112,10 +112,12 @@ class BlobReader:
 
 
 class BlobSequence(TokenSequence):
-    """A TokenSequence whose rows stay in its blob. `len` and `dim` come from its record;
-    `embeddings` reads the rows through the load's BlobReader on each access, checks them
-    as a TokenSequence does, and compares their crc32 with the load's, so rows changed
-    since the load are a FormatError even where the blob's size and mtime are not."""
+    """A TokenSequence whose rows stay in its blob: a loaded calibration set's, or a
+    scratch blob that `--sequential` carries its states in. `len` and `dim` come from the
+    rows given, which are checked and never kept; `embeddings` reads the rows through the
+    BlobReader given on each access, checks them as a TokenSequence does, and compares
+    their crc32 with the one taken at construction, so rows changed since are a
+    FormatError even where the blob's size and mtime are not."""
 
     def __init__(self, embeddings: np.ndarray, spans: list[Span], blobs: BlobReader, name: str,
                  where: str, offset: int):

@@ -13,11 +13,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 
 from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
                          allocate_owl, allocate_uniform, owl_outlier_ratio)
+from .data import BlobReader, BlobSequence
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, ShapeError
 from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, chunks, forward
@@ -504,6 +506,25 @@ def calibration_needs(config: PruneConfig) -> list[str]:
     return needs
 
 
+def _advance(view: ToyModel, seqs: list[TokenSequence], blob: Path) -> list[BlobSequence]:
+    """`seqs` forwarded through the one-block `view`, as BlobSequences over the new file
+    `blob`: each chunk's states are written to it as they are forwarded, and each
+    sequence is checked and given its crc32 from the rows in hand, never read back. The
+    blob is closed before anything reads it; its sequences share one BlobReader."""
+    blobs = BlobReader(blob.parent)
+    carried = []
+    offset = 0
+    with open(blob, "wb") as f:
+        for chunk in chunks(seqs):
+            states = forward(view, chunk)[0]
+            f.write(np.ascontiguousarray(states, dtype="<f4"))
+            for x, seq in zip(states, chunk.seqs):
+                where = f"calibration sample {len(carried)} after block {view.blocks[0].index}"
+                carried.append(BlobSequence(x, seq.spans, blobs, blob.name, where, offset))
+                offset += len(x)
+    return carried
+
+
 def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], config: PruneConfig,
                 plan: SparsityPlan | None = None) -> tuple[ToyModel, PruneReport]:
     """Run the full unstructured pipeline; returns (masked copy, report).
@@ -553,25 +574,30 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
     if config.sequential and spec.importance == "wanda":
         # Each block's norms, and so its orders, come from the samples carried through the
         # blocks already masked: one pass over a one-block view of the block, which, once
-        # masked, advances them. They are replaced chunk by chunk in the one list: a second
-        # list would hold every state twice (about 6 MB more on the noisy workspace). The
-        # list starts as the calibration sequences, which, loaded from a blob, hold no rows.
+        # masked, advances them. They start as the calibration sequences; each advance
+        # carries them in a scratch blob of its own, and the one before is then deleted, so
+        # memory holds one chunk of states and the disk at most two steps' blobs (12 MB on
+        # the noisy workspace). The scratch directory goes on every exit.
+        import tempfile  # here, not at the top: it adds 7 ms to every command's start
+
         sel_stats = {}
         carried = list(calib.seqs)
-        for block in pruned.blocks:
-            view = ToyModel([block], model.n_heads, model.d_model, model.d_ff, model.seed)
-            block_norms, block_stats = calib._pass([selection], view, carried)[selection]
-            sel_stats.update(block_stats)
-            orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, norms), config.group)
-                      for key, norms in block_norms.items()}
-            mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], orders)
-            if block is pruned.blocks[-1]:
-                break
-            i = 0
-            for chunk in chunks(carried):
-                states = forward(view, chunk)[0]
-                carried[i:i + len(states)] = [TokenSequence(x, seq.spans) for x, seq in zip(states, chunk.seqs)]
-                i += len(states)
+        with tempfile.TemporaryDirectory() as scratch:
+            previous = None
+            for block in pruned.blocks:
+                view = ToyModel([block], model.n_heads, model.d_model, model.d_ff, model.seed)
+                block_norms, block_stats = calib._pass([selection], view, carried)[selection]
+                sel_stats.update(block_stats)
+                orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, norms), config.group)
+                          for key, norms in block_norms.items()}
+                mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], orders)
+                if block is pruned.blocks[-1]:
+                    break
+                blob = Path(scratch) / f"after_block{block.index}.bin"
+                carried = _advance(view, carried, blob)
+                if previous is not None:
+                    previous.unlink()
+                previous = blob
     else:
         mask_layers(list(pruned.iter_layers()), calib.mask_orders(spec.importance, selection, config.group))
 

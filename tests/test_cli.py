@@ -1,20 +1,30 @@
 """CLI behaviour: artifacts, exit codes, reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mmprune.cli as cli
 from mmprune import pruner
 from mmprune.allocation import allocate_uniform
 from mmprune.checkpoint import load_checkpoint
 from mmprune.cli import _prune_config, build_parser, main
+from mmprune.errors import NumericError
+from mmprune.model import CaptureFlags
 from mmprune.pruner import PruneConfig
+from tests.test_data import edited_json
 from tests.test_pruner import count_calibration_forwards
 
 
@@ -584,6 +594,82 @@ def test_rerun_record_without_config_is_format_error(tmp_path, capsys):
     rerun_error(path, capsys)
 
 
+def parsed_config(command: str, out: Path) -> dict:
+    """The config that argparse gives `command` with placeholder input paths."""
+    args = {"prune": ["prune", "--model", "m", "--calib", "c"],
+            "analyze": ["analyze", "--model", "m", "--calib", "c"],
+            "compare": ["compare", "--model", "m", "--calib", "c", "--eval", "e"],
+            "gen-synth": ["gen-synth"]}[command]
+    return {k: v for k, v in vars(build_parser().parse_args(args + ["--out", str(out)])).items() if k != "command"}
+
+
+RERUN_RECORDS = {command: {"command": command, "config": parsed_config(command, Path("out")),
+                           "versions": {"mmprune": "0", "numpy": "0", "python": "0"}}
+                 for command in ("prune", "compare", "analyze")}
+# values near the valid ones, so that edits reach every check of `_check_config`
+RERUN_VALUES = st.sampled_from(["prune", "analyze", "compare", "gen-synth", "rerun", 0, 1, 3, -1, 0.5, 1.5, 2**63,
+                                float("nan"), True, False, None, "", "nan", "wanda", "tamp", "magnitude", "owl",
+                                "das", "amia", "random", "row", "layer", "shortgpt", "wanda,banana", "0.5,0.6",
+                                "diversity,selection,sparsity", "m", [], {}])
+rerun_records = st.sampled_from(sorted(RERUN_RECORDS)).flatmap(lambda command: edited_json(
+    RERUN_RECORDS[command], [("command",), ("config",), ("versions",)]
+    + [("config", key) for key in RERUN_RECORDS[command]["config"]], RERUN_VALUES))
+
+
+@pytest.fixture(scope="module")
+def fuzz_run_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_rerun") / "run.json"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(content=rerun_records)
+def test_fuzzed_rerun_records_fail_only_as_json_errors(fuzz_run_file, content):
+    fuzz_run_file.write_bytes(content)
+    # each command only resolves its config, so a record that passes its checks runs no work
+    stubs = {command: _prune_config for command in cli.COMMANDS}
+    err = io.StringIO()
+    with mock.patch.dict(cli.COMMANDS, stubs), contextlib.redirect_stderr(err):
+        code = main(["rerun", str(fuzz_run_file)])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert set(record) == {"error", "message"}
+        assert (record["error"] == "UsageError") == (code == 2)
+
+
+def test_sequential_scratch_directory_is_removed_on_every_exit(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    assert main(["gen-synth", "--out", str(ws), "--d-model", "16", "--n-heads", "2", "--d-ff", "24",
+                 "--n-blocks", "3", "--tokens-per-modality", "8", "--n-calib", "4", "--n-eval", "1"]) == 0
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    argv = ["prune", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"), "--method", "wanda",
+            "--sequential", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert list(scratch.iterdir()) == []
+
+    real_forward = pruner.forward
+    blobs = []  # the scratch blobs on disk as the advance through block 1 fails
+
+    def failing_forward(model, seq, capture=CaptureFlags()):
+        if capture == CaptureFlags() and model.blocks[0].index == 1:
+            blobs.extend(sorted(path.name for path in scratch.rglob("*") if path.is_file()))
+            raise NumericError("non-finite values at block1.residual")
+        return real_forward(model, seq, capture)
+    monkeypatch.setattr(pruner, "forward", failing_forward)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "NumericError",
+                                                   "message": "non-finite values at block1.residual"}
+    assert blobs == ["after_block0.bin", "after_block1.bin"]  # the first advance's, and the one being written
+    assert list(scratch.iterdir()) == []
+
+
 def test_lambda_flag_alias(workspace, tmp_path):
     out = tmp_path / "o"
     code = main(["prune", "--model", str(workspace / "model"), "--calib",
@@ -746,12 +832,7 @@ def test_rerun_of_a_record_with_a_missing_or_mistyped_setting_is_usage_error(tmp
 def check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
     """`rerun` of a `command` record whose parsed config `edit` changes exits 2 with a JSON
     UsageError ending in `message`, before anything loads or any directory is made."""
-    args = {"prune": ["prune", "--model", "m", "--calib", "c"],
-            "analyze": ["analyze", "--model", "m", "--calib", "c"],
-            "compare": ["compare", "--model", "m", "--calib", "c", "--eval", "e"],
-            "gen-synth": ["gen-synth"]}[command]
-    config = {k: v for k, v in vars(build_parser().parse_args(args + ["--out", str(tmp_path / "out")])).items()
-              if k != "command"}
+    config = parsed_config(command, tmp_path / "out")
     run_file = tmp_path / "run.json"
     run_file.write_text(json.dumps({"command": command, "config": edit(config)}))
     code = main(["rerun", str(run_file)])

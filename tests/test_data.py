@@ -153,6 +153,16 @@ def test_a_calibration_pass_holds_at_most_one_chunk_of_embeddings(tmp_path):
     assert peaks[1] - peaks[0] <= seqs[0].embeddings.nbytes
 
 
+def test_a_sequential_prune_holds_at_most_one_chunk_of_carried_states(tmp_path):
+    scenario = make_noisy_modality_scenario(0, n_calib=16, n_eval=1)
+    seqs = load_sequences(write_sequences(scenario.calib, tmp_path, "calib"))
+    config = PruneConfig(method="wanda", sequential=True)
+    prune_model(scenario.model, seqs[:1], config)  # module-level buffers, such as the causal mask, are made once
+    peaks = [traced_peak(lambda: prune_model(scenario.model, seqs[:n], config))[1] for n in (4, 16)]
+    # the carried states go through a scratch blob: kept in memory, 12 more would be 12 x 48 KB
+    assert peaks[1] - peaks[0] <= seqs[0].embeddings.nbytes
+
+
 def test_gen_synth_holds_at_most_one_calibration_sequence(tmp_path, monkeypatch):
     scenario = make_noisy_modality_scenario(0, n_calib=1, n_eval=1)
     seq, one_draw = traced_peak(lambda: next(scenario.draw_calib()))
