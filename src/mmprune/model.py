@@ -191,17 +191,20 @@ class CaptureFlags:
     outputs: bool = False
     attention: bool = False
     hiddens: bool = False
+    final_query: bool = False
 
 
 @dataclass
 class ActivationTrace:
-    """Per-sequence capture: projection inputs/outputs, head-averaged attention, block-boundary hiddens."""
+    """Per-sequence capture: projection inputs/outputs, head-averaged attention, block-boundary
+    hiddens, and the final query's head-averaged attention row alone."""
 
     spans: list[Span] = field(default_factory=list)
     layer_inputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
     layer_outputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
     attention: dict[int, np.ndarray] = field(default_factory=dict)
     hiddens: list[np.ndarray] = field(default_factory=list)
+    final_query: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def _check_finite(x: np.ndarray, where: str) -> np.ndarray:
@@ -285,12 +288,13 @@ def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags =
     chunk of one, with an N x d_model state and its one trace.
 
     Each trace holds exactly the requested captures: attention post-softmax and
-    head-averaged, keyed by each block's `index` (so a one-block model holding block b
-    records b), and `hiddens[j]` entering the model's j-th block. Each captured array is
-    a view of sample s in an array shared by the chunk and is never written afterwards,
-    so q/k/v share one input array and gate/up another; `hiddens[0]` is a copy, so a
-    trace never aliases the input. Every matmul and reduction works per sample and per
-    row, so a sample's results do not depend on the chunk it runs in.
+    head-averaged, or only its final query's row (`final_query`), keyed by each block's
+    `index` (so a one-block model holding block b records b), and `hiddens[j]` entering
+    the model's j-th block. Each captured array is a view of sample s in an array shared
+    by the chunk and is never written afterwards, so q/k/v share one input array and
+    gate/up another; `hiddens[0]` is a copy, so a trace never aliases the input. Every
+    matmul and reduction works per sample and per row, so a sample's results do not
+    depend on the chunk it runs in.
     """
     if isinstance(seq, Chunk):
         return _forward(model, seq, capture)
@@ -352,6 +356,8 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags):
         _check_finite(_causal_softmax(scores), f"block{b}.attention")
         if capture.attention:
             record("attention", b, scores.mean(axis=1).astype(np.float32, copy=False))
+        if capture.final_query:  # the last row of the head average above, bitwise
+            record("final_query", b, scores[:, :, -1, :].mean(axis=1))
 
         context = (scores @ vh).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32, copy=False)
         x = x + project("o", context)

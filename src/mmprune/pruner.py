@@ -23,7 +23,7 @@ from .data import BlobReader, BlobSequence
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, ShapeError
 from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, chunks, forward
-from .selection import SELECTION_KINDS, AmiaParams, token_contributions
+from .selection import SELECTION_KINDS, AmiaParams
 
 MASK_GROUPS = ("per_output_row", "per_layer")
 
@@ -143,30 +143,31 @@ class LayerSelectionStats:
 
 class _Sample:
     """One sample of a calibration pass: its trace and index, its tokens selected by each
-    kind the pass reads, and what those kinds' statistics share: its captured inputs in
-    float64, converted once per input array (q/k/v share one, gate/up another)."""
+    kind the pass reads, each block's final-query attention row in float64 (its
+    `contributions`, from the `final_query` capture), and what those kinds' statistics
+    share: each captured input's all-row sums of squares, taken once per input array
+    (q/k/v share one, gate/up another)."""
 
     def __init__(self, trace, index: int):
         self.trace = trace
         self.index = index
         self.selected: dict[str, dict] = {}
-        self.contributions = {b: token_contributions(attn) for b, attn in trace.attention.items()}
+        self.contributions = {b: row.astype(np.float64) for b, row in trace.final_query.items()}
         self.spans = trace.spans
         self.span_index = np.repeat(np.arange(len(self.spans)), [span.length for span in self.spans])
-        self._inputs: dict[int, list] = {}  # id of a captured input -> [float64 copy, all-row sums]
+        self._sums: dict[int, np.ndarray] = {}  # id of a captured input -> its all-row sums
 
     def sq_sums(self, key, indices: np.ndarray | None) -> np.ndarray:
-        """Per input channel of layer `key`, the sum of squares over the rows `indices`
-        (None: every row, computed once per distinct input)."""
+        """Per input channel of layer `key`, the sum of squares in float64 over the rows
+        `indices` (None: every row, computed once per distinct input). Only the rows
+        summed are converted: float32 to float64 is exact, so gathering first changes
+        no bit."""
         x = self.trace.layer_inputs[key]
-        entry = self._inputs.get(id(x))
-        if entry is None:
-            entry = self._inputs[id(x)] = [x.astype(np.float64), None]
         if indices is not None:
-            return np.square(entry[0][indices]).sum(axis=0)
-        if entry[1] is None:
-            entry[1] = np.square(entry[0]).sum(axis=0)
-        return entry[1]
+            return np.square(x[indices].astype(np.float64)).sum(axis=0)
+        if id(x) not in self._sums:
+            self._sums[id(x)] = np.square(x.astype(np.float64)).sum(axis=0)
+        return self._sums[id(x)]
 
     def add_modality_counts(self, counts: dict[str, int], indices: np.ndarray | None) -> dict[str, int]:
         """Adds how many of `indices` (None: every token) fall in each modality's spans

@@ -23,9 +23,10 @@ from .model import PROJECTION_KINDS
 # AMIA runs a sample's layers of one output shape (N, C) as one stack while L * N^2
 # stays within this many elements: a 48-token plain sample's 20 (N, d_model) layers in
 # one stack and its 8 (N, d_ff) layers in another, a 188-token noisy sample's layers
-# three at a time. A stack holds two L x N x N float64 buffers, 2 MB at the bound. At
-# 2**16 a noisy stack held one layer, and the stacked pick loop's per-step array calls
-# made noisy `tamp` about 10% slower than the one-layer scalar loop they replaced.
+# three at a time. A stack holds one L x N x N float64 buffer, 1 MB at the bound: the
+# distances, then the kernel in their place. At 2**16 a noisy stack held one layer, and
+# the stacked pick loop's per-step array calls made noisy `tamp` about 10% slower than
+# the one-layer scalar loop they replaced.
 AMIA_STACK_ELEMENTS = 2**17
 
 
@@ -188,18 +189,22 @@ class AmiaParams:
         return max(self.k + 1, 4)
 
 
-def select_amia(a: np.ndarray, z: np.ndarray, thresholds: list[float],
+def select_amia(a: np.ndarray, z: np.ndarray | list[np.ndarray], thresholds: list[float],
                 params: AmiaParams = AmiaParams()) -> list[SelectionResult]:
     """The full adaptive pipeline over a stack of L layers that share N and C:
-    contributions a (L, N), output tokens z (L, N, C) and L thresholds. Returns one
-    result per layer, the same whatever else the stack holds; the layers' N x N
-    buffers are allocated once."""
-    distances = pairwise_cosine_distances(z)
-    kernel = -params.gamma_reverse * distances  # before build_knn masks the distances
-    np.exp(kernel, out=kernel)
-    neighbors, nearest = build_knn(distances, params.k)
+    contributions a (L, N), output tokens z (L, N, C) (an array, or a list of (N, C)
+    arrays) and L thresholds. Returns one result per layer, the same whatever else the
+    stack holds. The stack's one L x N x N float64 buffer holds the distances; once the
+    kNN graph is read from it, its masked entries are restored and it becomes the kernel
+    in place."""
+    d = pairwise_cosine_distances(z)
+    neighbors, nearest = build_knn(d, params.k)
+    np.put_along_axis(d, neighbors, nearest, -1)  # undo build_knn's masking
+    _fill_diagonals(d, 0.0)
+    np.multiply(d, -params.gamma_reverse, out=d)
+    np.exp(d, out=d)
     boosted = forward_update(a, neighbors, np.exp(-params.gamma_forward * nearest))
-    return reverse_select(boosted, neighbors, kernel, thresholds, min_count=params.min_count)
+    return reverse_select(boosted, neighbors, d, thresholds, min_count=params.min_count)
 
 
 def _layerwise(pick):
@@ -239,7 +244,7 @@ def _select_adaptive(sample, params, thresholds) -> dict:
             stack = keys[i:i + size]
             # looked up at call time, so a wrapper bound to the module name sees each call
             results = select_amia(np.stack([sample.contributions[block] for block, _ in stack]),
-                                  np.stack([outputs[key] for key in stack]),
+                                  [outputs[key] for key in stack],
                                   [thresholds[key] for key in stack], amia)
             selected.update((key, (result.selected, result)) for key, result in zip(stack, results))
     return selected
@@ -249,7 +254,9 @@ def _select_adaptive(sample, params, thresholds) -> dict:
 class SelectionKind:
     """`select(sample, params, thresholds)` gives one sample's {layer: (indices,
     SelectionResult | None)}. A kind that reads `attention` reads `sample.contributions`,
-    an `adaptive` one the layer outputs and {layer: MMD threshold}s; `keeps_all`: all, in order."""
+    each block's final-query attention row, so its pass captures that row alone
+    (`final_query`), never the N x N attention; an `adaptive` one reads the layer outputs
+    and {layer: MMD threshold}s; `keeps_all`: all, in order."""
 
     select: Callable[..., dict]
     attention: bool = False
@@ -258,7 +265,7 @@ class SelectionKind:
 
     @property
     def reads(self) -> tuple[str, ...]:  # trace fields beside the layer inputs
-        return tuple(name for name, read in (("attention", self.attention), ("outputs", self.adaptive)) if read)
+        return tuple(name for name, read in (("final_query", self.attention), ("outputs", self.adaptive)) if read)
 
 
 SELECTION_KINDS = {

@@ -452,6 +452,17 @@ def test_each_command_forwards_the_calibration_set_once_per_dependency_level(wor
     assert len(calls) == passes * 4  # the workspace's 4 calibration sequences per pass
 
 
+def test_analyze_captures_the_attention_matrix_only_in_its_attention_reports_pass(workspace, tmp_path,
+                                                                                   monkeypatch):
+    captures, real_forward = [], pruner.forward
+    monkeypatch.setattr(pruner, "forward", lambda model, chunk, capture=pruner.CaptureFlags():
+                        captures.append(capture) or real_forward(model, chunk, capture))
+    assert main(["analyze", "--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
+                 "--out", str(tmp_path / "out"), "--reports", "diversity,attention,selection"]) == 0
+    # the diversity and attention reports' pass, then amia's, which reads the final query's row
+    assert [(c.attention, c.final_query) for c in dict.fromkeys(captures)] == [(True, False), (False, True)]
+
+
 def test_degenerate_calibration_error_names_the_layer(tmp_path, capsys):
     ws = tmp_path / "tiny"
     assert main(["gen-synth", "--out", str(ws), "--d-model", "16", "--n-heads", "2",

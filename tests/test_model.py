@@ -17,10 +17,11 @@ from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError, ShapeError
 from mmprune.model import (RMS_EPS, ActivationTrace, Block, CaptureFlags, Chunk, LinearLayer, ModalityId,
                            Span, TokenSequence, ToyModel, _causal_softmax, chunks, forward, init_synthetic)
+from mmprune.selection import token_contributions
 
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
-CAPTURE_ALL = CaptureFlags(inputs=True, outputs=True, attention=True, hiddens=True)
+CAPTURE_ALL = CaptureFlags(inputs=True, outputs=True, attention=True, hiddens=True, final_query=True)
 
 
 def two_span_seq(embeddings):
@@ -99,9 +100,11 @@ def test_capture_flags_control_trace_contents():
     model = init_synthetic(8, 2, 12, 2, seed=4)
     seq = rng_seq(5, 8)
     _, trace = forward(model, seq, CaptureFlags(inputs=True))
-    assert trace.layer_inputs and not trace.layer_outputs and not trace.attention
+    assert trace.layer_inputs and not trace.layer_outputs and not trace.attention and not trace.final_query
+    _, trace = forward(model, seq, CaptureFlags(final_query=True))
+    assert trace.final_query and not trace.attention and not trace.layer_inputs
     _, trace = forward(model, seq)
-    assert not trace.layer_inputs and not trace.attention and not trace.hiddens
+    assert not trace.layer_inputs and not trace.attention and not trace.hiddens and not trace.final_query
 
 
 def test_all_true_mask_changes_nothing_bitwise():
@@ -275,7 +278,7 @@ def test_trace_shares_projection_inputs_and_never_aliases_the_sequence():
         assert inputs[(b, "gate")] is inputs[(b, "up")]
         assert inputs[(b, "q")] is not inputs[(b, "gate")]
     captured = [*inputs.values(), *trace.layer_outputs.values(), *trace.attention.values(),
-                *trace.hiddens]
+                *trace.hiddens, *trace.final_query.values()]
     assert not any(np.shares_memory(a, seq.embeddings) for a in captured)
     for a in captured:
         a[...] = 7.0
@@ -350,7 +353,7 @@ def test_forward_matches_out_of_place_oracle_bitwise(monkeypatch):
 
 def _assert_same_trace(got, expected):
     assert got.spans == expected.spans
-    for field in ("layer_inputs", "layer_outputs", "attention"):
+    for field in ("layer_inputs", "layer_outputs", "attention", "final_query"):
         got_field, expected_field = getattr(got, field), getattr(expected, field)
         assert list(got_field) == list(expected_field), field
         for key, value in got_field.items():
@@ -383,7 +386,7 @@ def test_chunked_forward_matches_per_sequence_forward_bitwise(size):
                 _assert_same_trace(trace, expected_trace)
             # one sample's captures never share memory with another's
             captured = [[*t.layer_inputs.values(), *t.layer_outputs.values(), *t.attention.values(),
-                         *t.hiddens] for t in traces]
+                         *t.hiddens, *t.final_query.values()] for t in traces]
             for i, mine in enumerate(captured):
                 for theirs in captured[i + 1:]:
                     assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
@@ -393,7 +396,7 @@ def _block_captures(trace, b):
     """The captures of block b in a full forward's trace, as a one-block view records them."""
     return ActivationTrace(trace.spans, {key: x for key, x in trace.layer_inputs.items() if key[0] == b},
                            {key: z for key, z in trace.layer_outputs.items() if key[0] == b},
-                           {b: trace.attention[b]}, trace.hiddens[b:b + 2])
+                           {b: trace.attention[b]}, trace.hiddens[b:b + 2], {b: trace.final_query[b]})
 
 
 def test_one_block_views_over_carried_states_chain_into_the_full_forward():
@@ -412,6 +415,22 @@ def test_one_block_views_over_carried_states_chain_into_the_full_forward():
                         _assert_same_trace(trace, _block_captures(expected[start + i][1], block.index))
                     carried[start:start + size] = [TokenSequence(x, seq.spans) for x, seq in zip(state, chunk)]
             assert [seq.embeddings.tobytes() for seq in carried] == [state.tobytes() for state, _ in expected]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_final_query_capture_is_the_attention_matrix_last_row_bitwise(size):
+    # alone or beside the N x N capture, per sequence or per chunk
+    for model, seqs in _chunk_cases():
+        for start in range(0, len(seqs), size):
+            chunk = Chunk(seqs[start:start + size])
+            _, full = forward(model, chunk, CaptureFlags(attention=True))
+            _, rows = forward(model, chunk, CaptureFlags(final_query=True))
+            for full_trace, trace in zip(full, rows):
+                assert not trace.attention and list(trace.final_query) == list(full_trace.attention)
+                for b, row in trace.final_query.items():
+                    assert row.dtype == np.float32 and row.shape == (len(chunk.seqs[0]),)
+                    expected = token_contributions(full_trace.attention[b])
+                    assert row.astype(np.float64).tobytes() == expected.tobytes()
 
 
 def test_chunk_rejects_mixed_lengths():
@@ -447,8 +466,8 @@ def test_captured_attention_never_shares_the_scores_buffer(monkeypatch):
     _, trace = forward(model, rng_seq(9, 16, seed=1), CAPTURE_ALL)
     assert len(buffers) == 3 and all(buf is buffers[0] for buf in buffers)  # one buffer per call
     captured = [*trace.layer_inputs.values(), *trace.layer_outputs.values(), *trace.hiddens]
-    attention = list(trace.attention.values())
-    assert len(attention) == 3
+    attention = [*trace.attention.values(), *trace.final_query.values()]
+    assert len(attention) == 6
     for i, attn in enumerate(attention):
         assert not any(np.shares_memory(attn, other) for other in [buffers[0], *captured, *attention[i + 1:]])
     assert not any(np.shares_memory(buffers[0], a) for a in captured)

@@ -280,6 +280,21 @@ def test_single_prune_runs_only_the_passes_it_uses(monkeypatch):
         assert len(calls) == passes * len(seqs), method
 
 
+def test_an_amia_pass_captures_the_final_query_row_never_the_attention_matrix(monkeypatch):
+    import mmprune.pruner as pruner
+    model, seqs = calib_setup(seed=9, n_seqs=4)
+    captures, real_forward = [], pruner.forward
+    monkeypatch.setattr(pruner, "forward", lambda model, chunk, capture=CaptureFlags():
+                        captures.append(capture) or real_forward(model, chunk, capture))
+    calib = Calibration(model, seqs)
+    calib.compute("diversity")
+    for result, attention, final_query in [("amia", False, True), (("records", "amia"), False, True),
+                                           ("attention", False, True), ("attention_mass", True, False)]:
+        captures.clear()
+        calib.compute(result)
+        assert captures and {(c.attention, c.final_query) for c in captures} == {(attention, final_query)}, result
+
+
 def test_calibration_memoizes_and_matches_fresh_runs(monkeypatch):
     model, seqs = calib_setup(seed=8, n_seqs=4)
     config = PruneConfig(method="tamp", sparsity=0.5, seed=2)

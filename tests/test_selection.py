@@ -5,6 +5,7 @@ pick/penalize/MMD loop, kept free of the library's incremental updates.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -409,6 +410,24 @@ def test_stacked_selection_rejects_a_threshold_count_that_misses_the_layers():
     a, z = layer_stack(64, n_layers=3)
     with pytest.raises(ShapeError, match="2 thresholds for 3 layers"):
         select_amia(a, z, [0.1, 0.2])
+
+
+def test_a_stack_holds_one_n_by_n_float64_buffer():
+    # the distances become the kernel in place, and float32 layer outputs given as a list
+    # (as a sample's are) go straight into the float64 unit rows
+    a, z = layer_stack(71, n_layers=3, n=256, c=32)
+    outputs = [layer.astype(np.float32) for layer in z]
+    expected = select_amia(a, np.stack(outputs), [0.05] * 3)
+    tracemalloc.start()
+    try:
+        results = select_amia(a, outputs, [0.05] * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 3 * 256**2 * 8
+    for got, want in zip(results, expected):
+        assert (got.selected.tolist(), got.mmd_trace, got.stopped_by) == (want.selected.tolist(), want.mmd_trace,
+                                                                          want.stopped_by)
 
 
 # ---------------------------------------------------------------------------
