@@ -13,5 +13,4 @@ from .model import (ActivationTrace, CaptureFlags, LinearLayer, ModalityId, Span
 from .pruner import (AmiaParams, Calibration, CalibrationParams, PruneConfig,
                      PruneReport, block_importances_das, block_importances_shortgpt, block_prune,
                      importance_magnitude, importance_wanda, make_mask, mask_order, prune_model)
-from .selection import (SelectionResult, build_knn, forward_update,
-                        reverse_select, select_amia, token_contributions)
+from .selection import SelectionResult, build_knn, forward_update, reverse_select, select_amia

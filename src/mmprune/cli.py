@@ -154,6 +154,11 @@ def _check_config(command: str, config: dict) -> dict:
             if unused:
                 raise UsageError("--sequential and --selection serve the activation norms, which "
                                  f"{_flag(key)} {config[key]} does not read: drop {' and '.join(unused)}")
+    if command == "gen-synth" and config["scenario"] == "noisy-modality":
+        unused = [_flag(action.dest) for action in _settings(command)
+                  if action.dest in ("modalities", "tokens_per_modality") and config[action.dest] != action.default]
+        if unused:
+            raise UsageError(f"--scenario noisy-modality draws fixed 160 + 28-token spans: drop {' and '.join(unused)}")
     if command == "analyze":
         reports = _names(config, "reports")
         unknown = set(reports) - set(ANALYZE_REPORTS)
@@ -520,9 +525,11 @@ def main(argv: list[str] | None = None) -> int:
             cmd_rerun(config)
         else:
             _run(args.command, config)
-    except (MMPruneError, OSError) as err:
+    except (MMPruneError, OSError, MemoryError) as err:
         if isinstance(err, OSError):  # e.g. an output path that is an existing file; names the path
             err = MMPruneError(str(err))
+        elif isinstance(err, MemoryError):  # numpy's message names the array's shape and dtype
+            err = MMPruneError(f"out of memory: {err}")
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)
         sys.stderr.write("\n")
         return 2 if isinstance(err, UsageError) else 1

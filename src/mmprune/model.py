@@ -185,24 +185,24 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class CaptureFlags:
-    """What a forward pass records."""
+    """What a forward pass records. No capture holds an N x N array."""
 
     inputs: bool = False
     outputs: bool = False
-    attention: bool = False
+    span_mass: bool = False
     hiddens: bool = False
     final_query: bool = False
 
 
 @dataclass
 class ActivationTrace:
-    """Per-sequence capture: projection inputs/outputs, head-averaged attention, block-boundary
-    hiddens, and the final query's head-averaged attention row alone."""
+    """Per-sequence capture: projection inputs/outputs, per block the head-averaged attention's
+    (n_spans, N) row sums over each span's keys and its final-query row, and block-boundary hiddens."""
 
     spans: list[Span] = field(default_factory=list)
     layer_inputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
     layer_outputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
-    attention: dict[int, np.ndarray] = field(default_factory=dict)
+    span_mass: dict[int, np.ndarray] = field(default_factory=dict)
     hiddens: list[np.ndarray] = field(default_factory=list)
     final_query: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -287,14 +287,14 @@ def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags =
     stack, and one ActivationTrace per sequence is returned. One sequence runs as a
     chunk of one, with an N x d_model state and its one trace.
 
-    Each trace holds exactly the requested captures: attention post-softmax and
-    head-averaged, or only its final query's row (`final_query`), keyed by each block's
-    `index` (so a one-block model holding block b records b), and `hiddens[j]` entering
-    the model's j-th block. Each captured array is a view of sample s in an array shared
-    by the chunk and is never written afterwards, so q/k/v share one input array and
-    gate/up another; `hiddens[0]` is a copy, so a trace never aliases the input. Every
-    matmul and reduction works per sample and per row, so a sample's results do not
-    depend on the chunk it runs in.
+    Each trace holds exactly the requested captures: the post-softmax, head-averaged
+    attention's per-span row sums (`span_mass`, the sample's own array) and final query's
+    row, keyed by each block's `index` (so a one-block model holding block b records b),
+    and `hiddens[j]` entering the model's j-th block. Each other captured array is a view
+    of sample s in an array shared by the chunk and is never written afterwards, so q/k/v
+    share one input array and gate/up another; `hiddens[0]` is a copy, so a trace never
+    aliases the input. Every matmul and reduction works per sample and per row, so a
+    sample's results do not depend on the chunk it runs in.
     """
     if isinstance(seq, Chunk):
         return _forward(model, seq, capture)
@@ -354,8 +354,10 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags):
         np.matmul(qh, kh.transpose(0, 1, 3, 2), out=scores)
         scores /= np.float32(np.sqrt(dh))
         _check_finite(_causal_softmax(scores), f"block{b}.attention")
-        if capture.attention:
-            record("attention", b, scores.mean(axis=1).astype(np.float32, copy=False))
+        if capture.span_mass:  # the N x N head average is a temporary; only these sums stay
+            for trace, attn in zip(traces, scores.mean(axis=1)):
+                trace.span_mass[b] = np.stack([attn[:, span.start:span.stop].sum(axis=1) for span in trace.spans])
+            del attn  # a view of the average: kept, it would live on beside the next block's
         if capture.final_query:  # the last row of the head average above, bitwise
             record("final_query", b, scores[:, :, -1, :].mean(axis=1))
 

@@ -10,6 +10,7 @@ half-masked model. Structural pruning removes whole blocks by importance.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -239,27 +240,25 @@ class _Records:
 
 
 class _AttentionMass:
-    """Per block, the mean attention mass landing on each modality's key span."""
+    """Per block, the mean attention mass landing on each modality's key span: the mean
+    of a span's `span_mass` row over the queries. Spans of one modality add."""
 
-    reads = ("attention",)
+    reads = ("span_mass",)
 
     def __init__(self):
-        self.sums: dict[int, dict[str, float]] = {}
+        self.sums: dict[int, Counter] = {}
         self.count = 0
 
     def add(self, samples: list[_Sample]) -> None:
         for sample in samples:
             trace = sample.trace
-            if not trace.attention:
-                raise ConfigError("trace lacks attention capture")
-            for block, attn in trace.attention.items():
-                masses: dict[str, float] = {}
-                for span in trace.spans:
-                    mass = float(attn[:, span.start:span.stop].sum(axis=1).mean()) if span.length else 0.0
-                    masses[span.modality.name] = masses.get(span.modality.name, 0.0) + mass
-                entry = self.sums.setdefault(block, {})
-                for name, mass in masses.items():
-                    entry[name] = entry.get(name, 0.0) + mass
+            if not trace.span_mass:
+                raise ConfigError("trace lacks span_mass capture")
+            for block, rows in trace.span_mass.items():
+                masses = Counter()  # a sample's spans of one modality add before the sample does
+                for span, row in zip(trace.spans, rows):
+                    masses[span.modality.name] += float(row.mean())
+                self.sums.setdefault(block, Counter()).update(masses)
             self.count += 1
 
     def finalize(self) -> dict[int, dict[str, float]]:

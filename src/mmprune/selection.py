@@ -30,14 +30,6 @@ from .model import PROJECTION_KINDS
 AMIA_STACK_ELEMENTS = 2**17
 
 
-def token_contributions(attention: np.ndarray) -> np.ndarray:
-    """Attention distribution of the final query over all key positions."""
-    attention = np.asarray(attention)
-    if attention.ndim != 2 or attention.shape[0] != attention.shape[1]:
-        raise ShapeError(f"attention must be square, got {attention.shape}")
-    return attention[-1, :].astype(np.float64)
-
-
 def _fill_diagonals(matrices: np.ndarray, value: float) -> None:
     """Writes `value` on the diagonal of each N x N matrix in a contiguous (..., N, N) array."""
     n = matrices.shape[-1]
@@ -254,9 +246,9 @@ def _select_adaptive(sample, params, thresholds) -> dict:
 class SelectionKind:
     """`select(sample, params, thresholds)` gives one sample's {layer: (indices,
     SelectionResult | None)}. A kind that reads `attention` reads `sample.contributions`,
-    each block's final-query attention row, so its pass captures that row alone
-    (`final_query`), never the N x N attention; an `adaptive` one reads the layer outputs
-    and {layer: MMD threshold}s; `keeps_all`: all, in order."""
+    each block's final-query attention row, the only attention its pass captures
+    (`final_query`); an `adaptive` one reads the layer outputs and {layer: MMD
+    threshold}s; `keeps_all`: all, in order."""
 
     select: Callable[..., dict]
     attention: bool = False

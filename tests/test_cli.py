@@ -84,9 +84,10 @@ def test_noisy_scenario_below_its_channel_count_is_config_error(tmp_path, capsys
 
 
 def test_noisy_scenario_at_its_channel_count(tmp_path):
+    # the plain scenario's flags at their defaults, as every noisy run record holds them
     assert main(["gen-synth", "--scenario", "noisy-modality", "--out", str(tmp_path / "ws"),
                  "--d-model", "24", "--n-heads", "4", "--d-ff", "8", "--n-blocks", "1",
-                 "--n-calib", "1", "--n-eval", "1"]) == 0
+                 "--n-calib", "1", "--n-eval", "1", "--modalities", "2", "--tokens-per-modality", "24"]) == 0
     assert load_checkpoint(tmp_path / "ws" / "model").d_model == 24
 
 
@@ -330,6 +331,23 @@ def test_unwritable_output_is_runtime_error(workspace, tmp_path, capsys, monkeyp
     assert forwards == []  # the path fails before any calibration
 
 
+@pytest.mark.parametrize("via_rerun", [False, True], ids=["prune", "rerun"])
+def test_memory_error_is_a_json_runtime_record(tmp_path, capsys, monkeypatch, via_rerun):
+    message = "Unable to allocate 4.00 GiB for an array with shape (1, 4, 16384, 16384) and data type float32"
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "load_checkpoint", exhausted)
+    argv = ["prune", "--model", "m", "--calib", "c", "--method", "wanda", "--out", str(tmp_path / "out")]
+    if via_rerun:
+        record = {"command": "prune", "config": parsed_config("prune", tmp_path / "out")}
+        (tmp_path / "run.json").write_text(json.dumps(record))
+        argv = ["rerun", str(tmp_path / "run.json")]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "MMPruneError", "message": f"out of memory: {message}"}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["prune", "--structural", "das", "--plan-out", "PLAN"], "drop --plan-out"),
     (["prune", "--structural", "shortgpt", "--plan", "PLAN"], "drop --plan"),
@@ -452,15 +470,27 @@ def test_each_command_forwards_the_calibration_set_once_per_dependency_level(wor
     assert len(calls) == passes * 4  # the workspace's 4 calibration sequences per pass
 
 
-def test_analyze_captures_the_attention_matrix_only_in_its_attention_reports_pass(workspace, tmp_path,
-                                                                                   monkeypatch):
-    captures, real_forward = [], pruner.forward
-    monkeypatch.setattr(pruner, "forward", lambda model, chunk, capture=pruner.CaptureFlags():
-                        captures.append(capture) or real_forward(model, chunk, capture))
-    assert main(["analyze", "--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
+def test_analyze_captures_span_masses_only_in_its_attention_reports_pass(tmp_path, monkeypatch):
+    ws = tmp_path / "ws"  # 20 tokens, so no N equals d_model (16) or d_ff (24)
+    assert main(["gen-synth", "--out", str(ws), "--d-model", "16", "--n-heads", "2", "--d-ff", "24",
+                 "--n-blocks", "2", "--tokens-per-modality", "10", "--n-calib", "4", "--n-eval", "1"]) == 0
+    captures, quadratic, real_forward = [], [], pruner.forward
+
+    def spy(model, chunk, capture=pruner.CaptureFlags()):
+        captures.append(capture)
+        state, traces = real_forward(model, chunk, capture)
+        for trace in traces:
+            arrays = [*trace.layer_inputs.values(), *trace.layer_outputs.values(), *trace.span_mass.values(),
+                      *trace.hiddens, *trace.final_query.values()]
+            quadratic.extend(a.shape for a in arrays if a.shape.count(trace.spans[-1].stop) > 1)
+        return state, traces
+
+    monkeypatch.setattr(pruner, "forward", spy)
+    assert main(["analyze", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"),
                  "--out", str(tmp_path / "out"), "--reports", "diversity,attention,selection"]) == 0
     # the diversity and attention reports' pass, then amia's, which reads the final query's row
-    assert [(c.attention, c.final_query) for c in dict.fromkeys(captures)] == [(True, False), (False, True)]
+    assert [(c.span_mass, c.final_query) for c in dict.fromkeys(captures)] == [(True, False), (False, True)]
+    assert quadratic == []  # no trace array has two axes of length N
 
 
 def test_degenerate_calibration_error_names_the_layer(tmp_path, capsys):
@@ -780,10 +810,12 @@ def no_loads(monkeypatch):
     ["compare", "--sparsities", ","],
     ["gen-synth", "--seed", "-1"],
     ["gen-synth", "--n-calib", "0"],
+    ["gen-synth", "--scenario", "noisy-modality", "--modalities", "3"],
+    ["gen-synth", "--scenario", "noisy-modality", "--tokens-per-modality", "512", "--modalities", "3"],
 ], ids=["gamma-reverse-nan", "gamma-forward-inf", "mmd-coefficient-nan", "owl-m-nan", "owl-m-below-1",
         "lam-nan", "lam-dashes", "owl-lambda-nan", "owl-lambda-negative", "seed-negative", "k-zero",
         "random-count-zero", "unknown-method", "no-methods", "sparsities-nan", "sparsities-above-1", "no-sparsities",
-        "gen-synth-seed-negative", "gen-synth-no-calib"])
+        "gen-synth-seed-negative", "gen-synth-no-calib", "noisy-modalities", "noisy-tokens-and-modalities"])
 def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, capsys, no_loads, argv):
     paths = {"prune": ["--model", "m", "--calib", "c"], "analyze": ["--model", "m", "--calib", "c"],
              "compare": ["--model", "m", "--calib", "c", "--eval", "e"], "gen-synth": []}[argv[0]]
@@ -810,10 +842,11 @@ def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, caps
     ("compare", {"sparsities": "0.5,1.0"}, "bad --sparsities value: --sparsity must be in (0, 1), got 1.0"),
     ("compare", {"methods": "magnitude", "selection": "random"}, "--methods magnitude does not read: drop --selection"),
     ("gen-synth", {"n_blocks": 0}, "--n-blocks must be an integer >= 1, got 0"),
+    ("gen-synth", {"scenario": "noisy-modality", "tokens_per_modality": 512}, "drop --tokens-per-modality"),
 ], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
         "group", "structural-plan-out", "structural-sequential", "structural-selection", "magnitude-sequential",
         "magnitude-selection", "analyze-report", "analyze-selection", "compare-sparsity", "compare-magnitude-selection",
-        "gen-synth-blocks"])
+        "gen-synth-blocks", "noisy-tokens-per-modality"])
 def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
     check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, lambda config: {**config, **edit}, message)
 

@@ -15,7 +15,7 @@ from mmprune.model import (ActivationTrace, Block, CaptureFlags, LinearLayer, Mo
 from mmprune.pruner import (METHOD_SPECS, Calibration, PruneConfig, _AttentionMass, _Sample, make_mask,
                             mask_order, prune_model)
 from mmprune.model import init_synthetic
-from tests.test_model import _oracle_matvec, _oracle_rms, rng_seq
+from tests.test_model import _oracle_matvec, _oracle_rms, dense_attention, mixed_layout_setup, rng_seq, span_sums
 from tests.test_pruner import count_calibration_forwards
 
 VIS = ModalityId(0, "visual")
@@ -208,14 +208,16 @@ def attention_by_modality(traces):
 
 def test_attention_single_modality_mass_one():
     attn = np.array([[1.0, 0.0], [0.5, 0.5]])
-    trace = ActivationTrace(spans=[Span(VIS, 0, 2)], attention={0: attn})
+    spans = [Span(VIS, 0, 2)]
+    trace = ActivationTrace(spans=spans, span_mass={0: span_sums(attn, spans)})
     masses = attention_by_modality([trace])
     assert masses[0]["visual"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_attention_uniform_masses_proportional_to_span():
     attn = np.full((4, 4), 0.25)
-    trace = ActivationTrace(spans=[Span(VIS, 0, 3), Span(LANG, 3, 1)], attention={0: attn})
+    spans = [Span(VIS, 0, 3), Span(LANG, 3, 1)]
+    trace = ActivationTrace(spans=spans, span_mass={0: span_sums(attn, spans)})
     masses = attention_by_modality([trace])
     assert masses[0]["visual"] == pytest.approx(0.75, abs=1e-12)
     assert masses[0]["language"] == pytest.approx(0.25, abs=1e-12)
@@ -226,7 +228,7 @@ def test_attention_masses_match_double_loop_and_sum_to_one():
     raw = rng.random((6, 6))
     attn = raw / raw.sum(axis=1, keepdims=True)
     spans = [Span(VIS, 0, 2), Span(LANG, 2, 4)]
-    trace = ActivationTrace(spans=spans, attention={0: attn})
+    trace = ActivationTrace(spans=spans, span_mass={0: span_sums(attn, spans)})
     masses = attention_by_modality([trace])
     for span in spans:
         oracle = np.mean([sum(attn[q, k] for k in range(span.start, span.stop))
@@ -236,7 +238,7 @@ def test_attention_masses_match_double_loop_and_sum_to_one():
 
 
 def test_attention_requires_capture():
-    trace = ActivationTrace(spans=[Span(VIS, 0, 2)], attention={})
+    trace = ActivationTrace(spans=[Span(VIS, 0, 2)], span_mass={})
     with pytest.raises(ConfigError):
         attention_by_modality([trace])
 
@@ -244,16 +246,37 @@ def test_attention_requires_capture():
 def test_attention_from_real_traces_sums_to_one():
     model, seqs = eval_setup(seed=5)
     from mmprune.model import CaptureFlags
-    traces = [forward(model, s, CaptureFlags(attention=True))[1] for s in seqs]
+    traces = [forward(model, s, CaptureFlags(span_mass=True))[1] for s in seqs]
     masses = attention_by_modality(traces)
     for block in masses.values():
         assert sum(block.values()) == pytest.approx(1.0, abs=1e-5)
 
 
+def test_attention_masses_equal_the_dense_oracle_bitwise():
+    # the masses taken from the N x N attention itself: repeated spans of one modality add,
+    # and an empty span gives 0.0
+    model, seqs = mixed_layout_setup(92)
+    traces = [forward(model, s, CaptureFlags(outputs=True, span_mass=True))[1] for s in seqs]
+    expected = {}
+    for trace in traces:
+        for b in range(model.n_blocks):
+            attn = dense_attention(trace, b, model.n_heads)
+            masses = {}
+            for span in trace.spans:
+                mass = float(attn[:, span.start:span.stop].sum(axis=1).mean()) if span.length else 0.0
+                masses[span.modality.name] = masses.get(span.modality.name, 0.0) + mass
+            for name, mass in masses.items():
+                expected.setdefault(b, {})[name] = expected.get(b, {}).get(name, 0.0) + mass
+    expected = {b: {name: value / len(traces) for name, value in sorted(entry.items())}
+                for b, entry in sorted(expected.items())}
+    assert repr(attention_by_modality(traces)) == repr(expected)
+    assert expected[0]["audio"] == 0.0
+
+
 def test_attention_streams_a_generator_of_traces():
     model, seqs = eval_setup(seed=5)
     from mmprune.model import CaptureFlags
-    capture = CaptureFlags(attention=True)
+    capture = CaptureFlags(span_mass=True)
     refs, peak = [], []
 
     def traces():

@@ -17,11 +17,12 @@ from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError, ShapeError
 from mmprune.model import (RMS_EPS, ActivationTrace, Block, CaptureFlags, Chunk, LinearLayer, ModalityId,
                            Span, TokenSequence, ToyModel, _causal_softmax, chunks, forward, init_synthetic)
-from mmprune.selection import token_contributions
+from tests.test_data import traced_peak
 
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
-CAPTURE_ALL = CaptureFlags(inputs=True, outputs=True, attention=True, hiddens=True, final_query=True)
+AUDIO = ModalityId(2, "audio")
+CAPTURE_ALL = CaptureFlags(inputs=True, outputs=True, span_mass=True, hiddens=True, final_query=True)
 
 
 def two_span_seq(embeddings):
@@ -33,6 +34,41 @@ def two_span_seq(embeddings):
 
 def rng_seq(n, d, seed=0):
     return two_span_seq(np.random.default_rng(seed).standard_normal((n, d)))
+
+
+def mixed_layout_setup(seed):
+    """Sequences of one length whose span layouts differ, with repeated, empty and
+    trailing empty spans, so one chunk holds several layouts."""
+    model = init_synthetic(8, 2, 12, 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    layouts = [
+        [Span(VIS, 0, 4), Span(LANG, 4, 3), Span(VIS, 7, 3), Span(AUDIO, 10, 0)],
+        [Span(VIS, 0, 4), Span(LANG, 4, 3), Span(VIS, 7, 3), Span(AUDIO, 10, 0)],
+        [Span(VIS, 0, 0), Span(LANG, 0, 10)],
+        [Span(VIS, 0, 4), Span(LANG, 4, 3), Span(VIS, 7, 3), Span(AUDIO, 10, 0)],
+        [Span(LANG, 0, 5), Span(VIS, 5, 5)],
+    ]
+    seqs = [TokenSequence(rng.standard_normal((10, 8)).astype(np.float32), spans) for spans in layouts]
+    return model, seqs
+
+
+def dense_attention(trace, b, n_heads):
+    """Block b's head-averaged causal attention (N x N float32), recomputed from the
+    trace's captured q and k outputs in the forward's float32 steps, each on a fresh
+    array: matmul, scale, causal bias, row max, exp, row sum, divide, head mean."""
+    q, k = trace.layer_outputs[(b, "q")], trace.layer_outputs[(b, "k")]
+    n, dh = len(q), q.shape[1] // n_heads
+    qh = q.reshape(1, n, n_heads, dh).transpose(0, 2, 1, 3)
+    kh = k.reshape(1, n, n_heads, dh).transpose(0, 2, 1, 3)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) / np.float32(np.sqrt(dh))
+    scores = scores + np.triu(np.full((n, n), -np.inf, dtype=np.float32), k=1)
+    scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return (scores / scores.sum(axis=-1, keepdims=True)).mean(axis=1)[0]
+
+
+def span_sums(attn, spans):
+    """Per span, each query row's attention summed over the span's keys: (n_spans, N)."""
+    return np.stack([attn[:, span.start:span.stop].sum(axis=1) for span in spans])
 
 
 # ---------------------------------------------------------------------------
@@ -82,29 +118,29 @@ def test_forward_is_deterministic_bitwise():
     assert h1.tobytes() == h2.tobytes()
     for key in t1.layer_outputs:
         assert t1.layer_outputs[key].tobytes() == t2.layer_outputs[key].tobytes()
-    for b in t1.attention:
-        assert t1.attention[b].tobytes() == t2.attention[b].tobytes()
+    for b in t1.span_mass:
+        assert t1.span_mass[b].tobytes() == t2.span_mass[b].tobytes()
 
 
-def test_attention_is_row_stochastic_and_causal():
+def test_span_masses_are_row_stochastic_and_causal():
     model = init_synthetic(16, 4, 24, 2, seed=11)
-    seq = rng_seq(9, 16, seed=2)
-    _, trace = forward(model, seq, CaptureFlags(attention=True))
-    for attn in trace.attention.values():
-        np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-5)
-        upper = attn[np.triu_indices(len(seq), k=1)]
-        assert (upper == 0.0).all()
+    seq = rng_seq(9, 16, seed=2)  # visual tokens 0-3, language 4-8
+    _, trace = forward(model, seq, CaptureFlags(span_mass=True))
+    for rows in trace.span_mass.values():
+        assert rows.shape == (2, 9) and rows.dtype == np.float32
+        np.testing.assert_allclose(rows.sum(axis=0), 1.0, atol=1e-5)
+        assert (rows[1, :4] == 0.0).all() and (rows[0, :4] > 0.0).all()  # no query sees a later key
 
 
 def test_capture_flags_control_trace_contents():
     model = init_synthetic(8, 2, 12, 2, seed=4)
     seq = rng_seq(5, 8)
     _, trace = forward(model, seq, CaptureFlags(inputs=True))
-    assert trace.layer_inputs and not trace.layer_outputs and not trace.attention and not trace.final_query
+    assert trace.layer_inputs and not trace.layer_outputs and not trace.span_mass and not trace.final_query
     _, trace = forward(model, seq, CaptureFlags(final_query=True))
-    assert trace.final_query and not trace.attention and not trace.layer_inputs
+    assert trace.final_query and not trace.span_mass and not trace.layer_inputs
     _, trace = forward(model, seq)
-    assert not trace.layer_inputs and not trace.attention and not trace.hiddens and not trace.final_query
+    assert not trace.layer_inputs and not trace.span_mass and not trace.hiddens and not trace.final_query
 
 
 def test_all_true_mask_changes_nothing_bitwise():
@@ -190,7 +226,9 @@ def test_forward_matches_scalar_hand_computation():
     seq = TokenSequence(np.array([x0, x1], np.float32), [Span(VIS, 0, 1), Span(LANG, 1, 1)])
     hidden, trace = forward(model, seq, CAPTURE_ALL)
 
-    np.testing.assert_allclose(trace.attention[0], np.array(attn_oracle), rtol=1e-6, atol=1e-7)
+    # per span (visual key 0, language key 1), each query's attention on it
+    np.testing.assert_allclose(trace.span_mass[0], np.array(attn_oracle).T, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(trace.final_query[0], attn_oracle[1], rtol=1e-6, atol=1e-7)
     np.testing.assert_allclose(hidden, np.array(final_oracle), rtol=1e-6, atol=5e-7)
 
 
@@ -277,7 +315,7 @@ def test_trace_shares_projection_inputs_and_never_aliases_the_sequence():
         assert inputs[(b, "q")] is inputs[(b, "k")] is inputs[(b, "v")]
         assert inputs[(b, "gate")] is inputs[(b, "up")]
         assert inputs[(b, "q")] is not inputs[(b, "gate")]
-    captured = [*inputs.values(), *trace.layer_outputs.values(), *trace.attention.values(),
+    captured = [*inputs.values(), *trace.layer_outputs.values(), *trace.span_mass.values(),
                 *trace.hiddens, *trace.final_query.values()]
     assert not any(np.shares_memory(a, seq.embeddings) for a in captured)
     for a in captured:
@@ -336,9 +374,11 @@ def test_forward_matches_out_of_place_oracle_bitwise(monkeypatch):
         state, trace = forward(m, seq, CAPTURE_ALL)
         expected_state, expected_attention, expected_outputs = _oracle_forward(m, seq)
         assert state.tobytes() == expected_state.tobytes()
-        assert sorted(trace.attention) == sorted(expected_attention)
-        for b, attn in trace.attention.items():
-            assert attn.dtype == np.float32 and attn.tobytes() == expected_attention[b].tobytes()
+        assert sorted(trace.span_mass) == sorted(trace.final_query) == sorted(expected_attention)
+        for b, attn in expected_attention.items():
+            assert trace.span_mass[b].dtype == np.float32
+            assert trace.span_mass[b].tobytes() == span_sums(attn, seq.spans).tobytes()
+            assert trace.final_query[b].tobytes() == attn[-1].tobytes()
         assert sorted(trace.layer_outputs) == sorted(expected_outputs)
         for key, out in trace.layer_outputs.items():
             assert out.tobytes() == expected_outputs[key].tobytes()
@@ -353,7 +393,7 @@ def test_forward_matches_out_of_place_oracle_bitwise(monkeypatch):
 
 def _assert_same_trace(got, expected):
     assert got.spans == expected.spans
-    for field in ("layer_inputs", "layer_outputs", "attention", "final_query"):
+    for field in ("layer_inputs", "layer_outputs", "span_mass", "final_query"):
         got_field, expected_field = getattr(got, field), getattr(expected, field)
         assert list(got_field) == list(expected_field), field
         for key, value in got_field.items():
@@ -368,7 +408,8 @@ def _chunk_cases():
                                             n_calib=3, n_eval=5)
     return [(plain, [rng_seq(48, 64, seed=i) for i in range(5)]),  # the plain workspace's length
             (scenario.model, scenario.calib),                       # 188 tokens
-            (scenario.model, scenario.eval)]                        # 28 tokens
+            (scenario.model, scenario.eval),                        # 28 tokens, an empty noise span
+            mixed_layout_setup(92)]                                 # five span layouts of 10 tokens
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5])
@@ -385,7 +426,7 @@ def test_chunked_forward_matches_per_sequence_forward_bitwise(size):
                 assert state[i].tobytes() == expected_state.tobytes()
                 _assert_same_trace(trace, expected_trace)
             # one sample's captures never share memory with another's
-            captured = [[*t.layer_inputs.values(), *t.layer_outputs.values(), *t.attention.values(),
+            captured = [[*t.layer_inputs.values(), *t.layer_outputs.values(), *t.span_mass.values(),
                          *t.hiddens, *t.final_query.values()] for t in traces]
             for i, mine in enumerate(captured):
                 for theirs in captured[i + 1:]:
@@ -396,7 +437,7 @@ def _block_captures(trace, b):
     """The captures of block b in a full forward's trace, as a one-block view records them."""
     return ActivationTrace(trace.spans, {key: x for key, x in trace.layer_inputs.items() if key[0] == b},
                            {key: z for key, z in trace.layer_outputs.items() if key[0] == b},
-                           {b: trace.attention[b]}, trace.hiddens[b:b + 2], {b: trace.final_query[b]})
+                           {b: trace.span_mass[b]}, trace.hiddens[b:b + 2], {b: trace.final_query[b]})
 
 
 def test_one_block_views_over_carried_states_chain_into_the_full_forward():
@@ -418,19 +459,26 @@ def test_one_block_views_over_carried_states_chain_into_the_full_forward():
 
 
 @pytest.mark.parametrize("size", [1, 2, 5])
-def test_final_query_capture_is_the_attention_matrix_last_row_bitwise(size):
-    # alone or beside the N x N capture, per sequence or per chunk
+def test_attention_captures_equal_the_dense_oracle_bitwise(size):
+    # the span masses and the final query's row, alone or beside the other captures,
+    # per sequence or per chunk, against the attention recomputed from the captured q and k
     for model, seqs in _chunk_cases():
         for start in range(0, len(seqs), size):
             chunk = Chunk(seqs[start:start + size])
-            _, full = forward(model, chunk, CaptureFlags(attention=True))
+            _, full = forward(model, chunk, CaptureFlags(outputs=True, span_mass=True, final_query=True))
             _, rows = forward(model, chunk, CaptureFlags(final_query=True))
-            for full_trace, trace in zip(full, rows):
-                assert not trace.attention and list(trace.final_query) == list(full_trace.attention)
-                for b, row in trace.final_query.items():
-                    assert row.dtype == np.float32 and row.shape == (len(chunk.seqs[0]),)
-                    expected = token_contributions(full_trace.attention[b])
-                    assert row.astype(np.float64).tobytes() == expected.tobytes()
+            _, masses = forward(model, chunk, CaptureFlags(span_mass=True))
+            for full_trace, row_trace, mass_trace in zip(full, rows, masses):
+                assert not row_trace.span_mass and not mass_trace.final_query
+                for b in (block.index for block in model.blocks):
+                    attn = dense_attention(full_trace, b, model.n_heads)
+                    expected_rows = span_sums(attn, full_trace.spans)
+                    for trace in (full_trace, mass_trace):
+                        assert trace.span_mass[b].dtype == np.float32
+                        assert trace.span_mass[b].tobytes() == expected_rows.tobytes()
+                    for trace in (full_trace, row_trace):
+                        assert trace.final_query[b].dtype == np.float32
+                        assert trace.final_query[b].tobytes() == attn[-1].tobytes()
 
 
 def test_chunk_rejects_mixed_lengths():
@@ -466,11 +514,22 @@ def test_captured_attention_never_shares_the_scores_buffer(monkeypatch):
     _, trace = forward(model, rng_seq(9, 16, seed=1), CAPTURE_ALL)
     assert len(buffers) == 3 and all(buf is buffers[0] for buf in buffers)  # one buffer per call
     captured = [*trace.layer_inputs.values(), *trace.layer_outputs.values(), *trace.hiddens]
-    attention = [*trace.attention.values(), *trace.final_query.values()]
+    attention = [*trace.span_mass.values(), *trace.final_query.values()]
     assert len(attention) == 6
     for i, attn in enumerate(attention):
         assert not any(np.shares_memory(attn, other) for other in [buffers[0], *captured, *attention[i + 1:]])
     assert not any(np.shares_memory(buffers[0], a) for a in captured)
+
+
+def test_span_masses_hold_one_n_by_n_temporary_at_a_time():
+    # each block's head average is freed before the next block's is taken; the slack
+    # covers the few N x d_model rows alive beside it
+    model = init_synthetic(16, 4, 24, 3, seed=2)
+    seq = rng_seq(512, 16, seed=4)
+    forward(model, seq)  # the causal bias is cached before anything is traced
+    _, plain = traced_peak(lambda: forward(model, seq))
+    _, masses = traced_peak(lambda: forward(model, seq, CaptureFlags(span_mass=True)))
+    assert masses - plain <= 1.25 * 512**2 * 4
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -21,8 +21,9 @@ from mmprune.pruner import (Calibration, LayerSelectionStats, PruneConfig,
                             block_importances_das, block_importances_shortgpt, block_prune,
                             blocks_to_remove, importance_magnitude, importance_wanda,
                             make_mask, mask_order, prune_model)
-from mmprune.selection import AmiaParams, select_amia, token_contributions
+from mmprune.selection import AmiaParams, select_amia
 from tests.test_diversity import oracle_intra, oracle_inter
+from tests.test_model import dense_attention, mixed_layout_setup
 from tests.test_selection import knn_weights, oracle_reverse_select
 
 
@@ -288,11 +289,11 @@ def test_an_amia_pass_captures_the_final_query_row_never_the_attention_matrix(mo
                         captures.append(capture) or real_forward(model, chunk, capture))
     calib = Calibration(model, seqs)
     calib.compute("diversity")
-    for result, attention, final_query in [("amia", False, True), (("records", "amia"), False, True),
+    for result, span_mass, final_query in [("amia", False, True), (("records", "amia"), False, True),
                                            ("attention", False, True), ("attention_mass", True, False)]:
         captures.clear()
         calib.compute(result)
-        assert captures and {(c.attention, c.final_query) for c in captures} == {(attention, final_query)}, result
+        assert captures and {(c.span_mass, c.final_query) for c in captures} == {(span_mass, final_query)}, result
 
 
 def test_calibration_memoizes_and_matches_fresh_runs(monkeypatch):
@@ -428,7 +429,7 @@ def oracle_sequential_prune(model, seqs, config, ratios):
     thresholds = Calibration(model, seqs).thresholds if kind == "amia" else {}
     masked = model.copy()
     masks, achieved, stats = {}, {}, {}
-    capture = CaptureFlags(inputs=True, outputs=True, attention=True)
+    capture = CaptureFlags(inputs=True, outputs=True)
     for b in range(model.n_blocks):
         traces = [forward(masked, seq, capture)[1] for seq in seqs]
         for kind_index, layer_kind in enumerate(PROJECTION_KINDS):
@@ -439,7 +440,7 @@ def oracle_sequential_prune(model, seqs, config, ratios):
                 x = trace.layer_inputs[key]
                 rng = np.random.default_rng(np.random.SeedSequence(
                     [config.seed, 7701, index, b, kind_index]))
-                a, z = token_contributions(trace.attention[b]), trace.layer_outputs[key]
+                a, z = dense_attention(trace, b, model.n_heads)[-1].astype(np.float64), trace.layer_outputs[key]
                 if kind == "amia":
                     result = select_amia(a[None], z[None], [thresholds[key]], config.amia)[0]
                     picks = result.selected
@@ -544,7 +545,7 @@ def test_tamp_masks_match_scripted_composition_oracle():
     params = AmiaParams()
 
     # stage 1: diversity stats via exhaustive pair loops, per sample then averaged
-    capture = CaptureFlags(inputs=True, outputs=True, attention=True)
+    capture = CaptureFlags(inputs=True, outputs=True)
     traces = [forward(model, seq, capture)[1] for seq in seqs]
     importances = {}
     for key in model.param_counts():
@@ -570,7 +571,7 @@ def test_tamp_masks_match_scripted_composition_oracle():
         threshold = 0.1 * math.sqrt(importances[key])
         sq = np.zeros(model.layer(*key).in_features)
         for trace in traces:
-            a0 = trace.attention[key[0]][-1, :].astype(np.float64)
+            a0 = dense_attention(trace, key[0], model.n_heads)[-1].astype(np.float64)
             z = trace.layer_outputs[key].astype(np.float64)
             # forward update with original-value semantics
             neighbors, weights = knn_weights(z, params.k, params.gamma_forward)
@@ -674,25 +675,6 @@ def test_sequential_owl_combination_runs():
 # ---------------------------------------------------------------------------
 # one pass per dependency level: stacked statistics and memoized mask orders
 
-VISUAL, LANGUAGE, AUDIO = ModalityId(0, "visual"), ModalityId(1, "language"), ModalityId(2, "audio")
-
-
-def mixed_layout_setup(seed):
-    """Sequences of one length whose span layouts differ, with repeated, empty and
-    trailing empty spans, so one chunk holds several layouts."""
-    model = init_synthetic(8, 2, 12, 2, seed=seed)
-    rng = np.random.default_rng(seed)
-    layouts = [
-        [Span(VISUAL, 0, 4), Span(LANGUAGE, 4, 3), Span(VISUAL, 7, 3), Span(AUDIO, 10, 0)],
-        [Span(VISUAL, 0, 4), Span(LANGUAGE, 4, 3), Span(VISUAL, 7, 3), Span(AUDIO, 10, 0)],
-        [Span(VISUAL, 0, 0), Span(LANGUAGE, 0, 10)],
-        [Span(VISUAL, 0, 4), Span(LANGUAGE, 4, 3), Span(VISUAL, 7, 3), Span(AUDIO, 10, 0)],
-        [Span(LANGUAGE, 0, 5), Span(VISUAL, 5, 5)],
-    ]
-    seqs = [TokenSequence(rng.standard_normal((10, 8)).astype(np.float32), spans) for spans in layouts]
-    return model, seqs
-
-
 def calibration_data(name):
     if name == "plain":
         return calib_setup(seed=91, n_seqs=5)
@@ -725,11 +707,12 @@ def per_layer_activations(calib, kind):
     sq_sums, stats = {}, {}
     p = calib.params
     thresholds = calib.thresholds if kind == "amia" else {}
-    capture = CaptureFlags(inputs=True, outputs=True, attention=True)
+    capture = CaptureFlags(inputs=True, outputs=True)
     for index, seq in enumerate(calib.seqs):
         trace = forward(calib.model, seq, capture)[1]
         for key, x in trace.layer_inputs.items():
-            a, z = token_contributions(trace.attention[key[0]]), trace.layer_outputs[key]
+            a = dense_attention(trace, key[0], calib.model.n_heads)[-1].astype(np.float64)
+            z = trace.layer_outputs[key]
             if kind == "amia" and len(z) > p.amia.k:
                 result = select_amia(a[None], z[None], [thresholds[key]], p.amia)[0]
                 indices = result.selected

@@ -15,8 +15,7 @@ from mmprune import selection
 from mmprune.errors import InsufficientTokensError, ShapeError
 from mmprune.model import ActivationTrace
 from mmprune.selection import (SELECTION_KINDS, AmiaParams, build_knn, forward_update,
-                               pairwise_cosine_distances, reverse_select, select_amia,
-                               token_contributions)
+                               pairwise_cosine_distances, reverse_select, select_amia)
 
 
 def amia_one(a, z, threshold, params=AmiaParams()):
@@ -34,37 +33,6 @@ def knn_weights(z, k, gamma):
     distances alone, apart from any kernel matrix."""
     neighbors, nearest = knn(z, k)
     return neighbors, np.exp(-gamma * nearest)
-
-
-# ---------------------------------------------------------------------------
-# token_contributions
-
-
-def test_identity_attention_contributions():
-    np.testing.assert_array_equal(token_contributions(np.eye(3)), [0.0, 0.0, 1.0])
-
-
-def test_uniform_causal_attention_contributions():
-    attn = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.5, 0.5, 0.0, 0.0],
-        [1 / 3, 1 / 3, 1 / 3, 0.0],
-        [0.25, 0.25, 0.25, 0.25],
-    ])
-    np.testing.assert_allclose(token_contributions(attn), [0.25] * 4)
-
-
-def test_contributions_match_manual_softmax():
-    logits = [0.3, 0.7]
-    e = [math.exp(v) for v in logits]
-    row = [v / sum(e) for v in e]
-    attn = np.array([[1.0, 0.0], row])
-    np.testing.assert_allclose(token_contributions(attn), row, rtol=1e-6)
-
-
-def test_contributions_reject_non_square():
-    with pytest.raises(ShapeError):
-        token_contributions(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
