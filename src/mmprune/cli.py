@@ -146,7 +146,10 @@ def _check_config(command: str, config: dict) -> dict:
         unknown = [m for m in methods if m not in PRUNE_METHODS]
         if unknown or not methods:
             raise UsageError(f"unknown methods: {unknown}" if unknown else "no methods given")
-        _sparsities(config)
+        for flag, values in (("--methods", methods), ("--sparsities", _sparsities(config))):
+            repeated = sorted({value for value in values if values.count(value) > 1})
+            if repeated:
+                raise UsageError(f"{flag} repeats {repeated}: a grid cell would be pruned and scored twice")
     if command in ("prune", "compare"):
         key = "method" if command == "prune" else "methods"
         if all(METHOD_SPECS[m].importance != "wanda" for m in _names(config, key)):

@@ -76,18 +76,27 @@ def _sums(sq: np.ndarray) -> list[float]:
 
 class _Reference:
     """One chunk's dense outputs as (S, N, C) stacks, the sums of squares every scored
-    model divides by, and a float64 scratch stack per output shape."""
+    model divides by, and a float64 scratch stack per output shape. The dense forward
+    fills it one block at a time (`add_block`); `finish` takes its final states."""
 
-    def __init__(self, seqs: list[TokenSequence], hidden: np.ndarray, traces: list[ActivationTrace]):
-        self.outputs = {key: _stack(traces, key) for key in traces[0].layer_outputs}
-        self.scratch = {z.shape: np.empty(z.shape) for z in self.outputs.values()}
-        self.layer_dens = {key: _sums(np.square(z, out=self.scratch[z.shape], dtype=np.float64))
-                           for key, z in self.outputs.items()}
-        self.hidden = hidden.astype(np.float64)  # (S, N, C)
+    def __init__(self, seqs: list[TokenSequence]):
+        self.outputs: dict[tuple[int, str], np.ndarray] = {}
+        self.scratch: dict[tuple[int, ...], np.ndarray] = {}
+        self.layer_dens: dict[tuple[int, str], list[float]] = {}
         # per sequence: all tokens, then each modality span; repeated spans of one
         # modality add into one entry
         self.groups = [[(None, slice(None))] + [(s.modality.name, slice(s.start, s.stop))
                                                 for s in seq.spans if s.length] for seq in seqs]
+
+    def add_block(self, traces: list[ActivationTrace]) -> None:
+        for key in traces[0].layer_outputs:
+            z = self.outputs[key] = _stack(traces, key)
+            if z.shape not in self.scratch:
+                self.scratch[z.shape] = np.empty(z.shape)
+            self.layer_dens[key] = _sums(np.square(z, out=self.scratch[z.shape], dtype=np.float64))
+
+    def finish(self, hidden: np.ndarray) -> None:
+        self.hidden = hidden.astype(np.float64)  # (S, N, C)
         sq = np.square(self.hidden)
         self.group_dens = [[float(one[rows].sum()) for _, rows in groups]
                            for one, groups in zip(sq, self.groups)]
@@ -102,15 +111,24 @@ class _Fidelity:
         # None (all tokens) or a modality name -> [num, den, cosine sum, token count]
         self.groups: dict[str | None, list[float]] = {}
 
-    def add(self, ref: _Reference, hidden: np.ndarray, traces: list[ActivationTrace]) -> None:
-        """Adds one chunk's (S, N, C) final states and traces under the scored model,
-        one term per sequence, in order."""
-        for key, dense in ref.outputs.items():
+    def add_layers(self, ref: _Reference, outputs) -> None:
+        """Adds the layer terms of one chunk's (key, (S, N, C) stack) pairs under the
+        scored model, one term per sequence, in order."""
+        for key, z in outputs:
+            dense = ref.outputs[key]
             acc = self.layers.setdefault(key, [0.0, 0.0])
-            diff = np.subtract(dense, _stack(traces, key), out=ref.scratch[dense.shape], dtype=np.float64)
+            diff = np.subtract(dense, z, out=ref.scratch[dense.shape], dtype=np.float64)
             for num, den in zip(_sums(np.square(diff, out=diff)), ref.layer_dens[key]):
                 acc[0] += num
                 acc[1] += den
+
+    def add_block(self, ref: _Reference, traces: list[ActivationTrace]) -> None:
+        """`add_layers` of one block's traces, stacking one layer at a time."""
+        self.add_layers(ref, ((key, _stack(traces, key)) for key in traces[0].layer_outputs))
+
+    def add_end(self, ref: _Reference, hidden: np.ndarray) -> None:
+        """Adds one chunk's end-to-end terms from its (S, N, C) final states under the
+        scored model, one term per sequence and group, in order."""
         sq = np.square(ref.hidden - hidden.astype(np.float64))
         cosines = _token_cosines(ref.hidden, hidden)
         for groups, dens, one_sq, one_cos in zip(ref.groups, ref.group_dens, sq, cosines):
@@ -138,7 +156,12 @@ def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[
 
     An entry is a callable returning the model to score, called once per chunk of
     sequences, or None for `dense` itself. Each chunk runs one dense forward, which
-    every entry is scored against, and one forward per callable. Each entry's sums
+    every entry is scored against, and one forward per callable. Both forwards hand
+    their captures over block by block through `forward`'s `on_block`: the dense one
+    fills the chunk's `_Reference`, whose stacks are then the only copy of the dense
+    outputs, and a scored one adds its layer terms, so at most one block of a scored
+    model's outputs is alive. The end-to-end terms come from the final states, and
+    `dense` itself is scored against the reference's own stacks. Each entry's sums
     take one term per sequence in sequence order, so its metrics do not depend on
     the chunks.
     """
@@ -147,10 +170,16 @@ def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[
     capture = CaptureFlags(outputs=True)
     sums = [_Fidelity() for _ in models]
     for chunk in chunks(seqs):
-        dense_out = forward(dense, chunk, capture)
-        ref = _Reference(chunk.seqs, *dense_out)
+        ref = _Reference(chunk.seqs)
+        dense_hidden, _ = forward(dense, chunk, capture, ref.add_block)
+        ref.finish(dense_hidden)
         for acc, model in zip(sums, models):
-            acc.add(ref, *(dense_out if model is None else forward(model(), chunk, capture)))
+            if model is None:
+                acc.add_layers(ref, ref.outputs.items())
+                hidden = dense_hidden
+            else:
+                hidden, _ = forward(model(), chunk, capture, partial(acc.add_block, ref))
+            acc.add_end(ref, hidden)
     return [acc.metrics() for acc in sums]
 
 

@@ -232,8 +232,10 @@ def _causal_softmax(scores: np.ndarray) -> np.ndarray:
     global _causal_bias
     n = scores.shape[-1]
     bias = _causal_bias
-    if bias.shape[0] < n:
-        bias = np.triu(np.full((n, n), -np.inf, dtype=np.float32), k=1)
+    if bias.shape[0] < n:  # filled row by row: no N x N temporary beside the bias
+        bias = np.zeros((n, n), dtype=np.float32)
+        for row in range(n - 1):
+            bias[row, row + 1:] = -np.inf
         bias.flags.writeable = False
         _causal_bias = bias
     scores += bias[:n, :n]
@@ -281,7 +283,8 @@ def chunks(seqs: list[TokenSequence]):
         yield Chunk(run)
 
 
-def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags = CaptureFlags()):
+def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags = CaptureFlags(),
+            on_block=None):
     """Run every block of `model` on one sequence or on a Chunk, from the embeddings.
     A chunk's S sequences run as one (S, N, d_model) stack: the returned state is a
     stack, and one ActivationTrace per sequence is returned. One sequence runs as a
@@ -295,15 +298,22 @@ def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags =
     share one input array and gate/up another; `hiddens[0]` is a copy, so a trace never
     aliases the input. Every matmul and reduction works per sample and per row, so a
     sample's results do not depend on the chunk it runs in.
+
+    With `on_block`, a forward holds one block's captures at a time. After each block,
+    in order, it calls `on_block(traces)`, with the chunk's traces (a list even for one
+    sequence) holding only that block's layer inputs and outputs, span masses and
+    final-query row; it then gives each trace fresh empty dicts for those, so a caller
+    that keeps an array or a dict keeps it. `hiddens` accumulate as without it, and
+    the traces returned hold no layer captures.
     """
     if isinstance(seq, Chunk):
-        return _forward(model, seq, capture)
-    state, traces = _forward(model, Chunk([seq]), capture)
+        return _forward(model, seq, capture, on_block)
+    state, traces = _forward(model, Chunk([seq]), capture, on_block)
     return state[0], traces[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
-def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags):
+def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
     """`forward` on a chunk: an (S, N, d_model) state out, one trace per sequence."""
     seqs = chunk.seqs
     n, d = len(seqs[0]), model.d_model
@@ -378,6 +388,11 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags):
         if capture.hiddens:
             for trace, one in zip(traces, x):
                 trace.hiddens.append(one)
+        if on_block is not None:
+            on_block(traces)
+            views.clear()
+            for trace in traces:
+                trace.layer_inputs, trace.layer_outputs, trace.span_mass, trace.final_query = {}, {}, {}, {}
 
     return x, traces
 

@@ -558,6 +558,20 @@ def test_compare_bad_sparsities_is_usage_error(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("methods,sparsities,message", [
+    ("wanda,wanda", "0.5,0.5", "--methods repeats ['wanda']"),
+    ("wanda,tamp,wanda", "0.5", "--methods repeats ['wanda']"),
+    ("wanda,tamp", "0.5,0.50", "--sparsities repeats [0.5]"),
+    ("wanda", "0.4,0.5,0.4", "--sparsities repeats [0.4]"),
+], ids=["both", "method", "sparsity-spelled-twice", "sparsity"])
+def test_compare_repeated_method_or_sparsity_is_usage_error(tmp_path, capsys, no_loads, methods, sparsities,
+                                                            message):
+    out = tmp_path / "x"
+    assert usage_error(["compare", "--model", "m", "--calib", "c", "--eval", "e", "--methods", methods,
+                        "--sparsities", sparsities, "--out", str(out)], capsys).startswith(message)
+    assert no_loads == [] and not out.exists()
+
+
 def test_rerun_reproduces_outputs(workspace, tmp_path):
     out = tmp_path / "pruned"
     assert main(["prune", "--model", str(workspace / "model"), "--calib",
@@ -841,12 +855,13 @@ def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, caps
     ("analyze", {"reports": "diversity,attention", "selection": "full"}, "drop --selection"),
     ("compare", {"sparsities": "0.5,1.0"}, "bad --sparsities value: --sparsity must be in (0, 1), got 1.0"),
     ("compare", {"methods": "magnitude", "selection": "random"}, "--methods magnitude does not read: drop --selection"),
+    ("compare", {"sparsities": "0.5,0.50"}, "--sparsities repeats [0.5]: a grid cell would be pruned and scored twice"),
     ("gen-synth", {"n_blocks": 0}, "--n-blocks must be an integer >= 1, got 0"),
     ("gen-synth", {"scenario": "noisy-modality", "tokens_per_modality": 512}, "drop --tokens-per-modality"),
 ], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
         "group", "structural-plan-out", "structural-sequential", "structural-selection", "magnitude-sequential",
         "magnitude-selection", "analyze-report", "analyze-selection", "compare-sparsity", "compare-magnitude-selection",
-        "gen-synth-blocks", "noisy-tokens-per-modality"])
+        "compare-repeated-sparsity", "gen-synth-blocks", "noisy-tokens-per-modality"])
 def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
     check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, lambda config: {**config, **edit}, message)
 

@@ -10,11 +10,12 @@ from mmprune.allocation import allocate_uniform, PlanEntry, SparsityPlan
 from mmprune.data import ModalitySpec, generate_sequences
 from mmprune.errors import ConfigError
 from mmprune.evaluation import reconstruction_report, rel_avg, run_comparison, sparsity_report
-from mmprune.model import (ActivationTrace, Block, CaptureFlags, LinearLayer, ModalityId, Span,
+from mmprune.model import (ActivationTrace, Block, CaptureFlags, Chunk, LinearLayer, ModalityId, Span,
                            TokenSequence, ToyModel, forward)
 from mmprune.pruner import (METHOD_SPECS, Calibration, PruneConfig, _AttentionMass, _Sample, make_mask,
                             mask_order, prune_model)
 from mmprune.model import init_synthetic
+from tests.test_data import traced_peak
 from tests.test_model import _oracle_matvec, _oracle_rms, dense_attention, mixed_layout_setup, rng_seq, span_sums
 from tests.test_pruner import count_calibration_forwards
 
@@ -476,6 +477,24 @@ def test_comparison_peak_memory_does_not_grow_with_cells():
     # would add four times that, plus the masks
     weights = sum(layer.weight.nbytes for layer in model.iter_layers())
     assert six - two < weights
+
+
+def test_evaluation_holds_one_block_of_a_scored_model():
+    # The dense reference keeps every block's outputs of the chunk; the scored model's
+    # forward hands its outputs over block by block. So six more blocks cost the
+    # reference's six and at most one more, not further copies of whole traces.
+    eval_seqs = generate_sequences(2, 32, [ModalitySpec("visual", 16), ModalitySpec("language", 16)],
+                                   seed=33, domain=1)  # one chunk of 2 x 32 tokens
+
+    def peak(n_blocks):
+        dense = init_synthetic(32, 2, 64, n_blocks, seed=34)
+        scored = init_synthetic(32, 2, 64, n_blocks, seed=35)
+        reconstruction_report(dense, scored, eval_seqs)  # first-use caches, such as the causal mask
+        return traced_peak(lambda: reconstruction_report(dense, scored, eval_seqs))[1]
+
+    _, traces = forward(init_synthetic(32, 2, 64, 1, seed=34), Chunk(eval_seqs), CaptureFlags(outputs=True))
+    block = sum(z.nbytes for trace in traces for z in trace.layer_outputs.values())
+    assert peak(8) - peak(2) <= (6 + 1) * block
 
 
 def per_sequence_metrics(dense, pruned, seqs):

@@ -440,6 +440,44 @@ def _block_captures(trace, b):
                            {b: trace.span_mass[b]}, trace.hiddens[b:b + 2], {b: trace.final_query[b]})
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_block_callback_sees_each_block_once_with_only_its_captures(size):
+    for model, seqs in _chunk_cases():
+        for start in range(0, len(seqs), size):
+            chunk = seqs[start:start + size]
+            expected_state, expected = forward(model, Chunk(chunk), CAPTURE_ALL)
+            seen = []  # per call, each trace's fields as the callback got them: dicts kept, not copied
+
+            def on_block(traces):
+                seen.append([ActivationTrace(t.spans, t.layer_inputs, t.layer_outputs, t.span_mass,
+                                             list(t.hiddens), t.final_query) for t in traces])
+
+            if size == 1:  # one sequence: one trace out, a list of one to the callback
+                state, trace = forward(model, chunk[0], CAPTURE_ALL, on_block)
+                state, traces = state[None], [trace]
+            else:
+                state, traces = forward(model, Chunk(chunk), CAPTURE_ALL, on_block)
+            assert state.tobytes() == expected_state.tobytes()
+            assert len(seen) == model.n_blocks  # once per block, in order
+            for block, got in zip(model.blocks, seen):
+                b = block.index
+                assert len(got) == len(chunk)
+                for trace, full in zip(got, expected):
+                    want = _block_captures(full, b)
+                    want.hiddens = full.hiddens[:b + 2]  # entering blocks 0..b+1
+                    _assert_same_trace(trace, want)
+            for trace, want in zip(traces, expected):  # no layer captures stay behind
+                _assert_same_trace(trace, ActivationTrace(want.spans, hiddens=want.hiddens))
+
+
+def test_block_callback_runs_per_block_without_captures():
+    model = init_synthetic(16, 4, 24, 3, seed=5)
+    calls = []
+    state, trace = forward(model, rng_seq(9, 16, seed=2), on_block=calls.append)
+    assert state.tobytes() == forward(model, rng_seq(9, 16, seed=2))[0].tobytes()
+    assert len(calls) == 3 and all(traces == [ActivationTrace(trace.spans)] for traces in calls)
+
+
 def test_one_block_views_over_carried_states_chain_into_the_full_forward():
     # as `--sequential` runs a model: block by block, each chunk's samples replaced by
     # sequences of their states and spans
@@ -530,6 +568,23 @@ def test_span_masses_hold_one_n_by_n_temporary_at_a_time():
     _, plain = traced_peak(lambda: forward(model, seq))
     _, masses = traced_peak(lambda: forward(model, seq, CaptureFlags(span_mass=True)))
     assert masses - plain <= 1.25 * 512**2 * 4
+
+
+def test_causal_bias_builds_without_n_by_n_temporaries(monkeypatch):
+    monkeypatch.setattr(model_module, "_causal_bias", np.zeros((0, 0), dtype=np.float32))
+    n = 512
+    scores = np.zeros((1, 1, n, n), dtype=np.float32)
+    _, peak = traced_peak(lambda: _causal_softmax(scores))
+    bias = model_module._causal_bias
+    # the cache itself and the softmax's few (n, 1) columns; a full -inf matrix, a
+    # triangle mask or a second copy beside it would each add a quarter or more
+    assert bias.shape == (n, n) and peak <= 1.05 * bias.nbytes
+    # the bits of np.triu(np.full((n, n), -inf), k=1): +0.0 on and below the diagonal
+    assert bias.tobytes() == np.triu(np.full((n, n), -np.inf, dtype=np.float32), k=1).tobytes()
+    assert not bias.flags.writeable
+    _causal_softmax(np.zeros((1, 1, n + 1, n + 1), dtype=np.float32))
+    assert model_module._causal_bias.shape == (n + 1, n + 1)  # grown by replacement
+    assert bias.shape == (n, n) and bias.tobytes() == model_module._causal_bias[:n, :n].tobytes()
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
