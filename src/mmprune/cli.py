@@ -13,7 +13,6 @@ import argparse
 import csv
 import ctypes
 import errno
-import functools
 import json
 import math
 import os
@@ -21,72 +20,106 @@ import platform
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .allocation import SparsityPlan
-from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (default_modality_specs, draw_sequences, load_sequences,
+from .checkpoint import MANIFEST_NAME, MASKS_BLOB, WEIGHTS_BLOB, load_checkpoint, save_checkpoint
+from .data import (OUTLIER_CHANNELS, SIGNAL_CHANNELS, default_modality_specs, draw_sequences, load_sequences,
                    make_noisy_modality_scenario, write_sequences)
 from .errors import FormatError, MMPruneError, UsageError
 from .evaluation import run_comparison, sparsity_report
 from .model import init_synthetic
-from .pruner import (METHOD_SPECS, PRUNE_METHODS, Calibration, PruneConfig, block_importances_das,
-                     block_importances_shortgpt, block_prune, blocks_to_remove, prune_model)
+from .pruner import (BLOCK_IMPORTANCES, METHOD_SPECS, PRUNE_METHODS, Calibration, PruneConfig, block_prune,
+                     blocks_to_remove, prune_model)
 from .selection import SELECTION_KINDS, AmiaParams
 
 GROUP_FLAGS = {"row": "per_output_row", "layer": "per_layer"}
 DEFAULTS = PruneConfig()
 ANALYZE_REPORTS = ("diversity", "attention", "selection", "sparsity")
-# the settings with a fixed set of values; None stands for an unset optional flag
-CHOICES = {
-    "scenario": ("plain", "noisy-modality"),
-    "method": PRUNE_METHODS,
-    "structural": (None, "das", "shortgpt"),
-    "group": tuple(sorted(GROUP_FLAGS)),
-    "selection": (None, *SELECTION_KINDS),
+RUN_RECORD = "run.json"
+REQUIRED = object()  # the default of a setting that has none: its flag must be given
+
+
+class Setting(NamedTuple):
+    """One setting of the command line and of a run record. `kind` is int, float, bool
+    (a switch) or str (a path, a comma list or one of `rule`'s choices); a number's
+    `rule` is (test, what the test asks). `flags` defaults to "--" and the key with dashes."""
+
+    kind: type
+    default: object
+    rule: tuple = ()
+    help: str | None = None
+    flags: tuple[str, ...] = ()
+
+
+COUNT = (lambda v: v >= 1, "an integer >= 1")
+FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "a finite number > 0")
+FINITE_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+# Every setting of every command. argparse parses each flag by its entry, and
+# `_check_config` checks every config by it, a `rerun` record's included, before
+# anything loads.
+SETTINGS = {
+    **{key: Setting(str, REQUIRED) for key in ("model", "calib", "eval", "out")},
+    "scenario": Setting(str, "plain", ("plain", "noisy-modality")),
+    **{key: Setting(int, default, COUNT) for key, default in (
+        ("d_model", 64), ("n_heads", 4), ("d_ff", 128), ("n_blocks", 4), ("modalities", 2),
+        ("tokens_per_modality", 24), ("n_calib", 128), ("n_eval", 16))},
+    "method": Setting(str, DEFAULTS.method, PRUNE_METHODS),
+    "sparsity": Setting(float, DEFAULTS.sparsity, (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "report": Setting(str, None, help="write a JSON prune report here"),
+    "sequential": Setting(bool, DEFAULTS.sequential,
+                          help="recompute activations on the already-masked prefix, block by block"),
+    "structural": Setting(str, None, tuple(BLOCK_IMPORTANCES),
+                          help="remove whole blocks by importance instead of masking weights"),
+    "plan": Setting(str, None, help="a sparsity plan JSON, for prune to apply or the sparsity report to read"),
+    "plan_out": Setting(str, None, help="write the resolved sparsity plan JSON here"),
+    "lam": Setting(float, DEFAULTS.lam, FINITE_NON_NEGATIVE, "sparsity deviation half-width", ("--lam", "--lambda")),
+    "owl_m": Setting(float, DEFAULTS.owl_m, (lambda v: 1.0 < v < math.inf, "a finite number > 1")),
+    "owl_lam": Setting(float, DEFAULTS.owl_lam, FINITE_NON_NEGATIVE, flags=("--owl-lambda",)),
+    "group": Setting(str, {v: k for k, v in GROUP_FLAGS.items()}[DEFAULTS.group], tuple(sorted(GROUP_FLAGS))),
+    "selection": Setting(str, DEFAULTS.selection, tuple(SELECTION_KINDS)),
+    "k": Setting(int, DEFAULTS.amia.k, COUNT, "nearest neighbors"),
+    **{key: Setting(float, getattr(DEFAULTS.amia, key), FINITE_POSITIVE)
+       for key in ("gamma_forward", "gamma_reverse", "mmd_coefficient")},
+    "random_count": Setting(int, DEFAULTS.random_count, COUNT),
+    "seed": Setting(int, DEFAULTS.seed, (lambda v: v >= 0, "an integer >= 0")),
+    "reports": Setting(str, "diversity,attention", help="comma list: " + ",".join(ANALYZE_REPORTS)),
+    "methods": Setting(str, "magnitude,wanda,owl,das,amia,tamp"),
+    "sparsities": Setting(str, "0.5"),
 }
-
-
-def _finite_positive(value) -> bool:
-    return 0.0 < value < math.inf
-
-
-def _count(value) -> bool:
-    return value >= 1
-
-
-# Every numeric setting a command reads: (type, test, what the test asks). argparse
-# parses each flag with the type, and `_check_config` applies the tests to every
-# config, a `rerun` record's included, before anything loads.
-NUMERIC_SETTINGS = {
-    "sparsity": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "lam": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
-    "owl_lam": (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
-    "owl_m": (float, lambda v: 1.0 < v < math.inf, "a finite number > 1"),
-    "gamma_forward": (float, _finite_positive, "a finite number > 0"),
-    "gamma_reverse": (float, _finite_positive, "a finite number > 0"),
-    "mmd_coefficient": (float, _finite_positive, "a finite number > 0"),
-    "k": (int, _count, "an integer >= 1"),
-    "random_count": (int, _count, "an integer >= 1"),
-    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
-    **{key: (int, _count, "an integer >= 1") for key in (
-        "d_model", "n_heads", "d_ff", "n_blocks", "modalities", "tokens_per_modality", "n_calib", "n_eval")},
+CALIBRATION_SETTINGS = ("selection", "k", "gamma_forward", "gamma_reverse", "mmd_coefficient", "random_count", "seed")
+ALLOCATION_SETTINGS = ("lam", "owl_m", "owl_lam", "group", *CALIBRATION_SETTINGS)
+# each command's settings, in the order `--help` lists them
+COMMAND_SETTINGS = {
+    "gen-synth": ("out", "scenario", "d_model", "n_heads", "d_ff", "n_blocks", "modalities",
+                  "tokens_per_modality", "n_calib", "n_eval", "seed"),
+    "prune": ("model", "calib", "method", "sparsity", "out", "report", "sequential", "structural", "plan",
+              "plan_out", *ALLOCATION_SETTINGS),
+    "analyze": ("model", "calib", "out", "reports", "plan", *CALIBRATION_SETTINGS),
+    "compare": ("model", "calib", "eval", "methods", "sparsities", "out", *ALLOCATION_SETTINGS),
 }
-FLAG_NAMES = {"owl_lam": "--owl-lambda"}  # otherwise "--" and the key with dashes
 
 
 def _flag(key: str) -> str:
-    return FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+    return SETTINGS[key].flags[0] if SETTINGS[key].flags else "--" + key.replace("_", "-")
 
 
-def _numeric_setting(key: str, value):
-    """`value` of setting `key` if it passes NUMERIC_SETTINGS' test; else a UsageError."""
-    kind, test, rule = NUMERIC_SETTINGS[key]
-    number = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
-    if not (number and test(value)):
-        raise UsageError(f"{_flag(key)} must be {rule}, got {value!r}")
+def _check_setting(key: str, value):
+    """`value` if setting `key` takes it; else a UsageError."""
+    kind, default, rule = SETTINGS[key][:3]
+    if kind is bool:
+        ok, what = isinstance(value, bool), "true or false"
+    elif kind is not str:
+        test, what = rule
+        ok = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool) and test(value)
+    else:  # a choice, or any string; null where the setting is unset by default
+        ok = (value in rule if rule else isinstance(value, str)) or (default is None and value is None)
+        what = f"one of {list(rule)}" if rule else "a string or null" if default is None else "a string"
+    if not ok:
+        raise UsageError(f"{_flag(key)} must be {what}, got {value!r}")
     return value
 
 
@@ -96,7 +129,7 @@ def _names(config: dict, key: str) -> list[str]:
 
 def _sparsities(config: dict) -> list[float]:
     try:
-        sparsities = [_numeric_setting("sparsity", float(text)) for text in _names(config, "sparsities")]
+        sparsities = [_check_setting("sparsity", float(text)) for text in _names(config, "sparsities")]
     except (ValueError, UsageError) as err:
         raise UsageError(f"bad --sparsities value: {err}") from err
     if not sparsities:
@@ -104,43 +137,34 @@ def _sparsities(config: dict) -> list[float]:
     return sparsities
 
 
-@functools.cache  # built once per process: a parser is cyclic garbage that costs about 3 ms to build
-def _settings(command: str) -> tuple[argparse.Action, ...]:
-    """The settings of `command`, as `build_parser` declares them."""
-    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return tuple(action for action in commands.choices[command]._actions if action.dest != "help")
-
-
 def _check_config(command: str, config: dict) -> dict:
     """`command`'s config, every usage check passed, before anything loads, whether it
     comes from argparse or from a `rerun` record. A record's missing optional setting
-    takes the parser's default; other keys, as in older records, are kept and ignored."""
-    for action in _settings(command):
-        key = action.dest
+    takes its default; every key that names a setting, another command's too, is checked
+    against it; other keys, as in older records, are kept and ignored."""
+    for key in COMMAND_SETTINGS[command]:
         if key not in config:
-            if action.required:
+            if SETTINGS[key].default is REQUIRED:
                 raise UsageError(f"the run record has no {_flag(key)} setting ({key!r})")
-            config = {**config, key: action.default}
-        value = config[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            if not isinstance(value, bool):
-                raise UsageError(f"{_flag(key)} must be true or false, got {value!r}")
-        elif action.type is None and action.choices is None:  # a path or a comma list
-            optional = action.default is None and not action.required
-            if not (isinstance(value, str) or (optional and value is None)):
-                raise UsageError(f"{_flag(key)} must be a string{' or null' if optional else ''}, got {value!r}")
+            config = {**config, key: SETTINGS[key].default}
     for key, value in config.items():
-        if key in NUMERIC_SETTINGS:
-            _numeric_setting(key, value)
-    for key, allowed in CHOICES.items():
-        if key in config and config[key] not in allowed:
-            raise UsageError(f"{_flag(key)} must be one of {[c for c in allowed if c is not None]}, "
-                             f"got {config[key]!r}")
-    if command == "prune" and config.get("structural"):
-        unused = [_flag(key) for key in ("plan", "plan_out", "sequential", "selection") if config.get(key)]
-        if unused:
-            raise UsageError("--structural removes whole blocks by importance and reads no sparsity plan, "
-                             f"token selection or masked prefix: drop {' and '.join(unused)}")
+        if key in SETTINGS:
+            _check_setting(key, value)
+    if command == "prune":
+        if config["structural"]:
+            unused = [_flag(key) for key in ("plan", "plan_out", "sequential", "selection") if config[key]]
+            if unused:
+                raise UsageError("--structural removes whole blocks by importance and reads no sparsity plan, "
+                                 f"token selection or masked prefix: drop {' and '.join(unused)}")
+        out = Path(config["out"]).resolve()
+        taken = {out / name: f"the {name} that prune writes to --out"
+                 for name in (MANIFEST_NAME, WEIGHTS_BLOB, MASKS_BLOB, RUN_RECORD)}
+        for key in ("report", "plan_out"):
+            if config[key]:
+                path = Path(config[key]).resolve()
+                if path in taken:
+                    raise UsageError(f"{_flag(key)} {config[key]} would overwrite {taken[path]}")
+                taken[path] = f"the {_flag(key)} file"
     if command == "compare":
         methods = _names(config, "methods")
         unknown = [m for m in methods if m not in PRUNE_METHODS]
@@ -157,20 +181,29 @@ def _check_config(command: str, config: dict) -> dict:
             if unused:
                 raise UsageError("--sequential and --selection serve the activation norms, which "
                                  f"{_flag(key)} {config[key]} does not read: drop {' and '.join(unused)}")
-    if command == "gen-synth" and config["scenario"] == "noisy-modality":
-        unused = [_flag(action.dest) for action in _settings(command)
-                  if action.dest in ("modalities", "tokens_per_modality") and config[action.dest] != action.default]
-        if unused:
-            raise UsageError(f"--scenario noisy-modality draws fixed 160 + 28-token spans: drop {' and '.join(unused)}")
+    if command == "gen-synth":
+        if config["d_model"] % config["n_heads"]:
+            raise UsageError(f"--d-model must be a multiple of --n-heads, got {config['d_model']} "
+                             f"and {config['n_heads']}")
+        if config["scenario"] == "noisy-modality":
+            unused = [_flag(key) for key in ("modalities", "tokens_per_modality")
+                      if config[key] != SETTINGS[key].default]
+            if unused:
+                raise UsageError(f"--scenario noisy-modality draws fixed 160 + 28-token spans: "
+                                 f"drop {' and '.join(unused)}")
+            if config["d_model"] < SIGNAL_CHANNELS + OUTLIER_CHANNELS:
+                raise UsageError(f"--scenario noisy-modality needs --d-model >= {SIGNAL_CHANNELS + OUTLIER_CHANNELS} "
+                                 f"({SIGNAL_CHANNELS} signal and {OUTLIER_CHANNELS} outlier channels), "
+                                 f"got {config['d_model']}")
     if command == "analyze":
         reports = _names(config, "reports")
         unknown = set(reports) - set(ANALYZE_REPORTS)
-        if unknown:
-            raise UsageError(f"unknown analyze reports: {sorted(unknown)}")
-        if config.get("plan") and "sparsity" not in reports:
+        if unknown or not reports:
+            raise UsageError(f"unknown analyze reports: {sorted(unknown)}" if unknown else "no reports given")
+        if config["plan"] and "sparsity" not in reports:
             raise UsageError("--plan is read only by the sparsity report: "
                              "add sparsity to --reports or drop --plan")
-        if config.get("selection") and "selection" not in reports:
+        if config["selection"] and "selection" not in reports:
             raise UsageError("--selection is read only by the selection report: "
                              "add selection to --reports or drop --selection")
     return config
@@ -211,7 +244,7 @@ def _write_run_record(out_dir: Path, command: str, config: dict) -> None:
             "python": platform.python_version(),
         },
     }
-    _write_json(out_dir / "run.json", record)
+    _write_json(out_dir / RUN_RECORD, record)
 
 
 def _prune_config(config: dict) -> PruneConfig:
@@ -225,10 +258,11 @@ def _prune_config(config: dict) -> PruneConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each docstring is the command's line in `mmprune --help`
 
 
 def cmd_gen_synth(config: dict) -> None:
+    """generate a synthetic model plus calibration/eval data"""
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = config["seed"]
@@ -254,6 +288,7 @@ def cmd_gen_synth(config: dict) -> None:
 
 
 def cmd_prune(config: dict) -> None:
+    """prune a checkpoint"""
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)  # every output path first: a bad one fails before any work
     report_path = _prepare_output_file(Path(config["report"])) if config.get("report") else None
@@ -264,11 +299,7 @@ def cmd_prune(config: dict) -> None:
 
     if config.get("structural"):
         ratio = config["sparsity"]
-        calibration = Calibration(model, calib, prune_cfg.calibration_params())
-        if config["structural"] == "shortgpt":
-            importances = block_importances_shortgpt(calibration)
-        else:
-            importances = block_importances_das(calibration.diversity)
+        importances = BLOCK_IMPORTANCES[config["structural"]](Calibration(model, calib, prune_cfg.calibration_params()))
         removed = blocks_to_remove(importances, ratio)
         reduced = block_prune(model, importances, ratio)
         save_checkpoint(reduced, out_dir)
@@ -295,6 +326,7 @@ def cmd_prune(config: dict) -> None:
 
 
 def cmd_analyze(config: dict) -> None:
+    """emit diversity/attention/selection/sparsity reports"""
     reports = _names(config, "reports")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,6 +392,7 @@ def cmd_analyze(config: dict) -> None:
 
 
 def cmd_compare(config: dict) -> None:
+    """run a method x sparsity grid and emit the comparison matrix"""
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(config["model"])
@@ -395,6 +428,7 @@ def _run(command: str, config: dict) -> None:
 
 
 def cmd_rerun(config: dict) -> None:
+    """replay a saved run.json"""
     path = config["run_file"]
     try:
         with open(path, encoding="utf-8") as f:
@@ -409,26 +443,6 @@ def cmd_rerun(config: dict) -> None:
     _run(command, record["config"])
 
 
-def _add_calibration_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--selection", choices=CHOICES["selection"][1:], default=DEFAULTS.selection)
-    parser.add_argument("--k", type=int, default=DEFAULTS.amia.k, help="nearest neighbors")
-    parser.add_argument("--gamma-forward", type=float, default=DEFAULTS.amia.gamma_forward)
-    parser.add_argument("--gamma-reverse", type=float, default=DEFAULTS.amia.gamma_reverse)
-    parser.add_argument("--mmd-coefficient", type=float, default=DEFAULTS.amia.mmd_coefficient)
-    parser.add_argument("--random-count", type=int, default=DEFAULTS.random_count)
-    parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
-
-
-def _add_prune_flags(parser: argparse.ArgumentParser) -> None:
-    """The calibration flags, and those of the sparsity allocation and the masks."""
-    parser.add_argument("--lam", "--lambda", type=float, default=DEFAULTS.lam, help="sparsity deviation half-width")
-    parser.add_argument("--owl-m", type=float, default=DEFAULTS.owl_m)
-    parser.add_argument("--owl-lambda", dest="owl_lam", type=float, default=DEFAULTS.owl_lam)
-    parser.add_argument("--group", choices=CHOICES["group"],
-                        default={v: k for k, v in GROUP_FLAGS.items()}[DEFAULTS.group])
-    _add_calibration_flags(parser)
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors are UsageErrors, so that `main` reports them as JSON."""
 
@@ -439,57 +453,17 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mmprune", description="Token-adaptive pruning toolkit for toy multimodal transformers")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-synth", help="generate a synthetic model plus calibration/eval data")
-    p.add_argument("--out", required=True)
-    p.add_argument("--scenario", choices=CHOICES["scenario"], default="plain")
-    p.add_argument("--d-model", dest="d_model", type=int, default=64)
-    p.add_argument("--n-heads", dest="n_heads", type=int, default=4)
-    p.add_argument("--d-ff", dest="d_ff", type=int, default=128)
-    p.add_argument("--n-blocks", dest="n_blocks", type=int, default=4)
-    p.add_argument("--modalities", type=int, default=2)
-    p.add_argument("--tokens-per-modality", dest="tokens_per_modality", type=int, default=24)
-    p.add_argument("--n-calib", dest="n_calib", type=int, default=128)
-    p.add_argument("--n-eval", dest="n_eval", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("prune", help="prune a checkpoint")
-    p.add_argument("--model", required=True)
-    p.add_argument("--calib", required=True)
-    p.add_argument("--method", choices=CHOICES["method"], default=DEFAULTS.method)
-    p.add_argument("--sparsity", type=float, default=DEFAULTS.sparsity)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None, help="write a JSON prune report here")
-    p.add_argument("--sequential", action="store_true",
-                   help="recompute activations on the already-masked prefix, block by block")
-    p.add_argument("--structural", choices=CHOICES["structural"][1:], default=None,
-                   help="remove whole blocks by importance instead of masking weights")
-    p.add_argument("--plan", default=None, help="use a precomputed sparsity plan JSON")
-    p.add_argument("--plan-out", dest="plan_out", default=None,
-                   help="write the resolved sparsity plan JSON here")
-    _add_prune_flags(p)
-
-    p = sub.add_parser("analyze", help="emit diversity/attention/selection/sparsity reports")
-    p.add_argument("--model", required=True)
-    p.add_argument("--calib", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--reports", default="diversity,attention",
-                   help="comma list: diversity,attention,selection,sparsity")
-    p.add_argument("--plan", default=None, help="sparsity plan JSON for the sparsity report")
-    _add_calibration_flags(p)
-
-    p = sub.add_parser("compare", help="run a method x sparsity grid and emit the comparison matrix")
-    p.add_argument("--model", required=True)
-    p.add_argument("--calib", required=True)
-    p.add_argument("--eval", required=True)
-    p.add_argument("--methods", default="magnitude,wanda,owl,das,amia,tamp")
-    p.add_argument("--sparsities", default="0.5")
-    p.add_argument("--out", required=True)
-    _add_prune_flags(p)
-
-    p = sub.add_parser("rerun", help="replay a saved run.json")
-    p.add_argument("run_file")
-
+    for command, keys in COMMAND_SETTINGS.items():
+        p = sub.add_parser(command, help=COMMANDS[command].__doc__)
+        for key in keys:
+            kind, default, rule, help_text, flags = SETTINGS[key]
+            if kind is bool:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"type": kind, "choices": rule if kind is str and rule else None}
+            kwargs.update({"required": True} if default is REQUIRED else {"default": default})
+            p.add_argument(*(flags or [_flag(key)]), dest=key, help=help_text, **kwargs)
+    sub.add_parser("rerun", help=cmd_rerun.__doc__).add_argument("run_file")
     return parser
 
 

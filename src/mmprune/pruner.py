@@ -31,20 +31,46 @@ MASK_GROUPS = ("per_output_row", "per_layer")
 
 @dataclass(frozen=True)
 class MethodSpec:
-    allocator: str
+    """A pruning method: its plan function, its weight importance ("magnitude" or
+    "wanda") and its default selection kind. `plan(model, config, stats, norms)` gives
+    (SparsityPlan, OWL ratios or None) from the diversity stats if `diversity` and the
+    selected tokens' norms if `norms`. It looks `allocate_*` up when called, so a
+    wrapper bound to the module name sees the call."""
+
+    plan: Callable[..., tuple]
     importance: str
     selection: str
+    diversity: bool = False
+    norms: bool = False
+
+
+def _plan_uniform(model: ToyModel, config: PruneConfig, stats, norms):
+    return allocate_uniform(model.param_counts(), config.sparsity), None
+
+
+def _plan_das(model: ToyModel, config: PruneConfig, stats, norms, term="importance", blockwise=False):
+    counts = model.param_counts()
+    allocate = allocate_blockwise_das if blockwise else allocate_das
+    return allocate({key: getattr(stats[key], term) for key in counts}, counts, config.sparsity, config.lam), None
+
+
+def _plan_owl(model: ToyModel, config: PruneConfig, stats, norms):
+    ratios = {}
+    for layer in model.iter_layers():
+        key = (layer.block_index, layer.kind)
+        ratios[key] = owl_outlier_ratio(importance_wanda(layer.weight, norms[key]), config.owl_m)
+    return allocate_owl(ratios, model.param_counts(), config.sparsity, config.owl_lam), ratios
 
 
 METHOD_SPECS = {
-    "magnitude": MethodSpec("uniform", "magnitude", "full"),
-    "wanda": MethodSpec("uniform", "wanda", "full"),
-    "owl": MethodSpec("owl", "wanda", "full"),
-    "das": MethodSpec("das", "wanda", "full"),
-    "das_alltoken": MethodSpec("das_alltoken", "wanda", "full"),
-    "das_blockwise": MethodSpec("das_blockwise", "wanda", "full"),
-    "amia": MethodSpec("uniform", "wanda", "amia"),
-    "tamp": MethodSpec("das", "wanda", "amia"),
+    "magnitude": MethodSpec(_plan_uniform, "magnitude", "full"),
+    "wanda": MethodSpec(_plan_uniform, "wanda", "full"),
+    "owl": MethodSpec(_plan_owl, "wanda", "full", norms=True),
+    "das": MethodSpec(_plan_das, "wanda", "full", diversity=True),
+    "das_alltoken": MethodSpec(partial(_plan_das, term="all_token"), "wanda", "full", diversity=True),
+    "das_blockwise": MethodSpec(partial(_plan_das, blockwise=True), "wanda", "full", diversity=True),
+    "amia": MethodSpec(_plan_uniform, "wanda", "amia"),
+    "tamp": MethodSpec(_plan_das, "wanda", "amia", diversity=True),
 }
 PRUNE_METHODS = tuple(METHOD_SPECS)
 
@@ -455,53 +481,17 @@ class PruneReport:
         return out
 
 
-def _plan_das(model: ToyModel, config: PruneConfig, stats, norms, term="importance", blockwise=False):
-    counts = model.param_counts()
-    allocate = allocate_blockwise_das if blockwise else allocate_das
-    return allocate({key: getattr(stats[key], term) for key in counts}, counts, config.sparsity, config.lam), None
-
-
-def _plan_owl(model: ToyModel, config: PruneConfig, stats, norms):
-    ratios = {}
-    for layer in model.iter_layers():
-        key = (layer.block_index, layer.kind)
-        ratios[key] = owl_outlier_ratio(importance_wanda(layer.weight, norms[key]), config.owl_m)
-    return allocate_owl(ratios, model.param_counts(), config.sparsity, config.owl_lam), ratios
-
-
-@dataclass(frozen=True)
-class Allocator:
-    """`plan(model, config, stats, norms)` gives (SparsityPlan, OWL ratios or None) from
-    the diversity stats if `diversity` and the selected tokens' norms if `norms`. It looks
-    `allocate_*` up when called, so a wrapper bound to the module name sees the call."""
-
-    plan: Callable[..., tuple]
-    diversity: bool = False
-    norms: bool = False
-
-
-ALLOCATORS = {
-    "uniform": Allocator(lambda model, config, stats, norms: (allocate_uniform(model.param_counts(),
-                                                                               config.sparsity), None)),
-    "das": Allocator(_plan_das, diversity=True),
-    "das_alltoken": Allocator(partial(_plan_das, term="all_token"), diversity=True),
-    "das_blockwise": Allocator(partial(_plan_das, blockwise=True), diversity=True),
-    "owl": Allocator(_plan_owl, norms=True),
-}
-
-
 def calibration_needs(config: PruneConfig) -> list[str]:
     """The Calibration results (as `Calibration.compute` names them) that `prune_model`
     reads under `config`: the diversity for DAS allocation and AMIA thresholds, and the
     activations of the selected tokens for wanda importance and OWL ratios, which
     `--sequential` takes from the masked prefix instead."""
     spec = METHOD_SPECS[config.method]
-    allocator = ALLOCATORS[spec.allocator]
     selection = config.resolved_selection()
     needs = []
-    if allocator.diversity or SELECTION_KINDS[selection].adaptive:
+    if spec.diversity or SELECTION_KINDS[selection].adaptive:
         needs.append("diversity")
-    if allocator.norms or (spec.importance == "wanda" and not config.sequential):
+    if spec.norms or (spec.importance == "wanda" and not config.sequential):
         needs.append(selection)
     return needs
 
@@ -554,7 +544,7 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
     norms, sel_stats = calib.activations(selection) if selection in needs else (None, None)
 
     if plan is None:
-        plan, owl_ratios = ALLOCATORS[spec.allocator].plan(model, config, stats, norms)
+        plan, owl_ratios = spec.plan(model, config, stats, norms)
     else:
         owl_ratios = None
     plan_ratios = plan.ratios()
@@ -658,3 +648,10 @@ def block_importances_das(stats: dict[tuple[int, str], DiversityStats]) -> dict[
     for (block, _kind), st in stats.items():
         terms.setdefault(block, []).append(st.importance)
     return {block: float(np.mean(values)) for block, values in sorted(terms.items())}
+
+
+# `prune --structural`'s block importances, each from a Calibration of the model
+BLOCK_IMPORTANCES = {
+    "das": lambda calib: block_importances_das(calib.diversity),
+    "shortgpt": block_importances_shortgpt,
+}

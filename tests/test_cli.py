@@ -21,7 +21,8 @@ from mmprune import pruner
 from mmprune.allocation import allocate_uniform
 from mmprune.checkpoint import load_checkpoint
 from mmprune.cli import _prune_config, build_parser, main
-from mmprune.errors import NumericError
+from mmprune.data import make_noisy_modality_scenario
+from mmprune.errors import ConfigError, NumericError
 from mmprune.model import CaptureFlags
 from mmprune.pruner import PruneConfig
 from tests.test_data import edited_json
@@ -73,14 +74,15 @@ def test_gen_synth_three_modalities(tmp_path):
 
 
 @pytest.mark.parametrize("d_model", [8, 12, 16, 20, 23])
-def test_noisy_scenario_below_its_channel_count_is_config_error(tmp_path, capsys, d_model):
-    code = main(["gen-synth", "--scenario", "noisy-modality", "--out", str(tmp_path / "ws"),
-                 "--d-model", str(d_model), "--n-heads", "1", "--n-calib", "1", "--n-eval", "1"])
-    err = json.loads(capsys.readouterr().err)
-    assert code == 1
-    assert err["error"] == "ConfigError"
-    assert f"needs d_model >= 24 (16 signal and 8 outlier channels), got {d_model}" in err["message"]
-    assert not (tmp_path / "ws" / "model").exists()
+def test_noisy_scenario_below_its_channel_count_is_usage_error(tmp_path, capsys, d_model):
+    message = usage_error(["gen-synth", "--scenario", "noisy-modality", "--out", str(tmp_path / "ws"),
+                           "--d-model", str(d_model), "--n-heads", "1", "--n-calib", "1", "--n-eval", "1"], capsys)
+    assert message == (f"--scenario noisy-modality needs --d-model >= 24 (16 signal and 8 outlier channels), "
+                       f"got {d_model}")
+    assert not (tmp_path / "ws").exists()
+    # the library keeps its own check
+    with pytest.raises(ConfigError, match=rf"needs d_model >= 24 \(16 signal and 8 outlier channels\), got {d_model}"):
+        make_noisy_modality_scenario(0, d_model=d_model, n_heads=1, n_calib=1, n_eval=1)
 
 
 def test_noisy_scenario_at_its_channel_count(tmp_path):
@@ -387,6 +389,33 @@ def test_prune_settings_have_one_source_of_defaults():
     required = ["--model", "m", "--calib", "c", "--out", "o"]
     for argv in (["prune"] + required, ["analyze"] + required, ["compare", "--eval", "e"] + required):
         assert _prune_config(vars(build_parser().parse_args(argv))) == PruneConfig()
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "prune", "analyze", "compare"])
+def test_every_setting_has_one_source_of_defaults(tmp_path, command):
+    # a record of only the required settings resolves to what argparse gives the same flags
+    parsed = parsed_config(command, tmp_path / "out")
+    required = {key: value for key, value in parsed.items() if key in ("model", "calib", "eval", "out")}
+    assert cli._check_config(command, required) == parsed
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--report", "OUT/manifest.json"], "--report OUT/manifest.json would overwrite the manifest.json that prune "
+                                        "writes to --out"),
+    (["--plan-out", "OUT/run.json"], "--plan-out OUT/run.json would overwrite the run.json that prune writes to --out"),
+    (["--report", "OUT/weights.bin"], "would overwrite the weights.bin that prune writes to --out"),
+    (["--plan-out", "OUT/masks.bin"], "would overwrite the masks.bin that prune writes to --out"),
+    (["--report", "OUT/../out/./manifest.json"], "would overwrite the manifest.json that prune writes to --out"),
+    (["--report", "OUT/r.json", "--plan-out", "OUT/../out/r.json"],
+     "--plan-out OUT/../out/r.json would overwrite the --report file"),
+], ids=["report-manifest", "plan-out-run-record", "report-weights", "plan-out-masks", "report-manifest-by-dots",
+        "report-is-plan-out"])
+def test_prune_output_file_over_another_output_is_usage_error(tmp_path, capsys, no_loads, flags, message):
+    out = tmp_path / "out"
+    flags = [flag.replace("OUT", str(out)) for flag in flags]
+    assert usage_error(["prune", "--model", "m", "--calib", "c", "--out", str(out)] + flags,
+                       capsys).endswith(message.replace("OUT", str(out)))
+    assert no_loads == [] and not out.exists()
 
 
 def test_prune_writes_masked_checkpoint_and_report(workspace, tmp_path):
@@ -826,10 +855,14 @@ def no_loads(monkeypatch):
     ["gen-synth", "--n-calib", "0"],
     ["gen-synth", "--scenario", "noisy-modality", "--modalities", "3"],
     ["gen-synth", "--scenario", "noisy-modality", "--tokens-per-modality", "512", "--modalities", "3"],
+    ["gen-synth", "--n-heads", "3"],
+    ["gen-synth", "--scenario", "noisy-modality", "--d-model", "16"],
+    ["analyze", "--reports", ","],
 ], ids=["gamma-reverse-nan", "gamma-forward-inf", "mmd-coefficient-nan", "owl-m-nan", "owl-m-below-1",
         "lam-nan", "lam-dashes", "owl-lambda-nan", "owl-lambda-negative", "seed-negative", "k-zero",
         "random-count-zero", "unknown-method", "no-methods", "sparsities-nan", "sparsities-above-1", "no-sparsities",
-        "gen-synth-seed-negative", "gen-synth-no-calib", "noisy-modalities", "noisy-tokens-and-modalities"])
+        "gen-synth-seed-negative", "gen-synth-no-calib", "noisy-modalities", "noisy-tokens-and-modalities",
+        "heads-not-dividing-d-model", "noisy-d-model-below-channels", "no-reports"])
 def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, capsys, no_loads, argv):
     paths = {"prune": ["--model", "m", "--calib", "c"], "analyze": ["--model", "m", "--calib", "c"],
              "compare": ["--model", "m", "--calib", "c", "--eval", "e"], "gen-synth": []}[argv[0]]
@@ -858,10 +891,15 @@ def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, caps
     ("compare", {"sparsities": "0.5,0.50"}, "--sparsities repeats [0.5]: a grid cell would be pruned and scored twice"),
     ("gen-synth", {"n_blocks": 0}, "--n-blocks must be an integer >= 1, got 0"),
     ("gen-synth", {"scenario": "noisy-modality", "tokens_per_modality": 512}, "drop --tokens-per-modality"),
+    ("gen-synth", {"n_heads": 3}, "--d-model must be a multiple of --n-heads, got 64 and 3"),
+    ("gen-synth", {"scenario": "noisy-modality", "d_model": 16},
+     "--scenario noisy-modality needs --d-model >= 24 (16 signal and 8 outlier channels), got 16"),
+    ("analyze", {"reports": ""}, "no reports given"),
 ], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
         "group", "structural-plan-out", "structural-sequential", "structural-selection", "magnitude-sequential",
         "magnitude-selection", "analyze-report", "analyze-selection", "compare-sparsity", "compare-magnitude-selection",
-        "compare-repeated-sparsity", "gen-synth-blocks", "noisy-tokens-per-modality"])
+        "compare-repeated-sparsity", "gen-synth-blocks", "noisy-tokens-per-modality", "heads-not-dividing-d-model",
+        "noisy-d-model-below-channels", "no-reports"])
 def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
     check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, lambda config: {**config, **edit}, message)
 
@@ -881,8 +919,9 @@ def without(*keys):
     ("analyze", lambda config: {**config, "reports": None}, "--reports must be a string, got None"),
     ("prune", lambda config: {**config, "sequential": "no"}, "--sequential must be true or false, got 'no'"),
     ("prune", lambda config: {**config, "sequential": 1}, "--sequential must be true or false, got 1"),
+    ("gen-synth", lambda config: {**config, "model": 5}, "--model must be a string, got 5"),
 ], ids=["empty", "no-calib", "no-eval", "gen-synth-no-out", "report-number", "model-list", "plan-number",
-        "reports-null", "sequential-text", "sequential-number"])
+        "reports-null", "sequential-text", "sequential-number", "other-command-setting"])
 def test_rerun_of_a_record_with_a_missing_or_mistyped_setting_is_usage_error(tmp_path, capsys, no_loads,
                                                                            command, edit, message):
     check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, edit, message)
