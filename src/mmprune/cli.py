@@ -120,6 +120,8 @@ def _check_setting(key: str, value):
         what = f"one of {list(rule)}" if rule else "a string or null" if default is None else "a string"
     if not ok:
         raise UsageError(f"{_flag(key)} must be {what}, got {value!r}")
+    if isinstance(value, str) and "\0" in value:  # no path or name the OS takes holds one
+        raise UsageError(f"{_flag(key)} must not contain a NUL byte, got {value!r}")
     return value
 
 

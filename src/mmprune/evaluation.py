@@ -16,8 +16,7 @@ import numpy as np
 
 from .allocation import SparsityPlan
 from .errors import ConfigError
-from .model import (PROJECTION_KINDS, ActivationTrace, CaptureFlags, TokenSequence,
-                    ToyModel, chunks, forward)
+from .model import PROJECTION_KINDS, TokenSequence, ToyModel, chunks, forward
 from .pruner import Calibration, PruneConfig, calibration_needs, prune_model
 
 
@@ -35,16 +34,9 @@ class EvalMetrics:
             scores[f"cos_{name}"] = value
         return scores
 
-    def to_dict(self) -> dict:
-        return {
-            "end_rel_error": self.end_rel_error,
-            "end_rel_error_by_modality": dict(sorted(self.end_rel_error_by_modality.items())),
-            "cosine": self.cosine,
-            "cosine_by_modality": dict(sorted(self.cosine_by_modality.items())),
-            "layer_rel_error": {f"{b}:{k}": v for (b, k), v in sorted(self.layer_rel_error.items())},
-            "mean_layer_rel_error": float(np.mean(list(self.layer_rel_error.values())))
-            if self.layer_rel_error else 0.0,
-        }
+    @property
+    def mean_layer_rel_error(self) -> float:
+        return float(np.mean(list(self.layer_rel_error.values()))) if self.layer_rel_error else 0.0
 
 
 def _rel(num: float, den: float) -> float:
@@ -63,11 +55,6 @@ def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - 0.5 * np.square(a_hat - b_hat).sum(axis=-1), -1.0, 1.0)
 
 
-def _stack(traces: list[ActivationTrace], key) -> np.ndarray:
-    """One layer's outputs of a chunk's sequences, as an (S, N, C) stack."""
-    return np.array([trace.layer_outputs[key] for trace in traces])
-
-
 def _sums(sq: np.ndarray) -> list[float]:
     """Per sequence of an (S, ...) stack, the sum of its entries: the pairwise sum that
     `.sum()` of that sequence alone takes."""
@@ -75,9 +62,10 @@ def _sums(sq: np.ndarray) -> list[float]:
 
 
 class _Reference:
-    """One chunk's dense outputs as (S, N, C) stacks, the sums of squares every scored
-    model divides by, and a float64 scratch stack per output shape. The dense forward
-    fills it one block at a time (`add_block`); `finish` takes its final states."""
+    """One chunk's dense outputs, the dense forward's own (S, N, C) arrays, the sums of
+    squares every scored model divides by, and a float64 scratch stack per output shape.
+    The dense forward fills it one block at a time (`add_block`); `finish` takes its
+    final states."""
 
     def __init__(self, seqs: list[TokenSequence]):
         self.outputs: dict[tuple[int, str], np.ndarray] = {}
@@ -88,9 +76,9 @@ class _Reference:
         self.groups = [[(None, slice(None))] + [(s.modality.name, slice(s.start, s.stop))
                                                 for s in seq.spans if s.length] for seq in seqs]
 
-    def add_block(self, traces: list[ActivationTrace]) -> None:
-        for key in traces[0].layer_outputs:
-            z = self.outputs[key] = _stack(traces, key)
+    def add_block(self, outputs: dict[tuple[int, str], np.ndarray]) -> None:
+        self.outputs.update(outputs)
+        for key, z in outputs.items():
             if z.shape not in self.scratch:
                 self.scratch[z.shape] = np.empty(z.shape)
             self.layer_dens[key] = _sums(np.square(z, out=self.scratch[z.shape], dtype=np.float64))
@@ -111,20 +99,16 @@ class _Fidelity:
         # None (all tokens) or a modality name -> [num, den, cosine sum, token count]
         self.groups: dict[str | None, list[float]] = {}
 
-    def add_layers(self, ref: _Reference, outputs) -> None:
-        """Adds the layer terms of one chunk's (key, (S, N, C) stack) pairs under the
-        scored model, one term per sequence, in order."""
-        for key, z in outputs:
+    def add_layers(self, ref: _Reference, outputs: dict[tuple[int, str], np.ndarray]) -> None:
+        """Adds the layer terms of one chunk's {key: (S, N, C) output} under the scored
+        model, one term per sequence, in order."""
+        for key, z in outputs.items():
             dense = ref.outputs[key]
             acc = self.layers.setdefault(key, [0.0, 0.0])
             diff = np.subtract(dense, z, out=ref.scratch[dense.shape], dtype=np.float64)
             for num, den in zip(_sums(np.square(diff, out=diff)), ref.layer_dens[key]):
                 acc[0] += num
                 acc[1] += den
-
-    def add_block(self, ref: _Reference, traces: list[ActivationTrace]) -> None:
-        """`add_layers` of one block's traces, stacking one layer at a time."""
-        self.add_layers(ref, ((key, _stack(traces, key)) for key in traces[0].layer_outputs))
 
     def add_end(self, ref: _Reference, hidden: np.ndarray) -> None:
         """Adds one chunk's end-to-end terms from its (S, N, C) final states under the
@@ -156,29 +140,28 @@ def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[
 
     An entry is a callable returning the model to score, called once per chunk of
     sequences, or None for `dense` itself. Each chunk runs one dense forward, which
-    every entry is scored against, and one forward per callable. Both forwards hand
-    their captures over block by block through `forward`'s `on_block`: the dense one
-    fills the chunk's `_Reference`, whose stacks are then the only copy of the dense
-    outputs, and a scored one adds its layer terms, so at most one block of a scored
-    model's outputs is alive. The end-to-end terms come from the final states, and
-    `dense` itself is scored against the reference's own stacks. Each entry's sums
-    take one term per sequence in sequence order, so its metrics do not depend on
-    the chunks.
+    every entry is scored against, and one forward per callable, neither with captures.
+    Each hands over its blocks' stacked outputs through `forward`'s `on_block`. The
+    chunk's `_Reference` keeps the dense forward's arrays themselves, the only copy of
+    the dense outputs; a scored forward's arrays add their layer terms and are dropped,
+    so at most one block of a scored model's outputs is alive. The end-to-end terms
+    come from the final states, and `dense` itself is scored against the reference's
+    own arrays. Each entry's sums take one term per sequence in sequence order, so its
+    metrics do not depend on the chunks.
     """
     if not seqs:
         raise ConfigError("evaluation requires at least one sequence")
-    capture = CaptureFlags(outputs=True)
     sums = [_Fidelity() for _ in models]
     for chunk in chunks(seqs):
         ref = _Reference(chunk.seqs)
-        dense_hidden, _ = forward(dense, chunk, capture, ref.add_block)
+        dense_hidden, _ = forward(dense, chunk, on_block=ref.add_block)
         ref.finish(dense_hidden)
         for acc, model in zip(sums, models):
             if model is None:
-                acc.add_layers(ref, ref.outputs.items())
+                acc.add_layers(ref, ref.outputs)
                 hidden = dense_hidden
             else:
-                hidden, _ = forward(model(), chunk, capture, partial(acc.add_block, ref))
+                hidden, _ = forward(model(), chunk, on_block=partial(acc.add_layers, ref))
             acc.add_end(ref, hidden)
     return [acc.metrics() for acc in sums]
 
@@ -290,7 +273,7 @@ def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
             "sparsity": sparsity,
             "global_achieved": global_achieved,
             "end_rel_error": metrics.end_rel_error,
-            "mean_layer_rel_error": metrics.to_dict()["mean_layer_rel_error"],
+            "mean_layer_rel_error": metrics.mean_layer_rel_error,
         }
         row.update(scores)
         row["rel_avg"] = rel_avg({task: (scores[task], reference[task]) for task in scores})

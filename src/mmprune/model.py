@@ -299,12 +299,10 @@ def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags =
     aliases the input. Every matmul and reduction works per sample and per row, so a
     sample's results do not depend on the chunk it runs in.
 
-    With `on_block`, a forward holds one block's captures at a time. After each block,
-    in order, it calls `on_block(traces)`, with the chunk's traces (a list even for one
-    sequence) holding only that block's layer inputs and outputs, span masses and
-    final-query row; it then gives each trace fresh empty dicts for those, so a caller
-    that keeps an array or a dict keeps it. `hiddens` accumulate as without it, and
-    the traces returned hold no layer captures.
+    With `on_block`, after each block, in order, the forward calls `on_block(outputs)`
+    with that block's `{(b, kind): (S, N, C) projection output}`: the arrays the block
+    made, never written afterwards, so a caller may keep them. The traces returned are
+    those of a forward without it.
     """
     if isinstance(seq, Chunk):
         return _forward(model, seq, capture, on_block)
@@ -341,6 +339,8 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
 
     for block in model.blocks:
         b = block.index
+        # only for a callback: held to the block's end, o's and down's outputs outlive their use
+        outputs = None if on_block is None else {}
 
         def project(kind: str, inp: np.ndarray) -> np.ndarray:
             layer = block.layers[kind]
@@ -350,6 +350,8 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
                 record("layer_inputs", (b, kind), inp)
             if capture.outputs:
                 record("layer_outputs", (b, kind), out)
+            if outputs is not None:
+                outputs[(b, kind)] = out
             return out
 
         attn_in = _rms_norm(x, block.attn_norm_scale)
@@ -389,10 +391,7 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
             for trace, one in zip(traces, x):
                 trace.hiddens.append(one)
         if on_block is not None:
-            on_block(traces)
-            views.clear()
-            for trace in traces:
-                trace.layer_inputs, trace.layer_outputs, trace.span_mass, trace.final_query = {}, {}, {}, {}
+            on_block(outputs)
 
     return x, traces
 

@@ -288,8 +288,6 @@ class _AttentionMass:
             self.count += 1
 
     def finalize(self) -> dict[int, dict[str, float]]:
-        if not self.count:
-            raise ConfigError("no traces given")
         return {block: {name: value / self.count for name, value in sorted(entry.items())}
                 for block, entry in sorted(self.sums.items())}
 
@@ -339,6 +337,8 @@ class Calibration:
                  params: CalibrationParams = CalibrationParams()):
         self.model = model
         self.seqs = list(seqs)
+        if not self.seqs:
+            raise ConfigError("a calibration needs at least one calibration sequence")
         self.params = params
         self._cache: dict = {}
 
@@ -531,8 +531,6 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
         calib = Calibration(model, calib, config.calibration_params())
     elif calib.model is not model or calib.params != config.calibration_params():
         raise ConfigError("calibration was built for another model or other calibration settings")
-    if not calib.seqs:
-        raise ConfigError("pruning requires at least one calibration sequence")
     counts = model.param_counts()
     if plan is not None:
         plan.check_layers(counts)

@@ -108,6 +108,21 @@ def test_prune_usage_error_on_bad_sparsity(workspace, tmp_path, capsys):
     assert message == "--sparsity must be in (0, 1), got 1.5"
 
 
+@pytest.mark.parametrize("argv", [["prune", "--structural", "shortgpt"], ["prune", "--structural", "das"],
+                                  ["analyze", "--reports", "diversity"], ["analyze", "--reports", "attention"],
+                                  ["analyze", "--reports", "selection"]],
+                         ids=["shortgpt", "das", "diversity", "attention", "selection"])
+def test_empty_calibration_set_is_config_error(workspace, tmp_path, capsys, argv):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code = main(argv + ["--model", str(workspace / "model"), "--calib", str(empty), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and "at least one calibration sequence" in err["message"]
+    assert snapshot(tmp_path / "out") == {}  # no report, checkpoint or CSV
+
+
 @pytest.mark.parametrize("argv,message", [
     ([], "mmprune: the following arguments are required: command"),
     (["banana"], "mmprune: argument command: invalid choice: 'banana'"),
@@ -858,11 +873,12 @@ def no_loads(monkeypatch):
     ["gen-synth", "--n-heads", "3"],
     ["gen-synth", "--scenario", "noisy-modality", "--d-model", "16"],
     ["analyze", "--reports", ","],
+    ["prune", "--report", "r\x00p"],
 ], ids=["gamma-reverse-nan", "gamma-forward-inf", "mmd-coefficient-nan", "owl-m-nan", "owl-m-below-1",
         "lam-nan", "lam-dashes", "owl-lambda-nan", "owl-lambda-negative", "seed-negative", "k-zero",
         "random-count-zero", "unknown-method", "no-methods", "sparsities-nan", "sparsities-above-1", "no-sparsities",
         "gen-synth-seed-negative", "gen-synth-no-calib", "noisy-modalities", "noisy-tokens-and-modalities",
-        "heads-not-dividing-d-model", "noisy-d-model-below-channels", "no-reports"])
+        "heads-not-dividing-d-model", "noisy-d-model-below-channels", "no-reports", "nul-in-report"])
 def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, capsys, no_loads, argv):
     paths = {"prune": ["--model", "m", "--calib", "c"], "analyze": ["--model", "m", "--calib", "c"],
              "compare": ["--model", "m", "--calib", "c", "--eval", "e"], "gen-synth": []}[argv[0]]
@@ -895,11 +911,12 @@ def test_bad_numeric_setting_is_usage_error_before_anything_loads(tmp_path, caps
     ("gen-synth", {"scenario": "noisy-modality", "d_model": 16},
      "--scenario noisy-modality needs --d-model >= 24 (16 signal and 8 outlier channels), got 16"),
     ("analyze", {"reports": ""}, "no reports given"),
+    ("gen-synth", {"out": "a\u0000b"}, "--out must not contain a NUL byte, got 'a\\x00b'"),
 ], ids=["gamma-nan", "lam-inf", "owl-m-1", "seed-negative", "seed-float", "k-bool", "sparsity-text",
         "group", "structural-plan-out", "structural-sequential", "structural-selection", "magnitude-sequential",
         "magnitude-selection", "analyze-report", "analyze-selection", "compare-sparsity", "compare-magnitude-selection",
         "compare-repeated-sparsity", "gen-synth-blocks", "noisy-tokens-per-modality", "heads-not-dividing-d-model",
-        "noisy-d-model-below-channels", "no-reports"])
+        "noisy-d-model-below-channels", "no-reports", "nul-byte"])
 def test_rerun_of_a_record_with_a_bad_setting_is_usage_error(tmp_path, capsys, no_loads, command, edit, message):
     check_rerun_is_usage_error(tmp_path, capsys, no_loads, command, lambda config: {**config, **edit}, message)
 

@@ -291,8 +291,8 @@ def test_attention_streams_a_generator_of_traces():
     streamed = attention_by_modality(traces())
     assert streamed == attention_by_modality([forward(model, s, capture)[1] for s in seqs])
     assert len(seqs) == 3 and max(peak) == 2  # the consumer drops each trace before the next
-    with pytest.raises(ConfigError, match="no traces"):
-        attention_by_modality(iter([]))
+    with pytest.raises(ConfigError, match="at least one calibration sequence"):  # no pass runs on no traces
+        Calibration(model, iter([]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def _oracle_row(dense, calib, eval_seqs, config):
         "sparsity": config.sparsity,
         "global_achieved": report.global_achieved,
         "end_rel_error": metrics.end_rel_error,
-        "mean_layer_rel_error": metrics.to_dict()["mean_layer_rel_error"],
+        "mean_layer_rel_error": metrics.mean_layer_rel_error,
     }
     row.update(scores)
     row["rel_avg"] = rel_avg({task: (scores[task], reference[task]) for task in scores})

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from mmprune import model as model_module
 from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError, ShapeError
-from mmprune.model import (RMS_EPS, ActivationTrace, Block, CaptureFlags, Chunk, LinearLayer, ModalityId,
-                           Span, TokenSequence, ToyModel, _causal_softmax, chunks, forward, init_synthetic)
+from mmprune.model import (PROJECTION_KINDS, RMS_EPS, ActivationTrace, Block, CaptureFlags, Chunk, LinearLayer,
+                           ModalityId, Span, TokenSequence, ToyModel, _causal_softmax, chunks, forward,
+                           init_synthetic)
 from tests.test_data import traced_peak
 
 VIS = ModalityId(0, "visual")
@@ -440,42 +441,31 @@ def _block_captures(trace, b):
                            {b: trace.span_mass[b]}, trace.hiddens[b:b + 2], {b: trace.final_query[b]})
 
 
+@pytest.mark.parametrize("capture", [CaptureFlags(), CAPTURE_ALL], ids=["no-captures", "all-captures"])
 @pytest.mark.parametrize("size", [1, 3])
-def test_block_callback_sees_each_block_once_with_only_its_captures(size):
+def test_block_callback_gets_each_blocks_stacked_outputs(size, capture):
     for model, seqs in _chunk_cases():
         for start in range(0, len(seqs), size):
             chunk = seqs[start:start + size]
-            expected_state, expected = forward(model, Chunk(chunk), CAPTURE_ALL)
-            seen = []  # per call, each trace's fields as the callback got them: dicts kept, not copied
-
-            def on_block(traces):
-                seen.append([ActivationTrace(t.spans, t.layer_inputs, t.layer_outputs, t.span_mass,
-                                             list(t.hiddens), t.final_query) for t in traces])
-
-            if size == 1:  # one sequence: one trace out, a list of one to the callback
-                state, trace = forward(model, chunk[0], CAPTURE_ALL, on_block)
+            _, whole = forward(model, Chunk(chunk), CaptureFlags(outputs=True))
+            expected_state, expected = forward(model, Chunk(chunk), capture)
+            seen = []  # every call's dict, kept to the end: its arrays are never written afterwards
+            if size == 1:  # one sequence: one trace out, a (1, N, C) stack to the callback
+                state, trace = forward(model, chunk[0], capture, seen.append)
                 state, traces = state[None], [trace]
             else:
-                state, traces = forward(model, Chunk(chunk), CAPTURE_ALL, on_block)
+                state, traces = forward(model, Chunk(chunk), capture, seen.append)
             assert state.tobytes() == expected_state.tobytes()
+            assert len(traces) == len(expected)
+            for trace, want in zip(traces, expected):
+                _assert_same_trace(trace, want)
             assert len(seen) == model.n_blocks  # once per block, in order
-            for block, got in zip(model.blocks, seen):
-                b = block.index
-                assert len(got) == len(chunk)
-                for trace, full in zip(got, expected):
-                    want = _block_captures(full, b)
-                    want.hiddens = full.hiddens[:b + 2]  # entering blocks 0..b+1
-                    _assert_same_trace(trace, want)
-            for trace, want in zip(traces, expected):  # no layer captures stay behind
-                _assert_same_trace(trace, ActivationTrace(want.spans, hiddens=want.hiddens))
-
-
-def test_block_callback_runs_per_block_without_captures():
-    model = init_synthetic(16, 4, 24, 3, seed=5)
-    calls = []
-    state, trace = forward(model, rng_seq(9, 16, seed=2), on_block=calls.append)
-    assert state.tobytes() == forward(model, rng_seq(9, 16, seed=2))[0].tobytes()
-    assert len(calls) == 3 and all(traces == [ActivationTrace(trace.spans)] for traces in calls)
+            for block, outputs in zip(model.blocks, seen):
+                assert sorted(outputs) == sorted((block.index, kind) for kind in PROJECTION_KINDS)
+                for key, z in outputs.items():
+                    want = np.stack([trace.layer_outputs[key] for trace in whole])
+                    assert z.shape == want.shape and z.dtype == np.float32
+                    assert z.tobytes() == want.tobytes(), key
 
 
 def test_one_block_views_over_carried_states_chain_into_the_full_forward():
