@@ -164,6 +164,15 @@ class ToyModel:
     def layer(self, block_index: int, kind: str) -> LinearLayer:
         return self.blocks[block_index].layers[kind]
 
+    def views(self, size: int) -> list["ToyModel"]:
+        """The blocks in consecutive groups of `size` (the last may hold fewer), each group
+        a model over the same Block objects, so a view sees the masks later set on them. A
+        group of every block is the model itself."""
+        if size >= self.n_blocks:
+            return [self]
+        return [ToyModel(self.blocks[i:i + size], self.n_heads, self.d_model, self.d_ff, self.seed)
+                for i in range(0, self.n_blocks, size)]
+
     def param_counts(self) -> dict[tuple[int, str], int]:
         return {(layer.block_index, layer.kind): layer.weight.size for layer in self.iter_layers()}
 

@@ -23,8 +23,8 @@ from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
 from .data import BlobReader, BlobSequence
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, ShapeError
-from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, chunks, forward
-from .selection import SELECTION_KINDS, AmiaParams
+from .model import PROJECTION_KINDS, CaptureFlags, Chunk, TokenSequence, ToyModel, chunks, forward
+from .selection import AMIA_STACK_ELEMENTS, SELECTION_KINDS, AmiaParams
 
 MASK_GROUPS = ("per_output_row", "per_layer")
 
@@ -169,15 +169,17 @@ class LayerSelectionStats:
 
 
 class _Sample:
-    """One sample of a calibration pass: its trace and index, its tokens selected by each
-    kind the pass reads, each block's final-query attention row in float64 (its
-    `contributions`, from the `final_query` capture), and what those kinds' statistics
-    share: each captured input's all-row sums of squares, taken once per input array
-    (q/k/v share one, gate/up another)."""
+    """One sample of a calibration pass over one group of blocks: its trace, its index
+    among the pass's sequences, the indices of the blocks its trace covers, its tokens
+    selected by each kind the pass reads, each block's final-query attention row in
+    float64 (its `contributions`, from the `final_query` capture), and what those kinds'
+    statistics share: each captured input's all-row sums of squares, taken once per
+    input array (q/k/v share one, gate/up another)."""
 
-    def __init__(self, trace, index: int):
+    def __init__(self, trace, index: int, blocks: tuple[int, ...] = ()):
         self.trace = trace
         self.index = index
+        self.blocks = blocks
         self.selected: dict[str, dict] = {}
         self.contributions = {b: row.astype(np.float64) for b, row in trace.final_query.items()}
         self.spans = trace.spans
@@ -242,7 +244,8 @@ class _ActivationSums:
 
 
 class _Records:
-    """One selection kind's per (sample, layer) details, backing the analysis CSV."""
+    """One selection kind's per (sample, layer) details, backing the analysis CSV, in
+    sample order and then layer order, whichever groups of blocks the samples came in."""
 
     reads = ("inputs",)
 
@@ -262,7 +265,8 @@ class _Records:
                 self.records.append(record)
 
     def finalize(self) -> list[dict]:
-        return self.records
+        # a chunk's groups arrive in block order, so a stable sort by sample is enough
+        return sorted(self.records, key=lambda record: record["sample"])
 
 
 class _AttentionMass:
@@ -273,7 +277,7 @@ class _AttentionMass:
 
     def __init__(self):
         self.sums: dict[int, Counter] = {}
-        self.count = 0
+        self.counts = Counter()  # samples per block
 
     def add(self, samples: list[_Sample]) -> None:
         for sample in samples:
@@ -285,10 +289,10 @@ class _AttentionMass:
                 for span, row in zip(trace.spans, rows):
                     masses[span.modality.name] += float(row.mean())
                 self.sums.setdefault(block, Counter()).update(masses)
-            self.count += 1
+                self.counts[block] += 1
 
     def finalize(self) -> dict[int, dict[str, float]]:
-        return {block: {name: value / self.count for name, value in sorted(entry.items())}
+        return {block: {name: value / self.counts[block] for name, value in sorted(entry.items())}
                 for block, entry in sorted(self.sums.items())}
 
 
@@ -299,21 +303,23 @@ class _BlockSimilarity:
 
     def __init__(self, n_blocks: int):
         self.sums = np.zeros(n_blocks)
-        self.count = 0
+        self.counts = [0] * n_blocks  # samples per block
 
     def add(self, samples: list[_Sample]) -> None:
         for sample in samples:
             hiddens = sample.trace.hiddens
-            self.sums += [block_input_output_similarity(a, b) for a, b in zip(hiddens, hiddens[1:])]
-            self.count += 1
+            for block, a, b in zip(sample.blocks, hiddens, hiddens[1:]):
+                self.sums[block] += block_input_output_similarity(a, b)
+                self.counts[block] += 1
 
     def finalize(self) -> dict[int, float]:
-        return {b: float(total / self.count) for b, total in enumerate(self.sums)}
+        return {b: float(total / count) for b, (total, count) in enumerate(zip(self.sums, self.counts))}
 
 
 # Every result `Calibration.compute` serves: the selection kind it reads (or None) and
-# a function making its accumulator, which names the trace fields it `reads`, takes each
-# chunk's samples in `add` and then gives its `finalize()`. A kind names its activations.
+# a function making its accumulator, which names the trace fields it `reads`, takes the
+# samples of each chunk's each group of blocks in `add` and then gives its `finalize()`.
+# A kind names its activations.
 RESULTS = {
     "diversity": (None, lambda calib: DiversityAccumulator()),
     "attention_mass": (None, lambda calib: _AttentionMass()),
@@ -373,13 +379,22 @@ class Calibration:
 
     def _pass(self, results: list, model: ToyModel, seqs: list[TokenSequence]) -> dict:
         """The one loop over calibration chunks: computes `results`, all of one dependency
-        level, from one forward of `model` per chunk of `seqs` (the calibrated model and
-        sequences, or a `--sequential` step's one-block view and carried samples),
-        capturing what their accumulators and selection kinds read. Adaptive kinds read
-        the thresholds of the calibrated model. It selects each sample's tokens once per
-        kind, then feeds every accumulator the chunk. Each chunk is dropped before the
-        next forward: with two noisy traces alive, AMIA's N x N temporaries land in fresh
-        pages and noisy `tamp` runs ~5% slower."""
+        level, from `model` on `seqs` (the calibrated model and sequences, or a
+        `--sequential` step's one-block view and carried samples), capturing what their
+        accumulators and selection kinds read. Adaptive kinds read the thresholds of the
+        calibrated model.
+
+        Each chunk runs through consecutive groups of G blocks: the most whole blocks
+        whose 7 layers each fit one AMIA stack at the chunk's length N, and at least one,
+        max(1, min(n_blocks, AMIA_STACK_ELEMENTS // (7 N^2))). That is the whole model,
+        one forward per chunk, at 48 tokens, and one block at a time at 188. Each group's
+        forward starts from the states the group before left. It selects each sample's
+        tokens once per kind, then feeds every accumulator the group's samples. Their
+        traces are dropped before the next forward, so a pass holds one group's captures
+        (at 188 tokens, a quarter of a 4-block forward's); with two noisy traces alive,
+        AMIA's N x N temporaries land in fresh pages and noisy `tamp` runs ~5% slower.
+        Per-layer terms still add in sample order, and a layer's AMIA result does not
+        depend on its stack, so no result depends on G."""
         # fed in RESULTS order, diversity first: its stacks then reuse heap that a kind's float64
         # inputs would pin (a plain `compare` takes 850 minor page faults, not 51,000)
         accs = {result: build(self) for result, (_, build) in RESULTS.items() if result in results}
@@ -388,18 +403,27 @@ class Calibration:
         thresholds = self.thresholds if any(entry.adaptive for entry in kinds.values()) else {}
         index = 0
         capture = CaptureFlags(**dict.fromkeys(reads, True))
+        views: dict[int, list[ToyModel]] = {}  # G -> the groups' views, built once per pass
         for chunk in chunks(seqs):
-            traces = forward(model, chunk, capture)[1]
-            samples = []
-            for trace in traces:
-                sample = _Sample(trace, index)
-                for kind, entry in kinds.items():
-                    sample.selected[kind] = entry.select(sample, self.params, thresholds)
-                samples.append(sample)
-                index += 1
-            for acc in accs.values():
-                acc.add(samples)
-            del traces, trace, samples, sample
+            n = len(chunk.seqs[0])
+            size = max(1, AMIA_STACK_ELEMENTS // (len(PROJECTION_KINDS) * n * n))
+            if size not in views:
+                views[size] = model.views(size)
+            for group, view in enumerate(views[size]):
+                if group:  # sequences of the states the group before left
+                    chunk = Chunk([TokenSequence(x, seq.spans) for x, seq in zip(state, chunk.seqs)])
+                state, traces = forward(view, chunk, capture)
+                blocks = tuple(block.index for block in view.blocks)
+                samples = []
+                for i, trace in enumerate(traces):
+                    sample = _Sample(trace, index + i, blocks)
+                    for kind, entry in kinds.items():
+                        sample.selected[kind] = entry.select(sample, self.params, thresholds)
+                    samples.append(sample)
+                for acc in accs.values():
+                    acc.add(samples)
+                del traces, trace, samples, sample
+            index += len(chunk.seqs)
         return {result: acc.finalize() for result, acc in accs.items()}
 
     def activations(self, kind: str):
@@ -572,8 +596,8 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
         carried = list(calib.seqs)
         with tempfile.TemporaryDirectory() as scratch:
             previous = None
-            for block in pruned.blocks:
-                view = ToyModel([block], model.n_heads, model.d_model, model.d_ff, model.seed)
+            for view in pruned.views(1):
+                block = view.blocks[0]
                 block_norms, block_stats = calib._pass([selection], view, carried)[selection]
                 sel_stats.update(block_stats)
                 orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, norms), config.group)

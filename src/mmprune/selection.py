@@ -22,11 +22,13 @@ from .model import PROJECTION_KINDS
 
 # AMIA runs a sample's layers of one output shape (N, C) as one stack while L * N^2
 # stays within this many elements: a 48-token plain sample's 20 (N, d_model) layers in
-# one stack and its 8 (N, d_ff) layers in another, a 188-token noisy sample's layers
-# three at a time. A stack holds one L x N x N float64 buffer, 1 MB at the bound: the
-# distances, then the kernel in their place. At 2**16 a noisy stack held one layer, and
-# the stacked pick loop's per-step array calls made noisy `tamp` about 10% slower than
-# the one-layer scalar loop they replaced.
+# one stack and its 8 (N, d_ff) layers in another. A calibration pass feeds a 188-token
+# noisy sample one block at a time (the bound over 7 N^2 gives its block groups), so
+# its stacks are each block's [q,k,v], [o,down] and [gate,up]. A stack holds one
+# L x N x N float64 buffer, 1 MB at the bound: the distances, then the kernel in their
+# place. At 2**16 a noisy stack held one layer, and the stacked pick loop's per-step
+# array calls made noisy `tamp` about 10% slower than the one-layer scalar loop they
+# replaced.
 AMIA_STACK_ELEMENTS = 2**17
 
 

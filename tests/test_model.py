@@ -486,6 +486,14 @@ def test_one_block_views_over_carried_states_chain_into_the_full_forward():
             assert [seq.embeddings.tobytes() for seq in carried] == [state.tobytes() for state, _ in expected]
 
 
+def test_views_group_consecutive_blocks_over_the_same_block_objects():
+    model = init_synthetic(8, 2, 12, 5, seed=0)
+    assert model.views(5) == [model] and model.views(9) == [model]
+    views = model.views(2)
+    assert [[block.index for block in view.blocks] for view in views] == [[0, 1], [2, 3], [4]]
+    assert all(block is model.blocks[block.index] for view in views for block in view.blocks)
+
+
 @pytest.mark.parametrize("size", [1, 2, 5])
 def test_attention_captures_equal_the_dense_oracle_bitwise(size):
     # the span masses and the final query's row, alone or beside the other captures,

@@ -66,6 +66,11 @@ def _runs() -> list[tuple[str, list[str]]]:
         ("prune-structural-shortgpt", ["prune", *data("plain"), "--structural", "shortgpt",
                                        "--sparsity", "0.5", "--out", "{out}/ckpt",
                                        "--report", "{out}/report.json"]),
+        ("prune-structural-shortgpt-noisy", ["prune", *data("noisy"), "--structural", "shortgpt",
+                                             "--sparsity", "0.5", "--out", "{out}/ckpt",
+                                             "--report", "{out}/report.json"]),
+        ("prune-structural-das-noisy", ["prune", *data("noisy"), "--structural", "das", "--sparsity", "0.5",
+                                        "--out", "{out}/ckpt", "--report", "{out}/report.json"]),
         ("compare-plain", compare("plain", "--methods", METHODS, "--sparsities", "0.4,0.6")),
         ("compare-random", compare("plain", "--methods", METHODS, "--sparsities", "0.4,0.6",
                                    "--selection", "random", "--random-count", "20", "--seed", "5")),

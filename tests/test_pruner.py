@@ -7,6 +7,8 @@ match exactly.
 """
 
 import math
+import sys
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,13 +17,14 @@ import pytest
 
 from mmprune.data import generate_sequences, make_noisy_modality_scenario, ModalitySpec
 from mmprune.errors import ConfigError, ShapeError
-from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, TokenSequence, forward,
+from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, TokenSequence, ToyModel, forward,
                            init_synthetic)
-from mmprune.pruner import (Calibration, LayerSelectionStats, PruneConfig,
+from mmprune.pruner import (RESULTS, Calibration, LayerSelectionStats, PruneConfig,
                             block_importances_das, block_importances_shortgpt, block_prune,
                             blocks_to_remove, importance_magnitude, importance_wanda,
                             make_mask, mask_order, prune_model)
-from mmprune.selection import AmiaParams, select_amia
+from mmprune.selection import AMIA_STACK_ELEMENTS, SELECTION_KINDS, AmiaParams, select_amia
+from tests.test_data import traced_peak
 from tests.test_diversity import oracle_intra, oracle_inter
 from tests.test_model import dense_attention, mixed_layout_setup
 from tests.test_selection import knn_weights, oracle_reverse_select
@@ -777,6 +780,91 @@ def test_amia_activations_and_records_requested_together_share_one_level_two_pas
     assert len(calls) == 2 * len(seqs) + 3 * len(seqs)  # fresh: diversity, activations, records
     for key, entry in calib.activations("amia")[1].items():
         assert entry.selected_total == sum(r["n_selected"] for r in records if (r["block"], r["kind"]) == key)
+
+
+# ---------------------------------------------------------------------------
+# calibration passes over groups of blocks
+
+
+def exact_repr(value) -> str:
+    """repr with every array float written in full and no array summarized, so that equal
+    reprs mean equal bits."""
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        return repr(value)
+
+
+def grouped_results(monkeypatch, model, seqs, group_bound):
+    """Every RESULTS entry of a Calibration of `model` on `seqs` under the group bound
+    `group_bound` (as exact reprs), and per pass, the blocks of each forward it ran with
+    the number of sequences in it."""
+    import mmprune.pruner as pruner
+    monkeypatch.setattr(pruner, "AMIA_STACK_ELEMENTS", group_bound)
+    calls, real_forward = [], pruner.forward
+
+    def recording_forward(view, chunk, *args):
+        calls.append(([block.index for block in view.blocks], len(chunk.seqs)))
+        return real_forward(view, chunk, *args)
+
+    monkeypatch.setattr(pruner, "forward", recording_forward)
+    calib = Calibration(model, seqs)
+    adaptive = [name for name, (kind, _) in RESULTS.items() if kind and SELECTION_KINDS[kind].adaptive]
+    passes = []
+    for level in ([name for name in RESULTS if name not in adaptive], adaptive):
+        calls.clear()
+        calib.compute(*level)
+        passes.append(list(calls))
+    return {name: exact_repr(calib.result(name)) for name in RESULTS}, passes
+
+
+@pytest.mark.parametrize("data", ["noisy", "plain"])
+def test_calibration_results_do_not_depend_on_the_block_groups(monkeypatch, data):
+    # noisy: 188-token samples, one per chunk, one block per group by default; plain:
+    # 10-token samples, 12 and then 2 per chunk, the whole model per group by default,
+    # so that groups of fewer blocks feed each chunk's samples once per group
+    if data == "noisy":
+        scenario = make_noisy_modality_scenario(3, d_model=24, n_heads=4, d_ff=32, n_blocks=3,
+                                                n_calib=3, n_eval=1)
+        model, seqs = scenario.model, scenario.calib
+    else:
+        model, seqs = calib_setup(seed=96, n_blocks=3, n_seqs=14)
+    n = len(seqs[0])
+    per_block = len(PROJECTION_KINDS) * n * n  # a group of G blocks needs a bound of G * per_block
+    assert min(3, max(1, AMIA_STACK_ELEMENTS // per_block)) == (1 if data == "noisy" else 3)
+    runs = {size: grouped_results(monkeypatch, model, seqs, bound)
+            for size, bound in [(3, 10**12), (2, 2 * per_block + 1), (1, per_block - 1)]}
+    expected, _ = runs[3]
+    for size, (results, passes) in runs.items():
+        assert [name for name in results if results[name] != expected[name]] == [], size
+        groups = [list(range(start, min(start + size, 3))) for start in range(0, 3, size)]
+        for calls in passes:  # every sequence through every block once, group by group
+            assert [blocks for blocks, _ in calls] == groups * (len(calls) // len(groups))
+            evaluated = Counter()
+            for blocks, n_seqs in calls:
+                evaluated.update(dict.fromkeys(blocks, n_seqs))
+            assert evaluated == dict.fromkeys(range(3), len(seqs)), size
+
+
+@pytest.mark.parametrize("result,capture", [("diversity", CaptureFlags(outputs=True)),
+                                            ("amia", CaptureFlags(inputs=True, outputs=True, final_query=True))])
+def test_a_noisy_calibration_pass_holds_one_block_of_captures(result, capture):
+    # 188-token samples go through one block at a time, so a 4-block model's pass peaks
+    # within about one block of captures of a 2-block model's: not two more blocks'
+    # captures, nor the float64 stacks of their layers
+    def peak(n_blocks):
+        scenario = make_noisy_modality_scenario(0, n_blocks=n_blocks, n_calib=2, n_eval=1)
+        Calibration(scenario.model, scenario.calib).compute(result)  # first-use caches, such as the causal mask
+        calib = Calibration(scenario.model, scenario.calib)
+        if result != "diversity":
+            calib.compute("diversity")  # the pass before, untraced
+        return traced_peak(lambda: calib.compute(result))[1], scenario
+
+    two, scenario = peak(2)
+    four, _ = peak(4)
+    model = scenario.model
+    one_block = ToyModel(model.blocks[:1], model.n_heads, model.d_model, model.d_ff, model.seed)
+    _, trace = forward(one_block, scenario.calib[0], capture)  # the pass's captures of one block
+    block = sum({id(x): x.nbytes for x in [*trace.layer_inputs.values(), *trace.layer_outputs.values()]}.values())
+    assert four - two <= block
 
 
 def make_mask_from_importance(importance, ratio, group):
