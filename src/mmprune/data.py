@@ -100,13 +100,16 @@ class BlobReader:
             unit = "bytes" if dtype.itemsize == 1 else f"{dtype.name} values"
             raise FormatError(f"{where}: needs {count} {unit} of blob {name} at offset {offset}, it has {values}")
         path, stamp = self._files[name]
-        with open(path, "rb") as f:
-            stat = os.fstat(f.fileno())
+        data = np.empty(count, dtype)
+        fd = os.open(path, os.O_RDONLY)  # opened per read, so a blob replaced at its path is seen
+        try:
+            stat = os.fstat(fd)
             if (stat.st_size, stat.st_mtime_ns) != stamp:
                 raise FormatError(f"blob {path} changed since it was loaded: {where} cannot be read again")
-            f.seek(offset * dtype.itemsize)
-            data = np.fromfile(f, dtype, count)
-        if data.size != count:
+            read = os.preadv(fd, [data], offset * dtype.itemsize)
+        finally:
+            os.close(fd)
+        if read != data.nbytes:
             raise FormatError(f"{path} changed while {where} was read")
         return data
 

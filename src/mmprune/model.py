@@ -216,15 +216,18 @@ class ActivationTrace:
     final_query: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _check_finite(x: np.ndarray, where: str) -> np.ndarray:
+def _check_finite(x: np.ndarray, where: str, outputs: dict) -> np.ndarray:
+    """`x` if finite; else a NumericError at the first non-finite of `outputs`, else at `where`."""
     if not np.isfinite(x).all():
+        where = next((f"block{b}.{kind}" for (b, kind), out in outputs.items() if not np.isfinite(out).all()), where)
         raise NumericError(f"non-finite values at {where}")
     return x
 
 
 def _rms_norm(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
-    return (x / np.sqrt(ms + RMS_EPS)) * scale
+    out = x / np.sqrt(np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1] + RMS_EPS)  # np.mean's bits
+    out *= scale
+    return out
 
 
 # 0 on and below the diagonal, -inf above it. Grown to the longest sequence seen and
@@ -237,7 +240,7 @@ def _causal_softmax(scores: np.ndarray) -> np.ndarray:
     above the diagonal exactly 0. Returns the (..., N, 1) row sums: the probabilities
     are finite exactly when the sums are, because each term lies in [0, 1] and the row
     maximum contributes 1. A score above the diagonal that overflowed to +inf or NaN
-    makes its row's sum NaN."""
+    makes its row's sum NaN. The row max, `np.fmax.reduce`'s, is exact, and a NaN row sums to NaN."""
     global _causal_bias
     n = scores.shape[-1]
     bias = _causal_bias
@@ -248,7 +251,7 @@ def _causal_softmax(scores: np.ndarray) -> np.ndarray:
         bias.flags.writeable = False
         _causal_bias = bias
     scores += bias[:n, :n]
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     sums = scores.sum(axis=-1, keepdims=True)
     scores /= sums
@@ -321,7 +324,11 @@ def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags =
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
 def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
-    """`forward` on a chunk: an (S, N, d_model) state out, one trace per sequence."""
+    """`forward` on a chunk: an (S, N, d_model) state out, one trace per sequence.
+
+    Per block, k's output, the attention row sums and the residual are checked finite. IEEE
+    arithmetic carries any other non-finite output into the last two, whose failure names the
+    first non-finite output in order: the error a check after every projection would raise."""
     seqs = chunk.seqs
     n, d = len(seqs[0]), model.d_model
     for seq in seqs:
@@ -348,24 +355,21 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
 
     for block in model.blocks:
         b = block.index
-        # only for a callback: held to the block's end, o's and down's outputs outlive their use
-        outputs = None if on_block is None else {}
+        # held to the block's end, for a failed check's rescan and for the callback
+        outputs = {}
 
         def project(kind: str, inp: np.ndarray) -> np.ndarray:
-            layer = block.layers[kind]
-            out = inp @ layer.weight.T
-            _check_finite(out, layer.name)
+            out = outputs[(b, kind)] = inp @ block.layers[kind].weight.T
             if capture.inputs:
                 record("layer_inputs", (b, kind), inp)
             if capture.outputs:
                 record("layer_outputs", (b, kind), out)
-            if outputs is not None:
-                outputs[(b, kind)] = out
             return out
 
         attn_in = _rms_norm(x, block.attn_norm_scale)
         q = project("q", attn_in)
-        k = project("k", attn_in)
+        # checked alone: a non-finite k may leave only -inf scores in rows that keep a finite one
+        k = _check_finite(project("k", attn_in), f"block{b}.k", outputs)
         v = project("v", attn_in)
 
         # (S, heads, N, dh)
@@ -374,7 +378,7 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
         vh = v.reshape(s, n, h, dh).transpose(0, 2, 1, 3)
         np.matmul(qh, kh.transpose(0, 1, 3, 2), out=scores)
         scores /= np.float32(np.sqrt(dh))
-        _check_finite(_causal_softmax(scores), f"block{b}.attention")
+        _check_finite(_causal_softmax(scores), f"block{b}.attention", outputs)
         if capture.span_mass:  # the N x N head average is a temporary; only these sums stay
             for trace, attn in zip(traces, scores.mean(axis=1)):
                 trace.span_mass[b] = np.stack([attn[:, span.start:span.stop].sum(axis=1) for span in trace.spans])
@@ -382,8 +386,8 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
         if capture.final_query:  # the last row of the head average above, bitwise
             record("final_query", b, scores[:, :, -1, :].mean(axis=1))
 
-        context = (scores @ vh).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32, copy=False)
-        x = x + project("o", context)
+        # the context stays a temporary: o's output, held for a rescan, takes its place
+        x = x + project("o", (scores @ vh).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32, copy=False))
 
         ffn_in = _rms_norm(x, block.ffn_norm_scale)
         gate = project("gate", ffn_in)
@@ -393,8 +397,8 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
         act += 1.0
         np.divide(gate, act, out=act)
         act *= up
-        x = x + project("down", act.astype(np.float32, copy=False))
-        x = _check_finite(x.astype(np.float32, copy=False), f"block{b}.residual")
+        x += project("down", act.astype(np.float32, copy=False))  # in place: x + o is uncaptured
+        _check_finite(x, f"block{b}.residual", outputs)
 
         if capture.hiddens:
             for trace, one in zip(traces, x):

@@ -172,18 +172,18 @@ class _Sample:
     """One sample of a calibration pass over one group of blocks: its trace, its index
     among the pass's sequences, the indices of the blocks its trace covers, its tokens
     selected by each kind the pass reads, each block's final-query attention row in
-    float64 (its `contributions`, from the `final_query` capture), and what those kinds'
-    statistics share: each captured input's all-row sums of squares, taken once per
-    input array (q/k/v share one, gate/up another)."""
+    float64 (its `contributions`, from the `final_query` capture), its tokens' span numbers
+    (`span_index`, made once per chunk), and what those kinds' statistics share: each
+    captured input's all-row sums of squares, taken once per input array."""
 
-    def __init__(self, trace, index: int, blocks: tuple[int, ...] = ()):
+    def __init__(self, trace, index: int, blocks: tuple[int, ...] = (), span_index: np.ndarray | None = None):
         self.trace = trace
         self.index = index
         self.blocks = blocks
         self.selected: dict[str, dict] = {}
         self.contributions = {b: row.astype(np.float64) for b, row in trace.final_query.items()}
         self.spans = trace.spans
-        self.span_index = np.repeat(np.arange(len(self.spans)), [span.length for span in self.spans])
+        self.span_index = span_index
         self._sums: dict[int, np.ndarray] = {}  # id of a captured input -> its all-row sums
 
     def sq_sums(self, key, indices: np.ndarray | None) -> np.ndarray:
@@ -208,6 +208,13 @@ class _Sample:
         for span, count in zip(self.spans, per_span):
             counts[span.modality.name] = counts.get(span.modality.name, 0) + count
         return counts
+
+
+class _Carried(TokenSequence):
+    """A block group's output state for one sequence: its forward's residual check passed it."""
+
+    def checked(self, embeddings: np.ndarray) -> np.ndarray:
+        return embeddings
 
 
 class _ActivationSums:
@@ -409,14 +416,15 @@ class Calibration:
             size = max(1, AMIA_STACK_ELEMENTS // (len(PROJECTION_KINDS) * n * n))
             if size not in views:
                 views[size] = model.views(size)
+            span_index = [np.repeat(np.arange(len(seq.spans)), [sp.length for sp in seq.spans]) for seq in chunk.seqs]
             for group, view in enumerate(views[size]):
                 if group:  # sequences of the states the group before left
-                    chunk = Chunk([TokenSequence(x, seq.spans) for x, seq in zip(state, chunk.seqs)])
+                    chunk = Chunk([_Carried(x, seq.spans) for x, seq in zip(state, chunk.seqs)])
                 state, traces = forward(view, chunk, capture)
                 blocks = tuple(block.index for block in view.blocks)
                 samples = []
                 for i, trace in enumerate(traces):
-                    sample = _Sample(trace, index + i, blocks)
+                    sample = _Sample(trace, index + i, blocks, span_index[i])
                     for kind, entry in kinds.items():
                         sample.selected[kind] = entry.select(sample, self.params, thresholds)
                     samples.append(sample)

@@ -140,6 +140,28 @@ def test_a_blob_changed_after_the_load_is_a_format_error(tmp_path, change, messa
     assert len(calib[1]) == 188 and calib[1].dim == 64  # read from the record, not the blob
 
 
+def test_a_blob_truncated_with_its_mtime_restored_is_a_format_error(tmp_path):
+    seqs = generate_sequences(3, 8, make_specs(), seed=5)
+    loaded = load_sequences(write_sequences(seqs, tmp_path, "calib"))
+    blob = tmp_path / "calib_embeddings.bin"
+    stat = blob.stat()
+    os.truncate(blob, stat.st_size - 4 * 8)  # the last record loses its last row
+    os.utime(blob, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    for seq in loaded:
+        with pytest.raises(FormatError, match="changed since it was loaded|changed while .* was read"):
+            seq.embeddings
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_blob_reads_hold_no_file_descriptor(tmp_path):
+    seqs = generate_sequences(100, 4, make_specs(), seed=6)
+    path = write_sequences(seqs, tmp_path, "calib")
+    before = len(os.listdir("/proc/self/fd"))
+    loaded = load_sequences(path)
+    assert [seq.embeddings.tobytes() for seq in loaded] == [seq.embeddings.tobytes() for seq in seqs]
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_a_calibration_pass_holds_at_most_one_chunk_of_embeddings(tmp_path):
     scenario = make_noisy_modality_scenario(0, n_calib=16, n_eval=1)
     seqs = load_sequences(write_sequences(scenario.calib, tmp_path, "calib"))

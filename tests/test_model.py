@@ -538,6 +538,110 @@ def test_attention_overflow_with_finite_q_and_k_names_the_block():
         forward(model, seq)
 
 
+def _checking_forward(model, seqs):
+    """A forward over the stack of `seqs` with fresh arrays that checks every projection
+    output as it is made, then each block's attention row sums and its residual, in the
+    order q, k, v, attention, o, gate, up, down, residual: the oracle for the
+    NumericError a forward raises. Returns the final state."""
+    def check(values, where):
+        if not np.isfinite(values).all():
+            raise NumericError(f"non-finite values at {where}")
+        return values
+
+    def rms_norm(x, scale):
+        return (x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMS_EPS)) * scale
+
+    s, n, d, h, dh = len(seqs), len(seqs[0]), model.d_model, model.n_heads, model.head_dim
+    x = np.stack([seq.embeddings for seq in seqs])
+    with np.errstate(all="ignore"):
+        for block in model.blocks:
+            def project(kind, inp):
+                return check(inp @ block.layers[kind].weight.T, f"block{block.index}.{kind}")
+
+            attn_in = rms_norm(x, block.attn_norm_scale)
+            q, k, v = (project(kind, attn_in).reshape(s, n, h, dh).transpose(0, 2, 1, 3) for kind in "qkv")
+            scores = (q @ k.transpose(0, 1, 3, 2)) / np.float32(np.sqrt(dh))
+            scores = scores + np.triu(np.full((n, n), -np.inf, dtype=np.float32), k=1)  # +inf above it: NaN
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            sums = check(weights.sum(axis=-1, keepdims=True), f"block{block.index}.attention")
+            context = ((weights / sums) @ v).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32)
+            x = x + project("o", context)
+            ffn_in = rms_norm(x, block.ffn_norm_scale)
+            gate, up = project("gate", ffn_in), project("up", ffn_in)
+            x = x + project("down", ((gate / (1.0 + np.exp(-gate))) * up).astype(np.float32))
+            x = check(x.astype(np.float32), f"block{block.index}.residual")
+    return x
+
+
+def _outcome(run):
+    """("ok", the returned state's bytes) or ("error", the NumericError's message)."""
+    try:
+        return "ok", run().tobytes()
+    except NumericError as err:
+        return "error", str(err)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_forward_raises_what_a_forward_checking_every_output_raises(size):
+    # IEEE arithmetic carries a non-finite q, v, o, gate, up or down output into the
+    # attention or residual check, whose rescan then names the first such output
+    seen = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        model = init_synthetic(8, 2, 12, 2, seed=seed)
+        for _ in range(rng.integers(1, 3)):  # one or two weights, weight rows or weight columns
+            weight = model.blocks[rng.integers(2)].layers[rng.choice(PROJECTION_KINDS)].weight
+            value = rng.choice([np.inf, -np.inf, np.nan, 3e38, -3e38, 1e19])
+            row, column = rng.integers(weight.shape[0]), rng.integers(weight.shape[1])
+            where = [(row, column), (row, slice(None)), (slice(None), column)][rng.integers(3)]
+            weight[where] = value
+        seqs = [rng_seq(int(rng.integers(1, 10)), 8, seed=seed)] * size
+        expected = _outcome(lambda: _checking_forward(model, seqs))
+        assert _outcome(lambda: forward(model, Chunk(seqs))[0]) == expected, seed
+        seen.add(expected[1].rsplit(".", 1)[-1] if expected[0] == "error" else "ok")
+    assert seen >= {"ok", *PROJECTION_KINDS}
+
+
+def test_a_key_whose_overflow_only_hides_scores_is_named():
+    # k[2, 0] overflows to -inf: with q[2, 0] > 0, row 2's diagonal score is -inf beside
+    # two finite ones, so the row sums stay finite and the residual never sees k
+    model = init_synthetic(8, 2, 12, 1, seed=0)
+    layers = model.blocks[0].layers
+    layers["q"].weight[:] = 0.0
+    layers["q"].weight[0, 1] = 0.5
+    layers["k"].weight[:] = 0.0
+    layers["k"].weight[0, 0] = 3e38
+    embeddings = np.ones((3, 8), dtype=np.float32)
+    embeddings[2, 0] = -10.0
+    seq = TokenSequence(embeddings, [Span(VIS, 0, 3)])
+    with pytest.raises(NumericError, match=r"block0\.k$"):
+        forward(model, seq)
+    assert _outcome(lambda: _checking_forward(model, [seq]))[1].endswith("block0.k")
+
+
+def test_a_residual_overflow_from_finite_outputs_names_the_residual(monkeypatch):
+    # a float32 norm zeroes a state whose squares overflow, so its down output is 0 and
+    # x + down stays finite; a float64 norm keeps such a state's ffn input alive
+    def wide_rms_norm(x, scale):
+        ms = np.mean(np.square(x.astype(np.float64)), axis=-1, keepdims=True)
+        return (x / np.sqrt(ms + RMS_EPS)).astype(np.float32) * scale
+
+    monkeypatch.setattr(model_module, "_rms_norm", wide_rms_norm)
+    model = init_synthetic(8, 2, 12, 1, seed=0)
+    layers = model.blocks[0].layers
+    for kind in ("gate", "up"):  # both 8^0.5 / 2^0.5 = 2 on every row below
+        layers[kind].weight[:] = 0.0
+        layers[kind].weight[:, 0] = 1.0
+    layers["down"].weight[:] = 0.0
+    layers["down"].weight[0] = 1e36  # down[:, 0] = 12 x 1.76 x 2 x 1e36, finite
+    embeddings = np.zeros((2, 8), dtype=np.float32)
+    embeddings[:, 0] = 3e38
+    embeddings[:, 1] = -3e38  # (3e38 + 4e37) overflows
+    seq = TokenSequence(embeddings, [Span(VIS, 0, 2)])
+    with pytest.raises(NumericError, match=r"^non-finite values at block0\.residual$"):
+        forward(model, seq, on_block=lambda outputs: pytest.fail("a block that failed its check ended"))
+
+
 def test_captured_attention_never_shares_the_scores_buffer(monkeypatch):
     buffers = []
 
@@ -597,3 +701,31 @@ def test_in_place_softmax_matches_oracle(heads, n, seed, scale, ties):
     assert scores.tobytes() == expected.tobytes()
     assert sums.shape == (heads, n, 1) and np.isfinite(sums).all() and (sums >= 1.0).all()
     assert (np.triu(scores, k=1) == 0.0).all()  # exact zeros above the diagonal
+
+
+def _max_softmax(scores):
+    """The in-place softmax as it took its row max with `max` before `np.fmax.reduce`."""
+    scores += np.triu(np.full(scores.shape[-2:], -np.inf, dtype=np.float32), k=1)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    sums = scores.sum(axis=-1, keepdims=True)
+    scores /= sums
+    return sums
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), heads=st.integers(1, 2), n=st.integers(1, 8))
+def test_fmax_row_max_matches_the_max_softmax(data, heads, n):
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    entry = st.one_of(special, st.floats(-1e4, 1e4, width=32), st.floats(width=32, allow_nan=False))
+    scores = np.array(data.draw(st.lists(entry, min_size=heads * n * n, max_size=heads * n * n)),
+                      dtype=np.float32).reshape(heads, n, n)
+    expected = scores.copy()
+    with np.errstate(all="ignore"):
+        expected_sums = _max_softmax(expected)
+        sums = _causal_softmax(scores)
+    finite = np.isfinite(expected_sums)
+    assert (np.isfinite(sums) == finite).all()  # non-finite in exactly the same rows
+    assert sums[finite].tobytes() == expected_sums[finite].tobytes()
+    rows = np.broadcast_to(finite, scores.shape)
+    assert scores[rows].tobytes() == expected[rows].tobytes()
