@@ -113,8 +113,6 @@ class DiversityAccumulator:
     sample, in the order the samples are added.
     """
 
-    reads = ("outputs",)  # the trace fields that `add` reads
-
     def __init__(self):
         self._sums: dict[tuple[int, str], dict] = {}
 
@@ -122,9 +120,9 @@ class DiversityAccumulator:
         return self._sums.setdefault(key, {"intra": {}, "inter": {}, "all": {}})
 
     def add(self, samples) -> None:
-        """Adds a chunk of samples' `trace`s: per run with one span layout, one stack per
-        output shape. The first chunk registers the layers, so `finalize` keeps their order."""
-        for spans, run in groupby((sample.trace for sample in samples), key=lambda trace: trace.spans):
+        """Adds a chunk's samples' `layer_outputs`: per run with one span layout, one stack
+        per output shape. The first chunk registers the layers, so `finalize` keeps their order."""
+        for spans, run in groupby(samples, key=lambda sample: sample.spans):
             run = list(run)
             by_shape: dict[tuple[int, ...], list] = {}
             for key, z in run[0].layer_outputs.items():
@@ -132,7 +130,7 @@ class DiversityAccumulator:
                 by_shape.setdefault(z.shape, []).append(key)
             for keys in by_shape.values():
                 # nested lists, so that `_unit_rows` makes the one float64 stack
-                self.add_layer_sample(keys, [[trace.layer_outputs[key] for trace in run] for key in keys], spans)
+                self.add_layer_sample(keys, [[sample.layer_outputs[key] for sample in run] for key in keys], spans)
 
     def add_layer_sample(self, keys, z, spans: list[Span]) -> None:
         """Adds the outputs z of layers `keys` on samples that share the span layout

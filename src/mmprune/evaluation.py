@@ -16,7 +16,7 @@ import numpy as np
 
 from .allocation import SparsityPlan
 from .errors import ConfigError
-from .model import PROJECTION_KINDS, TokenSequence, ToyModel, chunks, forward
+from .model import PROJECTION_KINDS, BlockRecord, TokenSequence, ToyModel, chunks, forward
 from .pruner import Calibration, PruneConfig, calibration_needs, prune_model
 
 
@@ -76,9 +76,9 @@ class _Reference:
         self.groups = [[(None, slice(None))] + [(s.modality.name, slice(s.start, s.stop))
                                                 for s in seq.spans if s.length] for seq in seqs]
 
-    def add_block(self, outputs: dict[tuple[int, str], np.ndarray]) -> None:
-        self.outputs.update(outputs)
-        for key, z in outputs.items():
+    def add_block(self, record: BlockRecord) -> None:
+        self.outputs.update(record.outputs)
+        for key, z in record.outputs.items():
             if z.shape not in self.scratch:
                 self.scratch[z.shape] = np.empty(z.shape)
             self.layer_dens[key] = _sums(np.square(z, out=self.scratch[z.shape], dtype=np.float64))
@@ -140,8 +140,8 @@ def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[
 
     An entry is a callable returning the model to score, called once per chunk of
     sequences, or None for `dense` itself. Each chunk runs one dense forward, which
-    every entry is scored against, and one forward per callable, neither with captures.
-    Each hands over its blocks' stacked outputs through `forward`'s `on_block`. The
+    every entry is scored against, and one forward per callable, none with capture
+    flags: `on_block` takes each block's record and scores its stacked outputs. The
     chunk's `_Reference` keeps the dense forward's arrays themselves, the only copy of
     the dense outputs; a scored forward's arrays add their layer terms and are dropped,
     so at most one block of a scored model's outputs is alive. The end-to-end terms
@@ -154,14 +154,14 @@ def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[
     sums = [_Fidelity() for _ in models]
     for chunk in chunks(seqs):
         ref = _Reference(chunk.seqs)
-        dense_hidden, _ = forward(dense, chunk, on_block=ref.add_block)
+        dense_hidden = forward(dense, chunk, on_block=ref.add_block)
         ref.finish(dense_hidden)
         for acc, model in zip(sums, models):
             if model is None:
                 acc.add_layers(ref, ref.outputs)
                 hidden = dense_hidden
             else:
-                hidden, _ = forward(model(), chunk, on_block=partial(acc.add_layers, ref))
+                hidden = forward(model(), chunk, on_block=lambda record: acc.add_layers(ref, record.outputs))
             acc.add_end(ref, hidden)
     return [acc.metrics() for acc in sums]
 

@@ -164,15 +164,6 @@ class ToyModel:
     def layer(self, block_index: int, kind: str) -> LinearLayer:
         return self.blocks[block_index].layers[kind]
 
-    def views(self, size: int) -> list["ToyModel"]:
-        """The blocks in consecutive groups of `size` (the last may hold fewer), each group
-        a model over the same Block objects, so a view sees the masks later set on them. A
-        group of every block is the model itself."""
-        if size >= self.n_blocks:
-            return [self]
-        return [ToyModel(self.blocks[i:i + size], self.n_heads, self.d_model, self.d_ff, self.seed)
-                for i in range(0, self.n_blocks, size)]
-
     def param_counts(self) -> dict[tuple[int, str], int]:
         return {(layer.block_index, layer.kind): layer.weight.size for layer in self.iter_layers()}
 
@@ -194,32 +185,43 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class CaptureFlags:
-    """What a forward pass records. No capture holds an N x N array."""
+    """What a forward's block records hold beside the projections' inputs and outputs.
+    Each costs time or holds memory, so it is taken only when asked; none is N x N."""
 
-    inputs: bool = False
-    outputs: bool = False
     span_mass: bool = False
     hiddens: bool = False
     final_query: bool = False
 
 
 @dataclass
-class ActivationTrace:
-    """Per-sequence capture: projection inputs/outputs, per block the head-averaged attention's
-    (n_spans, N) row sums over each span's keys and its final-query row, and block-boundary hiddens."""
+class BlockRecord:
+    """What a forward over S sequences of N tokens hands `on_block` after block `index`:
+    each projection's (S, N, C) input and output under (index, kind), q/k/v sharing one
+    input array and gate/up another, and only as CaptureFlags asks: the (S, N, d_model)
+    states entering and leaving the block (`hiddens`), the final query's head-averaged
+    attention row (`final_query`, (S, N)), and per sequence that attention's (n_spans, N)
+    row sums over each span's keys (`span_mass`). The forward never writes any of them
+    after handing them over, so a callback may keep them."""
 
-    spans: list[Span] = field(default_factory=list)
-    layer_inputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
-    layer_outputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
-    span_mass: dict[int, np.ndarray] = field(default_factory=dict)
-    hiddens: list[np.ndarray] = field(default_factory=list)
-    final_query: dict[int, np.ndarray] = field(default_factory=dict)
+    index: int
+    inputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
+    outputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
+    hiddens: tuple[np.ndarray, ...] | None = None
+    final_query: np.ndarray | None = None
+    span_mass: list[np.ndarray] | None = None
 
 
-def _check_finite(x: np.ndarray, where: str, outputs: dict) -> np.ndarray:
-    """`x` if finite; else a NumericError at the first non-finite of `outputs`, else at `where`."""
+def _check_finite(x: np.ndarray, where: str, record: BlockRecord) -> np.ndarray:
+    """`x` if finite; else a NumericError at the first non-finite output of `record`, or at
+    the residual where gate's input (the normed x + o) is non-finite first; else at `where`."""
     if not np.isfinite(x).all():
-        where = next((f"block{b}.{kind}" for (b, kind), out in outputs.items() if not np.isfinite(out).all()), where)
+        for (b, kind), out in record.outputs.items():
+            if kind == "gate" and not np.isfinite(record.inputs[b, kind]).all():
+                where = f"block{b}.residual"
+                break
+            if not np.isfinite(out).all():
+                where = f"block{b}.{kind}"
+                break
         raise NumericError(f"non-finite values at {where}")
     return x
 
@@ -296,117 +298,87 @@ def chunks(seqs: list[TokenSequence]):
 
 
 def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags = CaptureFlags(),
-            on_block=None):
-    """Run every block of `model` on one sequence or on a Chunk, from the embeddings.
-    A chunk's S sequences run as one (S, N, d_model) stack: the returned state is a
-    stack, and one ActivationTrace per sequence is returned. One sequence runs as a
-    chunk of one, with an N x d_model state and its one trace.
+            on_block=None) -> np.ndarray:
+    """The state after every block of `model` on one sequence or on a Chunk, from the
+    embeddings. A chunk's S sequences run as one (S, N, d_model) stack and return its
+    state stack; one sequence runs as a chunk of one and returns its N x d_model state.
+    Every matmul and reduction works per sample and per row, so a sample's results do
+    not depend on the chunk it runs in.
 
-    Each trace holds exactly the requested captures: the post-softmax, head-averaged
-    attention's per-span row sums (`span_mass`, the sample's own array) and final query's
-    row, keyed by each block's `index` (so a one-block model holding block b records b),
-    and `hiddens[j]` entering the model's j-th block. Each other captured array is a view
-    of sample s in an array shared by the chunk and is never written afterwards, so q/k/v
-    share one input array and gate/up another; `hiddens[0]` is a copy, so a trace never
-    aliases the input. Every matmul and reduction works per sample and per row, so a
-    sample's results do not depend on the chunk it runs in.
-
-    With `on_block`, after each block, in order, the forward calls `on_block(outputs)`
-    with that block's `{(b, kind): (S, N, C) projection output}`: the arrays the block
-    made, never written afterwards, so a caller may keep them. The traces returned are
-    those of a forward without it.
+    `on_block`, if given, is called after each block, in order, with its BlockRecord:
+    the arrays the block made and the captures `capture` asks for, as (S, N, ...) stacks
+    even for one sequence. The block's (S, heads, N, N) scores are freed before it, so
+    whatever the callback runs does not sit beside them.
     """
     if isinstance(seq, Chunk):
         return _forward(model, seq, capture, on_block)
-    state, traces = _forward(model, Chunk([seq]), capture, on_block)
-    return state[0], traces[0]
+    return _forward(model, Chunk([seq]), capture, on_block)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
 def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
-    """`forward` on a chunk: an (S, N, d_model) state out, one trace per sequence.
+    """`forward` on a chunk: an (S, N, d_model) state out.
 
     Per block, k's output, the attention row sums and the residual are checked finite. IEEE
     arithmetic carries any other non-finite output into the last two, whose failure names the
-    first non-finite output in order: the error a check after every projection would raise."""
+    first non-finite output in order, or the residual if x + o is non-finite before gate's:
+    the error a check after every projection and after x + o would raise."""
     seqs = chunk.seqs
     n, d = len(seqs[0]), model.d_model
     for seq in seqs:
         if seq.dim != d:
             raise ShapeError(f"sequence dim {seq.dim} != model d_model {d}")
     s, h, dh = len(seqs), model.n_heads, model.head_dim
-    x = seqs[0].embeddings[None] if s == 1 else np.stack([seq.embeddings for seq in seqs])
-    traces = [ActivationTrace(spans=list(seq.spans)) for seq in seqs]
-
-    # per trace field, the last stacked array recorded and its per-sample views, so the
-    # captures of q/k/v (and of gate/up) share one input view per sample
-    views: dict[str, tuple] = {}
-
-    def record(field: str, key, stacked: np.ndarray) -> None:
-        if field not in views or views[field][0] is not stacked:
-            views[field] = (stacked, list(stacked))
-        for trace, one in zip(traces, views[field][1]):
-            getattr(trace, field)[key] = one
-
-    if capture.hiddens:
-        for trace, one in zip(traces, x.copy()):
-            trace.hiddens.append(one)
-    scores = np.empty((s, h, n, n), dtype=np.float32)  # every block's attention; captures copy it
+    x = np.stack([seq.embeddings for seq in seqs])  # a copy: no record aliases the input
 
     for block in model.blocks:
         b = block.index
         # held to the block's end, for a failed check's rescan and for the callback
-        outputs = {}
+        record = BlockRecord(b, hiddens=(x,) if capture.hiddens else None)
 
         def project(kind: str, inp: np.ndarray) -> np.ndarray:
-            out = outputs[(b, kind)] = inp @ block.layers[kind].weight.T
-            if capture.inputs:
-                record("layer_inputs", (b, kind), inp)
-            if capture.outputs:
-                record("layer_outputs", (b, kind), out)
+            record.inputs[(b, kind)] = inp
+            out = record.outputs[(b, kind)] = inp @ block.layers[kind].weight.T
             return out
 
         attn_in = _rms_norm(x, block.attn_norm_scale)
         q = project("q", attn_in)
         # checked alone: a non-finite k may leave only -inf scores in rows that keep a finite one
-        k = _check_finite(project("k", attn_in), f"block{b}.k", outputs)
+        k = _check_finite(project("k", attn_in), f"block{b}.k", record)
         v = project("v", attn_in)
 
         # (S, heads, N, dh)
         qh = q.reshape(s, n, h, dh).transpose(0, 2, 1, 3)
         kh = k.reshape(s, n, h, dh).transpose(0, 2, 1, 3)
         vh = v.reshape(s, n, h, dh).transpose(0, 2, 1, 3)
-        np.matmul(qh, kh.transpose(0, 1, 3, 2), out=scores)
+        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))  # freed before the callback
         scores /= np.float32(np.sqrt(dh))
-        _check_finite(_causal_softmax(scores), f"block{b}.attention", outputs)
+        _check_finite(_causal_softmax(scores), f"block{b}.attention", record)
         if capture.span_mass:  # the N x N head average is a temporary; only these sums stay
-            for trace, attn in zip(traces, scores.mean(axis=1)):
-                trace.span_mass[b] = np.stack([attn[:, span.start:span.stop].sum(axis=1) for span in trace.spans])
-            del attn  # a view of the average: kept, it would live on beside the next block's
+            record.span_mass = [np.stack([attn[:, span.start:span.stop].sum(axis=1) for span in seq.spans])
+                                for attn, seq in zip(scores.mean(axis=1), seqs)]
         if capture.final_query:  # the last row of the head average above, bitwise
-            record("final_query", b, scores[:, :, -1, :].mean(axis=1))
-
-        # the context stays a temporary: o's output, held for a rescan, takes its place
-        x = x + project("o", (scores @ vh).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32, copy=False))
+            record.final_query = scores[:, :, -1, :].mean(axis=1)
+        context = (scores @ vh).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32, copy=False)
+        del scores
+        x = x + project("o", context)
 
         ffn_in = _rms_norm(x, block.ffn_norm_scale)
         gate = project("gate", ffn_in)
         up = project("up", ffn_in)
-        act = np.negative(gate)  # SiLU(gate) * up, in place: gate is captured, act is not
+        act = np.negative(gate)  # SiLU(gate) * up, in place: gate is recorded, act is not
         np.exp(act, out=act)
         act += 1.0
         np.divide(gate, act, out=act)
         act *= up
-        x += project("down", act.astype(np.float32, copy=False))  # in place: x + o is uncaptured
-        _check_finite(x, f"block{b}.residual", outputs)
+        x += project("down", act.astype(np.float32, copy=False))  # in place: x + o is unrecorded
+        _check_finite(x, f"block{b}.residual", record)
 
         if capture.hiddens:
-            for trace, one in zip(traces, x):
-                trace.hiddens.append(one)
+            record.hiddens += (x,)
         if on_block is not None:
-            on_block(outputs)
-
-    return x, traces
+            on_block(record)
+    return x
 
 
 def init_synthetic(d_model: int, n_heads: int, d_ff: int, n_blocks: int, seed: int) -> ToyModel:

@@ -23,7 +23,7 @@ from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
 from .data import BlobReader, BlobSequence
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, ShapeError
-from .model import PROJECTION_KINDS, CaptureFlags, Chunk, TokenSequence, ToyModel, chunks, forward
+from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, chunks, forward
 from .selection import AMIA_STACK_ELEMENTS, SELECTION_KINDS, AmiaParams
 
 MASK_GROUPS = ("per_output_row", "per_layer")
@@ -169,29 +169,37 @@ class LayerSelectionStats:
 
 
 class _Sample:
-    """One sample of a calibration pass over one group of blocks: its trace, its index
-    among the pass's sequences, the indices of the blocks its trace covers, its tokens
-    selected by each kind the pass reads, each block's final-query attention row in
-    float64 (its `contributions`, from the `final_query` capture), its tokens' span numbers
-    (`span_index`, made once per chunk), and what those kinds' statistics share: each
-    captured input's all-row sums of squares, taken once per input array."""
+    """One sequence's share of a calibration pass's group of block records: its index
+    among the pass's sequences, its spans and its tokens' span numbers (`span_index`,
+    made once per chunk), per layer its projection input and output (one view per
+    stacked input, so q/k/v share one and gate/up another), per block its `span_mass`,
+    its (entering, leaving) `hiddens` and its final-query attention row in float64 (its
+    `contributions`), all as captured, its tokens selected by each kind the pass reads,
+    and what those kinds' statistics share: each input's all-row sums of squares, taken
+    once per input array."""
 
-    def __init__(self, trace, index: int, blocks: tuple[int, ...] = (), span_index: np.ndarray | None = None):
-        self.trace = trace
+    def __init__(self, records, i: int, index: int, spans: list, span_index: np.ndarray):
         self.index = index
-        self.blocks = blocks
-        self.selected: dict[str, dict] = {}
-        self.contributions = {b: row.astype(np.float64) for b, row in trace.final_query.items()}
-        self.spans = trace.spans
+        self.spans = spans
         self.span_index = span_index
-        self._sums: dict[int, np.ndarray] = {}  # id of a captured input -> its all-row sums
+        self.selected: dict[str, dict] = {}
+        self.layer_inputs, self.layer_outputs, views = {}, {}, {}  # views: id of a stack -> its row i
+        for record in records:
+            for key, x in record.inputs.items():
+                self.layer_inputs[key] = views.setdefault(id(x), x[i])
+            self.layer_outputs.update((key, z[i]) for key, z in record.outputs.items())
+        self.span_mass = {r.index: r.span_mass[i] for r in records if r.span_mass is not None}
+        self.hiddens = {r.index: (r.hiddens[0][i], r.hiddens[1][i]) for r in records if r.hiddens is not None}
+        self.contributions = {r.index: r.final_query[i].astype(np.float64) for r in records
+                              if r.final_query is not None}
+        self._sums: dict[int, np.ndarray] = {}  # id of an input view -> its all-row sums
 
     def sq_sums(self, key, indices: np.ndarray | None) -> np.ndarray:
         """Per input channel of layer `key`, the sum of squares in float64 over the rows
         `indices` (None: every row, computed once per distinct input). Only the rows
         summed are converted: float32 to float64 is exact, so gathering first changes
         no bit."""
-        x = self.trace.layer_inputs[key]
+        x = self.layer_inputs[key]
         if indices is not None:
             return np.square(x[indices].astype(np.float64)).sum(axis=0)
         if id(x) not in self._sums:
@@ -210,17 +218,8 @@ class _Sample:
         return counts
 
 
-class _Carried(TokenSequence):
-    """A block group's output state for one sequence: its forward's residual check passed it."""
-
-    def checked(self, embeddings: np.ndarray) -> np.ndarray:
-        return embeddings
-
-
 class _ActivationSums:
     """One selection kind's per-layer input norms and LayerSelectionStats."""
-
-    reads = ("inputs",)
 
     def __init__(self, calib: "Calibration", kind: str):
         self.kind = kind
@@ -238,7 +237,7 @@ class _ActivationSums:
                     self.stats[key] = LayerSelectionStats(threshold=self.thresholds.get(key))
                 self.sq_sums[key] += sq
                 entry = self.stats[key]
-                entry.token_total += len(sample.trace.layer_inputs[key])
+                entry.token_total += len(sample.layer_inputs[key])
                 entry.selected_total += len(indices)
                 sample.add_modality_counts(entry.by_modality, None if every_row else indices)
                 if result is not None:
@@ -254,8 +253,6 @@ class _Records:
     """One selection kind's per (sample, layer) details, backing the analysis CSV, in
     sample order and then layer order, whichever groups of blocks the samples came in."""
 
-    reads = ("inputs",)
-
     def __init__(self, kind: str):
         self.kind = kind
         self.records: list[dict] = []
@@ -264,7 +261,7 @@ class _Records:
         for sample in samples:
             for key, (indices, result) in sorted(sample.selected[self.kind].items()):
                 record = {"sample": sample.index, "block": key[0], "kind": key[1],
-                          "n_tokens": len(sample.trace.layer_inputs[key]), "n_selected": int(len(indices)),
+                          "n_tokens": len(sample.layer_inputs[key]), "n_selected": int(len(indices)),
                           "by_modality": sample.add_modality_counts({}, indices)}
                 if result is not None:
                     record.update(stopped_by=result.stopped_by, threshold=result.threshold,
@@ -280,20 +277,17 @@ class _AttentionMass:
     """Per block, the mean attention mass landing on each modality's key span: the mean
     of a span's `span_mass` row over the queries. Spans of one modality add."""
 
-    reads = ("span_mass",)
-
     def __init__(self):
         self.sums: dict[int, Counter] = {}
         self.counts = Counter()  # samples per block
 
     def add(self, samples: list[_Sample]) -> None:
         for sample in samples:
-            trace = sample.trace
-            if not trace.span_mass:
-                raise ConfigError("trace lacks span_mass capture")
-            for block, rows in trace.span_mass.items():
+            if not sample.span_mass:
+                raise ConfigError("a sample lacks the span_mass capture")
+            for block, rows in sample.span_mass.items():
                 masses = Counter()  # a sample's spans of one modality add before the sample does
-                for span, row in zip(trace.spans, rows):
+                for span, row in zip(sample.spans, rows):
                     masses[span.modality.name] += float(row.mean())
                 self.sums.setdefault(block, Counter()).update(masses)
                 self.counts[block] += 1
@@ -306,16 +300,13 @@ class _AttentionMass:
 class _BlockSimilarity:
     """Mean per-token cosine similarity between each block's input and output rows."""
 
-    reads = ("hiddens",)
-
     def __init__(self, n_blocks: int):
         self.sums = np.zeros(n_blocks)
         self.counts = [0] * n_blocks  # samples per block
 
     def add(self, samples: list[_Sample]) -> None:
         for sample in samples:
-            hiddens = sample.trace.hiddens
-            for block, a, b in zip(sample.blocks, hiddens, hiddens[1:]):
+            for block, (a, b) in sample.hiddens.items():
                 self.sums[block] += block_input_output_similarity(a, b)
                 self.counts[block] += 1
 
@@ -324,9 +315,8 @@ class _BlockSimilarity:
 
 
 # Every result `Calibration.compute` serves: the selection kind it reads (or None) and
-# a function making its accumulator, which names the trace fields it `reads`, takes the
-# samples of each chunk's each group of blocks in `add` and then gives its `finalize()`.
-# A kind names its activations.
+# a function making its accumulator, which takes the samples of each chunk's each group
+# of blocks in `add` and then gives its `finalize()`. A kind names its activations.
 RESULTS = {
     "diversity": (None, lambda calib: DiversityAccumulator()),
     "attention_mass": (None, lambda calib: _AttentionMass()),
@@ -343,7 +333,7 @@ class Calibration:
     sharing one Calibration pays each distinct pass once, and a single prune computes only
     what it uses. A caller that needs several results declares them to `compute`, which
     serves every result of one dependency level from one forward per chunk. The cache
-    holds per-layer aggregates, per-sample selection records and mask orders, never traces.
+    holds per-layer aggregates, per-sample selection records and mask orders, never captures.
     """
 
     def __init__(self, model: ToyModel, seqs: list[TokenSequence],
@@ -387,50 +377,46 @@ class Calibration:
     def _pass(self, results: list, model: ToyModel, seqs: list[TokenSequence]) -> dict:
         """The one loop over calibration chunks: computes `results`, all of one dependency
         level, from `model` on `seqs` (the calibrated model and sequences, or a
-        `--sequential` step's one-block view and carried samples), capturing what their
-        accumulators and selection kinds read. Adaptive kinds read the thresholds of the
-        calibrated model.
+        `--sequential` step's one-block model and carried samples), in one forward per
+        chunk that captures what their accumulators and selection kinds read. Adaptive
+        kinds read the thresholds of the calibrated model.
 
-        Each chunk runs through consecutive groups of G blocks: the most whole blocks
-        whose 7 layers each fit one AMIA stack at the chunk's length N, and at least one,
-        max(1, min(n_blocks, AMIA_STACK_ELEMENTS // (7 N^2))). That is the whole model,
-        one forward per chunk, at 48 tokens, and one block at a time at 188. Each group's
-        forward starts from the states the group before left. It selects each sample's
-        tokens once per kind, then feeds every accumulator the group's samples. Their
-        traces are dropped before the next forward, so a pass holds one group's captures
-        (at 188 tokens, a quarter of a 4-block forward's); with two noisy traces alive,
-        AMIA's N x N temporaries land in fresh pages and noisy `tamp` runs ~5% slower.
-        Per-layer terms still add in sample order, and a layer's AMIA result does not
-        depend on its stack, so no result depends on G."""
+        The forward's `on_block` gathers its block records in consecutive groups of G
+        blocks: the most whole blocks whose 7 layers each fit one AMIA stack at the
+        chunk's length N, and at least one, max(1, min(n_blocks, AMIA_STACK_ELEMENTS //
+        (7 N^2))). That is the whole model at 48 tokens and one block at 188. Once a group
+        is complete, it selects each sample's tokens once per kind, feeds every
+        accumulator the group's samples and drops the group, so a pass holds one group's
+        records (at 188 tokens, a quarter of a 4-block forward's); with two noisy blocks'
+        records alive, AMIA's N x N temporaries land in fresh pages and noisy `tamp` runs ~5%
+        slower. Per-layer terms still add in sample order, and a layer's AMIA result does
+        not depend on its stack, so no result depends on G."""
         # fed in RESULTS order, diversity first: its stacks then reuse heap that a kind's float64
         # inputs would pin (a plain `compare` takes 850 minor page faults, not 51,000)
         accs = {result: build(self) for result, (_, build) in RESULTS.items() if result in results}
         kinds = {kind: SELECTION_KINDS[kind] for kind, _ in map(RESULTS.get, results) if kind is not None}
-        reads = {name for reader in [*accs.values(), *kinds.values()] for name in reader.reads}
         thresholds = self.thresholds if any(entry.adaptive for entry in kinds.values()) else {}
-        index = 0
-        capture = CaptureFlags(**dict.fromkeys(reads, True))
-        views: dict[int, list[ToyModel]] = {}  # G -> the groups' views, built once per pass
+        capture = CaptureFlags(span_mass="attention_mass" in accs, hiddens="block_similarity" in accs,
+                               final_query=any(entry.attention for entry in kinds.values()))
+        index, group = 0, []
         for chunk in chunks(seqs):
             n = len(chunk.seqs[0])
             size = max(1, AMIA_STACK_ELEMENTS // (len(PROJECTION_KINDS) * n * n))
-            if size not in views:
-                views[size] = model.views(size)
             span_index = [np.repeat(np.arange(len(seq.spans)), [sp.length for sp in seq.spans]) for seq in chunk.seqs]
-            for group, view in enumerate(views[size]):
-                if group:  # sequences of the states the group before left
-                    chunk = Chunk([_Carried(x, seq.spans) for x, seq in zip(state, chunk.seqs)])
-                state, traces = forward(view, chunk, capture)
-                blocks = tuple(block.index for block in view.blocks)
-                samples = []
-                for i, trace in enumerate(traces):
-                    sample = _Sample(trace, index + i, blocks, span_index[i])
+
+            def on_block(record) -> None:
+                group.append(record)
+                if len(group) < size and record.index != model.blocks[-1].index:
+                    return
+                samples = [_Sample(group, i, index + i, seq.spans, span_index[i]) for i, seq in enumerate(chunk.seqs)]
+                for sample in samples:
                     for kind, entry in kinds.items():
                         sample.selected[kind] = entry.select(sample, self.params, thresholds)
-                    samples.append(sample)
                 for acc in accs.values():
                     acc.add(samples)
-                del traces, trace, samples, sample
+                group.clear()
+
+            forward(model, chunk, capture, on_block)
             index += len(chunk.seqs)
         return {result: acc.finalize() for result, acc in accs.items()}
 
@@ -538,7 +524,7 @@ def _advance(view: ToyModel, seqs: list[TokenSequence], blob: Path) -> list[Blob
     offset = 0
     with open(blob, "wb") as f:
         for chunk in chunks(seqs):
-            states = forward(view, chunk)[0]
+            states = forward(view, chunk)
             f.write(np.ascontiguousarray(states, dtype="<f4"))
             for x, seq in zip(states, chunk.seqs):
                 where = f"calibration sample {len(carried)} after block {view.blocks[0].index}"
@@ -593,7 +579,7 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
 
     if config.sequential and spec.importance == "wanda":
         # Each block's norms, and so its orders, come from the samples carried through the
-        # blocks already masked: one pass over a one-block view of the block, which, once
+        # blocks already masked: one pass over a one-block model of the block, which, once
         # masked, advances them. They start as the calibration sequences; each advance
         # carries them in a scratch blob of its own, and the one before is then deleted, so
         # memory holds one chunk of states and the disk at most two steps' blobs (12 MB on
@@ -604,8 +590,8 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
         carried = list(calib.seqs)
         with tempfile.TemporaryDirectory() as scratch:
             previous = None
-            for view in pruned.views(1):
-                block = view.blocks[0]
+            for block in pruned.blocks:
+                view = ToyModel([block], pruned.n_heads, pruned.d_model, pruned.d_ff, pruned.seed)
                 block_norms, block_stats = calib._pass([selection], view, carried)[selection]
                 sel_stats.update(block_stats)
                 orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, norms), config.group)

@@ -204,7 +204,7 @@ def select_amia(a: np.ndarray, z: np.ndarray | list[np.ndarray], thresholds: lis
 def _layerwise(pick):
     """A `select` from `pick(sample, params, layer, n)`: the indices of n tokens kept."""
     return lambda sample, params, thresholds: {
-        key: (pick(sample, params, key, len(x)), None) for key, x in sample.trace.layer_inputs.items()}
+        key: (pick(sample, params, key, len(x)), None) for key, x in sample.layer_inputs.items()}
 
 
 def _pick_random(sample, params, layer, n: int) -> np.ndarray:
@@ -224,7 +224,7 @@ def _pick_above_mean(sample, params, layer, n: int) -> np.ndarray:
 def _select_adaptive(sample, params, thresholds) -> dict:
     """AMIA selections of one sample's layers, in layer order: a stack of layers of one
     output shape at a time, or all tokens where there are too few for a kNN graph."""
-    amia, outputs = params.amia, sample.trace.layer_outputs
+    amia, outputs = params.amia, sample.layer_outputs
     stacks: dict[tuple[int, ...], list] = {}
     for key, z in outputs.items():
         stacks.setdefault(z.shape, []).append(key)
@@ -256,10 +256,6 @@ class SelectionKind:
     attention: bool = False
     adaptive: bool = False
     keeps_all: bool = False
-
-    @property
-    def reads(self) -> tuple[str, ...]:  # trace fields beside the layer inputs
-        return tuple(name for name, read in (("final_query", self.attention), ("outputs", self.adaptive)) if read)
 
 
 SELECTION_KINDS = {

@@ -249,8 +249,8 @@ def test_criterion_7_structural_sanity():
     reduced = block_prune(model, importances, 0.25)
     assert reduced.n_blocks == 3
     for seq in seqs:
-        h_full, _ = forward(model, seq)
-        h_reduced, _ = forward(reduced, seq)
+        h_full = forward(model, seq)
+        h_reduced = forward(reduced, seq)
         assert h_full.tobytes() == h_reduced.tobytes()
     report(7, "identity block removed first; outputs bit-identical after removal")
 

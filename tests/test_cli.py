@@ -520,21 +520,22 @@ def test_analyze_captures_span_masses_only_in_its_attention_reports_pass(tmp_pat
                  "--n-blocks", "2", "--tokens-per-modality", "10", "--n-calib", "4", "--n-eval", "1"]) == 0
     captures, quadratic, real_forward = [], [], pruner.forward
 
-    def spy(model, chunk, capture=pruner.CaptureFlags()):
+    def spy(model, chunk, capture=pruner.CaptureFlags(), on_block=None):
         captures.append(capture)
-        state, traces = real_forward(model, chunk, capture)
-        for trace in traces:
-            arrays = [*trace.layer_inputs.values(), *trace.layer_outputs.values(), *trace.span_mass.values(),
-                      *trace.hiddens, *trace.final_query.values()]
-            quadratic.extend(a.shape for a in arrays if a.shape.count(trace.spans[-1].stop) > 1)
-        return state, traces
+
+        def inspect(record):
+            arrays = [*record.inputs.values(), *record.outputs.values(), *(record.span_mass or ()),
+                      *(record.hiddens or ()), *([] if record.final_query is None else [record.final_query])]
+            quadratic.extend(a.shape for a in arrays if a.shape.count(len(chunk.seqs[0])) > 1)
+            on_block(record)
+        return real_forward(model, chunk, capture, inspect)
 
     monkeypatch.setattr(pruner, "forward", spy)
     assert main(["analyze", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"),
                  "--out", str(tmp_path / "out"), "--reports", "diversity,attention,selection"]) == 0
     # the diversity and attention reports' pass, then amia's, which reads the final query's row
     assert [(c.span_mass, c.final_query) for c in dict.fromkeys(captures)] == [(True, False), (False, True)]
-    assert quadratic == []  # no trace array has two axes of length N
+    assert quadratic == []  # no record array has two axes of length N
 
 
 def test_degenerate_calibration_error_names_the_layer(tmp_path, capsys):
@@ -755,11 +756,11 @@ def test_sequential_scratch_directory_is_removed_on_every_exit(tmp_path, capsys,
     real_forward = pruner.forward
     blobs = []  # the scratch blobs on disk as the advance through block 1 fails
 
-    def failing_forward(model, seq, capture=CaptureFlags()):
-        if capture == CaptureFlags() and model.blocks[0].index == 1:
+    def failing_forward(model, seq, capture=CaptureFlags(), on_block=None):
+        if on_block is None and model.blocks[0].index == 1:  # an advance, not a calibration pass
             blobs.extend(sorted(path.name for path in scratch.rglob("*") if path.is_file()))
             raise NumericError("non-finite values at block1.residual")
-        return real_forward(model, seq, capture)
+        return real_forward(model, seq, capture, on_block)
     monkeypatch.setattr(pruner, "forward", failing_forward)
     capsys.readouterr()
     assert main(argv) == 1

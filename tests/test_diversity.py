@@ -10,7 +10,7 @@ import pytest
 from mmprune.diversity import (NORM_BLOCK_ELEMENTS, DiversityAccumulator, block_input_output_similarity,
                                layer_importance)
 from mmprune.errors import DegenerateInputError, ShapeError
-from mmprune.model import PROJECTION_KINDS, ActivationTrace, ModalityId, Span
+from mmprune.model import PROJECTION_KINDS, ModalityId, Span
 
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
@@ -387,10 +387,10 @@ def test_noisy_add_holds_its_float64_stack_and_one_norm_block():
     widths = {"gate": 128, "up": 128}
     outputs = {(b, kind): rng.standard_normal((188, widths.get(kind, 64))).astype(np.float32)
                for b in range(4) for kind in PROJECTION_KINDS}
-    trace = ActivationTrace(spans=[Span(VIS, 0, 160), Span(LANG, 160, 28)], layer_outputs=outputs)
+    sample = SimpleNamespace(spans=[Span(VIS, 0, 160), Span(LANG, 160, 28)], layer_outputs=outputs)
     tracemalloc.start()
     try:
-        DiversityAccumulator().add([SimpleNamespace(trace=trace)])
+        DiversityAccumulator().add([sample])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,13 +10,14 @@ from mmprune.allocation import allocate_uniform, PlanEntry, SparsityPlan
 from mmprune.data import ModalitySpec, generate_sequences
 from mmprune.errors import ConfigError
 from mmprune.evaluation import reconstruction_report, rel_avg, run_comparison, sparsity_report
-from mmprune.model import (ActivationTrace, Block, CaptureFlags, Chunk, LinearLayer, ModalityId, Span,
+from mmprune.model import (Block, CaptureFlags, Chunk, LinearLayer, ModalityId, Span,
                            TokenSequence, ToyModel, forward)
-from mmprune.pruner import (METHOD_SPECS, Calibration, PruneConfig, _AttentionMass, _Sample, make_mask,
+from mmprune.pruner import (METHOD_SPECS, Calibration, PruneConfig, _AttentionMass, make_mask,
                             mask_order, prune_model)
 from mmprune.model import init_synthetic
 from tests.test_data import traced_peak
-from tests.test_model import _oracle_matvec, _oracle_rms, dense_attention, mixed_layout_setup, rng_seq, span_sums
+from tests.test_model import (Captures, _oracle_matvec, _oracle_rms, dense_attention, forward_captures,
+                              mixed_layout_setup, rng_seq, span_sums)
 from tests.test_pruner import count_calibration_forwards
 
 VIS = ModalityId(0, "visual")
@@ -149,8 +150,8 @@ def test_per_modality_end_to_end_metrics_match_token_loop_oracle():
     ]
     num, den, cos, count = {}, {}, {}, {}
     for seq in seqs:
-        hidden_d, _ = forward(model, seq)
-        hidden_p, _ = forward(pruned, seq)
+        hidden_d = forward(model, seq)
+        hidden_p = forward(pruned, seq)
         for span in seq.spans:
             for t in range(span.start, span.stop):
                 a = [float(x) for x in hidden_d[t]]
@@ -203,14 +204,14 @@ def attention_by_modality(traces):
     """The calibration engine's per-block attention masses of `traces`, fed one at a time."""
     acc = _AttentionMass()
     for trace in traces:
-        acc.add([_Sample(trace, 0)])
+        acc.add([trace])
     return acc.finalize()
 
 
 def test_attention_single_modality_mass_one():
     attn = np.array([[1.0, 0.0], [0.5, 0.5]])
     spans = [Span(VIS, 0, 2)]
-    trace = ActivationTrace(spans=spans, span_mass={0: span_sums(attn, spans)})
+    trace = Captures(spans=spans, span_mass={0: span_sums(attn, spans)})
     masses = attention_by_modality([trace])
     assert masses[0]["visual"] == pytest.approx(1.0, abs=1e-12)
 
@@ -218,7 +219,7 @@ def test_attention_single_modality_mass_one():
 def test_attention_uniform_masses_proportional_to_span():
     attn = np.full((4, 4), 0.25)
     spans = [Span(VIS, 0, 3), Span(LANG, 3, 1)]
-    trace = ActivationTrace(spans=spans, span_mass={0: span_sums(attn, spans)})
+    trace = Captures(spans=spans, span_mass={0: span_sums(attn, spans)})
     masses = attention_by_modality([trace])
     assert masses[0]["visual"] == pytest.approx(0.75, abs=1e-12)
     assert masses[0]["language"] == pytest.approx(0.25, abs=1e-12)
@@ -229,7 +230,7 @@ def test_attention_masses_match_double_loop_and_sum_to_one():
     raw = rng.random((6, 6))
     attn = raw / raw.sum(axis=1, keepdims=True)
     spans = [Span(VIS, 0, 2), Span(LANG, 2, 4)]
-    trace = ActivationTrace(spans=spans, span_mass={0: span_sums(attn, spans)})
+    trace = Captures(spans=spans, span_mass={0: span_sums(attn, spans)})
     masses = attention_by_modality([trace])
     for span in spans:
         oracle = np.mean([sum(attn[q, k] for k in range(span.start, span.stop))
@@ -239,7 +240,7 @@ def test_attention_masses_match_double_loop_and_sum_to_one():
 
 
 def test_attention_requires_capture():
-    trace = ActivationTrace(spans=[Span(VIS, 0, 2)], span_mass={})
+    trace = Captures(spans=[Span(VIS, 0, 2)], span_mass={})
     with pytest.raises(ConfigError):
         attention_by_modality([trace])
 
@@ -247,7 +248,7 @@ def test_attention_requires_capture():
 def test_attention_from_real_traces_sums_to_one():
     model, seqs = eval_setup(seed=5)
     from mmprune.model import CaptureFlags
-    traces = [forward(model, s, CaptureFlags(span_mass=True))[1] for s in seqs]
+    traces = [forward_captures(model, s, CaptureFlags(span_mass=True))[1] for s in seqs]
     masses = attention_by_modality(traces)
     for block in masses.values():
         assert sum(block.values()) == pytest.approx(1.0, abs=1e-5)
@@ -257,7 +258,7 @@ def test_attention_masses_equal_the_dense_oracle_bitwise():
     # the masses taken from the N x N attention itself: repeated spans of one modality add,
     # and an empty span gives 0.0
     model, seqs = mixed_layout_setup(92)
-    traces = [forward(model, s, CaptureFlags(outputs=True, span_mass=True))[1] for s in seqs]
+    traces = [forward_captures(model, s, CaptureFlags(span_mass=True))[1] for s in seqs]
     expected = {}
     for trace in traces:
         for b in range(model.n_blocks):
@@ -282,14 +283,14 @@ def test_attention_streams_a_generator_of_traces():
 
     def traces():
         for seq in seqs:
-            trace = forward(model, seq, capture)[1]
+            trace = forward_captures(model, seq, capture)[1]
             refs.append(weakref.ref(trace))
             peak.append(sum(ref() is not None for ref in refs))
             yield trace
             del trace
 
     streamed = attention_by_modality(traces())
-    assert streamed == attention_by_modality([forward(model, s, capture)[1] for s in seqs])
+    assert streamed == attention_by_modality([forward_captures(model, s, capture)[1] for s in seqs])
     assert len(seqs) == 3 and max(peak) == 2  # the consumer drops each trace before the next
     with pytest.raises(ConfigError, match="at least one calibration sequence"):  # no pass runs on no traces
         Calibration(model, iter([]))
@@ -492,7 +493,7 @@ def test_evaluation_holds_one_block_of_a_scored_model():
         reconstruction_report(dense, scored, eval_seqs)  # first-use caches, such as the causal mask
         return traced_peak(lambda: reconstruction_report(dense, scored, eval_seqs))[1]
 
-    _, traces = forward(init_synthetic(32, 2, 64, 1, seed=34), Chunk(eval_seqs), CaptureFlags(outputs=True))
+    _, traces = forward_captures(init_synthetic(32, 2, 64, 1, seed=34), Chunk(eval_seqs))
     block = sum(z.nbytes for trace in traces for z in trace.layer_outputs.values())
     assert peak(8) - peak(2) <= (6 + 1) * block
 
@@ -503,8 +504,8 @@ def per_sequence_metrics(dense, pruned, seqs):
     from mmprune.evaluation import EvalMetrics, _rel, _token_cosines
     layers, groups = {}, {}
     for seq in seqs:
-        hd, td = forward(dense, seq, CaptureFlags(outputs=True))
-        hp, tp = forward(pruned, seq, CaptureFlags(outputs=True))
+        hd, td = forward_captures(dense, seq)
+        hp, tp = forward_captures(pruned, seq)
         for key, z_d in td.layer_outputs.items():
             acc = layers.setdefault(key, [0.0, 0.0])
             acc[0] += float(np.square(np.subtract(z_d, tp.layer_outputs[key], dtype=np.float64)).sum())

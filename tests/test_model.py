@@ -6,6 +6,9 @@ against the implementation.
 """
 
 import math
+import tracemalloc
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from mmprune import model as model_module
 from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError, ShapeError
-from mmprune.model import (PROJECTION_KINDS, RMS_EPS, ActivationTrace, Block, CaptureFlags, Chunk, LinearLayer,
+from mmprune.model import (PROJECTION_KINDS, RMS_EPS, Block, CaptureFlags, Chunk, LinearLayer,
                            ModalityId, Span, TokenSequence, ToyModel, _causal_softmax, chunks, forward,
                            init_synthetic)
 from tests.test_data import traced_peak
@@ -23,7 +26,52 @@ from tests.test_data import traced_peak
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
 AUDIO = ModalityId(2, "audio")
-CAPTURE_ALL = CaptureFlags(inputs=True, outputs=True, span_mass=True, hiddens=True, final_query=True)
+CAPTURE_ALL = CaptureFlags(span_mass=True, hiddens=True, final_query=True)
+
+
+@dataclass
+class Captures:
+    """One sequence's share of a forward's block records: per layer its projection's (N, C)
+    input and output, per block its (n_spans, N) span masses and its final query's
+    attention row, and the states entering the first block and leaving each."""
+
+    spans: list
+    layer_inputs: dict = field(default_factory=dict)
+    layer_outputs: dict = field(default_factory=dict)
+    span_mass: dict = field(default_factory=dict)
+    hiddens: list = field(default_factory=list)
+    final_query: dict = field(default_factory=dict)
+
+
+def forward_captures(model, seq, capture=CaptureFlags(), on_block=None):
+    """`forward`'s state and its block records split per sequence: (state, Captures) for
+    a TokenSequence, (state, [Captures]) for a Chunk. Each sequence gets one view of each
+    stacked input, so its q/k/v share one input and its gate/up another. `on_block`, if
+    given, also sees every record."""
+    seqs = seq.seqs if isinstance(seq, Chunk) else [seq]
+    traces = [Captures(list(one.spans)) for one in seqs]
+
+    def split(record):
+        b = record.index
+        for i, trace in enumerate(traces):
+            views = {}  # id of a stacked input -> its row i
+            for key, x in record.inputs.items():
+                trace.layer_inputs[key] = views.setdefault(id(x), x[i])
+            trace.layer_outputs.update((key, z[i]) for key, z in record.outputs.items())
+            if record.span_mass is not None:
+                trace.span_mass[b] = record.span_mass[i]
+            if record.final_query is not None:
+                trace.final_query[b] = record.final_query[i]
+            if record.hiddens is not None:
+                entering, leaving = record.hiddens
+                if not trace.hiddens:
+                    trace.hiddens.append(entering[i])
+                trace.hiddens.append(leaving[i])
+        if on_block is not None:
+            on_block(record)
+
+    state = forward(model, seq, capture, split)
+    return (state, traces) if isinstance(seq, Chunk) else (state, traces[0])
 
 
 def two_span_seq(embeddings):
@@ -107,15 +155,15 @@ def test_zero_projection_block_leaves_residual_unchanged():
         layer = model.blocks[0].layers[kind]
         layer.weight = np.zeros_like(layer.weight)
     seq = rng_seq(6, 8, seed=3)
-    hidden, _ = forward(model, seq)
+    hidden = forward(model, seq)
     np.testing.assert_array_equal(hidden, seq.embeddings)
 
 
 def test_forward_is_deterministic_bitwise():
     model = init_synthetic(16, 4, 24, 3, seed=5)
     seq = rng_seq(12, 16, seed=9)
-    h1, t1 = forward(model, seq, CAPTURE_ALL)
-    h2, t2 = forward(model, seq, CAPTURE_ALL)
+    h1, t1 = forward_captures(model, seq, CAPTURE_ALL)
+    h2, t2 = forward_captures(model, seq, CAPTURE_ALL)
     assert h1.tobytes() == h2.tobytes()
     for key in t1.layer_outputs:
         assert t1.layer_outputs[key].tobytes() == t2.layer_outputs[key].tobytes()
@@ -126,7 +174,7 @@ def test_forward_is_deterministic_bitwise():
 def test_span_masses_are_row_stochastic_and_causal():
     model = init_synthetic(16, 4, 24, 2, seed=11)
     seq = rng_seq(9, 16, seed=2)  # visual tokens 0-3, language 4-8
-    _, trace = forward(model, seq, CaptureFlags(span_mass=True))
+    _, trace = forward_captures(model, seq, CaptureFlags(span_mass=True))
     for rows in trace.span_mass.values():
         assert rows.shape == (2, 9) and rows.dtype == np.float32
         np.testing.assert_allclose(rows.sum(axis=0), 1.0, atol=1e-5)
@@ -136,22 +184,25 @@ def test_span_masses_are_row_stochastic_and_causal():
 def test_capture_flags_control_trace_contents():
     model = init_synthetic(8, 2, 12, 2, seed=4)
     seq = rng_seq(5, 8)
-    _, trace = forward(model, seq, CaptureFlags(inputs=True))
-    assert trace.layer_inputs and not trace.layer_outputs and not trace.span_mass and not trace.final_query
-    _, trace = forward(model, seq, CaptureFlags(final_query=True))
-    assert trace.final_query and not trace.span_mass and not trace.layer_inputs
-    _, trace = forward(model, seq)
-    assert not trace.layer_inputs and not trace.span_mass and not trace.hiddens and not trace.final_query
+    _, trace = forward_captures(model, seq)  # projection inputs and outputs are always recorded
+    assert trace.layer_inputs and trace.layer_outputs
+    assert not trace.span_mass and not trace.hiddens and not trace.final_query
+    _, trace = forward_captures(model, seq, CaptureFlags(final_query=True))
+    assert trace.final_query and not trace.span_mass and not trace.hiddens
+    _, trace = forward_captures(model, seq, CaptureFlags(span_mass=True))
+    assert trace.span_mass and not trace.final_query and not trace.hiddens
+    _, trace = forward_captures(model, seq, CaptureFlags(hiddens=True))
+    assert trace.hiddens and not trace.span_mass and not trace.final_query
 
 
 def test_all_true_mask_changes_nothing_bitwise():
     model = init_synthetic(8, 2, 12, 2, seed=6)
     seq = rng_seq(5, 8, seed=1)
-    before, _ = forward(model, seq)
+    before = forward(model, seq)
     for layer in model.iter_layers():
         layer.mask = np.ones_like(layer.weight, dtype=bool)
         layer.apply_mask()
-    after, _ = forward(model, seq)
+    after = forward(model, seq)
     assert before.tobytes() == after.tobytes()
 
 
@@ -225,7 +276,7 @@ def test_forward_matches_scalar_hand_computation():
     block = Block(0, layers, np.ones(d, np.float32), np.ones(d, np.float32))
     model = ToyModel([block], n_heads=1, d_model=d, d_ff=3, seed=0)
     seq = TokenSequence(np.array([x0, x1], np.float32), [Span(VIS, 0, 1), Span(LANG, 1, 1)])
-    hidden, trace = forward(model, seq, CAPTURE_ALL)
+    hidden, trace = forward_captures(model, seq, CAPTURE_ALL)
 
     # per span (visual key 0, language key 1), each query's attention on it
     np.testing.assert_allclose(trace.span_mass[0], np.array(attn_oracle).T, rtol=1e-6, atol=1e-7)
@@ -300,7 +351,7 @@ def test_forward_does_not_mutate_model():
 def test_residual_stream_shape_preserved_through_blocks():
     model = init_synthetic(16, 4, 24, 3, seed=2)
     seq = rng_seq(7, 16, seed=5)
-    _, trace = forward(model, seq, CaptureFlags(hiddens=True))
+    _, trace = forward_captures(model, seq, CaptureFlags(hiddens=True))
     assert len(trace.hiddens) == 4  # input plus one per block
     assert all(h.shape == (7, 16) for h in trace.hiddens)
 
@@ -309,8 +360,8 @@ def test_trace_shares_projection_inputs_and_never_aliases_the_sequence():
     model = init_synthetic(8, 2, 12, 2, seed=4)
     seq = rng_seq(5, 8)
     embeddings = seq.embeddings.copy()
-    reference, _ = forward(model, seq)
-    _, trace = forward(model, seq, CAPTURE_ALL)
+    reference = forward(model, seq)
+    _, trace = forward_captures(model, seq, CAPTURE_ALL)
     inputs = trace.layer_inputs
     for b in range(model.n_blocks):
         assert inputs[(b, "q")] is inputs[(b, "k")] is inputs[(b, "v")]
@@ -322,7 +373,7 @@ def test_trace_shares_projection_inputs_and_never_aliases_the_sequence():
     for a in captured:
         a[...] = 7.0
     assert seq.embeddings.tobytes() == embeddings.tobytes()
-    assert forward(model, seq)[0].tobytes() == reference.tobytes()
+    assert forward(model, seq).tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +423,7 @@ def test_forward_matches_out_of_place_oracle_bitwise(monkeypatch):
     cases = [(model, rng_seq(n, 16, seed=n)) for n in (40, 7, 1, 40)]
     cases += [(scenario.model, seq) for seq in scenario.calib + scenario.eval]  # 188 and 28 tokens
     for i, (m, seq) in enumerate(cases):
-        state, trace = forward(m, seq, CAPTURE_ALL)
+        state, trace = forward_captures(m, seq, CAPTURE_ALL)
         expected_state, expected_attention, expected_outputs = _oracle_forward(m, seq)
         assert state.tobytes() == expected_state.tobytes()
         assert sorted(trace.span_mass) == sorted(trace.final_query) == sorted(expected_attention)
@@ -417,10 +468,10 @@ def _chunk_cases():
 def test_chunked_forward_matches_per_sequence_forward_bitwise(size):
     # sizes 2 and 3 leave an odd tail chunk of the 5 (or 3) sequences
     for model, seqs in _chunk_cases():
-        expected = [forward(model, seq, CAPTURE_ALL) for seq in seqs]
+        expected = [forward_captures(model, seq, CAPTURE_ALL) for seq in seqs]
         for start in range(0, len(seqs), size):
             chunk = seqs[start:start + size]
-            state, traces = forward(model, Chunk(chunk), CAPTURE_ALL)
+            state, traces = forward_captures(model, Chunk(chunk), CAPTURE_ALL)
             assert state.shape == (len(chunk), len(chunk[0]), model.d_model) and state.dtype == np.float32
             for i, trace in enumerate(traces):
                 expected_state, expected_trace = expected[start + i]
@@ -436,62 +487,108 @@ def test_chunked_forward_matches_per_sequence_forward_bitwise(size):
 
 def _block_captures(trace, b):
     """The captures of block b in a full forward's trace, as a one-block view records them."""
-    return ActivationTrace(trace.spans, {key: x for key, x in trace.layer_inputs.items() if key[0] == b},
-                           {key: z for key, z in trace.layer_outputs.items() if key[0] == b},
-                           {b: trace.span_mass[b]}, trace.hiddens[b:b + 2], {b: trace.final_query[b]})
+    return Captures(trace.spans, {key: x for key, x in trace.layer_inputs.items() if key[0] == b},
+                    {key: z for key, z in trace.layer_outputs.items() if key[0] == b},
+                    {b: trace.span_mass[b]}, trace.hiddens[b:b + 2], {b: trace.final_query[b]})
 
 
-@pytest.mark.parametrize("capture", [CaptureFlags(), CAPTURE_ALL], ids=["no-captures", "all-captures"])
+def _record_arrays(record):
+    return [*record.inputs.values(), *record.outputs.values(), *(record.hiddens or ()),
+            *([] if record.final_query is None else [record.final_query]), *(record.span_mass or ())]
+
+
+@pytest.mark.parametrize("capture", [CaptureFlags(), CaptureFlags(span_mass=True), CaptureFlags(hiddens=True),
+                                     CaptureFlags(final_query=True), CAPTURE_ALL],
+                         ids=["no-captures", "span-mass", "hiddens", "final-query", "all-captures"])
 @pytest.mark.parametrize("size", [1, 3])
 def test_block_callback_gets_each_blocks_stacked_outputs(size, capture):
+    # each block's record, field by field, against the stacked captures of each sequence's
+    # own forward; each capture is there exactly when asked, and no array the callback
+    # gets is written afterwards
     for model, seqs in _chunk_cases():
         for start in range(0, len(seqs), size):
             chunk = seqs[start:start + size]
-            _, whole = forward(model, Chunk(chunk), CaptureFlags(outputs=True))
-            expected_state, expected = forward(model, Chunk(chunk), capture)
-            seen = []  # every call's dict, kept to the end: its arrays are never written afterwards
-            if size == 1:  # one sequence: one trace out, a (1, N, C) stack to the callback
-                state, trace = forward(model, chunk[0], capture, seen.append)
-                state, traces = state[None], [trace]
-            else:
-                state, traces = forward(model, Chunk(chunk), capture, seen.append)
-            assert state.tobytes() == expected_state.tobytes()
-            assert len(traces) == len(expected)
-            for trace, want in zip(traces, expected):
-                _assert_same_trace(trace, want)
-            assert len(seen) == model.n_blocks  # once per block, in order
-            for block, outputs in zip(model.blocks, seen):
-                assert sorted(outputs) == sorted((block.index, kind) for kind in PROJECTION_KINDS)
-                for key, z in outputs.items():
-                    want = np.stack([trace.layer_outputs[key] for trace in whole])
-                    assert z.shape == want.shape and z.dtype == np.float32
-                    assert z.tobytes() == want.tobytes(), key
+            expected = [forward_captures(model, seq, CAPTURE_ALL) for seq in chunk]
+            records, handed = [], []
+
+            def keep(record):
+                records.append(record)
+                handed.append([a.tobytes() for a in _record_arrays(record)])
+
+            # one sequence: its N x d_model state out, (1, N, ...) stacks to the callback
+            state = forward(model, chunk[0] if size == 1 else Chunk(chunk), capture, keep)
+            assert state.tobytes() == np.stack([one for one, _ in expected]).tobytes()
+            assert [record.index for record in records] == [block.index for block in model.blocks]
+            for j, record in enumerate(records):
+                b, inputs = record.index, record.inputs
+                assert list(inputs) == list(record.outputs) == [(b, kind) for kind in PROJECTION_KINDS]
+                assert inputs[(b, "q")] is inputs[(b, "k")] is inputs[(b, "v")]
+                assert inputs[(b, "gate")] is inputs[(b, "up")]
+                assert len({id(x) for x in inputs.values()}) == 4  # with o's and down's
+                for stacks, field_name in [(inputs, "layer_inputs"), (record.outputs, "layer_outputs")]:
+                    for key, got in stacks.items():
+                        want = np.stack([getattr(trace, field_name)[key] for _, trace in expected])
+                        assert got.shape == want.shape and got.dtype == np.float32
+                        assert got.tobytes() == want.tobytes(), (field_name, key)
+                assert (record.hiddens is not None) == capture.hiddens
+                if capture.hiddens:
+                    assert len(record.hiddens) == 2  # entering and leaving the block
+                    for got, h in zip(record.hiddens, (j, j + 1)):
+                        assert got.tobytes() == np.stack([trace.hiddens[h] for _, trace in expected]).tobytes()
+                assert (record.final_query is not None) == capture.final_query
+                if capture.final_query:
+                    want = np.stack([trace.final_query[b] for _, trace in expected])
+                    assert record.final_query.shape == want.shape and record.final_query.tobytes() == want.tobytes()
+                assert (record.span_mass is not None) == capture.span_mass
+                if capture.span_mass:
+                    assert len(record.span_mass) == len(chunk)
+                    for got, (_, trace) in zip(record.span_mass, expected):
+                        assert got.dtype == np.float32 and got.tobytes() == trace.span_mass[b].tobytes()
+            assert [[a.tobytes() for a in _record_arrays(record)] for record in records] == handed
+
+
+def test_the_scores_are_freed_before_the_block_callback(monkeypatch):
+    slabs = []
+
+    def recording_softmax(scores):
+        slabs.append(weakref.ref(scores))
+        return _causal_softmax(scores)
+
+    monkeypatch.setattr(model_module, "_causal_softmax", recording_softmax)
+    model = init_synthetic(16, 4, 24, 3, seed=7)
+    alive = []
+    forward(model, Chunk([rng_seq(9, 16, seed=i) for i in range(2)]), CAPTURE_ALL,
+            lambda record: alive.append(slabs[-1]() is not None))
+    assert len(slabs) == 3 and alive == [False] * 3
+    # a 512-token block's scores are 4 MB; in the callback, traced memory holds the
+    # record's and the states' few N x d rows, not the scores beside them
+    seq = rng_seq(512, 16, seed=4)
+    forward(model, seq)  # the causal bias is cached before anything is traced
+    held = []
+    tracemalloc.start()
+    try:
+        forward(model, seq, CAPTURE_ALL, lambda record: held.append(tracemalloc.get_traced_memory()[0]))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 3 and max(held) < 4 * 512**2 * 4 / 4
 
 
 def test_one_block_views_over_carried_states_chain_into_the_full_forward():
     # as `--sequential` runs a model: block by block, each chunk's samples replaced by
     # sequences of their states and spans
     for model, seqs in _chunk_cases():
-        expected = [forward(model, seq, CAPTURE_ALL) for seq in seqs]
+        expected = [forward_captures(model, seq, CAPTURE_ALL) for seq in seqs]
         for size in (1, 2, len(seqs)):
             carried = list(seqs)
             for block in model.blocks:
                 view = ToyModel([block], model.n_heads, model.d_model, model.d_ff, model.seed)
                 for start in range(0, len(seqs), size):
                     chunk = carried[start:start + size]
-                    state, traces = forward(view, Chunk(chunk), CAPTURE_ALL)
+                    state, traces = forward_captures(view, Chunk(chunk), CAPTURE_ALL)
                     for i, trace in enumerate(traces):
                         _assert_same_trace(trace, _block_captures(expected[start + i][1], block.index))
                     carried[start:start + size] = [TokenSequence(x, seq.spans) for x, seq in zip(state, chunk)]
             assert [seq.embeddings.tobytes() for seq in carried] == [state.tobytes() for state, _ in expected]
-
-
-def test_views_group_consecutive_blocks_over_the_same_block_objects():
-    model = init_synthetic(8, 2, 12, 5, seed=0)
-    assert model.views(5) == [model] and model.views(9) == [model]
-    views = model.views(2)
-    assert [[block.index for block in view.blocks] for view in views] == [[0, 1], [2, 3], [4]]
-    assert all(block is model.blocks[block.index] for view in views for block in view.blocks)
 
 
 @pytest.mark.parametrize("size", [1, 2, 5])
@@ -501,9 +598,9 @@ def test_attention_captures_equal_the_dense_oracle_bitwise(size):
     for model, seqs in _chunk_cases():
         for start in range(0, len(seqs), size):
             chunk = Chunk(seqs[start:start + size])
-            _, full = forward(model, chunk, CaptureFlags(outputs=True, span_mass=True, final_query=True))
-            _, rows = forward(model, chunk, CaptureFlags(final_query=True))
-            _, masses = forward(model, chunk, CaptureFlags(span_mass=True))
+            _, full = forward_captures(model, chunk, CaptureFlags(span_mass=True, final_query=True))
+            _, rows = forward_captures(model, chunk, CaptureFlags(final_query=True))
+            _, masses = forward_captures(model, chunk, CaptureFlags(span_mass=True))
             for full_trace, row_trace, mass_trace in zip(full, rows, masses):
                 assert not row_trace.span_mass and not mass_trace.final_query
                 for b in (block.index for block in model.blocks):
@@ -540,9 +637,10 @@ def test_attention_overflow_with_finite_q_and_k_names_the_block():
 
 def _checking_forward(model, seqs):
     """A forward over the stack of `seqs` with fresh arrays that checks every projection
-    output as it is made, then each block's attention row sums and its residual, in the
-    order q, k, v, attention, o, gate, up, down, residual: the oracle for the
-    NumericError a forward raises. Returns the final state."""
+    output as it is made, each block's attention row sums, and its residual both after o
+    and at the block's end, in the order q, k, v, attention, o, residual (x + o), gate,
+    up, down, residual: the oracle for the NumericError a forward raises. Returns the
+    final state."""
     def check(values, where):
         if not np.isfinite(values).all():
             raise NumericError(f"non-finite values at {where}")
@@ -565,7 +663,7 @@ def _checking_forward(model, seqs):
             weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
             sums = check(weights.sum(axis=-1, keepdims=True), f"block{block.index}.attention")
             context = ((weights / sums) @ v).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32)
-            x = x + project("o", context)
+            x = check(x + project("o", context), f"block{block.index}.residual")
             ffn_in = rms_norm(x, block.ffn_norm_scale)
             gate, up = project("gate", ffn_in), project("up", ffn_in)
             x = x + project("down", ((gate / (1.0 + np.exp(-gate))) * up).astype(np.float32))
@@ -597,7 +695,7 @@ def test_forward_raises_what_a_forward_checking_every_output_raises(size):
             weight[where] = value
         seqs = [rng_seq(int(rng.integers(1, 10)), 8, seed=seed)] * size
         expected = _outcome(lambda: _checking_forward(model, seqs))
-        assert _outcome(lambda: forward(model, Chunk(seqs))[0]) == expected, seed
+        assert _outcome(lambda: forward(model, Chunk(seqs))) == expected, seed
         seen.add(expected[1].rsplit(".", 1)[-1] if expected[0] == "error" else "ok")
     assert seen >= {"ok", *PROJECTION_KINDS}
 
@@ -617,6 +715,22 @@ def test_a_key_whose_overflow_only_hides_scores_is_named():
     with pytest.raises(NumericError, match=r"block0\.k$"):
         forward(model, seq)
     assert _outcome(lambda: _checking_forward(model, [seq]))[1].endswith("block0.k")
+
+
+def test_an_overflow_of_x_plus_o_names_the_residual():
+    # o's outputs are finite, but token 1's 3e38 plus its 4e37 is not: the normed
+    # x + o is NaN, so gate's output is the first non-finite projection output
+    model = init_synthetic(8, 2, 16, 1, seed=0)
+    layers = model.blocks[0].layers
+    layers["v"].weight = np.eye(8, dtype=np.float32)
+    layers["o"].weight = np.zeros((8, 8), dtype=np.float32)
+    layers["o"].weight[0, 0] = 3e37
+    embeddings = np.zeros((2, 8), dtype=np.float32)
+    embeddings[:, 0] = [1.0, 3e38]
+    seq = TokenSequence(embeddings, [Span(VIS, 0, 2)])
+    with pytest.raises(NumericError, match=r"^non-finite values at block0\.residual$"):
+        forward(model, seq)
+    assert _outcome(lambda: _checking_forward(model, [seq])) == ("error", "non-finite values at block0.residual")
 
 
 def test_a_residual_overflow_from_finite_outputs_names_the_residual(monkeypatch):
@@ -639,7 +753,7 @@ def test_a_residual_overflow_from_finite_outputs_names_the_residual(monkeypatch)
     embeddings[:, 1] = -3e38  # (3e38 + 4e37) overflows
     seq = TokenSequence(embeddings, [Span(VIS, 0, 2)])
     with pytest.raises(NumericError, match=r"^non-finite values at block0\.residual$"):
-        forward(model, seq, on_block=lambda outputs: pytest.fail("a block that failed its check ended"))
+        forward(model, seq, on_block=lambda record: pytest.fail("a block that failed its check ended"))
 
 
 def test_captured_attention_never_shares_the_scores_buffer(monkeypatch):
@@ -651,14 +765,14 @@ def test_captured_attention_never_shares_the_scores_buffer(monkeypatch):
 
     monkeypatch.setattr(model_module, "_causal_softmax", recording_softmax)
     model = init_synthetic(16, 4, 24, 3, seed=7)
-    _, trace = forward(model, rng_seq(9, 16, seed=1), CAPTURE_ALL)
-    assert len(buffers) == 3 and all(buf is buffers[0] for buf in buffers)  # one buffer per call
-    captured = [*trace.layer_inputs.values(), *trace.layer_outputs.values(), *trace.hiddens]
+    _, trace = forward_captures(model, rng_seq(9, 16, seed=1), CAPTURE_ALL)
+    assert len(buffers) == 3  # one per block, each kept alive here
+    arrays = [*trace.layer_inputs.values(), *trace.layer_outputs.values(), *trace.hiddens]
     attention = [*trace.span_mass.values(), *trace.final_query.values()]
     assert len(attention) == 6
     for i, attn in enumerate(attention):
-        assert not any(np.shares_memory(attn, other) for other in [buffers[0], *captured, *attention[i + 1:]])
-    assert not any(np.shares_memory(buffers[0], a) for a in captured)
+        assert not any(np.shares_memory(attn, other) for other in [*buffers, *arrays, *attention[i + 1:]])
+    assert not any(np.shares_memory(buf, a) for buf in buffers for a in arrays)
 
 
 def test_span_masses_hold_one_n_by_n_temporary_at_a_time():

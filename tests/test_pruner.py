@@ -8,7 +8,6 @@ match exactly.
 
 import math
 import sys
-from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -17,8 +16,8 @@ import pytest
 
 from mmprune.data import generate_sequences, make_noisy_modality_scenario, ModalitySpec
 from mmprune.errors import ConfigError, ShapeError
-from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, TokenSequence, ToyModel, forward,
-                           init_synthetic)
+from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, TokenSequence, ToyModel, chunks,
+                           forward, init_synthetic)
 from mmprune.pruner import (RESULTS, Calibration, LayerSelectionStats, PruneConfig,
                             block_importances_das, block_importances_shortgpt, block_prune,
                             blocks_to_remove, importance_magnitude, importance_wanda,
@@ -26,7 +25,7 @@ from mmprune.pruner import (RESULTS, Calibration, LayerSelectionStats, PruneConf
 from mmprune.selection import AMIA_STACK_ELEMENTS, SELECTION_KINDS, AmiaParams, select_amia
 from tests.test_data import traced_peak
 from tests.test_diversity import oracle_intra, oracle_inter
-from tests.test_model import dense_attention, mixed_layout_setup
+from tests.test_model import dense_attention, forward_captures, mixed_layout_setup
 from tests.test_selection import knn_weights, oracle_reverse_select
 
 
@@ -40,7 +39,7 @@ def q_activation(rows_per_seq):
     model = init_synthetic(4, 2, 8, 1, seed=3)
     vis = ModalityId(0, "visual")
     seqs = [TokenSequence(np.array(rows, np.float32), [Span(vis, 0, len(rows))]) for rows in rows_per_seq]
-    inputs = [forward(model, seq, CaptureFlags(inputs=True))[1].layer_inputs[(0, "q")] for seq in seqs]
+    inputs = [forward_captures(model, seq)[1].layer_inputs[(0, "q")] for seq in seqs]
     norms, stats = Calibration(model, seqs).activations("full")
     return inputs, SimpleNamespace(norms=norms[(0, "q")], token_count=stats[(0, "q")].selected_total)
 
@@ -232,10 +231,9 @@ def test_wanda_uniform_full_selection_is_wanda():
     model, seqs = calib_setup(seed=3)
     pruned, _ = prune_model(model, seqs, PruneConfig(method="wanda", sparsity=0.5))
     # oracle: stack every token of every sequence, per-channel l2 norms
-    capture = CaptureFlags(inputs=True)
     stacked = {}
     for seq in seqs:
-        _, trace = forward(model, seq, capture)
+        _, trace = forward_captures(model, seq)
         for key, x in trace.layer_inputs.items():
             stacked.setdefault(key, []).append(x.astype(np.float64))
     for layer in model.iter_layers():
@@ -288,8 +286,8 @@ def test_an_amia_pass_captures_the_final_query_row_never_the_attention_matrix(mo
     import mmprune.pruner as pruner
     model, seqs = calib_setup(seed=9, n_seqs=4)
     captures, real_forward = [], pruner.forward
-    monkeypatch.setattr(pruner, "forward", lambda model, chunk, capture=CaptureFlags():
-                        captures.append(capture) or real_forward(model, chunk, capture))
+    monkeypatch.setattr(pruner, "forward", lambda model, chunk, capture=CaptureFlags(), on_block=None:
+                        captures.append(capture) or real_forward(model, chunk, capture, on_block))
     calib = Calibration(model, seqs)
     calib.compute("diversity")
     for result, span_mass, final_query in [("amia", False, True), (("records", "amia"), False, True),
@@ -432,9 +430,8 @@ def oracle_sequential_prune(model, seqs, config, ratios):
     thresholds = Calibration(model, seqs).thresholds if kind == "amia" else {}
     masked = model.copy()
     masks, achieved, stats = {}, {}, {}
-    capture = CaptureFlags(inputs=True, outputs=True)
     for b in range(model.n_blocks):
-        traces = [forward(masked, seq, capture)[1] for seq in seqs]
+        traces = [forward_captures(masked, seq)[1] for seq in seqs]
         for kind_index, layer_kind in enumerate(PROJECTION_KINDS):
             key = (b, layer_kind)
             entry = LayerSelectionStats(threshold=thresholds.get(key))
@@ -548,8 +545,7 @@ def test_tamp_masks_match_scripted_composition_oracle():
     params = AmiaParams()
 
     # stage 1: diversity stats via exhaustive pair loops, per sample then averaged
-    capture = CaptureFlags(inputs=True, outputs=True)
-    traces = [forward(model, seq, capture)[1] for seq in seqs]
+    traces = [forward_captures(model, seq)[1] for seq in seqs]
     importances = {}
     for key in model.param_counts():
         terms = {"v": [], "l": [], "vl": []}
@@ -627,8 +623,8 @@ def test_block_prune_ratio_zero_is_identity():
     model, seqs = calib_setup(seed=31, n_blocks=4)
     reduced = block_prune(model, {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, 0.0)
     assert reduced.n_blocks == 4
-    h0, _ = forward(model, seqs[0])
-    h1, _ = forward(reduced, seqs[0])
+    h0 = forward(model, seqs[0])
+    h1 = forward(reduced, seqs[0])
     assert h0.tobytes() == h1.tobytes()
 
 
@@ -653,8 +649,8 @@ def test_identity_block_removal_changes_nothing():
     reduced = block_prune(model, imps, 0.25)
     assert reduced.n_blocks == 3
     for seq in seqs:
-        h0, _ = forward(model, seq)
-        h1, _ = forward(reduced, seq)
+        h0 = forward(model, seq)
+        h1 = forward(reduced, seq)
         assert h0.tobytes() == h1.tobytes()
 
 
@@ -696,7 +692,7 @@ def test_calibration_diversity_equals_one_sample_at_a_time_bitwise(monkeypatch, 
     model, seqs = calibration_data(data)
     single = DiversityAccumulator()
     for seq in seqs:
-        trace = forward(model, seq, CaptureFlags(outputs=True))[1]
+        trace = forward_captures(model, seq)[1]
         for key, z in trace.layer_outputs.items():
             single.add_layer_sample(key, z, seq.spans)
     monkeypatch.setattr(model_module, "CHUNK_TOKENS", tokens)
@@ -710,9 +706,8 @@ def per_layer_activations(calib, kind):
     sq_sums, stats = {}, {}
     p = calib.params
     thresholds = calib.thresholds if kind == "amia" else {}
-    capture = CaptureFlags(inputs=True, outputs=True)
     for index, seq in enumerate(calib.seqs):
-        trace = forward(calib.model, seq, capture)[1]
+        trace = forward_captures(calib.model, seq)[1]
         for key, x in trace.layer_inputs.items():
             a = dense_attention(trace, key[0], calib.model.n_heads)[-1].astype(np.float64)
             z = trace.layer_outputs[key]
@@ -796,23 +791,30 @@ def exact_repr(value) -> str:
 def grouped_results(monkeypatch, model, seqs, group_bound):
     """Every RESULTS entry of a Calibration of `model` on `seqs` under the group bound
     `group_bound` (as exact reprs), and per pass, the blocks of each forward it ran with
-    the number of sequences in it."""
+    the number of sequences in it, and the blocks of each group its samples were made of."""
     import mmprune.pruner as pruner
     monkeypatch.setattr(pruner, "AMIA_STACK_ELEMENTS", group_bound)
-    calls, real_forward = [], pruner.forward
+    calls, groups, real_forward, real_sample = [], [], pruner.forward, pruner._Sample
 
-    def recording_forward(view, chunk, *args):
-        calls.append(([block.index for block in view.blocks], len(chunk.seqs)))
-        return real_forward(view, chunk, *args)
+    def recording_forward(model, chunk, *args):
+        calls.append(([block.index for block in model.blocks], len(chunk.seqs)))
+        return real_forward(model, chunk, *args)
+
+    def recording_sample(records, i, *args):
+        if i == 0:  # once per group of a chunk
+            groups.append([record.index for record in records])
+        return real_sample(records, i, *args)
 
     monkeypatch.setattr(pruner, "forward", recording_forward)
+    monkeypatch.setattr(pruner, "_Sample", recording_sample)
     calib = Calibration(model, seqs)
     adaptive = [name for name, (kind, _) in RESULTS.items() if kind and SELECTION_KINDS[kind].adaptive]
     passes = []
     for level in ([name for name in RESULTS if name not in adaptive], adaptive):
         calls.clear()
+        groups.clear()
         calib.compute(*level)
-        passes.append(list(calls))
+        passes.append((list(calls), list(groups)))
     return {name: exact_repr(calib.result(name)) for name in RESULTS}, passes
 
 
@@ -820,7 +822,8 @@ def grouped_results(monkeypatch, model, seqs, group_bound):
 def test_calibration_results_do_not_depend_on_the_block_groups(monkeypatch, data):
     # noisy: 188-token samples, one per chunk, one block per group by default; plain:
     # 10-token samples, 12 and then 2 per chunk, the whole model per group by default,
-    # so that groups of fewer blocks feed each chunk's samples once per group
+    # so that groups of fewer blocks feed each chunk's samples once per group, all from
+    # one forward of the chunk through every block
     if data == "noisy":
         scenario = make_noisy_modality_scenario(3, d_model=24, n_heads=4, d_ff=32, n_blocks=3,
                                                 n_calib=3, n_eval=1)
@@ -835,17 +838,14 @@ def test_calibration_results_do_not_depend_on_the_block_groups(monkeypatch, data
     expected, _ = runs[3]
     for size, (results, passes) in runs.items():
         assert [name for name in results if results[name] != expected[name]] == [], size
-        groups = [list(range(start, min(start + size, 3))) for start in range(0, 3, size)]
-        for calls in passes:  # every sequence through every block once, group by group
-            assert [blocks for blocks, _ in calls] == groups * (len(calls) // len(groups))
-            evaluated = Counter()
-            for blocks, n_seqs in calls:
-                evaluated.update(dict.fromkeys(blocks, n_seqs))
-            assert evaluated == dict.fromkeys(range(3), len(seqs)), size
+        expected_groups = [list(range(start, min(start + size, 3))) for start in range(0, 3, size)]
+        for calls, groups in passes:  # one forward per chunk, through every block; G blocks per group
+            assert calls == [([0, 1, 2], len(chunk.seqs)) for chunk in chunks(seqs)], size
+            assert groups == expected_groups * len(calls), size
 
 
-@pytest.mark.parametrize("result,capture", [("diversity", CaptureFlags(outputs=True)),
-                                            ("amia", CaptureFlags(inputs=True, outputs=True, final_query=True))])
+@pytest.mark.parametrize("result,capture", [("diversity", ("layer_outputs",)),
+                                            ("amia", ("layer_inputs", "layer_outputs"))])
 def test_a_noisy_calibration_pass_holds_one_block_of_captures(result, capture):
     # 188-token samples go through one block at a time, so a 4-block model's pass peaks
     # within about one block of captures of a 2-block model's: not two more blocks'
@@ -862,8 +862,8 @@ def test_a_noisy_calibration_pass_holds_one_block_of_captures(result, capture):
     four, _ = peak(4)
     model = scenario.model
     one_block = ToyModel(model.blocks[:1], model.n_heads, model.d_model, model.d_ff, model.seed)
-    _, trace = forward(one_block, scenario.calib[0], capture)  # the pass's captures of one block
-    block = sum({id(x): x.nbytes for x in [*trace.layer_inputs.values(), *trace.layer_outputs.values()]}.values())
+    _, trace = forward_captures(one_block, scenario.calib[0])  # the pass's captures of one block
+    block = sum({id(x): x.nbytes for name in capture for x in getattr(trace, name).values()}.values())
     assert four - two <= block
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from mmprune import selection
 from mmprune.errors import InsufficientTokensError, ShapeError
-from mmprune.model import ActivationTrace
 from mmprune.selection import (SELECTION_KINDS, AmiaParams, build_knn, forward_update,
                                pairwise_cosine_distances, reverse_select, select_amia)
 
@@ -405,7 +404,7 @@ def test_a_stack_holds_one_n_by_n_float64_buffer():
 def pick(kind, a, z, seed=0):
     """The tokens that `kind`'s entry of SELECTION_KINDS keeps of one layer with outputs
     `z`, in block 0 of sample 0 with contributions `a`, under `seed`."""
-    sample = SimpleNamespace(trace=ActivationTrace(layer_inputs={(0, "q"): z}), index=0, contributions={0: a})
+    sample = SimpleNamespace(layer_inputs={(0, "q"): z}, index=0, contributions={0: a})
     return SELECTION_KINDS[kind].select(sample, SimpleNamespace(seed=seed, random_count=100), {})[(0, "q")][0]
 
 
