@@ -133,6 +133,7 @@ def _validate_budget_args(target: float, lam: float) -> None:
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge lam overflows to a budget that fails, not a warning
 def _waterfill(raw: dict, param_counts: dict, target: float, lam: float) -> SparsityPlan:
     """Shift all ratios by a common offset until the budget is exact.
 

@@ -40,6 +40,7 @@ GROUP_FLAGS = {"row": "per_output_row", "layer": "per_layer"}
 DEFAULTS = PruneConfig()
 ANALYZE_REPORTS = ("diversity", "attention", "selection", "sparsity")
 RUN_RECORD = "run.json"
+PRUNE_OUT_FILES = (MANIFEST_NAME, WEIGHTS_BLOB, MASKS_BLOB, RUN_RECORD)  # what prune writes to --out
 REQUIRED = object()  # the default of a setting that has none: its flag must be given
 
 
@@ -158,9 +159,13 @@ def _check_config(command: str, config: dict) -> dict:
             if unused:
                 raise UsageError("--structural removes whole blocks by importance and reads no sparsity plan, "
                                  f"token selection or masked prefix: drop {' and '.join(unused)}")
-        out = Path(config["out"]).resolve()
-        taken = {out / name: f"the {name} that prune writes to --out"
-                 for name in (MANIFEST_NAME, WEIGHTS_BLOB, MASKS_BLOB, RUN_RECORD)}
+        model, out = Path(config["model"]).resolve(), Path(config["out"]).resolve()
+        taken = {model / name: f"the {name} that prune reads from --model"
+                 for name in (MANIFEST_NAME, WEIGHTS_BLOB, MASKS_BLOB)}
+        taken.update({Path(config[key]).resolve(): f"the {_flag(key)} file"
+                      for key in ("calib", "plan") if config[key]})
+        taken.update({out / name: f"the {name} that prune writes to --out"  # --out may be --model
+                      for name in PRUNE_OUT_FILES})
         for key in ("report", "plan_out"):
             if config[key]:
                 path = Path(config[key]).resolve()
@@ -297,6 +302,12 @@ def cmd_prune(config: dict) -> None:
     plan_out = _prepare_output_file(Path(config["plan_out"])) if config.get("plan_out") else None
     model = load_checkpoint(config["model"])
     calib = load_sequences(config["calib"])
+    written = {out_dir / name: f"the {name} that prune writes to --out" for name in PRUNE_OUT_FILES}
+    written.update({Path(config[key]): f"{_flag(key)} {config[key]}" for key in ("report", "plan_out") if config[key]})
+    blobs = {blob.resolve() for blob in {seq.blob for seq in calib}}
+    for path, what in written.items():
+        if path.resolve() in blobs:
+            raise UsageError(f"{what} would overwrite a blob that --calib {config['calib']} reads")
     prune_cfg = _prune_config(config)
 
     if config.get("structural"):

@@ -129,7 +129,7 @@ class BlobSequence(TokenSequence):
         rows = self.checked(embeddings)  # the rows are checked here, never kept
         self._shape = n, dim = rows.shape
         self._crc = zlib.crc32(rows)
-        self._blob = blobs.directory / name
+        self.blob = blobs.directory / name  # the path of the file the rows stay in
         self._read = partial(blobs.read, name, where, "<f4", offset * dim, n * dim)
 
     def checked(self, embeddings: np.ndarray) -> np.ndarray:
@@ -150,7 +150,7 @@ class BlobSequence(TokenSequence):
     def embeddings(self) -> np.ndarray:
         rows = self.checked(self._read().reshape(self._shape))
         if zlib.crc32(rows) != self._crc:
-            raise FormatError(f"blob {self._blob} changed since it was loaded: {self.where} cannot be read again")
+            raise FormatError(f"blob {self.blob} changed since it was loaded: {self.where} cannot be read again")
         return rows
 
 

@@ -11,7 +11,7 @@ Pair means are exact and O(N * C), in closed form over unit rows u_i:
     intra(n rows) = 1 - (||sum u||^2 - sum ||u_i||^2) / (n (n - 1))
     inter(a, b)   = 1 - (sum_a u . sum_b u) / (n_a n_b)
 
-clipped to [0, 2]. A zero row has a zero unit row (`_unit_rows` floors
+clipped to [0, 2]. A zero row has a zero unit row (`unit_rows` floors
 its norm), so it sits at distance 1 from every other row; subtracting
 sum ||u_i||^2 rather than n keeps that.
 """
@@ -30,7 +30,7 @@ NORM_FLOOR = 1e-12
 NORM_BLOCK_ELEMENTS = 2**15  # 256 KB of float64
 
 
-def _unit_rows(z) -> np.ndarray:
+def unit_rows(z) -> np.ndarray:
     """z's rows over their norms (floored at NORM_FLOOR), as one new float64 array,
     whatever z's type: an array, or nested lists of arrays, filled straight from them.
     The norms are `np.linalg.norm`'s, taken over blocks of rows of at most
@@ -85,7 +85,7 @@ def block_input_output_similarity(block_in: np.ndarray, block_out: np.ndarray) -
     block_out = np.asarray(block_out, dtype=np.float64)
     if block_in.shape != block_out.shape:
         raise ShapeError(f"block io shapes differ: {block_in.shape} vs {block_out.shape}")
-    cos = np.einsum("ij,ij->i", _unit_rows(block_in), _unit_rows(block_out))
+    cos = np.einsum("ij,ij->i", unit_rows(block_in), unit_rows(block_out))
     return float(np.clip(cos, -1.0, 1.0).mean())
 
 
@@ -129,7 +129,7 @@ class DiversityAccumulator:
                 self._entry(key)
                 by_shape.setdefault(z.shape, []).append(key)
             for keys in by_shape.values():
-                # nested lists, so that `_unit_rows` makes the one float64 stack
+                # nested lists, so that `unit_rows` makes the one float64 stack
                 self.add_layer_sample(keys, [[sample.layer_outputs[key] for sample in run] for key in keys], spans)
 
     def add_layer_sample(self, keys, z, spans: list[Span]) -> None:
@@ -137,7 +137,7 @@ class DiversityAccumulator:
         `spans`: an (L, S, N, C) stack, or L lists of S (N, C) arrays, holding layer
         keys[l] of S samples, in sample order. One sample's (N, C) outputs of one
         layer, under one key, are a stack of one."""
-        unit = _unit_rows(z)
+        unit = unit_rows(z)
         if unit.ndim == 2:
             keys, unit = [keys], unit[None, None]
         if unit.ndim != 4 or len(keys) != unit.shape[0] or not unit.shape[1]:

@@ -15,6 +15,7 @@ from functools import partial
 import numpy as np
 
 from .allocation import SparsityPlan
+from .diversity import unit_rows
 from .errors import ConfigError
 from .model import PROJECTION_KINDS, BlockRecord, TokenSequence, ToyModel, chunks, forward
 from .pruner import Calibration, PruneConfig, calibration_needs, prune_model
@@ -47,12 +48,8 @@ def _rel(num: float, den: float) -> float:
 
 def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # 1 - 0.5 * ||a_hat - b_hat||^2 equals cos(a, b) and is exactly 1.0 for
-    # bit-identical rows, which keeps the dense-vs-dense check exact.
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    a_hat = a / np.maximum(np.linalg.norm(a, axis=-1, keepdims=True), 1e-12)
-    b_hat = b / np.maximum(np.linalg.norm(b, axis=-1, keepdims=True), 1e-12)
-    return np.clip(1.0 - 0.5 * np.square(a_hat - b_hat).sum(axis=-1), -1.0, 1.0)
+    # bit-identical rows, so the dense model's own task scores are exactly 1.0.
+    return np.clip(1.0 - 0.5 * np.square(unit_rows(a) - unit_rows(b)).sum(axis=-1), -1.0, 1.0)
 
 
 def _sums(sq: np.ndarray) -> list[float]:
@@ -136,33 +133,26 @@ class _Fidelity:
 
 
 def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[EvalMetrics]:
-    """Fidelity metrics against `dense` of each entry of `models` over `seqs`.
+    """Fidelity metrics against `dense` over `seqs` of each model that a callable of
+    `models` returns; each callable is called once per chunk of sequences.
 
-    An entry is a callable returning the model to score, called once per chunk of
-    sequences, or None for `dense` itself. Each chunk runs one dense forward, which
-    every entry is scored against, and one forward per callable, none with capture
-    flags: `on_block` takes each block's record and scores its stacked outputs. The
-    chunk's `_Reference` keeps the dense forward's arrays themselves, the only copy of
-    the dense outputs; a scored forward's arrays add their layer terms and are dropped,
-    so at most one block of a scored model's outputs is alive. The end-to-end terms
-    come from the final states, and `dense` itself is scored against the reference's
-    own arrays. Each entry's sums take one term per sequence in sequence order, so its
-    metrics do not depend on the chunks.
+    Each chunk runs one dense forward, the reference every model is scored against, and
+    one forward per callable, none with capture flags: `on_block` takes each block's
+    record and scores its stacked outputs. The chunk's `_Reference` keeps the dense
+    forward's arrays themselves, the only copy of the dense outputs; a scored forward's
+    arrays add their layer terms and are dropped, so at most one block of a scored
+    model's outputs is alive. The end-to-end terms come from the final states. Each
+    model's sums take one term per sequence in sequence order, so its metrics do not
+    depend on the chunks.
     """
     if not seqs:
         raise ConfigError("evaluation requires at least one sequence")
     sums = [_Fidelity() for _ in models]
     for chunk in chunks(seqs):
         ref = _Reference(chunk.seqs)
-        dense_hidden = forward(dense, chunk, on_block=ref.add_block)
-        ref.finish(dense_hidden)
+        ref.finish(forward(dense, chunk, on_block=ref.add_block))
         for acc, model in zip(sums, models):
-            if model is None:
-                acc.add_layers(ref, ref.outputs)
-                hidden = dense_hidden
-            else:
-                hidden = forward(model(), chunk, on_block=lambda record: acc.add_layers(ref, record.outputs))
-            acc.add_end(ref, hidden)
+            acc.add_end(ref, forward(model(), chunk, on_block=lambda record: acc.add_layers(ref, record.outputs)))
     return [acc.metrics() for acc in sums]
 
 
@@ -246,8 +236,10 @@ def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
     once per eval chunk and scores each cell against it, rebuilding the cell's
     masked weights in one scratch model.
     Task scores are the end-to-end per-token cosine similarities (overall
-    and per modality); references come from the dense model scored against
-    itself, so the relative average of the unpruned model is exactly 100.
+    and per modality). The dense model's own scores, its per-token cosines
+    with itself, are exactly 1.0, so they are the reference scores without a
+    scoring of their own: the dense forward is the reference only, and the
+    relative average of the unpruned model is exactly 100.
     """
     if not isinstance(calib, Calibration):
         calib = Calibration(dense, calib, base_config.calibration_params())
@@ -262,9 +254,7 @@ def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
         del pruned
 
     scratch = dense.copy()
-    reference, *scored = _evaluate(dense, eval_seqs, [None] + [
-        partial(_write_masked, scratch, dense, keep) for *_, keep in cells])
-    reference = reference.task_scores()
+    scored = _evaluate(dense, eval_seqs, [partial(_write_masked, scratch, dense, keep) for *_, keep in cells])
     rows = []
     for (method, sparsity, global_achieved, _), metrics in zip(cells, scored):
         scores = metrics.task_scores()
@@ -276,6 +266,6 @@ def run_comparison(dense: ToyModel, calib: Calibration | list[TokenSequence],
             "mean_layer_rel_error": metrics.mean_layer_rel_error,
         }
         row.update(scores)
-        row["rel_avg"] = rel_avg({task: (scores[task], reference[task]) for task in scores})
+        row["rel_avg"] = rel_avg({task: (score, 1.0) for task, score in scores.items()})
         rows.append(row)
     return rows

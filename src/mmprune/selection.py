@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diversity import _unit_rows
+from .diversity import unit_rows
 from .errors import InsufficientTokensError, ShapeError
 from .model import PROJECTION_KINDS
 
@@ -45,7 +45,7 @@ def pairwise_cosine_distances(z: np.ndarray) -> np.ndarray:
     distances do not depend on the stack it is in. numpy computes `u @ u.T` as one
     triangle and mirrors it, so the distances are exactly symmetric.
     """
-    unit = _unit_rows(z)
+    unit = unit_rows(z)
     n, c = unit.shape[-2:]
     d = np.empty(unit.shape[:-1] + (n,))
     for u, gram in zip(unit.reshape(-1, n, c), d.reshape(-1, n, n)):

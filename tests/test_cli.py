@@ -9,6 +9,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -423,14 +424,48 @@ def test_every_setting_has_one_source_of_defaults(tmp_path, command):
     (["--report", "OUT/../out/./manifest.json"], "would overwrite the manifest.json that prune writes to --out"),
     (["--report", "OUT/r.json", "--plan-out", "OUT/../out/r.json"],
      "--plan-out OUT/../out/r.json would overwrite the --report file"),
+    (["--report", "c"], "--report c would overwrite the --calib file"),
+    (["--plan-out", "./c"], "--plan-out ./c would overwrite the --calib file"),
+    (["--method", "wanda", "--plan", "OUT/p.json", "--report", "OUT/p.json"],
+     "--report OUT/p.json would overwrite the --plan file"),
+    (["--report", "m/manifest.json"], "--report m/manifest.json would overwrite the manifest.json that prune "
+                                      "reads from --model"),
+    (["--plan-out", "m/weights.bin"], "would overwrite the weights.bin that prune reads from --model"),
+    (["--report", "m/masks.bin"], "would overwrite the masks.bin that prune reads from --model"),
 ], ids=["report-manifest", "plan-out-run-record", "report-weights", "plan-out-masks", "report-manifest-by-dots",
-        "report-is-plan-out"])
+        "report-is-plan-out", "report-calib", "plan-out-calib", "report-plan", "report-model-manifest",
+        "plan-out-model-weights", "report-model-masks"])
 def test_prune_output_file_over_another_output_is_usage_error(tmp_path, capsys, no_loads, flags, message):
     out = tmp_path / "out"
     flags = [flag.replace("OUT", str(out)) for flag in flags]
     assert usage_error(["prune", "--model", "m", "--calib", "c", "--out", str(out)] + flags,
                        capsys).endswith(message.replace("OUT", str(out)))
     assert no_loads == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--report", "--plan-out", "--out"])
+def test_prune_output_over_a_calibration_blob_is_usage_error(workspace, tmp_path, capsys, flag):
+    calib, blob, out = workspace / "calib.jsonl", workspace / "calib_embeddings.bin", tmp_path / "out"
+    if flag == "--out":  # a calibration set whose blob has the name of a checkpoint file, pruned into its directory
+        calib.write_text(calib.read_text().replace(blob.name, "weights.bin"))
+        blob, out = blob.rename(workspace / "weights.bin"), workspace
+    before = blob.read_bytes()
+    argv = ["prune", "--model", str(workspace / "model"), "--calib", str(calib), "--method", "wanda", "--out", str(out)]
+    message = usage_error(argv + ([flag, str(blob)] if flag != "--out" else []), capsys)
+    what = "the weights.bin that prune writes to --out" if flag == "--out" else f"{flag} {blob}"
+    assert message == f"{what} would overwrite a blob that --calib {calib} reads"
+    assert blob.read_bytes() == before and not (out / "manifest.json").exists()
+
+
+def test_huge_lam_is_one_json_error_line_without_warnings(workspace, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["prune", "--model", str(workspace / "model"), "--calib", str(workspace / "calib.jsonl"),
+                     "--method", "das", "--sparsity", "0.6", "--lam", "1e308", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert code == 1 and err.count("\n") == 1
+    assert json.loads(err)["error"] == "InfeasibleBudgetError"
 
 
 def test_prune_writes_masked_checkpoint_and_report(workspace, tmp_path):

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmprune.allocation import allocate_uniform, PlanEntry, SparsityPlan
 from mmprune.data import ModalitySpec, generate_sequences
@@ -355,6 +357,25 @@ def test_run_comparison_rows_and_relavg():
     assert rel_avg({t: (v, v) for t, v in dense_scores.items()}) == 100.0
 
 
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**16), n_blocks=st.integers(1, 2),
+       lengths=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any), min_size=1, max_size=3),
+       methods=st.lists(st.sampled_from(list(METHOD_SPECS)), min_size=1, max_size=2, unique=True))
+def test_dense_scores_itself_exactly_one_and_rows_are_relative_to_that(seed, n_blocks, lengths, methods):
+    # Whatever is drawn, the first eval sequence is one all-zero token in a 1-token
+    # language span after a zero-length visual span.
+    rng = np.random.default_rng(seed)
+    lengths = [(0, 1)] + lengths
+    embeddings = [np.zeros((1, 8))] + [rng.standard_normal((v + l, 8)) for v, l in lengths[1:]]
+    eval_seqs = [TokenSequence(x, [Span(VIS, 0, v), Span(LANG, v, l)]) for x, (v, l) in zip(embeddings, lengths)]
+    dense = init_synthetic(8, 2, 12, n_blocks, seed=seed)
+    calib = generate_sequences(3, 8, [ModalitySpec("visual", 5), ModalitySpec("language", 4)], seed=seed + 1)
+    reference = reconstruction_report(dense, dense, eval_seqs).task_scores()
+    assert all(v == 1.0 for v in reference.values())
+    for row in run_comparison(dense, calib, eval_seqs, methods, [0.5], PruneConfig()):
+        assert row["rel_avg"] == rel_avg({task: (row[task], reference[task]) for task in reference})
+
+
 def _oracle_row(dense, calib, eval_seqs, config):
     """One comparison row from an independent prune and evaluation."""
     reference = reconstruction_report(dense, dense, eval_seqs).task_scores()
@@ -542,7 +563,7 @@ def test_chunk_fidelity_sums_equal_per_sequence_sums(monkeypatch, data, tokens):
         model, seqs, eval_seqs = scenario.model, scenario.calib, scenario.eval
     pruned, _ = prune_model(model, seqs, PruneConfig(method="wanda", sparsity=0.5))
     monkeypatch.setattr(model_module, "CHUNK_TOKENS", tokens)
-    reference, scored = _evaluate(model, eval_seqs, [None, lambda: pruned])
+    reference, scored = _evaluate(model, eval_seqs, [lambda: model, lambda: pruned])
     assert repr(scored) == repr(per_sequence_metrics(model, pruned, eval_seqs))
     assert repr(reference) == repr(per_sequence_metrics(model, model, eval_seqs))
 

@@ -4,16 +4,21 @@ The runs cover both `gen-synth` scenarios, a `compare` grid of every method at t
 sparsities (plus the random and attention selection overrides and a per-layer
 group), a `prune` of every method with `--report` and `--plan-out`, `--sequential`,
 `--plan` and both `--structural` kinds, and `analyze` with all four reports, on
-small plain and noisy-modality workspaces. Each file except `run.json` (which
+small plain and noisy-modality workspaces; and `prune` of `tamp` and `wanda` plus
+the attention report on two long-sequence workspaces (N = 1024 and N = 1002). Each file except `run.json` (which
 records the output paths) must match the digest committed in
 `output_digests.json`, so a change that should leave results alone is checked
 against the outputs of the code before it.
 
 Float results depend on numpy's and the BLAS's kernels, so the digests hold for
-one platform. After a change that moves results on purpose, or on another
-platform, rewrite them with `PYTHONPATH=src python tests/test_output_digests.py`
-and review the diff.
+one platform, and on the BLAS's thread count once N reaches the hundreds, so they
+are taken, as the tests run, with the BLAS pinned to one thread. After a change that
+moves results on purpose, or on another platform, rewrite them with
+`PYTHONPATH=src python tests/test_output_digests.py` and review the diff.
 """
+
+if __name__ == "__main__":
+    import conftest  # noqa: F401  pins the BLAS to one thread before numpy loads
 
 import hashlib
 import json
@@ -31,6 +36,10 @@ PLAIN = ["--d-model", "16", "--n-heads", "2", "--d-ff", "24", "--n-blocks", "2",
          "--tokens-per-modality", "24", "--n-calib", "5", "--n-eval", "3", "--seed", "3"]
 NOISY = ["--scenario", "noisy-modality", "--d-model", "24", "--n-heads", "4", "--d-ff", "32",
          "--n-blocks", "2", "--n-calib", "2", "--n-eval", "5", "--seed", "1"]
+# Long sequences: N = 1024, and N = 1002, which is not a multiple of 8.
+LONG = ["--d-model", "16", "--n-heads", "2", "--d-ff", "24", "--n-blocks", "2",
+        "--n-calib", "2", "--n-eval", "1", "--seed", "3"]
+LONG_WORKSPACES = {"long": "512", "long-odd": "501"}
 
 
 def _runs() -> list[tuple[str, list[str]]]:
@@ -86,13 +95,19 @@ def _runs() -> list[tuple[str, list[str]]]:
         ("analyze-full-plan", ["analyze", *data("plain"), "--out", "{out}", "--selection", "full",
                                "--reports", "selection,sparsity", "--plan", "{runs}/prune-das/plan.json"]),
     ]
+    for ws, tokens in LONG_WORKSPACES.items():
+        runs += [(f"gen-{ws}", ["gen-synth", "--out", "{out}", "--tokens-per-modality", tokens] + LONG),
+                 (f"prune-tamp-{ws}", prune(ws, "--method", "tamp")),
+                 (f"prune-wanda-{ws}", prune(ws, "--method", "wanda")),
+                 (f"analyze-{ws}", ["analyze", *data(ws), "--out", "{out}", "--reports", "attention"])]
     return runs
 
 
 def run_all(root: Path) -> dict[str, str]:
     """Runs every command under `root`; returns {run/file: sha256} of every output
     file except `run.json`."""
-    places = {"plain": root / "gen-plain", "noisy": root / "gen-noisy", "runs": root}
+    places = {ws: root / f"gen-{ws}" for ws in ["plain", "noisy", *LONG_WORKSPACES]}
+    places["runs"] = root
     digests = {}
     for name, argv in _runs():
         out = root / name
