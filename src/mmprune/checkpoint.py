@@ -85,21 +85,22 @@ def save_checkpoint(model: ToyModel, directory: str | Path) -> Path:
         "layers": layers,
         "norm_scales": norm_scales,
     }
-    files = {WEIGHTS_BLOB: np.concatenate(weight_parts).tobytes()}
+    blobs = {WEIGHTS_BLOB: weight_parts}
     if mask_parts:
-        files[MASKS_BLOB] = np.concatenate(mask_parts).tobytes()
-    files[MANIFEST_NAME] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    temps = {}
+        blobs[MASKS_BLOB] = mask_parts
+    temps = {name: directory / f".{name}.tmp" for name in [*blobs, MANIFEST_NAME]}
     try:  # a failed write leaves the old checkpoint whole, and no temporary file behind
-        for name, data in files.items():
-            temps[name] = directory / f".{name}.tmp"
-            temps[name].write_bytes(data)
+        for name, parts in blobs.items():
+            with open(temps[name], "wb") as f:  # part by part: no copy of the whole blob
+                for part in parts:
+                    f.write(part)
+        temps[MANIFEST_NAME].write_bytes((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
         for name, temp in temps.items():
             os.replace(temp, directory / name)
     finally:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
-    for name in {WEIGHTS_BLOB, MASKS_BLOB} - files.keys():  # the manifest no longer names it
+    for name in {WEIGHTS_BLOB, MASKS_BLOB} - blobs.keys():  # the manifest no longer names it
         (directory / name).unlink(missing_ok=True)
     return directory
 

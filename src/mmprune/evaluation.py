@@ -137,7 +137,7 @@ def _evaluate(dense: ToyModel, seqs: list[TokenSequence], models: list) -> list[
     `models` returns; each callable is called once per chunk of sequences.
 
     Each chunk runs one dense forward, the reference every model is scored against, and
-    one forward per callable, none with capture flags: `on_block` takes each block's
+    one forward per callable, none with `span_mass`: `on_block` takes each block's
     record and scores its stacked outputs. The chunk's `_Reference` keeps the dense
     forward's arrays themselves, the only copy of the dense outputs; a scored forward's
     arrays add their layer terms and are dropped, so at most one block of a scored

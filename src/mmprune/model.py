@@ -126,18 +126,19 @@ class Block:
         self.ffn_norm_scale = np.asarray(self.ffn_norm_scale, dtype=np.float32)
 
 
+def projection_shape(kind: str, d_model: int, d_ff: int) -> tuple[int, int]:
+    """The (out_features, in_features) weight shape of projection `kind`."""
+    return {"gate": (d_ff, d_model), "up": (d_ff, d_model), "down": (d_model, d_ff)}.get(kind, (d_model, d_model))
+
+
 class ToyModel:
     def __init__(self, blocks: list[Block], n_heads: int, d_model: int, d_ff: int, seed: int):
         if d_model % n_heads != 0:
             raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
         for block in blocks:
-            shapes = {
-                "q": (d_model, d_model), "k": (d_model, d_model),
-                "v": (d_model, d_model), "o": (d_model, d_model),
-                "gate": (d_ff, d_model), "up": (d_ff, d_model), "down": (d_model, d_ff),
-            }
-            for kind, shape in shapes.items():
+            for kind in PROJECTION_KINDS:
                 layer = block.layers[kind]
+                shape = projection_shape(kind, d_model, d_ff)
                 if layer.weight.shape != shape:
                     raise ShapeError(f"{layer.name}: expected shape {shape}, got {layer.weight.shape}")
                 if not np.isfinite(layer.weight).all():
@@ -183,30 +184,21 @@ class ToyModel:
         return ToyModel(blocks, self.n_heads, self.d_model, self.d_ff, self.seed)
 
 
-@dataclass(frozen=True)
-class CaptureFlags:
-    """What a forward's block records hold beside the projections' inputs and outputs.
-    Each costs time or holds memory, so it is taken only when asked; none is N x N."""
-
-    span_mass: bool = False
-    hiddens: bool = False
-    final_query: bool = False
-
-
 @dataclass
 class BlockRecord:
     """What a forward over S sequences of N tokens hands `on_block` after block `index`:
     each projection's (S, N, C) input and output under (index, kind), q/k/v sharing one
-    input array and gate/up another, and only as CaptureFlags asks: the (S, N, d_model)
-    states entering and leaving the block (`hiddens`), the final query's head-averaged
-    attention row (`final_query`, (S, N)), and per sequence that attention's (n_spans, N)
-    row sums over each span's keys (`span_mass`). The forward never writes any of them
-    after handing them over, so a callback may keep them."""
+    input array and gate/up another; the (S, N, d_model) states entering and leaving the
+    block (`hiddens`), arrays the forward makes anyway; the final query's head-averaged
+    attention row (`final_query`, (S, N) float32); and, only if the forward is asked for
+    `span_mass`, per sequence that attention's (n_spans, N) row sums over each span's
+    keys, which take an (S, N, N) head average. None is N x N. The forward never writes
+    any of them after handing them over, so a callback may keep them."""
 
     index: int
     inputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
     outputs: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
-    hiddens: tuple[np.ndarray, ...] | None = None
+    hiddens: tuple[np.ndarray, ...] = ()
     final_query: np.ndarray | None = None
     span_mass: list[np.ndarray] | None = None
 
@@ -297,26 +289,25 @@ def chunks(seqs: list[TokenSequence]):
         yield Chunk(run)
 
 
-def forward(model: ToyModel, seq: TokenSequence | Chunk, capture: CaptureFlags = CaptureFlags(),
-            on_block=None) -> np.ndarray:
+def forward(model: ToyModel, seq: TokenSequence | Chunk, span_mass: bool = False, on_block=None) -> np.ndarray:
     """The state after every block of `model` on one sequence or on a Chunk, from the
     embeddings. A chunk's S sequences run as one (S, N, d_model) stack and return its
     state stack; one sequence runs as a chunk of one and returns its N x d_model state.
     Every matmul and reduction works per sample and per row, so a sample's results do
     not depend on the chunk it runs in.
 
-    `on_block`, if given, is called after each block, in order, with its BlockRecord:
-    the arrays the block made and the captures `capture` asks for, as (S, N, ...) stacks
-    even for one sequence. The block's (S, heads, N, N) scores are freed before it, so
-    whatever the callback runs does not sit beside them.
+    `on_block`, if given, is called after each block, in order, with its BlockRecord,
+    as (S, N, ...) stacks even for one sequence; its `span_mass` only if `span_mass`.
+    The block's (S, heads, N, N) scores are freed before it, so whatever the callback
+    runs does not sit beside them.
     """
     if isinstance(seq, Chunk):
-        return _forward(model, seq, capture, on_block)
-    return _forward(model, Chunk([seq]), capture, on_block)[0]
+        return _forward(model, seq, span_mass, on_block)
+    return _forward(model, Chunk([seq]), span_mass, on_block)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as a NumericError, not a warning
-def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
+def _forward(model: ToyModel, chunk: Chunk, span_mass: bool, on_block):
     """`forward` on a chunk: an (S, N, d_model) state out.
 
     Per block, k's output, the attention row sums and the residual are checked finite. IEEE
@@ -334,7 +325,7 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
     for block in model.blocks:
         b = block.index
         # held to the block's end, for a failed check's rescan and for the callback
-        record = BlockRecord(b, hiddens=(x,) if capture.hiddens else None)
+        record = BlockRecord(b, hiddens=(x,))
 
         def project(kind: str, inp: np.ndarray) -> np.ndarray:
             record.inputs[(b, kind)] = inp
@@ -354,11 +345,10 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
         scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))  # freed before the callback
         scores /= np.float32(np.sqrt(dh))
         _check_finite(_causal_softmax(scores), f"block{b}.attention", record)
-        if capture.span_mass:  # the N x N head average is a temporary; only these sums stay
+        if span_mass:  # the N x N head average is a temporary; only these sums stay
             record.span_mass = [np.stack([attn[:, span.start:span.stop].sum(axis=1) for span in seq.spans])
                                 for attn, seq in zip(scores.mean(axis=1), seqs)]
-        if capture.final_query:  # the last row of the head average above, bitwise
-            record.final_query = scores[:, :, -1, :].mean(axis=1)
+        record.final_query = scores[:, :, -1, :].mean(axis=1)  # the last row of that head average, bitwise
         context = (scores @ vh).transpose(0, 2, 1, 3).reshape(s, n, d).astype(np.float32, copy=False)
         del scores
         x = x + project("o", context)
@@ -374,8 +364,7 @@ def _forward(model: ToyModel, chunk: Chunk, capture: CaptureFlags, on_block):
         x += project("down", act.astype(np.float32, copy=False))  # in place: x + o is unrecorded
         _check_finite(x, f"block{b}.residual", record)
 
-        if capture.hiddens:
-            record.hiddens += (x,)
+        record.hiddens += (x,)  # x + o is a new array, so the entering state is unwritten
         if on_block is not None:
             on_block(record)
     return x
@@ -397,12 +386,7 @@ def init_synthetic(d_model: int, n_heads: int, d_ff: int, n_blocks: int, seed: i
     for b in range(n_blocks):
         layers = {}
         for kind in PROJECTION_KINDS:
-            if kind == "down":
-                out_dim, in_dim = d_model, d_ff
-            elif kind in ("gate", "up"):
-                out_dim, in_dim = d_ff, d_model
-            else:
-                out_dim, in_dim = d_model, d_model
+            out_dim, in_dim = projection_shape(kind, d_model, d_ff)
             bound = 1.0 / np.sqrt(in_dim)
             weight = rng.uniform(-bound, bound, size=(out_dim, in_dim)).astype(np.float32)
             layers[kind] = LinearLayer(weight, kind, b)

@@ -23,7 +23,7 @@ from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
 from .data import BlobReader, BlobSequence
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, ShapeError
-from .model import PROJECTION_KINDS, CaptureFlags, TokenSequence, ToyModel, chunks, forward
+from .model import PROJECTION_KINDS, TokenSequence, ToyModel, chunks, forward
 from .selection import AMIA_STACK_ELEMENTS, SELECTION_KINDS, AmiaParams
 
 MASK_GROUPS = ("per_output_row", "per_layer")
@@ -172,11 +172,11 @@ class _Sample:
     """One sequence's share of a calibration pass's group of block records: its index
     among the pass's sequences, its spans and its tokens' span numbers (`span_index`,
     made once per chunk), per layer its projection input and output (one view per
-    stacked input, so q/k/v share one and gate/up another), per block its `span_mass`,
-    its (entering, leaving) `hiddens` and its final-query attention row in float64 (its
-    `contributions`), all as captured, its tokens selected by each kind the pass reads,
-    and what those kinds' statistics share: each input's all-row sums of squares, taken
-    once per input array."""
+    stacked input, so q/k/v share one and gate/up another), per block its (entering,
+    leaving) `hiddens`, its float32 final-query attention row (its `contributions`) and,
+    if the pass asked for them, its `span_mass`, all views of the records' arrays, its
+    tokens selected by each kind the pass reads, and what those kinds' statistics share:
+    each input's all-row sums of squares, taken once per input array."""
 
     def __init__(self, records, i: int, index: int, spans: list, span_index: np.ndarray):
         self.index = index
@@ -189,9 +189,8 @@ class _Sample:
                 self.layer_inputs[key] = views.setdefault(id(x), x[i])
             self.layer_outputs.update((key, z[i]) for key, z in record.outputs.items())
         self.span_mass = {r.index: r.span_mass[i] for r in records if r.span_mass is not None}
-        self.hiddens = {r.index: (r.hiddens[0][i], r.hiddens[1][i]) for r in records if r.hiddens is not None}
-        self.contributions = {r.index: r.final_query[i].astype(np.float64) for r in records
-                              if r.final_query is not None}
+        self.hiddens = {r.index: (r.hiddens[0][i], r.hiddens[1][i]) for r in records}
+        self.contributions = {r.index: r.final_query[i] for r in records}
         self._sums: dict[int, np.ndarray] = {}  # id of an input view -> its all-row sums
 
     def sq_sums(self, key, indices: np.ndarray | None) -> np.ndarray:
@@ -375,10 +374,11 @@ class Calibration:
         return {key: coefficient * float(np.sqrt(st.importance)) for key, st in self.diversity.items()}
 
     def _pass(self, results: list, model: ToyModel, seqs: list[TokenSequence]) -> dict:
-        """The one loop over calibration chunks: computes `results`, all of one dependency
-        level, from `model` on `seqs` (the calibrated model and sequences, or a
-        `--sequential` step's one-block model and carried samples), in one forward per
-        chunk that captures what their accumulators and selection kinds read. Adaptive
+        """The one loop that computes results over calibration chunks (`_advance` only
+        carries `--sequential`'s samples through a masked block): computes `results`, all
+        of one dependency level, from `model` on `seqs` (the calibrated model and
+        sequences, or a `--sequential` step's one-block model and carried samples), in one
+        forward per chunk, which takes the span masses only for `attention_mass`. Adaptive
         kinds read the thresholds of the calibrated model.
 
         The forward's `on_block` gathers its block records in consecutive groups of G
@@ -396,8 +396,6 @@ class Calibration:
         accs = {result: build(self) for result, (_, build) in RESULTS.items() if result in results}
         kinds = {kind: SELECTION_KINDS[kind] for kind, _ in map(RESULTS.get, results) if kind is not None}
         thresholds = self.thresholds if any(entry.adaptive for entry in kinds.values()) else {}
-        capture = CaptureFlags(span_mass="attention_mass" in accs, hiddens="block_similarity" in accs,
-                               final_query=any(entry.attention for entry in kinds.values()))
         index, group = 0, []
         for chunk in chunks(seqs):
             n = len(chunk.seqs[0])
@@ -416,7 +414,7 @@ class Calibration:
                     acc.add(samples)
                 group.clear()
 
-            forward(model, chunk, capture, on_block)
+            forward(model, chunk, "attention_mass" in accs, on_block)
             index += len(chunk.seqs)
         return {result: acc.finalize() for result, acc in accs.items()}
 

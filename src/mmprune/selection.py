@@ -216,7 +216,7 @@ def _pick_random(sample, params, layer, n: int) -> np.ndarray:
 
 def _pick_above_mean(sample, params, layer, n: int) -> np.ndarray:
     """The tokens whose contribution exceeds the mean; all, where none does."""
-    a = sample.contributions[layer[0]]
+    a = sample.contributions[layer[0]].astype(np.float64)
     chosen = np.where(a > a.mean())[0]
     return chosen if len(chosen) else np.arange(n)
 
@@ -247,13 +247,12 @@ def _select_adaptive(sample, params, thresholds) -> dict:
 @dataclass(frozen=True)
 class SelectionKind:
     """`select(sample, params, thresholds)` gives one sample's {layer: (indices,
-    SelectionResult | None)}. A kind that reads `attention` reads `sample.contributions`,
-    each block's final-query attention row, the only attention its pass captures
-    (`final_query`); an `adaptive` one reads the layer outputs and {layer: MMD
-    threshold}s; `keeps_all`: all, in order."""
+    SelectionResult | None)}. `attention` and `amia` read `sample.contributions`, each
+    block's final-query attention row in float32, which they take to float64 before any
+    arithmetic; an `adaptive` kind reads the layer outputs and {layer: MMD threshold}s;
+    `keeps_all`: all, in order."""
 
     select: Callable[..., dict]
-    attention: bool = False
     adaptive: bool = False
     keeps_all: bool = False
 
@@ -261,6 +260,6 @@ class SelectionKind:
 SELECTION_KINDS = {
     "full": SelectionKind(_layerwise(lambda sample, params, layer, n: np.arange(n)), keeps_all=True),
     "random": SelectionKind(_layerwise(_pick_random)),
-    "attention": SelectionKind(_layerwise(_pick_above_mean), attention=True),
-    "amia": SelectionKind(_select_adaptive, attention=True, adaptive=True),
+    "attention": SelectionKind(_layerwise(_pick_above_mean)),
+    "amia": SelectionKind(_select_adaptive, adaptive=True),
 }

@@ -1,12 +1,15 @@
 """Sparsity allocation: budget exactness, monotonicity, oracle checks."""
 
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmprune import allocation
 from mmprune.allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
                                 allocate_owl, allocate_uniform, owl_outlier_ratio)
 from mmprune.errors import ConfigError, InfeasibleBudgetError, MMPruneError
@@ -49,6 +52,29 @@ def test_two_layer_weighted_counts_example_with_search_oracle():
     assert ratios["a"] == pytest.approx(c_star - lam, abs=1e-6)
     assert ratios["b"] == pytest.approx(c_star + lam, abs=1e-6)
     assert weighted_mean(plan) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_a_bisection_residual_above_the_tolerance_takes_a_newton_step():
+    # at lam = 1e6, k clamps to 1 and q and v share the rest of the budget: 200 bisection
+    # steps leave a residual of about 1.2e-10, above BUDGET_TOL
+    code = inspect.unwrap(allocation._waterfill).__code__
+    lines, start = inspect.getsourcelines(code)
+    newton = start + next(i for i, line in enumerate(lines) if "delta += residual" in line)
+    executed = []
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            executed.append(frame.f_lineno)
+        return trace_lines
+
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+    try:
+        plan = allocate_das({(0, "q"): 1.0, (0, "k"): 0.0, (0, "v"): 1.0},
+                            {(0, "q"): 4096, (0, "k"): 16, (0, "v"): 16}, 0.5, 1e6)
+    finally:
+        sys.settrace(None)
+    assert executed.count(newton) == 1
+    assert abs(weighted_mean(plan) - 0.5) <= allocation.BUDGET_TOL
 
 
 def test_budget_exactness_fuzz():

@@ -24,7 +24,6 @@ from mmprune.checkpoint import load_checkpoint
 from mmprune.cli import _prune_config, build_parser, main
 from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError
-from mmprune.model import CaptureFlags
 from mmprune.pruner import PruneConfig
 from tests.test_data import edited_json
 from tests.test_pruner import count_calibration_forwards
@@ -555,21 +554,21 @@ def test_analyze_captures_span_masses_only_in_its_attention_reports_pass(tmp_pat
                  "--n-blocks", "2", "--tokens-per-modality", "10", "--n-calib", "4", "--n-eval", "1"]) == 0
     captures, quadratic, real_forward = [], [], pruner.forward
 
-    def spy(model, chunk, capture=pruner.CaptureFlags(), on_block=None):
-        captures.append(capture)
+    def spy(model, chunk, span_mass=False, on_block=None):
+        captures.append(span_mass)
 
         def inspect(record):
             arrays = [*record.inputs.values(), *record.outputs.values(), *(record.span_mass or ()),
-                      *(record.hiddens or ()), *([] if record.final_query is None else [record.final_query])]
+                      *record.hiddens, record.final_query]
             quadratic.extend(a.shape for a in arrays if a.shape.count(len(chunk.seqs[0])) > 1)
             on_block(record)
-        return real_forward(model, chunk, capture, inspect)
+        return real_forward(model, chunk, span_mass, inspect)
 
     monkeypatch.setattr(pruner, "forward", spy)
     assert main(["analyze", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"),
                  "--out", str(tmp_path / "out"), "--reports", "diversity,attention,selection"]) == 0
     # the diversity and attention reports' pass, then amia's, which reads the final query's row
-    assert [(c.span_mass, c.final_query) for c in dict.fromkeys(captures)] == [(True, False), (False, True)]
+    assert list(dict.fromkeys(captures)) == [True, False]
     assert quadratic == []  # no record array has two axes of length N
 
 
@@ -791,11 +790,11 @@ def test_sequential_scratch_directory_is_removed_on_every_exit(tmp_path, capsys,
     real_forward = pruner.forward
     blobs = []  # the scratch blobs on disk as the advance through block 1 fails
 
-    def failing_forward(model, seq, capture=CaptureFlags(), on_block=None):
+    def failing_forward(model, seq, span_mass=False, on_block=None):
         if on_block is None and model.blocks[0].index == 1:  # an advance, not a calibration pass
             blobs.extend(sorted(path.name for path in scratch.rglob("*") if path.is_file()))
             raise NumericError("non-finite values at block1.residual")
-        return real_forward(model, seq, capture, on_block)
+        return real_forward(model, seq, span_mass, on_block)
     monkeypatch.setattr(pruner, "forward", failing_forward)
     capsys.readouterr()
     assert main(argv) == 1

@@ -12,7 +12,7 @@ from mmprune.allocation import allocate_uniform, PlanEntry, SparsityPlan
 from mmprune.data import ModalitySpec, generate_sequences
 from mmprune.errors import ConfigError
 from mmprune.evaluation import reconstruction_report, rel_avg, run_comparison, sparsity_report
-from mmprune.model import (Block, CaptureFlags, Chunk, LinearLayer, ModalityId, Span,
+from mmprune.model import (Block, Chunk, LinearLayer, ModalityId, Span,
                            TokenSequence, ToyModel, forward)
 from mmprune.pruner import (METHOD_SPECS, Calibration, PruneConfig, _AttentionMass, make_mask,
                             mask_order, prune_model)
@@ -249,8 +249,7 @@ def test_attention_requires_capture():
 
 def test_attention_from_real_traces_sums_to_one():
     model, seqs = eval_setup(seed=5)
-    from mmprune.model import CaptureFlags
-    traces = [forward_captures(model, s, CaptureFlags(span_mass=True))[1] for s in seqs]
+    traces = [forward_captures(model, s, span_mass=True)[1] for s in seqs]
     masses = attention_by_modality(traces)
     for block in masses.values():
         assert sum(block.values()) == pytest.approx(1.0, abs=1e-5)
@@ -260,7 +259,7 @@ def test_attention_masses_equal_the_dense_oracle_bitwise():
     # the masses taken from the N x N attention itself: repeated spans of one modality add,
     # and an empty span gives 0.0
     model, seqs = mixed_layout_setup(92)
-    traces = [forward_captures(model, s, CaptureFlags(span_mass=True))[1] for s in seqs]
+    traces = [forward_captures(model, s, span_mass=True)[1] for s in seqs]
     expected = {}
     for trace in traces:
         for b in range(model.n_blocks):
@@ -279,20 +278,18 @@ def test_attention_masses_equal_the_dense_oracle_bitwise():
 
 def test_attention_streams_a_generator_of_traces():
     model, seqs = eval_setup(seed=5)
-    from mmprune.model import CaptureFlags
-    capture = CaptureFlags(span_mass=True)
     refs, peak = [], []
 
     def traces():
         for seq in seqs:
-            trace = forward_captures(model, seq, capture)[1]
+            trace = forward_captures(model, seq, span_mass=True)[1]
             refs.append(weakref.ref(trace))
             peak.append(sum(ref() is not None for ref in refs))
             yield trace
             del trace
 
     streamed = attention_by_modality(traces())
-    assert streamed == attention_by_modality([forward_captures(model, s, capture)[1] for s in seqs])
+    assert streamed == attention_by_modality([forward_captures(model, s, span_mass=True)[1] for s in seqs])
     assert len(seqs) == 3 and max(peak) == 2  # the consumer drops each trace before the next
     with pytest.raises(ConfigError, match="at least one calibration sequence"):  # no pass runs on no traces
         Calibration(model, iter([]))

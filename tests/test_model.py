@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mmprune import model as model_module
 from mmprune.data import make_noisy_modality_scenario
 from mmprune.errors import ConfigError, NumericError, ShapeError
-from mmprune.model import (PROJECTION_KINDS, RMS_EPS, Block, CaptureFlags, Chunk, LinearLayer,
+from mmprune.model import (PROJECTION_KINDS, RMS_EPS, Block, Chunk, LinearLayer,
                            ModalityId, Span, TokenSequence, ToyModel, _causal_softmax, chunks, forward,
                            init_synthetic)
 from tests.test_data import traced_peak
@@ -26,14 +26,13 @@ from tests.test_data import traced_peak
 VIS = ModalityId(0, "visual")
 LANG = ModalityId(1, "language")
 AUDIO = ModalityId(2, "audio")
-CAPTURE_ALL = CaptureFlags(span_mass=True, hiddens=True, final_query=True)
 
 
 @dataclass
 class Captures:
     """One sequence's share of a forward's block records: per layer its projection's (N, C)
-    input and output, per block its (n_spans, N) span masses and its final query's
-    attention row, and the states entering the first block and leaving each."""
+    input and output, per block its (n_spans, N) span masses (if asked for) and its final
+    query's attention row, and the states entering the first block and leaving each."""
 
     spans: list
     layer_inputs: dict = field(default_factory=dict)
@@ -43,7 +42,7 @@ class Captures:
     final_query: dict = field(default_factory=dict)
 
 
-def forward_captures(model, seq, capture=CaptureFlags(), on_block=None):
+def forward_captures(model, seq, span_mass=False, on_block=None):
     """`forward`'s state and its block records split per sequence: (state, Captures) for
     a TokenSequence, (state, [Captures]) for a Chunk. Each sequence gets one view of each
     stacked input, so its q/k/v share one input and its gate/up another. `on_block`, if
@@ -60,17 +59,15 @@ def forward_captures(model, seq, capture=CaptureFlags(), on_block=None):
             trace.layer_outputs.update((key, z[i]) for key, z in record.outputs.items())
             if record.span_mass is not None:
                 trace.span_mass[b] = record.span_mass[i]
-            if record.final_query is not None:
-                trace.final_query[b] = record.final_query[i]
-            if record.hiddens is not None:
-                entering, leaving = record.hiddens
-                if not trace.hiddens:
-                    trace.hiddens.append(entering[i])
-                trace.hiddens.append(leaving[i])
+            trace.final_query[b] = record.final_query[i]
+            entering, leaving = record.hiddens
+            if not trace.hiddens:
+                trace.hiddens.append(entering[i])
+            trace.hiddens.append(leaving[i])
         if on_block is not None:
             on_block(record)
 
-    state = forward(model, seq, capture, split)
+    state = forward(model, seq, span_mass, split)
     return (state, traces) if isinstance(seq, Chunk) else (state, traces[0])
 
 
@@ -162,8 +159,8 @@ def test_zero_projection_block_leaves_residual_unchanged():
 def test_forward_is_deterministic_bitwise():
     model = init_synthetic(16, 4, 24, 3, seed=5)
     seq = rng_seq(12, 16, seed=9)
-    h1, t1 = forward_captures(model, seq, CAPTURE_ALL)
-    h2, t2 = forward_captures(model, seq, CAPTURE_ALL)
+    h1, t1 = forward_captures(model, seq, span_mass=True)
+    h2, t2 = forward_captures(model, seq, span_mass=True)
     assert h1.tobytes() == h2.tobytes()
     for key in t1.layer_outputs:
         assert t1.layer_outputs[key].tobytes() == t2.layer_outputs[key].tobytes()
@@ -174,25 +171,11 @@ def test_forward_is_deterministic_bitwise():
 def test_span_masses_are_row_stochastic_and_causal():
     model = init_synthetic(16, 4, 24, 2, seed=11)
     seq = rng_seq(9, 16, seed=2)  # visual tokens 0-3, language 4-8
-    _, trace = forward_captures(model, seq, CaptureFlags(span_mass=True))
+    _, trace = forward_captures(model, seq, span_mass=True)
     for rows in trace.span_mass.values():
         assert rows.shape == (2, 9) and rows.dtype == np.float32
         np.testing.assert_allclose(rows.sum(axis=0), 1.0, atol=1e-5)
         assert (rows[1, :4] == 0.0).all() and (rows[0, :4] > 0.0).all()  # no query sees a later key
-
-
-def test_capture_flags_control_trace_contents():
-    model = init_synthetic(8, 2, 12, 2, seed=4)
-    seq = rng_seq(5, 8)
-    _, trace = forward_captures(model, seq)  # projection inputs and outputs are always recorded
-    assert trace.layer_inputs and trace.layer_outputs
-    assert not trace.span_mass and not trace.hiddens and not trace.final_query
-    _, trace = forward_captures(model, seq, CaptureFlags(final_query=True))
-    assert trace.final_query and not trace.span_mass and not trace.hiddens
-    _, trace = forward_captures(model, seq, CaptureFlags(span_mass=True))
-    assert trace.span_mass and not trace.final_query and not trace.hiddens
-    _, trace = forward_captures(model, seq, CaptureFlags(hiddens=True))
-    assert trace.hiddens and not trace.span_mass and not trace.final_query
 
 
 def test_all_true_mask_changes_nothing_bitwise():
@@ -276,7 +259,7 @@ def test_forward_matches_scalar_hand_computation():
     block = Block(0, layers, np.ones(d, np.float32), np.ones(d, np.float32))
     model = ToyModel([block], n_heads=1, d_model=d, d_ff=3, seed=0)
     seq = TokenSequence(np.array([x0, x1], np.float32), [Span(VIS, 0, 1), Span(LANG, 1, 1)])
-    hidden, trace = forward_captures(model, seq, CAPTURE_ALL)
+    hidden, trace = forward_captures(model, seq, span_mass=True)
 
     # per span (visual key 0, language key 1), each query's attention on it
     np.testing.assert_allclose(trace.span_mass[0], np.array(attn_oracle).T, rtol=1e-6, atol=1e-7)
@@ -343,7 +326,7 @@ def test_non_finite_intermediate_names_layer():
 def test_forward_does_not_mutate_model():
     model = init_synthetic(8, 2, 12, 2, seed=21)
     before = [layer.weight.tobytes() for layer in model.iter_layers()]
-    forward(model, rng_seq(5, 8, seed=3), CAPTURE_ALL)
+    forward(model, rng_seq(5, 8, seed=3), span_mass=True)
     after = [layer.weight.tobytes() for layer in model.iter_layers()]
     assert before == after
 
@@ -351,7 +334,7 @@ def test_forward_does_not_mutate_model():
 def test_residual_stream_shape_preserved_through_blocks():
     model = init_synthetic(16, 4, 24, 3, seed=2)
     seq = rng_seq(7, 16, seed=5)
-    _, trace = forward_captures(model, seq, CaptureFlags(hiddens=True))
+    _, trace = forward_captures(model, seq)
     assert len(trace.hiddens) == 4  # input plus one per block
     assert all(h.shape == (7, 16) for h in trace.hiddens)
 
@@ -361,7 +344,7 @@ def test_trace_shares_projection_inputs_and_never_aliases_the_sequence():
     seq = rng_seq(5, 8)
     embeddings = seq.embeddings.copy()
     reference = forward(model, seq)
-    _, trace = forward_captures(model, seq, CAPTURE_ALL)
+    _, trace = forward_captures(model, seq, span_mass=True)
     inputs = trace.layer_inputs
     for b in range(model.n_blocks):
         assert inputs[(b, "q")] is inputs[(b, "k")] is inputs[(b, "v")]
@@ -423,7 +406,7 @@ def test_forward_matches_out_of_place_oracle_bitwise(monkeypatch):
     cases = [(model, rng_seq(n, 16, seed=n)) for n in (40, 7, 1, 40)]
     cases += [(scenario.model, seq) for seq in scenario.calib + scenario.eval]  # 188 and 28 tokens
     for i, (m, seq) in enumerate(cases):
-        state, trace = forward_captures(m, seq, CAPTURE_ALL)
+        state, trace = forward_captures(m, seq, span_mass=True)
         expected_state, expected_attention, expected_outputs = _oracle_forward(m, seq)
         assert state.tobytes() == expected_state.tobytes()
         assert sorted(trace.span_mass) == sorted(trace.final_query) == sorted(expected_attention)
@@ -468,10 +451,10 @@ def _chunk_cases():
 def test_chunked_forward_matches_per_sequence_forward_bitwise(size):
     # sizes 2 and 3 leave an odd tail chunk of the 5 (or 3) sequences
     for model, seqs in _chunk_cases():
-        expected = [forward_captures(model, seq, CAPTURE_ALL) for seq in seqs]
+        expected = [forward_captures(model, seq, span_mass=True) for seq in seqs]
         for start in range(0, len(seqs), size):
             chunk = seqs[start:start + size]
-            state, traces = forward_captures(model, Chunk(chunk), CAPTURE_ALL)
+            state, traces = forward_captures(model, Chunk(chunk), span_mass=True)
             assert state.shape == (len(chunk), len(chunk[0]), model.d_model) and state.dtype == np.float32
             for i, trace in enumerate(traces):
                 expected_state, expected_trace = expected[start + i]
@@ -493,22 +476,26 @@ def _block_captures(trace, b):
 
 
 def _record_arrays(record):
-    return [*record.inputs.values(), *record.outputs.values(), *(record.hiddens or ()),
-            *([] if record.final_query is None else [record.final_query]), *(record.span_mass or ())]
+    return [*record.inputs.values(), *record.outputs.values(), *record.hiddens, record.final_query,
+            *(record.span_mass or ())]
 
 
-@pytest.mark.parametrize("capture", [CaptureFlags(), CaptureFlags(span_mass=True), CaptureFlags(hiddens=True),
-                                     CaptureFlags(final_query=True), CAPTURE_ALL],
-                         ids=["no-captures", "span-mass", "hiddens", "final-query", "all-captures"])
+# span_mass is the forward's one optional capture
+@pytest.mark.parametrize("span_mass", [False, True], ids=["no-captures", "span-mass"])
 @pytest.mark.parametrize("size", [1, 3])
-def test_block_callback_gets_each_blocks_stacked_outputs(size, capture):
+def test_block_callback_gets_each_blocks_stacked_outputs(size, span_mass):
     # each block's record, field by field, against the stacked captures of each sequence's
-    # own forward; each capture is there exactly when asked, and no array the callback
-    # gets is written afterwards
+    # own forward; the states and the final query's row are always there, and the states
+    # are also those of the forward through the blocks so far; the span masses are there
+    # exactly when asked, and no array the callback gets is written afterwards
     for model, seqs in _chunk_cases():
+        prefixes = [ToyModel(model.blocks[:j + 1], model.n_heads, model.d_model, model.d_ff, model.seed)
+                    for j in range(model.n_blocks)]
         for start in range(0, len(seqs), size):
             chunk = seqs[start:start + size]
-            expected = [forward_captures(model, seq, CAPTURE_ALL) for seq in chunk]
+            expected = [forward_captures(model, seq, span_mass=True) for seq in chunk]
+            states = [np.stack([seq.embeddings for seq in chunk])]
+            states += [np.stack([forward(prefix, seq) for seq in chunk]) for prefix in prefixes]
             records, handed = [], []
 
             def keep(record):
@@ -516,7 +503,7 @@ def test_block_callback_gets_each_blocks_stacked_outputs(size, capture):
                 handed.append([a.tobytes() for a in _record_arrays(record)])
 
             # one sequence: its N x d_model state out, (1, N, ...) stacks to the callback
-            state = forward(model, chunk[0] if size == 1 else Chunk(chunk), capture, keep)
+            state = forward(model, chunk[0] if size == 1 else Chunk(chunk), span_mass, keep)
             assert state.tobytes() == np.stack([one for one, _ in expected]).tobytes()
             assert [record.index for record in records] == [block.index for block in model.blocks]
             for j, record in enumerate(records):
@@ -530,17 +517,15 @@ def test_block_callback_gets_each_blocks_stacked_outputs(size, capture):
                         want = np.stack([getattr(trace, field_name)[key] for _, trace in expected])
                         assert got.shape == want.shape and got.dtype == np.float32
                         assert got.tobytes() == want.tobytes(), (field_name, key)
-                assert (record.hiddens is not None) == capture.hiddens
-                if capture.hiddens:
-                    assert len(record.hiddens) == 2  # entering and leaving the block
-                    for got, h in zip(record.hiddens, (j, j + 1)):
-                        assert got.tobytes() == np.stack([trace.hiddens[h] for _, trace in expected]).tobytes()
-                assert (record.final_query is not None) == capture.final_query
-                if capture.final_query:
-                    want = np.stack([trace.final_query[b] for _, trace in expected])
-                    assert record.final_query.shape == want.shape and record.final_query.tobytes() == want.tobytes()
-                assert (record.span_mass is not None) == capture.span_mass
-                if capture.span_mass:
+                assert len(record.hiddens) == 2  # entering and leaving the block
+                for got, h in zip(record.hiddens, (j, j + 1)):
+                    assert got.dtype == np.float32 and got.tobytes() == states[h].tobytes()
+                    assert got.tobytes() == np.stack([trace.hiddens[h] for _, trace in expected]).tobytes()
+                want = np.stack([trace.final_query[b] for _, trace in expected])
+                assert record.final_query.dtype == np.float32
+                assert record.final_query.shape == want.shape and record.final_query.tobytes() == want.tobytes()
+                assert (record.span_mass is not None) == span_mass
+                if span_mass:
                     assert len(record.span_mass) == len(chunk)
                     for got, (_, trace) in zip(record.span_mass, expected):
                         assert got.dtype == np.float32 and got.tobytes() == trace.span_mass[b].tobytes()
@@ -557,8 +542,8 @@ def test_the_scores_are_freed_before_the_block_callback(monkeypatch):
     monkeypatch.setattr(model_module, "_causal_softmax", recording_softmax)
     model = init_synthetic(16, 4, 24, 3, seed=7)
     alive = []
-    forward(model, Chunk([rng_seq(9, 16, seed=i) for i in range(2)]), CAPTURE_ALL,
-            lambda record: alive.append(slabs[-1]() is not None))
+    forward(model, Chunk([rng_seq(9, 16, seed=i) for i in range(2)]), span_mass=True,
+            on_block=lambda record: alive.append(slabs[-1]() is not None))
     assert len(slabs) == 3 and alive == [False] * 3
     # a 512-token block's scores are 4 MB; in the callback, traced memory holds the
     # record's and the states' few N x d rows, not the scores beside them
@@ -567,7 +552,8 @@ def test_the_scores_are_freed_before_the_block_callback(monkeypatch):
     held = []
     tracemalloc.start()
     try:
-        forward(model, seq, CAPTURE_ALL, lambda record: held.append(tracemalloc.get_traced_memory()[0]))
+        forward(model, seq, span_mass=True,
+                on_block=lambda record: held.append(tracemalloc.get_traced_memory()[0]))
     finally:
         tracemalloc.stop()
     assert len(held) == 3 and max(held) < 4 * 512**2 * 4 / 4
@@ -577,14 +563,14 @@ def test_one_block_views_over_carried_states_chain_into_the_full_forward():
     # as `--sequential` runs a model: block by block, each chunk's samples replaced by
     # sequences of their states and spans
     for model, seqs in _chunk_cases():
-        expected = [forward_captures(model, seq, CAPTURE_ALL) for seq in seqs]
+        expected = [forward_captures(model, seq, span_mass=True) for seq in seqs]
         for size in (1, 2, len(seqs)):
             carried = list(seqs)
             for block in model.blocks:
                 view = ToyModel([block], model.n_heads, model.d_model, model.d_ff, model.seed)
                 for start in range(0, len(seqs), size):
                     chunk = carried[start:start + size]
-                    state, traces = forward_captures(view, Chunk(chunk), CAPTURE_ALL)
+                    state, traces = forward_captures(view, Chunk(chunk), span_mass=True)
                     for i, trace in enumerate(traces):
                         _assert_same_trace(trace, _block_captures(expected[start + i][1], block.index))
                     carried[start:start + size] = [TokenSequence(x, seq.spans) for x, seq in zip(state, chunk)]
@@ -593,23 +579,20 @@ def test_one_block_views_over_carried_states_chain_into_the_full_forward():
 
 @pytest.mark.parametrize("size", [1, 2, 5])
 def test_attention_captures_equal_the_dense_oracle_bitwise(size):
-    # the span masses and the final query's row, alone or beside the other captures,
-    # per sequence or per chunk, against the attention recomputed from the captured q and k
+    # the span masses and the final query's row, with and without the span masses, per
+    # sequence or per chunk, against the attention recomputed from the captured q and k
     for model, seqs in _chunk_cases():
         for start in range(0, len(seqs), size):
             chunk = Chunk(seqs[start:start + size])
-            _, full = forward_captures(model, chunk, CaptureFlags(span_mass=True, final_query=True))
-            _, rows = forward_captures(model, chunk, CaptureFlags(final_query=True))
-            _, masses = forward_captures(model, chunk, CaptureFlags(span_mass=True))
-            for full_trace, row_trace, mass_trace in zip(full, rows, masses):
-                assert not row_trace.span_mass and not mass_trace.final_query
+            _, rows = forward_captures(model, chunk)
+            _, full = forward_captures(model, chunk, span_mass=True)
+            for row_trace, full_trace in zip(rows, full):
+                assert not row_trace.span_mass
                 for b in (block.index for block in model.blocks):
                     attn = dense_attention(full_trace, b, model.n_heads)
-                    expected_rows = span_sums(attn, full_trace.spans)
-                    for trace in (full_trace, mass_trace):
-                        assert trace.span_mass[b].dtype == np.float32
-                        assert trace.span_mass[b].tobytes() == expected_rows.tobytes()
-                    for trace in (full_trace, row_trace):
+                    assert full_trace.span_mass[b].dtype == np.float32
+                    assert full_trace.span_mass[b].tobytes() == span_sums(attn, full_trace.spans).tobytes()
+                    for trace in (row_trace, full_trace):
                         assert trace.final_query[b].dtype == np.float32
                         assert trace.final_query[b].tobytes() == attn[-1].tobytes()
 
@@ -765,7 +748,7 @@ def test_captured_attention_never_shares_the_scores_buffer(monkeypatch):
 
     monkeypatch.setattr(model_module, "_causal_softmax", recording_softmax)
     model = init_synthetic(16, 4, 24, 3, seed=7)
-    _, trace = forward_captures(model, rng_seq(9, 16, seed=1), CAPTURE_ALL)
+    _, trace = forward_captures(model, rng_seq(9, 16, seed=1), span_mass=True)
     assert len(buffers) == 3  # one per block, each kept alive here
     arrays = [*trace.layer_inputs.values(), *trace.layer_outputs.values(), *trace.hiddens]
     attention = [*trace.span_mass.values(), *trace.final_query.values()]
@@ -782,7 +765,7 @@ def test_span_masses_hold_one_n_by_n_temporary_at_a_time():
     seq = rng_seq(512, 16, seed=4)
     forward(model, seq)  # the causal bias is cached before anything is traced
     _, plain = traced_peak(lambda: forward(model, seq))
-    _, masses = traced_peak(lambda: forward(model, seq, CaptureFlags(span_mass=True)))
+    _, masses = traced_peak(lambda: forward(model, seq, span_mass=True))
     assert masses - plain <= 1.25 * 512**2 * 4
 
 

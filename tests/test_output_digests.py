@@ -68,6 +68,8 @@ def _runs() -> list[tuple[str, list[str]]]:
         ("prune-tamp-noisy", prune("noisy", "--method", "tamp")),
         ("prune-das-noisy", prune("noisy", "--method", "das", "--sparsity", "0.6")),
         ("prune-wanda-noisy-sequential", prune("noisy", "--method", "wanda", "--sequential")),
+        ("prune-wanda-attention-noisy-sequential",
+         prune("noisy", "--method", "wanda", "--sequential", "--selection", "attention")),
         ("prune-plan", ["prune", *data("plain"), "--method", "wanda", "--plan",
                         "{runs}/prune-tamp/plan.json", "--out", "{out}/ckpt", "--report", "{out}/report.json"]),
         ("prune-structural-das", ["prune", *data("plain"), "--structural", "das", "--sparsity", "0.5",
@@ -92,6 +94,8 @@ def _runs() -> list[tuple[str, list[str]]]:
                            "--out", "{out}", "--reports", "diversity,attention,selection,sparsity"]),
         ("analyze-noisy", ["analyze", *data("noisy"), "--out", "{out}",
                            "--reports", "diversity,attention,selection,sparsity"]),
+        ("analyze-attention-selection", ["analyze", *data("plain"), "--out", "{out}", "--selection", "attention",
+                                         "--reports", "selection"]),
         ("analyze-full-plan", ["analyze", *data("plain"), "--out", "{out}", "--selection", "full",
                                "--reports", "selection,sparsity", "--plan", "{runs}/prune-das/plan.json"]),
     ]

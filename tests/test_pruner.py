@@ -16,7 +16,7 @@ import pytest
 
 from mmprune.data import generate_sequences, make_noisy_modality_scenario, ModalitySpec
 from mmprune.errors import ConfigError, ShapeError
-from mmprune.model import (PROJECTION_KINDS, CaptureFlags, ModalityId, Span, TokenSequence, ToyModel, chunks,
+from mmprune.model import (PROJECTION_KINDS, ModalityId, Span, TokenSequence, ToyModel, chunks,
                            forward, init_synthetic)
 from mmprune.pruner import (RESULTS, Calibration, LayerSelectionStats, PruneConfig,
                             block_importances_das, block_importances_shortgpt, block_prune,
@@ -286,15 +286,16 @@ def test_an_amia_pass_captures_the_final_query_row_never_the_attention_matrix(mo
     import mmprune.pruner as pruner
     model, seqs = calib_setup(seed=9, n_seqs=4)
     captures, real_forward = [], pruner.forward
-    monkeypatch.setattr(pruner, "forward", lambda model, chunk, capture=CaptureFlags(), on_block=None:
-                        captures.append(capture) or real_forward(model, chunk, capture, on_block))
+    monkeypatch.setattr(pruner, "forward", lambda model, chunk, span_mass=False, on_block=None:
+                        captures.append(span_mass) or real_forward(model, chunk, span_mass, on_block))
     calib = Calibration(model, seqs)
     calib.compute("diversity")
-    for result, span_mass, final_query in [("amia", False, True), (("records", "amia"), False, True),
-                                           ("attention", False, True), ("attention_mass", True, False)]:
+    # only the attention report's pass takes the (S, N, N) head average for its span masses
+    for result, span_mass in [("amia", False), (("records", "amia"), False), ("attention", False),
+                              ("attention_mass", True)]:
         captures.clear()
         calib.compute(result)
-        assert captures and {(c.span_mass, c.final_query) for c in captures} == {(span_mass, final_query)}, result
+        assert captures and set(captures) == {span_mass}, result
 
 
 def test_calibration_memoizes_and_matches_fresh_runs(monkeypatch):
