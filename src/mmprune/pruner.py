@@ -14,13 +14,12 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from pathlib import Path
 
 import numpy as np
 
 from .allocation import (SparsityPlan, allocate_blockwise_das, allocate_das,
                          allocate_owl, allocate_uniform, owl_outlier_ratio)
-from .data import BlobReader, BlobSequence
+from .data import load_sequences, write_sequences
 from .diversity import DiversityAccumulator, DiversityStats, block_input_output_similarity
 from .errors import ConfigError, ShapeError
 from .model import PROJECTION_KINDS, TokenSequence, ToyModel, chunks, forward
@@ -87,40 +86,47 @@ def importance_wanda(weight: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return norms[None, :] * np.abs(weight)
 
 
-def mask_order(importance: np.ndarray, group: str = "per_output_row") -> np.ndarray:
-    """The order in which `make_mask` drops entries: each row's stable ascending argsort
-    (per_output_row), or the whole matrix's as flat indices in the matrix's shape
-    (per_layer), in the narrowest unsigned integer type. Ties put the lower flattened
-    index first, so drop sets are nested across ratios."""
+def _rows(matrix: np.ndarray, group: str) -> np.ndarray:
+    """`matrix` viewed as the rows that `group` compares: its output rows
+    (per_output_row), or one row of all its entries (per_layer)."""
     if group not in MASK_GROUPS:
         raise ConfigError(f"unknown comparison group {group!r}")
+    return matrix if group == "per_output_row" else matrix.reshape(1, -1)
+
+
+def mask_order(importance: np.ndarray, group: str = "per_output_row") -> np.ndarray:
+    """The order in which `make_mask` drops entries: each compared row's stable ascending
+    argsort, so per_layer gives flat indices, in the matrix's shape and the narrowest
+    unsigned integer type. Ties put the lower index first, so drop sets are nested across
+    ratios."""
     importance = np.asarray(importance, dtype=np.float64)
-    if group == "per_output_row":
-        order = np.argsort(importance, axis=1, kind="stable")
-        n = importance.shape[1]
-    else:
-        order = np.argsort(importance.ravel(), kind="stable").reshape(importance.shape)
-        n = importance.size
-    return order.astype(np.min_scalar_type(max(n - 1, 0)))
+    rows = _rows(importance, group)
+    order = np.argsort(rows, axis=1, kind="stable").reshape(importance.shape)
+    return order.astype(np.min_scalar_type(max(rows.shape[1] - 1, 0)))
 
 
 def make_mask(order: np.ndarray, ratio: float, group: str = "per_output_row") -> np.ndarray:
-    """The keep-mask that drops the floor(ratio * group_size) smallest-importance entries
-    per group: the first ones of each group's `mask_order`."""
+    """The keep-mask that drops the floor(ratio * row length) smallest-importance entries
+    of each row `group` compares: the first ones of each row of its `mask_order`."""
     if not (0.0 <= ratio <= 1.0):
         raise ConfigError(f"ratio must be in [0, 1], got {ratio}")
-    if group not in MASK_GROUPS:
-        raise ConfigError(f"unknown comparison group {group!r}")
+    rows = _rows(order, group)
     keep = np.ones(order.shape, dtype=bool)
-    if group == "per_output_row":
-        n_drop = int(ratio * order.shape[1])
-        if n_drop:
-            keep[np.arange(order.shape[0])[:, None], order[:, :n_drop]] = False
-    else:
-        n_drop = int(ratio * order.size)
-        if n_drop:
-            keep.ravel()[order.ravel()[:n_drop]] = False
+    n_drop = int(ratio * rows.shape[1])
+    if n_drop:
+        _rows(keep, group)[np.arange(len(rows))[:, None], rows[:, :n_drop]] = False
     return keep
+
+
+def _layer_orders(layers, norms: dict | None, group: str) -> dict[tuple[int, str], np.ndarray]:
+    """Per layer of `layers`, the `mask_order` under `group` of its importance: |W|
+    without `norms`, else wanda over its entry of `norms`."""
+    orders = {}
+    for layer in layers:
+        key = (layer.block_index, layer.kind)
+        score = importance_magnitude(layer.weight) if norms is None else importance_wanda(layer.weight, norms[key])
+        orders[key] = mask_order(score, group)
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +380,12 @@ class Calibration:
         return {key: coefficient * float(np.sqrt(st.importance)) for key, st in self.diversity.items()}
 
     def _pass(self, results: list, model: ToyModel, seqs: list[TokenSequence]) -> dict:
-        """The one loop that computes results over calibration chunks (`_advance` only
-        carries `--sequential`'s samples through a masked block): computes `results`, all
-        of one dependency level, from `model` on `seqs` (the calibrated model and
-        sequences, or a `--sequential` step's one-block model and carried samples), in one
-        forward per chunk, which takes the span masses only for `attention_mass`. Adaptive
-        kinds read the thresholds of the calibrated model.
+        """The one loop that computes results over calibration chunks (`--sequential`
+        only carries its samples through a masked block with a plain forward): computes
+        `results`, all of one dependency level, from `model` on `seqs` (the calibrated
+        model and sequences, or a `--sequential` step's one-block model and carried
+        samples), in one forward per chunk, which takes the span masses only for
+        `attention_mass`. Adaptive kinds read the thresholds of the calibrated model.
 
         The forward's `on_block` gathers its block records in consecutive groups of G
         blocks: the most whole blocks whose 7 layers each fit one AMIA stack at the
@@ -432,13 +438,7 @@ class Calibration:
         key = ("orders", importance, selection, group)
         if key not in self._cache:
             norms = None if selection is None else self.activations(selection)[0]
-            orders = {}
-            for layer in self.model.iter_layers():
-                layer_key = (layer.block_index, layer.kind)
-                score = (importance_magnitude(layer.weight) if norms is None
-                         else importance_wanda(layer.weight, norms[layer_key]))
-                orders[layer_key] = mask_order(score, group)
-            self._cache[key] = orders
+            self._cache[key] = _layer_orders(self.model.iter_layers(), norms, group)
         return self._cache[key]
 
 
@@ -512,25 +512,6 @@ def calibration_needs(config: PruneConfig) -> list[str]:
     return needs
 
 
-def _advance(view: ToyModel, seqs: list[TokenSequence], blob: Path) -> list[BlobSequence]:
-    """`seqs` forwarded through the one-block `view`, as BlobSequences over the new file
-    `blob`: each chunk's states are written to it as they are forwarded, and each
-    sequence is checked and given its crc32 from the rows in hand, never read back. The
-    blob is closed before anything reads it; its sequences share one BlobReader."""
-    blobs = BlobReader(blob.parent)
-    carried = []
-    offset = 0
-    with open(blob, "wb") as f:
-        for chunk in chunks(seqs):
-            states = forward(view, chunk)
-            f.write(np.ascontiguousarray(states, dtype="<f4"))
-            for x, seq in zip(states, chunk.seqs):
-                where = f"calibration sample {len(carried)} after block {view.blocks[0].index}"
-                carried.append(BlobSequence(x, seq.spans, blobs, blob.name, where, offset))
-                offset += len(x)
-    return carried
-
-
 def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], config: PruneConfig,
                 plan: SparsityPlan | None = None) -> tuple[ToyModel, PruneReport]:
     """Run the full unstructured pipeline; returns (masked copy, report).
@@ -567,41 +548,42 @@ def prune_model(model: ToyModel, calib: Calibration | list[TokenSequence], confi
     achieved: dict[tuple[int, str], float] = {}
 
     def mask_layers(layers, orders) -> None:
-        # commit only after every mask is built
+        # commit only after every mask is built; a layer masked before keeps its drops
         keys = [(layer.block_index, layer.kind) for layer in layers]
         masks = [make_mask(orders[key], plan_ratios[key], config.group) for key in keys]
         for layer, key, keep in zip(layers, keys, masks):
-            layer.mask = keep
+            layer.mask = keep if layer.mask is None else keep & layer.mask
             layer.apply_mask()
-            achieved[key] = float((~keep).sum()) / keep.size
+            achieved[key] = float((~layer.mask).sum()) / layer.mask.size
 
     if config.sequential and spec.importance == "wanda":
         # Each block's norms, and so its orders, come from the samples carried through the
         # blocks already masked: one pass over a one-block model of the block, which, once
         # masked, advances them. They start as the calibration sequences; each advance
-        # carries them in a scratch blob of its own, and the one before is then deleted, so
-        # memory holds one chunk of states and the disk at most two steps' blobs (12 MB on
-        # the noisy workspace). The scratch directory goes on every exit.
+        # writes them as a dataset of its own and loads it back, and the one before is then
+        # deleted, so memory holds one chunk of states and the disk at most two steps'
+        # datasets. The scratch directory goes on every exit.
         import tempfile  # here, not at the top: it adds 7 ms to every command's start
 
         sel_stats = {}
         carried = list(calib.seqs)
         with tempfile.TemporaryDirectory() as scratch:
-            previous = None
+            previous = []
             for block in pruned.blocks:
                 view = ToyModel([block], pruned.n_heads, pruned.d_model, pruned.d_ff, pruned.seed)
                 block_norms, block_stats = calib._pass([selection], view, carried)[selection]
                 sel_stats.update(block_stats)
-                orders = {key: mask_order(importance_wanda(block.layers[key[1]].weight, norms), config.group)
-                          for key, norms in block_norms.items()}
-                mask_layers([block.layers[kind] for kind in PROJECTION_KINDS], orders)
+                layers = [block.layers[kind] for kind in PROJECTION_KINDS]
+                mask_layers(layers, _layer_orders(layers, block_norms, config.group))
                 if block is pruned.blocks[-1]:
                     break
-                blob = Path(scratch) / f"after_block{block.index}.bin"
-                carried = _advance(view, carried, blob)
-                if previous is not None:
-                    previous.unlink()
-                previous = blob
+                states = (TokenSequence(x, seq.spans)
+                          for chunk in chunks(carried) for x, seq in zip(forward(view, chunk), chunk.seqs))
+                jsonl = write_sequences(states, scratch, f"after_block{block.index}")
+                carried = load_sequences(jsonl)
+                for path in previous:
+                    path.unlink()
+                previous = [jsonl, carried[0].blob]
     else:
         mask_layers(list(pruned.iter_layers()), calib.mask_orders(spec.importance, selection, config.group))
 

@@ -775,24 +775,30 @@ def test_fuzzed_rerun_records_fail_only_as_json_errors(fuzz_run_file, content):
         assert (record["error"] == "UsageError") == (code == 2)
 
 
-def test_sequential_scratch_directory_is_removed_on_every_exit(tmp_path, capsys, monkeypatch):
+def sequential_prune(tmp_path, monkeypatch):
+    """A 3-block workspace, `tempfile`'s directory set to an empty `scratch`, and the argv
+    of a `--sequential` prune of the workspace: (scratch, argv)."""
     ws = tmp_path / "ws"
     assert main(["gen-synth", "--out", str(ws), "--d-model", "16", "--n-heads", "2", "--d-ff", "24",
                  "--n-blocks", "3", "--tokens-per-modality", "8", "--n-calib", "4", "--n-eval", "1"]) == 0
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    argv = ["prune", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"), "--method", "wanda",
-            "--sequential", "--out", str(tmp_path / "out")]
+    return scratch, ["prune", "--model", str(ws / "model"), "--calib", str(ws / "calib.jsonl"),
+                     "--method", "wanda", "--sequential", "--out", str(tmp_path / "out")]
+
+
+def test_sequential_scratch_directory_is_removed_on_every_exit(tmp_path, capsys, monkeypatch):
+    scratch, argv = sequential_prune(tmp_path, monkeypatch)
     assert main(argv) == 0
     assert list(scratch.iterdir()) == []
 
     real_forward = pruner.forward
-    blobs = []  # the scratch blobs on disk as the advance through block 1 fails
+    files = []  # the scratch files on disk as the advance through block 1 fails
 
     def failing_forward(model, seq, span_mass=False, on_block=None):
         if on_block is None and model.blocks[0].index == 1:  # an advance, not a calibration pass
-            blobs.extend(sorted(path.name for path in scratch.rglob("*") if path.is_file()))
+            files.extend(sorted(path.name for path in scratch.rglob("*") if path.is_file()))
             raise NumericError("non-finite values at block1.residual")
         return real_forward(model, seq, span_mass, on_block)
     monkeypatch.setattr(pruner, "forward", failing_forward)
@@ -800,8 +806,58 @@ def test_sequential_scratch_directory_is_removed_on_every_exit(tmp_path, capsys,
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "NumericError",
                                                    "message": "non-finite values at block1.residual"}
-    assert blobs == ["after_block0.bin", "after_block1.bin"]  # the first advance's, and the one being written
+    # the first advance's dataset, and the temporary files of the one being written
+    assert files == [".after_block1.jsonl.tmp", ".after_block1_embeddings.bin.tmp",
+                     "after_block0.jsonl", "after_block0_embeddings.bin"]
     assert list(scratch.iterdir()) == []
+
+
+def test_a_scratch_blob_changed_after_its_load_is_a_format_error(tmp_path, capsys, monkeypatch):
+    scratch, argv = sequential_prune(tmp_path, monkeypatch)
+    real_load = pruner.load_sequences
+    changed = []  # (jsonl, blob) of the step whose rows were changed
+
+    def changing_load(path):
+        seqs = real_load(path)
+        if not changed:
+            blob = seqs[0].blob
+            stamp = blob.stat()
+            with open(blob, "r+b") as f:  # finite rows, the same size
+                f.write(bytes(16 * 4))
+            os.utime(blob, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))  # so only the crc32 sees it
+            changed.append((path, blob))
+        return seqs
+    monkeypatch.setattr(pruner, "load_sequences", changing_load)
+    assert main(argv) == 1
+    (jsonl, blob), = changed
+    assert jsonl.name == "after_block0.jsonl"
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FormatError", "message": f"blob {blob} changed since it was loaded: {jsonl}:1 cannot be read again"}
+    assert list(scratch.iterdir()) == []
+
+
+def test_re_pruning_a_masked_checkpoint_keeps_its_drops(workspace, tmp_path):
+    calib = str(workspace / "calib.jsonl")
+    assert main(["prune", "--model", str(workspace / "model"), "--calib", calib, "--method", "tamp",
+                 "--group", "layer", "--sparsity", "0.5", "--out", str(tmp_path / "first")]) == 0
+    assert main(["prune", "--model", str(tmp_path / "first"), "--calib", calib, "--method", "wanda",
+                 "--sparsity", "0.3", "--out", str(tmp_path / "second"), "--report", str(tmp_path / "r.json")]) == 0
+    assert main(["analyze", "--model", str(tmp_path / "second"), "--calib", calib, "--reports", "sparsity",
+                 "--out", str(tmp_path / "a")]) == 0
+    layers = list(load_checkpoint(tmp_path / "second").iter_layers())
+    zeros = {f"{layer.block_index}:{layer.kind}": float((layer.weight == 0).mean()) for layer in layers}
+    assert {key: float((~layer.mask).mean()) for key, layer in zip(zeros, layers)} == zeros  # masks.bin
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert {record["layer"]: record["achieved"] for record in report["layers"]} == zeros
+    total = sum(layer.weight.size for layer in layers)
+    global_zeros = sum(int((layer.weight == 0).sum()) for layer in layers) / total
+    assert report["global_achieved"] == pytest.approx(global_zeros, abs=1e-12)
+    assert global_zeros > 0.45  # the first prune's drops, not only the second's 30%
+    with open(tmp_path / "a" / "sparsity_by_block.csv") as f:
+        by_block = {int(row["block"]): float(row["mean_sparsity"]) for row in csv.DictReader(f)}
+    kinds = pruner.PROJECTION_KINDS
+    assert by_block == pytest.approx({b: sum(zeros[f"{b}:{kind}"] for kind in kinds) / len(kinds) for b in range(2)},
+                                     abs=1e-12)
 
 
 def test_lambda_flag_alias(workspace, tmp_path):

@@ -461,8 +461,8 @@ def oracle_sequential_prune(model, seqs, config, ratios):
                     entry.samples += 1
             stats[key] = entry
             layer = masked.layer(*key)
-            masks[key] = make_mask(mask_order(importance_wanda(layer.weight, np.sqrt(sq))),
-                                   ratios[key])
+            masks[key] = make_mask(mask_order(importance_wanda(layer.weight, np.sqrt(sq)), config.group),
+                                   ratios[key], config.group)
             achieved[key] = float((~masks[key]).sum()) / masks[key].size
         for layer_kind in PROJECTION_KINDS:
             layer = masked.layer(b, layer_kind)
@@ -471,13 +471,17 @@ def oracle_sequential_prune(model, seqs, config, ratios):
     return masks, achieved, stats
 
 
-@pytest.mark.parametrize("method,selection", [
-    ("wanda", "full"), ("wanda", "random"), ("wanda", "attention"), ("wanda", "amia"),
-    ("tamp", None), ("owl", None), ("owl", "attention")])
-def test_sequential_prune_matches_naive_masked_prefix_oracle(method, selection):
+SEQUENTIAL_CASES = [("wanda", "full"), ("wanda", "random"), ("wanda", "attention"), ("wanda", "amia"),
+                    ("tamp", None), ("owl", None), ("owl", "attention")]
+
+
+@pytest.mark.parametrize("method,selection,group", [
+    *[pytest.param(*case, "per_output_row", id=f"{case[0]}-{case[1]}") for case in SEQUENTIAL_CASES],
+    *[pytest.param(*case, "per_layer", id=f"{case[0]}-{case[1]}-per_layer") for case in SEQUENTIAL_CASES]])
+def test_sequential_prune_matches_naive_masked_prefix_oracle(method, selection, group):
     model, seqs = calib_setup(seed=51, n_blocks=3, n_seqs=4)
     config = PruneConfig(method=method, sparsity=0.5, selection=selection, random_count=5,
-                         seed=4, sequential=True)
+                         seed=4, sequential=True, group=group)
     _, dense_report = prune_model(model, seqs, replace(config, sequential=False))
     ratios = dense_report.plan.ratios()
     masks, achieved, stats = oracle_sequential_prune(model, seqs, config, ratios)
